@@ -126,25 +126,35 @@ def g_limit(tangent, second_deriv, f_value, f_deriv) -> np.ndarray:
     return sym @ fv + fd + xs * (xs @ fd)
 
 
-def g_pair(curve: FiberCurve, f: Callable, fprime: Callable, s: float, s_bar: float) -> np.ndarray:
-    """Regularized K integrand factor between two arclengths, from closures.
+def g_pair(curve: FiberCurve, f: Callable, fprime: Callable, s, s_bar: float) -> np.ndarray:
+    """Regularized K integrand factor between arclengths s and s_bar, from closures.
 
-    Scalar-argument form used by reference computations and limit tests; the
-    Nystrom evaluation path uses node samples instead (see g_vector).
+    s is a scalar, giving shape (3,), or a 1-D array, giving one row per entry;
+    entries equal to s_bar take the analytic limit. Used by reference
+    computations and limit tests; the Nystrom evaluation path uses node
+    samples instead (see g_vector).
     """
+    s_in = np.asarray(s, dtype=float)
+    s_arr = np.atleast_1d(s_in)
     xs = np.asarray(curve.tangent(s_bar), dtype=float)
     fbar = np.asarray(f(s_bar), dtype=float)
-    if s == s_bar:
-        return g_limit(xs, curve.second_derivative(s_bar), fbar, fprime(s_bar))
-    r = np.asarray(curve.position(s), dtype=float) - np.asarray(curve.position(s_bar), dtype=float)
-    rnorm = np.linalg.norm(r)
-    rhat = r / rnorm
-    fv = np.asarray(f(s), dtype=float)
+    ds = s_arr - s_bar
+    on_bar = ds == 0.0
+    r = np.asarray(curve.position(s_arr), dtype=float) - np.asarray(
+        curve.position(s_bar), dtype=float
+    )
+    rnorm = np.sqrt(np.einsum("nc,nc->n", r, r))
+    rnorm[on_bar] = 1.0
+    rhat = r / rnorm[:, None]
+    fv = np.broadcast_to(np.asarray(f(s_arr), dtype=float), r.shape)
     # |s - sbar|/|R| as one ratio before multiplying, to limit cancellation
-    ratio = abs(s - s_bar) / rnorm
-    near = (fv + rhat * (rhat @ fv)) * ratio
+    ratio = np.abs(ds) / rnorm
+    near = (fv + rhat * np.einsum("nc,nc->n", rhat, fv)[:, None]) * ratio[:, None]
     far = fbar + xs * (xs @ fbar)
-    return (near - far) / (s - s_bar)
+    out = (near - far) / np.where(on_bar, 1.0, ds)[:, None]
+    if on_bar.any():
+        out[on_bar] = g_limit(xs, curve.second_derivative(s_bar), fbar, fprime(s_bar))
+    return out if s_in.ndim else out[0]
 
 
 def _density_derivative_at(curve: PanelizedCurve, f: LineDensity, target_index: int):

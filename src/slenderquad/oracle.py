@@ -80,32 +80,48 @@ class ErrorGrid:
     errors: np.ndarray
 
 
+def _mirror(half_values: np.ndarray) -> np.ndarray:
+    """Symmetric 15-entry vector from the 8 positive-half entries, outermost first."""
+    return np.concatenate([half_values, half_values[-2::-1]])
+
+
+# All 15 Kronrod nodes in increasing order. Row 0 of _W15 holds the Kronrod
+# weights, row 1 the embedded Gauss-7 weights (zero on Kronrod-only nodes).
+_X15 = np.concatenate([-_XGK, _XGK[-2::-1]])
+_W15 = np.stack([_mirror(_WGK), _mirror(np.insert(_WG, np.arange(4), 0.0))])
+
+
+def _gk15_rule(values: np.ndarray, half: float):
+    """Kronrod-15 estimate and its gap to the embedded Gauss-7 from node values."""
+    kron, gauss = half * (_W15 @ values)
+    return kron, float(np.max(np.abs(kron - gauss)))
+
+
+def _evaluate(integrand: Callable, x: np.ndarray) -> np.ndarray:
+    """Integrand values at the abscissae x, node axis leading."""
+    values = np.asarray(integrand(x), dtype=float)
+    if values.ndim not in (1, 2) or values.shape[0] != x.size:
+        raise ValueError(
+            f"integrand returned shape {values.shape} for {x.size} abscissae; "
+            f"expected ({x.size},) or ({x.size}, d)"
+        )
+    return values
+
+
 def _gk15(f: Callable, lo: float, hi: float):
     """Kronrod-15 estimate, its Gauss-7 companion gap, on one interval."""
-    mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    fk = None
-    gauss = None
-    for i, x in enumerate(_XGK):
-        right = np.asarray(f(mid + half * x), dtype=float)
-        if x == 0.0:
-            pair = right
-        else:
-            pair = right + np.asarray(f(mid - half * x), dtype=float)
-        if fk is None:
-            fk = _WGK[i] * pair
-        else:
-            fk = fk + _WGK[i] * pair
-        if i % 2 == 1:  # odd Kronrod indices are the embedded Gauss nodes
-            g = _WG[i // 2] * pair
-            gauss = g if gauss is None else gauss + g
-    kron = half * fk
-    gap = float(np.max(np.abs(kron - half * gauss)))
-    return kron, gap
+    return _gk15_rule(_evaluate(f, 0.5 * (lo + hi) + half * _X15), half)
 
 
 def adaptive_integrate(integrand: Callable, a: float, b: float, tol: float = 1e-10):
     """Globally adaptive Gauss-Kronrod integration of a scalar or vector integrand.
+
+    The integrand receives a 1-D array of n abscissae and returns its values
+    with the node axis leading: shape (n,) for a scalar integrand, (n, d) for
+    a vector one. It is called once on the 15 Kronrod nodes of [a, b], then
+    once per bisection on the 30 nodes of both halves; any other output shape
+    raises ValueError.
 
     Bisects the worst interval until the summed error estimate drops below
     tol scaled by max(1, |result|). Raises AccuracyError, carrying the best
@@ -128,8 +144,12 @@ def adaptive_integrate(integrand: Callable, a: float, b: float, tol: float = 1e-
                 total_err,
             )
         mid = 0.5 * (lo + hi)
-        vl, el = _gk15(integrand, lo, mid)
-        vr, er = _gk15(integrand, mid, hi)
+        half_l = 0.5 * (mid - lo)
+        half_r = 0.5 * (hi - mid)
+        x = np.concatenate([0.5 * (lo + mid) + half_l * _X15, 0.5 * (mid + hi) + half_r * _X15])
+        values = _evaluate(integrand, x)
+        vl, el = _gk15_rule(values[:15], half_l)
+        vr, er = _gk15_rule(values[15:], half_r)
         total = total - val + vl + vr
         total_err += el + er + neg_err  # neg_err removes the parent's estimate
         heapq.heappush(heap, (-el, lo, mid, depth + 1, vl))
@@ -168,11 +188,13 @@ def reference_L(
     if not 0.0 < s_bar < length:
         raise ValueError("s_bar must lie strictly inside (0, length)")
     f_bar = f(s_bar)
+    fp_bar = fprime(s_bar)
 
     def integrand(s):
-        if abs(s - s_bar) < 1e-14:
-            return fprime(s_bar) * np.sign(s - s_bar)
-        return (f(s) - f_bar) / abs(s - s_bar)
+        dist = np.abs(s - s_bar)
+        at_bar = dist < 1e-14
+        quotient = (np.broadcast_to(f(s), s.shape) - f_bar) / np.where(at_bar, 1.0, dist)
+        return np.where(at_bar, fp_bar * np.sign(s - s_bar), quotient)
 
     left = adaptive_integrate(integrand, 0.0, s_bar, tol / 2)
     right = adaptive_integrate(integrand, s_bar, length, tol / 2)
@@ -208,10 +230,10 @@ def reference_K(
     ) / (hi - lo)
 
     def integrand(s):
-        u = s - s_bar
-        if abs(u) < window:
-            return (g_lim + slope * u) * np.sign(u)
-        return g_pair(curve, f, fprime, s, s_bar) * np.sign(u)
+        u = (s - s_bar)[:, None]
+        taylor = g_lim + slope * u
+        g = np.where(np.abs(u) < window, taylor, g_pair(curve, f, fprime, s, s_bar))
+        return g * np.sign(u)
 
     left = adaptive_integrate(integrand, 0.0, s_bar, tol / 2)
     right = adaptive_integrate(integrand, s_bar, curve.length, tol / 2)
@@ -230,15 +252,22 @@ def _closest_parameter(curve: FiberCurve, x_bar, samples: int = 2000) -> float:
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
     c = hi - inv_phi * (hi - lo)
     d = lo + inv_phi * (hi - lo)
+
+    def dist2(t):
+        return np.sum((curve.position(t) - xb) ** 2)
+
+    # the surviving probe becomes the new opposite probe, so only the fresh
+    # one is evaluated per iteration
+    fc, fd = dist2(c), dist2(d)
     for _ in range(80):
-        fc = np.sum((curve.position(c) - xb) ** 2)
-        fd = np.sum((curve.position(d) - xb) ** 2)
         if fc < fd:
-            hi, d = d, c
+            hi, d, fd = d, c, fc
             c = hi - inv_phi * (hi - lo)
+            fc = dist2(c)
         else:
-            lo, c = c, d
+            lo, c, fc = c, d, fd
             d = lo + inv_phi * (hi - lo)
+            fd = dist2(d)
         if hi - lo < 1e-13 * max(curve.length, 1.0):
             break
     return 0.5 * (lo + hi)
@@ -254,9 +283,9 @@ def reference_S(curve: FiberCurve, f: Callable, x_bar, tol: float = 1e-12) -> np
 
     def integrand(s):
         r = xb - np.asarray(curve.position(s), dtype=float)
-        rnorm = np.linalg.norm(r)
-        fv = np.asarray(f(s), dtype=float)
-        return fv / rnorm + r * (r @ fv) / rnorm**3
+        rnorm = np.sqrt(np.einsum("nc,nc->n", r, r))[:, None]
+        fv = np.broadcast_to(np.asarray(f(s), dtype=float), r.shape)
+        return fv / rnorm + r * np.einsum("nc,nc->n", r, fv)[:, None] / rnorm**3
 
     s_star = _closest_parameter(curve, xb)
     margin = 1e-9 * curve.length

@@ -128,6 +128,17 @@ class TestGVector:
         assert 5.0 <= errs[0] / errs[1] <= 20.0
         assert 5.0 <= errs[1] / errs[2] <= 20.0
 
+    def test_array_argument_matches_scalar_loop(self):
+        helix = make_helix(8.0, 3.0, 1.5)
+        f, fp = forces.testf(1.5)
+        s_bar = 0.8
+        s = np.array([0.0, 0.3, s_bar - 1e-6, s_bar, s_bar + 0.2, 1.5])
+        rows = g_pair(helix, f, fp, s, s_bar)
+        assert rows.shape == (len(s), 3)
+        loop = np.array([g_pair(helix, f, fp, si, s_bar) for si in s])
+        assert g_pair(helix, f, fp, s_bar, s_bar).shape == (3,)
+        assert np.max(np.abs(rows - loop)) <= 1e-15 * max(1.0, np.max(np.abs(loop)))
+
     def test_discrete_matches_closure_form(self):
         helix = make_helix(8.0, 3.0, 1.5)
         pc = discretize(helix, 4, RULE)

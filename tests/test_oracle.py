@@ -1,8 +1,11 @@
+import heapq
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from helpers import rotation_matrix, segment_stokeslet
-from slenderquad import forces
+from slenderquad import forces, oracle
 from slenderquad.finitepart import LineDensity, build_weight_table, eval_K
 from slenderquad.geometry import discretize, make_custom, make_helix, make_straight
 from slenderquad.oracle import (
@@ -38,8 +41,41 @@ class TestAdaptiveIntegrate:
         assert left + right == pytest.approx(0.4, abs=1e-13)
 
     def test_vector_integrand(self):
-        got = adaptive_integrate(lambda s: np.array([s, s**2, np.sin(s)]), 0.0, 1.0, 1e-12)
+        got = adaptive_integrate(
+            lambda s: np.stack([s, s**2, np.sin(s)], axis=-1), 0.0, 1.0, 1e-12
+        )
         assert got == pytest.approx([0.5, 1.0 / 3.0, 1.0 - np.cos(1.0)], abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "integrand",
+        [lambda s: np.array([s, s**2, np.sin(s)]), lambda s: 4.0],
+        ids=["component-axis-leading", "scalar"],
+    )
+    def test_rejects_output_without_leading_node_axis(self, integrand):
+        with pytest.raises(ValueError):
+            adaptive_integrate(integrand, 0.0, 1.0, 1e-12)
+
+    def test_one_call_per_bisection(self, monkeypatch):
+        sizes = []
+        pushes = []
+
+        def peak(s):
+            sizes.append(np.shape(s))
+            return 1.0 / (s * s + 1e-4)
+
+        def counting_push(heap, item):
+            pushes.append(item)
+            heapq.heappush(heap, item)
+
+        monkeypatch.setattr(
+            oracle, "heapq", SimpleNamespace(heappush=counting_push, heappop=heapq.heappop)
+        )
+        value = adaptive_integrate(peak, -1.0, 1.0, 1e-11)
+        assert value == pytest.approx(2.0 * 100.0 * np.arctan(100.0), rel=1e-11)
+        assert set(sizes) <= {(15,), (30,)}
+        bisections = len(pushes) // 2  # each bisection pushes both halves
+        assert bisections > 10
+        assert len(sizes) == bisections + 1
 
     def test_self_consistency_under_tol_halving(self):
         f = lambda s: np.exp(-3.0 * s) * np.cos(20.0 * s)
