@@ -52,6 +52,7 @@ from .quadcore import (
     gauss_legendre,
     integrate,
     interpolate_to_uniform,
+    legendre_and_derivative,
     legendre_deriv_coeffs,
     legendre_eval,
     panelize,

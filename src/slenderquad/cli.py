@@ -23,7 +23,7 @@ import numpy as np
 from . import forces
 from .finitepart import LineDensity, build_weight_table, eval_L
 from .geometry import FiberCurve, discretize, make_helix, make_straight
-from .nearsing import NearEvalConfig, eval_S, eval_S_regular
+from .nearsing import MAX_MOMENT_COUNT, NearEvalConfig, eval_S, eval_S_regular
 from .oracle import (
     AccuracyError,
     convergence_study,
@@ -243,6 +243,10 @@ def run_field_test(config: ExperimentConfig) -> int:
     bad_modes = set(config.modes) - {"regular", "special"}
     if bad_modes:
         raise ConfigError(f"unknown modes {sorted(bad_modes)}")
+    if "special" in config.modes and config.rule_order > MAX_MOMENT_COUNT:
+        raise ConfigError(
+            f"special mode supports --rule-order up to {MAX_MOMENT_COUNT}, got {config.rule_order}"
+        )
 
     points = helix_field_grid(curve, config.grid)
     rule = gauss_legendre(config.rule_order)

@@ -17,10 +17,11 @@ import numpy as np
 
 from .finitepart import LineDensity
 from .geometry import PanelizedCurve
-from .quadcore import gauss_legendre, solve_vandermonde_transpose
+from .quadcore import gauss_legendre, legendre_and_derivative, solve_vandermonde_transpose
 
 _RECURSION_RANGE = 0.5  # root-to-interval distance where upward recursion stays accurate
 _GRADED_ORDER = 32
+MAX_MOMENT_COUNT = 16  # highest moment count q_k^p is computed to; caps eval_S's rule order
 
 
 class RootNotFoundError(RuntimeError):
@@ -52,28 +53,6 @@ class NearEvalConfig:
             raise ValueError("switch_factor must be positive")
 
 
-def _legendre_series_complex(coeffs: np.ndarray, z: complex) -> tuple[np.ndarray, np.ndarray]:
-    """Values and eta-derivatives of (d, n) Legendre series at a complex point.
-
-    Unbounded in z, unlike the public evaluator; Newton iterates may wander
-    before converging.
-    """
-    n = coeffs.shape[1]
-    p_prev, p = 1.0 + 0.0j, z
-    dp_prev, dp = 0.0j, 1.0 + 0.0j
-    vals = coeffs[:, 0].astype(complex)
-    ders = np.zeros(coeffs.shape[0], dtype=complex)
-    if n > 1:
-        vals = vals + coeffs[:, 1] * p
-        ders = ders + coeffs[:, 1] * dp
-    for k in range(2, n):
-        p_prev, p = p, ((2 * k - 1) * z * p - (k - 1) * p_prev) / k
-        dp_prev, dp = dp, dp_prev + (2 * k - 1) * p_prev
-        vals = vals + coeffs[:, k] * p
-        ders = ders + coeffs[:, k] * dp
-    return vals, ders
-
-
 def _chord_guess(coeffs: np.ndarray, xb: np.ndarray) -> complex:
     """Initial root guess from projecting the point onto the panel chord.
 
@@ -92,18 +71,28 @@ def _chord_guess(coeffs: np.ndarray, xb: np.ndarray) -> complex:
     return complex(eta0, max(2.0 * d / h, 1e-8))
 
 
-def find_root(panel_coeffs: np.ndarray, x_bar, cfg: NearEvalConfig | None = None) -> RootPair:
-    """Newton iteration for the upper-half root of R^2(eta) = |x_bar - x(eta)|^2."""
+def find_root(
+    panel_coeffs: np.ndarray,
+    x_bar,
+    cfg: NearEvalConfig | None = None,
+    guess: complex | None = None,
+) -> RootPair:
+    """Newton iteration for the upper-half root of R^2(eta) = |x_bar - x(eta)|^2.
+
+    The iteration starts from guess, or from the chord guess when none is
+    given.
+    """
     cfg = cfg or NearEvalConfig()
     coeffs = np.asarray(panel_coeffs, dtype=float)
     xb = np.asarray(x_bar, dtype=float)
-    z = _chord_guess(coeffs, xb)
+    n = coeffs.shape[1]
+    z = complex(_chord_guess(coeffs, xb) if guess is None else guess)
 
     for _ in range(cfg.newton_max_iter):
-        vals, ders = _legendre_series_complex(coeffs, z)
+        vals, ders = (coeffs @ legendre_and_derivative(z, n)).T
         diff = xb - vals
-        r2 = np.sum(diff * diff)
-        dr2 = -2.0 * np.sum(diff * ders)
+        r2 = complex(diff @ diff)
+        dr2 = -2.0 * complex(diff @ ders)
         if dr2 == 0:
             raise RootNotFoundError("stationary R^2, Newton step undefined")
         step = r2 / dr2
@@ -122,9 +111,8 @@ def find_root(panel_coeffs: np.ndarray, x_bar, cfg: NearEvalConfig | None = None
         z = z.conjugate()
     if z.imag == 0:
         raise RootNotFoundError("converged to a real root; point lies on the curve extension")
-    vals, _ = _legendre_series_complex(coeffs, z)
-    diff = xb - vals
-    return RootPair(z1=complex(z), residual=float(abs(np.sum(diff * diff))))
+    diff = xb - coeffs @ legendre_and_derivative(z, n)[:, 0]
+    return RootPair(z1=z, residual=abs(complex(diff @ diff)))
 
 
 def _moments_recursion(a: float, b: float, count: int, p: int) -> np.ndarray:
@@ -207,8 +195,8 @@ def qkp_moments(z1: complex, p: int, count: int) -> np.ndarray:
     """
     if p not in (1, 3):
         raise ValueError(f"p must be 1 or 3, got {p}")
-    if not 1 <= count <= 16:
-        raise ValueError(f"count must be in [1, 16], got {count}")
+    if not 1 <= count <= MAX_MOMENT_COUNT:
+        raise ValueError(f"count must be in [1, {MAX_MOMENT_COUNT}], got {count}")
     z1 = complex(z1)
     if not z1.imag > 0:
         raise ValueError(f"z1 must have positive imaginary part, got {z1}")
@@ -219,25 +207,27 @@ def qkp_moments(z1: complex, p: int, count: int) -> np.ndarray:
     return _moments_graded(a, b, count, p)
 
 
-def _panel_regular(curve: PanelizedCurve, f: LineDensity, m: int, x_bar) -> np.ndarray:
-    """Plain Gauss-Legendre Stokeslet contribution of one panel."""
-    sl = curve.grid.panel_slice(m)
-    r = np.asarray(x_bar, dtype=float)[None, :] - curve.positions[sl]
-    rnorm = np.linalg.norm(r, axis=1)
-    if np.any(rnorm == 0.0):
+def _offsets(curve: PanelizedCurve, x_bar) -> tuple[np.ndarray, np.ndarray]:
+    """Vectors x_bar - x_j to all N nodes and their squared lengths."""
+    r = np.asarray(x_bar, dtype=float)[None, :] - curve.positions
+    r2 = np.einsum("jc,jc->j", r, r)
+    if np.any(r2 == 0.0):
         raise ZeroDivisionError("field point coincides with a quadrature node")
-    fv = np.asarray(f.samples, dtype=float)[sl]
-    w = curve.grid.global_weights[sl]
+    return r, r2
+
+
+def _regular_sum(curve: PanelizedCurve, f: LineDensity, r, r2, keep=slice(None)) -> np.ndarray:
+    """Plain Gauss-Legendre Stokeslet sum over the nodes that keep selects."""
+    r, rnorm = r[keep], np.sqrt(r2[keep])
+    fv = np.asarray(f.samples, dtype=float)[keep]
+    w = curve.grid.global_weights[keep]
     rdotf = np.einsum("jc,jc->j", r, fv)
     return (w / rnorm) @ fv + (w * rdotf / rnorm**3) @ r
 
 
 def eval_S_regular(curve: PanelizedCurve, f: LineDensity, x_bar) -> np.ndarray:
     """Stokeslet integral by composite Gauss-Legendre over all panels."""
-    total = np.zeros(3)
-    for m in range(curve.grid.panel_count):
-        total += _panel_regular(curve, f, m, x_bar)
-    return total
+    return _regular_sum(curve, f, *_offsets(curve, x_bar))
 
 
 def eval_S_special(
@@ -247,9 +237,10 @@ def eval_S_special(
 
     The smooth factors g_p * (omega/R^2)^{p/2} are known at the panel nodes;
     contracting them with the weights solving A^T w = q^p integrates their
-    monomial interpolants against the exact kernel moments. At real nodes
-    omega/R^2 is a positive real number, so the principal square root is the
-    right branch automatically.
+    monomial interpolants against the exact kernel moments. Both p = 1 and
+    p = 3 weights come from one block solve. At real nodes omega/R^2 is a
+    positive real number, so the principal square root is the right branch
+    automatically.
     """
     grid = curve.grid
     sl = grid.panel_slice(m)
@@ -270,8 +261,8 @@ def eval_S_special(
     rdotf = np.einsum("jc,jc->j", r, fv)
     smooth3 = r * (rdotf * ratio**1.5)[:, None]
 
-    w1 = solve_vandermonde_transpose(eta, qkp_moments(root.z1, 1, n))
-    w3 = solve_vandermonde_transpose(eta, qkp_moments(root.z1, 3, n))
+    moments = np.stack([qkp_moments(root.z1, 1, n), qkp_moments(root.z1, 3, n)], axis=1)
+    w1, w3 = solve_vandermonde_transpose(eta, moments).T
     return 0.5 * grid.panel_width * (w1 @ smooth1 + w3 @ smooth3)
 
 
@@ -282,29 +273,38 @@ def eval_S(
 
     A panel is treated as near when the closest node lies within
     switch_factor times the panel arclength. Root-finding failures and roots
-    with Im(z1) >= 1 fall back to the regular rule.
+    with Im(z1) >= 1 fall back to the regular rule. All panels left to the
+    regular rule are summed in one contraction, the same one eval_S_regular
+    makes, so a point with no near panel gets eval_S_regular's value exactly.
+    Rule orders above MAX_MOMENT_COUNT are rejected, since the moments stop
+    there.
     """
     cfg = cfg or NearEvalConfig()
     grid = curve.grid
+    n = grid.rule.order
+    if n > MAX_MOMENT_COUNT:
+        raise ValueError(
+            f"eval_S supports rule orders up to {MAX_MOMENT_COUNT}, the q_k^p moment limit; "
+            f"got rule order {n}"
+        )
     xb = np.asarray(x_bar, dtype=float)
+    r, r2 = _offsets(curve, xb)
+    dist = np.sqrt(r2.reshape(grid.panel_count, n).min(axis=1))
+    special = np.zeros(grid.panel_count, dtype=bool)
     total = np.zeros(3)
-    for m in range(grid.panel_count):
-        dist = np.min(np.linalg.norm(xb[None, :] - curve.positions[grid.panel_slice(m)], axis=1))
-        if dist > cfg.switch_factor * grid.panel_width:
-            total += _panel_regular(curve, f, m, xb)
-            continue
+    for m in np.flatnonzero(dist <= cfg.switch_factor * grid.panel_width):
+        coeffs = curve.panel_coeffs[m]
+        guess = _chord_guess(coeffs, xb)
         # a chord-estimated root with Im >= 1 is not near; skip the Newton run
-        if _chord_guess(curve.panel_coeffs[m], xb).imag >= 1.0:
-            total += _panel_regular(curve, f, m, xb)
+        if guess.imag >= 1.0:
             continue
         try:
-            root = find_root(curve.panel_coeffs[m], xb, cfg)
+            root = find_root(coeffs, xb, cfg, guess)
         except RootNotFoundError as err:
             warnings.warn(f"panel {m}: {err}; falling back to regular quadrature")
-            total += _panel_regular(curve, f, m, xb)
             continue
-        if root.z1.imag >= 1.0:
-            total += _panel_regular(curve, f, m, xb)
-        else:
+        if root.z1.imag < 1.0:
             total += eval_S_special(curve, f, m, xb, root)
-    return total
+            special[m] = True
+    keep = np.repeat(~special, n) if special.any() else slice(None)
+    return _regular_sum(curve, f, r, r2, keep) + total

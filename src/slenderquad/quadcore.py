@@ -233,6 +233,27 @@ def legendre_eval_many(coeffs: np.ndarray, etas: np.ndarray) -> np.ndarray:
     return out
 
 
+def legendre_and_derivative(z: float | complex, n: int) -> np.ndarray:
+    """P_k(z) and P_k'(z) for k = 0..n-1 at one real or complex point.
+
+    Returns an (n, 2) array, values in column 0 and derivatives in column 1,
+    so a (d, n) block of Legendre coefficients contracts with it in one
+    product. The recurrences run on Python scalars and hold off [-1, 1] too,
+    where Newton iterates may wander before converging.
+    """
+    if not 1 <= n <= MAX_ORDER:
+        raise ValueError(f"n must be in [1, {MAX_ORDER}], got {n}")
+    z = complex(z) if isinstance(z, (complex, np.complexfloating)) else float(z)
+    rows = [(1.0, 0.0), (z, 1.0)]
+    p_prev, p = 1.0, z
+    dp_prev, dp = 0.0, 1.0
+    for k in range(2, n):
+        p_prev, p = p, ((2 * k - 1) * z * p - (k - 1) * p_prev) / k
+        dp_prev, dp = dp, dp_prev + (2 * k - 1) * p_prev
+        rows.append((p, dp))
+    return np.array(rows[:n])
+
+
 def legendre_deriv_coeffs(coeffs: LegendreCoeffs | np.ndarray) -> np.ndarray:
     """Coefficients of the derivative of a Legendre series on [-1, 1]."""
     if isinstance(coeffs, LegendreCoeffs):
@@ -255,27 +276,29 @@ def legendre_deriv_coeffs(coeffs: LegendreCoeffs | np.ndarray) -> np.ndarray:
 def solve_vandermonde_transpose(nodes: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve A^T b = rhs with A[l, k] = nodes[l]**k by the Bjorck-Pereyra scheme.
 
-    The progressive O(n^2) elimination keeps near machine accuracy on the
-    ill-conditioned monomial Vandermonde at Gauss-Legendre nodes, where a
-    dense LU factorization loses several digits.
+    rhs is one right-hand side of shape (n,) or a block of shape (n, k); the
+    result has the same shape. Every sweep is one slice operation over all
+    columns, and each entry gets the same floating-point operations as in the
+    scalar recurrence, so a block solve equals its column-by-column solves
+    bit for bit. The progressive O(n^2) elimination keeps near machine
+    accuracy on the ill-conditioned monomial Vandermonde at Gauss-Legendre
+    nodes, where a dense LU factorization loses several digits.
     """
     x = np.asarray(nodes, dtype=float)
     b = np.array(rhs, dtype=float)
     n = len(x)
-    if b.shape != (n,):
-        raise ValueError("rhs length must match node count")
+    if b.ndim not in (1, 2) or b.shape[0] != n:
+        raise ValueError("rhs must have shape (n,) or (n, k) for n nodes")
     if n > MAX_ORDER:
         raise ValueError(f"system size limited to {MAX_ORDER}")
     if len(np.unique(x)) != n:
         raise SingularSystemError("duplicate nodes make the system singular")
+    block = b[:, None] if b.ndim == 1 else b
     for k in range(n - 1):
-        for i in range(n - 2, k - 1, -1):
-            b[i + 1] -= x[k] * b[i]
+        block[k + 1 :] -= x[k] * block[k : n - 1]
     for k in range(n - 2, -1, -1):
-        for i in range(k + 1, n):
-            b[i] /= x[i] - x[i - k - 1]
-        for i in range(k, n - 1):
-            b[i] -= b[i + 1]
+        block[k + 1 :] /= (x[k + 1 :] - x[: n - k - 1])[:, None]
+        block[k : n - 1] -= block[k + 1 :]
     return b
 
 

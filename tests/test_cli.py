@@ -3,14 +3,18 @@ import json
 import numpy as np
 import pytest
 
+from slenderquad import cli
 from slenderquad.cli import (
     EXIT_CONFIG,
     EXIT_PASS,
     EXIT_THRESHOLD,
+    ConfigError,
+    ExperimentConfig,
     FieldGridSpec,
     helix_field_grid,
     main,
     parse_fiber,
+    run_field_test,
 )
 from slenderquad.geometry import make_helix
 
@@ -250,3 +254,21 @@ class TestFieldTestCommand:
             ["field-test", "--modes", "fancy", "--out", str(tmp_path / "x.csv")]
         )
         assert code == EXIT_CONFIG
+
+    def test_special_mode_rejects_rule_order_before_oracle(self, tmp_path, monkeypatch):
+        def oracle_must_not_run(*args, **kwargs):
+            raise AssertionError("oracle ran before the rule order was checked")
+
+        monkeypatch.setattr(cli, "reference_S", oracle_must_not_run)
+        config = ExperimentConfig(
+            experiment="field-test",
+            panels=[8],
+            rule_order=20,
+            force="testf-simple",
+            output_path=str(tmp_path / "x.csv"),
+            modes=["regular", "special"],
+        )
+        with pytest.raises(ConfigError, match=r"up to 16, got 20"):
+            run_field_test(config)
+        argv = ["field-test", "--rule-order", "20", "--out", str(tmp_path / "x.csv")]
+        assert main(argv) == EXIT_CONFIG

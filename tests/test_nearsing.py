@@ -16,7 +16,7 @@ from slenderquad.nearsing import (
     qkp_moments,
 )
 from slenderquad.oracle import adaptive_integrate, reference_S
-from slenderquad.quadcore import gauss_legendre
+from slenderquad.quadcore import gauss_legendre, legendre_and_derivative
 
 RULE = gauss_legendre(16)
 
@@ -86,13 +86,11 @@ class TestFindRoot:
     def test_conjugate_symmetry(self):
         # real-coefficient expansions give conjugate R^2 values
         pc = discretize(make_helix(8.0, 3.0, 1.5), 8, RULE)
-        from slenderquad.nearsing import _legendre_series_complex
-
         coeffs = pc.panel_coeffs[3]
         pt = pc.positions[3 * 16 + 7] + np.array([0.0, 0.0, 5e-3])
         root = find_root(coeffs, pt)
-        vals_up, _ = _legendre_series_complex(coeffs, root.z1)
-        vals_dn, _ = _legendre_series_complex(coeffs, root.z1.conjugate())
+        vals_up = coeffs @ legendre_and_derivative(root.z1, 16)[:, 0]
+        vals_dn = coeffs @ legendre_and_derivative(root.z1.conjugate(), 16)[:, 0]
         r2_up = np.sum((pt - vals_up) ** 2)
         r2_dn = np.sum((pt - vals_dn) ** 2)
         assert r2_dn == pytest.approx(r2_up.conjugate(), abs=1e-14)
@@ -178,9 +176,9 @@ class TestEvalSSpecial:
         pt = center + np.array([0.0, 0.0, 5.0]) * pc.grid.panel_width
         root = find_root(pc.panel_coeffs[m], pt)
         special = eval_S_special(pc, dens, m, pt, root)
-        from slenderquad.nearsing import _panel_regular
+        from slenderquad.nearsing import _offsets, _regular_sum
 
-        regular = _panel_regular(pc, dens, m, pt)
+        regular = _regular_sum(pc, dens, *_offsets(pc, pt), sl)
         assert special == pytest.approx(regular, abs=1e-12)
 
     def test_near_straight_panel_beats_regular(self):
@@ -224,6 +222,14 @@ class TestEvalSDispatch:
         assert np.array_equal(
             eval_S(self.pc, self.dens, pt), eval_S_regular(self.pc, self.dens, pt)
         )
+
+    def test_rejects_rule_order_above_moment_limit(self):
+        pc = discretize(self.helix, 8, gauss_legendre(20))
+        dens = LineDensity.from_closure(self.f, pc.grid)
+        far = np.array([1.2, 1.2, 0.3])
+        with pytest.raises(ValueError, match=r"up to 16.*rule order 20"):
+            eval_S(pc, dens, far)
+        assert np.all(np.isfinite(eval_S_regular(pc, dens, far)))
 
     def test_near_point_matches_oracle(self):
         s0 = 0.62

@@ -96,6 +96,21 @@ class TestAdaptiveIntegrate:
             adaptive_integrate(lambda s: s, 1.0, 0.0, 1e-10)
 
 
+class TestGaussKronrodRows:
+    def test_monomial_exactness(self):
+        # the 15-node Kronrod row is exact to degree 22, the embedded Gauss-7 row to 13
+        for row, degree in ((0, 22), (1, 13)):
+            for k in range(degree + 1):
+                exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+                assert abs(oracle._W15[row] @ oracle._X15**k - exact) <= 5e-16
+
+    def test_gauss_row_is_gauss_legendre_7(self):
+        nodes, weights = np.polynomial.legendre.leggauss(7)
+        on = oracle._W15[1] != 0.0
+        assert np.max(np.abs(oracle._X15[on] - nodes)) <= 2.3e-16
+        assert np.max(np.abs(oracle._W15[1][on] - weights)) <= 2.3e-16
+
+
 class TestDiagonalization:
     def test_eigenvalue_recursion(self):
         lam = diagonal_eigenvalues(6)

@@ -2,17 +2,36 @@ import numpy as np
 import pytest
 
 from slenderquad.quadcore import (
+    MAX_ORDER,
     SingularSystemError,
+    _legendre_value_and_derivative,
     gauss_legendre,
     integrate,
     interpolate_to_uniform,
+    legendre_and_derivative,
     legendre_deriv_coeffs,
     legendre_eval,
     panelize,
     solve_vandermonde_transpose,
     to_legendre,
 )
-from slenderquad.finitepart import qk_signkernel
+from slenderquad.finitepart import build_weight_table, qk_signkernel
+
+
+def _bjorck_pereyra_loops(nodes, rhs):
+    """The scalar double loop of the Bjorck-Pereyra dual solve, one entry at a time."""
+    x = np.asarray(nodes, dtype=float)
+    b = np.array(rhs, dtype=float)
+    n = len(x)
+    for k in range(n - 1):
+        for i in range(n - 2, k - 1, -1):
+            b[i + 1] -= x[k] * b[i]
+    for k in range(n - 2, -1, -1):
+        for i in range(k + 1, n):
+            b[i] /= x[i] - x[i - k - 1]
+        for i in range(k, n - 1):
+            b[i] -= b[i + 1]
+    return b
 
 
 class TestGaussLegendre:
@@ -161,6 +180,42 @@ class TestLegendreEval:
             legendre_deriv_coeffs(cubic)
 
 
+class TestLegendreAndDerivative:
+    def test_matches_real_recurrence(self):
+        n = MAX_ORDER
+        for x in (-1.0, -0.73, 0.0, 0.31, 1.0, 2.5):
+            got = legendre_and_derivative(x, n)
+            assert got.shape == (n, 2) and got.dtype == float
+            for k in range(n):
+                p, dp = _legendre_value_and_derivative(k, np.array([x]))
+                assert abs(got[k, 0] - p[0]) <= 1e-15 * max(1.0, abs(p[0]))
+                assert abs(got[k, 1] - dp[0]) <= 1e-15 * max(1.0, abs(dp[0]))
+
+    def test_derivative_matches_centred_difference_at_complex_point(self):
+        n, h = 16, 1e-6
+        for z in (0.3 + 0.02j, -0.9 + 0.5j, 1.4 - 0.1j):
+            table = legendre_and_derivative(z, n)
+            assert table.dtype == complex
+            upper = legendre_and_derivative(z + h, n)[:, 0]
+            lower = legendre_and_derivative(z - h, n)[:, 0]
+            diff = (upper - lower) / (2 * h)
+            scale = np.maximum(1.0, np.abs(table[:, 1]))
+            assert np.all(np.abs(diff - table[:, 1]) <= 1e-8 * scale)
+
+    def test_contracts_with_coefficient_block(self):
+        coeffs = np.array([[1.0, 0.0, 2.0], [0.0, -1.0, 0.5]])
+        z = 0.4 + 0.3j
+        values, derivs = (coeffs @ legendre_and_derivative(z, 3)).T
+        p2 = (3 * z * z - 1) / 2
+        assert values == pytest.approx([1.0 + 2.0 * p2, -z + 0.5 * p2], abs=1e-15)
+        assert derivs == pytest.approx([6.0 * z, -1.0 + 1.5 * z], abs=1e-15)
+
+    @pytest.mark.parametrize("n", [0, MAX_ORDER + 1])
+    def test_size_out_of_range(self, n):
+        with pytest.raises(ValueError):
+            legendre_and_derivative(0.5, n)
+
+
 class TestVandermondeTranspose:
     def test_two_by_two(self):
         b = solve_vandermonde_transpose(np.array([-1.0, 1.0]), np.array([2.0, 0.0]))
@@ -197,6 +252,33 @@ class TestVandermondeTranspose:
     def test_duplicate_nodes(self):
         with pytest.raises(SingularSystemError):
             solve_vandermonde_transpose(np.array([0.5, 0.5, -0.5]), np.ones(3))
+
+    def test_block_equals_columns_and_scalar_loops_bitwise(self):
+        rng = np.random.default_rng(5)
+        for n in range(1, MAX_ORDER + 1):
+            nodes = gauss_legendre(n).nodes
+            rhs = rng.standard_normal((n, 3)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
+            block = solve_vandermonde_transpose(nodes, rhs)
+            assert block.shape == (n, 3)
+            for j in range(3):
+                column = solve_vandermonde_transpose(nodes, rhs[:, j])
+                assert np.array_equal(block[:, j], column)
+                assert np.array_equal(column, _bjorck_pereyra_loops(nodes, rhs[:, j]))
+
+    def test_weight_table_equals_one_block_solve(self):
+        for n in range(1, MAX_ORDER + 1):
+            rule = gauss_legendre(n)
+            moments = np.array([[qk_signkernel(k, e) for e in rule.nodes] for k in range(n)])
+            table = build_weight_table(rule).weights
+            assert np.array_equal(solve_vandermonde_transpose(rule.nodes, moments).T, table)
+            for ell in (0, n // 2, n - 1):
+                reference = _bjorck_pereyra_loops(rule.nodes, moments[:, ell])
+                assert np.array_equal(table[ell], reference)
+
+    @pytest.mark.parametrize("shape", [(3,), (4, 2, 1), (5, 2)])
+    def test_rhs_shape_mismatch(self, shape):
+        with pytest.raises(ValueError):
+            solve_vandermonde_transpose(gauss_legendre(4).nodes, np.ones(shape))
 
 
 class TestInterpolateToUniform:
