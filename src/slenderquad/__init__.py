@@ -10,9 +10,7 @@ from .finitepart import (
     eval_K_all,
     eval_L,
     eval_Lambda,
-    g0_scalar,
     g_pair,
-    g_vector,
     qk_signkernel,
 )
 from .geometry import (
@@ -45,7 +43,6 @@ from .oracle import (
     scaled_legendre,
 )
 from .quadcore import (
-    LegendreCoeffs,
     PanelGrid,
     QuadratureRule,
     SingularSystemError,
@@ -57,7 +54,6 @@ from .quadcore import (
     legendre_eval,
     panelize,
     solve_vandermonde_transpose,
-    to_legendre,
 )
 
 __version__ = "0.1.0"

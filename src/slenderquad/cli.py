@@ -73,7 +73,6 @@ class ExperimentConfig:
     rule_order: int = 16
     fiber: str = "helix:8,3,1.5"
     force: str = "testf"
-    epsilon: float = 1e-3
     seed: int = 42
     output_path: str = "results.csv"
     reference_panels: int = 128
@@ -168,6 +167,8 @@ def run_k_convergence(config: ExperimentConfig) -> int:
         raise ConfigError("k-convergence supports --force testf or testf-simple")
     if config.reference_panels < max(config.panels):
         raise ConfigError("--reference-panels must not be below any tested panel count")
+    if config.uniform_count < 1:
+        raise ConfigError(f"--uniform-count must be >= 1, got {config.uniform_count}")
 
     rule = gauss_legendre(config.rule_order)
     table = build_weight_table(rule)
@@ -320,7 +321,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rule-order", type=int, default=16)
         p.add_argument("--fiber", default="helix:8,3,1.5")
         p.add_argument("--force", default=None)
-        p.add_argument("--epsilon", type=float, default=1e-3)
         p.add_argument("--seed", type=int, default=42)
         p.add_argument("--out", default="results.csv")
 
@@ -373,7 +373,6 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         rule_order=args.rule_order,
         fiber=args.fiber,
         force=args.force or _DEFAULT_FORCE[args.experiment],
-        epsilon=args.epsilon,
         seed=args.seed,
         output_path=args.out,
     )

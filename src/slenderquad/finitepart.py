@@ -109,13 +109,6 @@ def build_weight_table(rule: QuadratureRule) -> ModifiedWeightTable:
     return ModifiedWeightTable(order=n, weights=table)
 
 
-def g0_scalar(f: Callable, fprime: Callable, s: float, s_bar: float) -> float:
-    """Difference quotient (f(s) - f(sbar))/(s - sbar), with f'(sbar) on the diagonal."""
-    if s == s_bar:
-        return fprime(s_bar)
-    return (f(s) - f(s_bar)) / (s - s_bar)
-
-
 def g_limit(tangent, second_deriv, f_value, f_deriv) -> np.ndarray:
     """Limit of the regularized K integrand factor as s -> sbar."""
     xs = np.asarray(tangent, dtype=float)
@@ -132,7 +125,7 @@ def g_pair(curve: FiberCurve, f: Callable, fprime: Callable, s, s_bar: float) ->
     s is a scalar, giving shape (3,), or a 1-D array, giving one row per entry;
     entries equal to s_bar take the analytic limit. Used by reference
     computations and limit tests; the Nystrom evaluation path uses node
-    samples instead (see g_vector).
+    samples instead (see _g_row).
     """
     s_in = np.asarray(s, dtype=float)
     s_arr = np.atleast_1d(s_in)
@@ -157,10 +150,9 @@ def g_pair(curve: FiberCurve, f: Callable, fprime: Callable, s, s_bar: float) ->
     return out if s_in.ndim else out[0]
 
 
-def _density_derivative_at(curve: PanelizedCurve, f: LineDensity, target_index: int):
-    """f'(sbar) at a node: analytic closure if attached, else the spectral
-    derivative of the self-panel Legendre interpolant of the samples."""
-    grid = curve.grid
+def _density_derivative_at(grid: PanelGrid, f: LineDensity, target_index: int):
+    """f'(sbar) at a node, scalar or (3,): the analytic closure if attached,
+    else the spectral derivative of the self-panel Legendre interpolant."""
     if f.derivative is not None:
         return np.asarray(f.derivative(grid.global_nodes[target_index]), dtype=float)
     m, ell = grid.panel_of_target(target_index)
@@ -170,8 +162,7 @@ def _density_derivative_at(curve: PanelizedCurve, f: LineDensity, target_index: 
     vals = np.array(
         [legendre_eval(legendre_deriv_coeffs(coeffs[:, c]), eta) for c in range(samples.shape[1])]
     )
-    scale = 2.0 / grid.panel_width  # d/ds from d/deta
-    out = vals * scale
+    out = vals * (2.0 / grid.panel_width)  # d/ds from d/deta
     return out if f.is_vector else out[0]
 
 
@@ -193,14 +184,9 @@ def _g_row(curve: PanelizedCurve, f: LineDensity, target_index: int) -> np.ndarr
     ds[t] = 1.0
     rows = (near - far[None, :]) / ds[:, None]
     rows[t] = g_limit(
-        xs, curve.second_derivs[t], fv[t], _density_derivative_at(curve, f, target_index)
+        xs, curve.second_derivs[t], fv[t], _density_derivative_at(grid, f, target_index)
     )
     return rows
-
-
-def g_vector(curve: PanelizedCurve, f: LineDensity, node_index: int, target_index: int) -> np.ndarray:
-    """g between two grid nodes; the diagonal takes the analytic limit."""
-    return _g_row(curve, f, target_index)[node_index]
 
 
 def _effective_weights(grid: PanelGrid, table: ModifiedWeightTable, target_index: int) -> np.ndarray:
@@ -226,18 +212,8 @@ def eval_L(f: LineDensity, grid: PanelGrid, table: ModifiedWeightTable, target_i
     ds = s - s[t]
     ds[t] = 1.0
     phi = (fv - fv[t]) / ds
-    phi[t] = _density_derivative_at_grid(grid, f, t)
+    phi[t] = _density_derivative_at(grid, f, t)
     return float(_effective_weights(grid, table, t) @ phi)
-
-
-def _density_derivative_at_grid(grid: PanelGrid, f: LineDensity, target_index: int) -> float:
-    if f.derivative is not None:
-        return float(f.derivative(grid.global_nodes[target_index]))
-    m, ell = grid.panel_of_target(target_index)
-    samples = np.asarray(f.samples, dtype=float)
-    coeffs = legendre_transform_matrix(grid.rule) @ samples[grid.panel_slice(m)]
-    eta = grid.rule.nodes[ell]
-    return float(legendre_eval(legendre_deriv_coeffs(coeffs), eta)) * 2.0 / grid.panel_width
 
 
 def eval_K(

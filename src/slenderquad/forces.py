@@ -11,7 +11,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import FiberCurve
-from .quadcore import legendre_deriv_coeffs
+from .quadcore import legendre_and_derivative, legendre_deriv_coeffs
 
 _MASK = (1 << 64) - 1
 
@@ -37,13 +37,10 @@ def legendre_mixture(alpha: np.ndarray, length: float) -> tuple[Callable, Callab
 
     def series(coeffs, s):
         x = -1.0 + 2.0 * np.asarray(s, dtype=float) / length
-        total = coeffs[0] * np.ones_like(x)
-        if len(coeffs) > 1:
-            p_prev, p = np.ones_like(x), x
-            total = total + coeffs[1] * p
-            for k in range(2, len(coeffs)):
-                p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
-                total = total + coeffs[k] * p
+        values = legendre_and_derivative(x, len(coeffs))[:, 0]
+        total = coeffs[0] * values[0]
+        for k in range(1, len(coeffs)):
+            total = total + coeffs[k] * values[k]
         return total
 
     def f(s):

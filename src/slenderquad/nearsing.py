@@ -115,11 +115,12 @@ def find_root(
     return RootPair(z1=z, residual=abs(complex(diff @ diff)))
 
 
-def _moments_recursion(a: float, b: float, count: int, p: int) -> np.ndarray:
-    """Upward recursions for int eta^k / |eta - (a+ib)|^p, stable for near roots.
+def _moments_recursion(a: float, b: float, count: int) -> np.ndarray:
+    """Upward recursions for int eta^k / |eta - (a+ib)|^p, p = 1 and 3, stable for near roots.
 
     Boundary terms with opposite-sign endpoint weights are rewritten through
     w(1)^2 - w(-1)^2 = -4a so that small |a| does not trigger cancellation.
+    Column 0 holds p = 1, column 1 holds p = 3, which recurs on column 0.
     """
     w1 = np.hypot(1.0 - a, b)
     wm1 = np.hypot(1.0 + a, b)
@@ -136,8 +137,6 @@ def _moments_recursion(a: float, b: float, count: int, p: int) -> np.ndarray:
     for k in range(2, count):
         boundary = w_diff if k % 2 else w_sum
         first[k] = (boundary + a * (2 * k - 1) * first[k - 1] - (k - 1) * ab2 * first[k - 2]) / k
-    if p == 1:
-        return first
     third = np.zeros(count)
     third[0] = ((1.0 - a) / w1 + (1.0 + a) / wm1) / (b * b)
     if count > 1:
@@ -145,17 +144,18 @@ def _moments_recursion(a: float, b: float, count: int, p: int) -> np.ndarray:
     for k in range(2, count):
         boundary = -winv_diff if k % 2 else winv_sum
         third[k] = a * third[k - 1] + (k - 1) * first[k - 2] - boundary
-    return third
+    return np.stack([first, third], axis=1)
 
 
 _graded_rule = None
 
 
-def _moments_graded(a: float, b: float, count: int, p: int) -> np.ndarray:
+def _moments_graded(a: float, b: float, count: int) -> np.ndarray:
     """Composite Gauss-Legendre with panels halving toward the root's projection.
 
     Refinement stops once the panel length drops below the root distance, after
-    which the integrand is analytic well clear of each panel.
+    which the integrand is analytic well clear of each panel. Returns the
+    p = 1 and p = 3 moments as columns 0 and 1, one matrix-vector product each.
     """
     global _graded_rule
     if _graded_rule is None:
@@ -181,9 +181,23 @@ def _moments_graded(a: float, b: float, count: int, p: int) -> np.ndarray:
     nodes = (mids[:, None] + halves[:, None] * _graded_rule.nodes[None, :]).ravel()
     wts = (halves[:, None] * _graded_rule.weights[None, :]).ravel()
     w2 = (nodes - a) ** 2 + b * b
-    kern = wts / np.sqrt(w2) if p == 1 else wts / w2**1.5
-    powers = np.vander(nodes, count, increasing=True)
-    return powers.T @ kern
+    powers = np.vander(nodes, count, increasing=True).T
+    # a single (N, 2) block product would change the bits; keep two products
+    return np.stack([powers @ (wts / np.sqrt(w2)), powers @ (wts / w2**1.5)], axis=1)
+
+
+def _moments(z1: complex, count: int) -> np.ndarray:
+    """q_k^1 and q_k^3 for k = 0..count-1 as the two columns of a (count, 2) array."""
+    if not 1 <= count <= MAX_MOMENT_COUNT:
+        raise ValueError(f"count must be in [1, {MAX_MOMENT_COUNT}], got {count}")
+    z1 = complex(z1)
+    if not z1.imag > 0:
+        raise ValueError(f"z1 must have positive imaginary part, got {z1}")
+    a, b = z1.real, z1.imag
+    distance = np.hypot(max(abs(a) - 1.0, 0.0), b)
+    if distance <= _RECURSION_RANGE:
+        return _moments_recursion(a, b, count)
+    return _moments_graded(a, b, count)
 
 
 def qkp_moments(z1: complex, p: int, count: int) -> np.ndarray:
@@ -195,16 +209,7 @@ def qkp_moments(z1: complex, p: int, count: int) -> np.ndarray:
     """
     if p not in (1, 3):
         raise ValueError(f"p must be 1 or 3, got {p}")
-    if not 1 <= count <= MAX_MOMENT_COUNT:
-        raise ValueError(f"count must be in [1, {MAX_MOMENT_COUNT}], got {count}")
-    z1 = complex(z1)
-    if not z1.imag > 0:
-        raise ValueError(f"z1 must have positive imaginary part, got {z1}")
-    a, b = z1.real, z1.imag
-    distance = np.hypot(max(abs(a) - 1.0, 0.0), b)
-    if distance <= _RECURSION_RANGE:
-        return _moments_recursion(a, b, count, p)
-    return _moments_graded(a, b, count, p)
+    return _moments(z1, count)[:, p // 2]
 
 
 def _offsets(curve: PanelizedCurve, x_bar) -> tuple[np.ndarray, np.ndarray]:
@@ -261,8 +266,7 @@ def eval_S_special(
     rdotf = np.einsum("jc,jc->j", r, fv)
     smooth3 = r * (rdotf * ratio**1.5)[:, None]
 
-    moments = np.stack([qkp_moments(root.z1, 1, n), qkp_moments(root.z1, 3, n)], axis=1)
-    w1, w3 = solve_vandermonde_transpose(eta, moments).T
+    w1, w3 = solve_vandermonde_transpose(eta, _moments(root.z1, n)).T
     return 0.5 * grid.panel_width * (w1 @ smooth1 + w3 @ smooth3)
 
 

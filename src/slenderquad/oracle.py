@@ -314,6 +314,8 @@ def convergence_study(
     """
     if reference_m < max(m_list):
         raise ValueError("reference panel count must not be below any entry of m_list")
+    if uniform_count < 1:
+        raise ValueError(f"uniform_count must be >= 1, got {uniform_count}")
     targets = np.arange(uniform_count + 1) * curve.length / uniform_count
 
     def k_on_uniform(m: int) -> np.ndarray:

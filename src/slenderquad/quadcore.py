@@ -60,36 +60,12 @@ class PanelGrid:
         return target_index // n, target_index % n
 
 
-@dataclass(frozen=True)
-class LegendreCoeffs:
-    """Expansion coefficients on [-1, 1], in the Legendre or monomial basis."""
-
-    coeffs: np.ndarray
-    basis: str = "legendre"
-
-
-def _legendre_value_and_derivative(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P_n(x) and P_n'(x) by the three-term and derivative recurrences."""
-    p_prev = np.ones_like(x)
-    p = np.asarray(x, dtype=float).copy()
-    dp_prev = np.zeros_like(x)
-    dp = np.ones_like(x)
-    if n == 0:
-        return p_prev, dp_prev
-    for k in range(2, n + 1):
-        p_next = ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
-        dp_next = dp_prev + (2 * k - 1) * p
-        p_prev, p = p, p_next
-        dp_prev, dp = dp, dp_next
-    return p, dp
-
-
 def gauss_legendre(order: int) -> QuadratureRule:
     """Gauss-Legendre rule computed by Newton iteration on P_n.
 
     Initial guesses are the Chebyshev-like estimates cos(pi*(k - 1/4)/(n + 1/2));
     only the positive half is iterated and then mirrored, so the node set is
-    exactly symmetric about 0.
+    exactly symmetric about 0. P_n and P_n' are row n of an (n + 1)-row table.
     """
     if not isinstance(order, (int, np.integer)) or not 1 <= order <= MAX_ORDER:
         raise ValueError(f"order must be an integer in [1, {MAX_ORDER}], got {order!r}")
@@ -98,19 +74,18 @@ def gauss_legendre(order: int) -> QuadratureRule:
     k = np.arange(1, m + 1)
     x = np.cos(np.pi * (k - 0.25) / (n + 0.5))
     for _ in range(100):
-        p, dp = _legendre_value_and_derivative(n, x)
+        p, dp = legendre_and_derivative(x, n + 1)[n]
         dx = p / dp
         x = x - dx
         if x.size == 0 or np.max(np.abs(dx)) < 1e-15:
             break
-    p, dp = _legendre_value_and_derivative(n, x)
+    dp = legendre_and_derivative(x, n + 1)[n, 1]
     w = 2.0 / ((1.0 - x * x) * dp * dp)
 
     nodes = np.concatenate([-x, [0.0] if n % 2 else [], x[::-1]])
     if n % 2:
-        _, dp0 = _legendre_value_and_derivative(n, np.array([0.0]))
-        w0 = 2.0 / (dp0[0] * dp0[0])
-        weights = np.concatenate([w, [w0], w[::-1]])
+        dp0 = legendre_and_derivative(0.0, n + 1)[n, 1]
+        weights = np.concatenate([w, [2.0 / (dp0 * dp0)], w[::-1]])
     else:
         weights = np.concatenate([w, w[::-1]])
     return QuadratureRule(order=n, nodes=nodes, weights=weights)
@@ -145,21 +120,6 @@ def integrate(samples: np.ndarray, grid: PanelGrid) -> float | np.ndarray:
 
 
 _TRANSFORM_CACHE: dict[int, np.ndarray] = {}
-_PTABLE_CACHE: dict[int, np.ndarray] = {}
-
-
-def legendre_table(rule: QuadratureRule) -> np.ndarray:
-    """Matrix P[k, ell] = P_k(eta_ell) for k = 0..order-1."""
-    if rule.order not in _PTABLE_CACHE:
-        n = rule.order
-        table = np.empty((n, n))
-        table[0] = 1.0
-        if n > 1:
-            table[1] = rule.nodes
-        for k in range(2, n):
-            table[k] = ((2 * k - 1) * rule.nodes * table[k - 1] - (k - 1) * table[k - 2]) / k
-        _PTABLE_CACHE[rule.order] = table
-    return _PTABLE_CACHE[rule.order]
 
 
 def legendre_transform_matrix(rule: QuadratureRule) -> np.ndarray:
@@ -170,83 +130,58 @@ def legendre_transform_matrix(rule: QuadratureRule) -> np.ndarray:
     polynomial's coefficient vector.
     """
     if rule.order not in _TRANSFORM_CACHE:
-        table = legendre_table(rule)
+        table = legendre_and_derivative(rule.nodes, rule.order)[:, 0]  # P_k(eta_ell)
         scale = (2.0 * np.arange(rule.order) + 1.0) / 2.0
         _TRANSFORM_CACHE[rule.order] = scale[:, None] * table * rule.weights[None, :]
     return _TRANSFORM_CACHE[rule.order]
 
 
-def to_legendre(samples: np.ndarray, rule: QuadratureRule) -> LegendreCoeffs:
-    """Legendre coefficients of the polynomial interpolating samples at the nodes."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.shape != (rule.order,):
-        raise ValueError(f"expected {rule.order} samples, got shape {samples.shape}")
-    return LegendreCoeffs(coeffs=legendre_transform_matrix(rule) @ samples)
+def legendre_eval(coeffs: np.ndarray, eta):
+    """Evaluate (n,) or (d, n) Legendre coefficients at a point or (T,) points.
 
-
-def legendre_eval(coeffs: LegendreCoeffs | np.ndarray, eta: float | complex):
-    """Evaluate an expansion at a point in [-ETA_BOUND, ETA_BOUND].
-
-    Legendre-basis coefficients go through the three-term recurrence (valid
-    for complex arguments); monomial-basis coefficients use Horner's rule.
+    eta is real or complex with |eta| <= ETA_BOUND. The point axis leads: the
+    result is a scalar or (d,) at one point, (T,) or (T, d) at T points. This
+    value-only loop stays apart from legendre_and_derivative because
+    eval_K_all calls it 3N times per apply, where the table costs more.
     """
-    if abs(eta) > ETA_BOUND:
-        raise ValueError(f"|eta| must not exceed {ETA_BOUND}, got {abs(eta)}")
-    if isinstance(coeffs, LegendreCoeffs):
-        c, basis = coeffs.coeffs, coeffs.basis
+    c = np.asarray(coeffs).T  # degree axis first
+    if isinstance(eta, np.ndarray):
+        bound = np.max(np.abs(eta), initial=0.0)
+        x = eta[:, None] if c.ndim > 1 else eta
+        total = c[0] * np.ones_like(x)
     else:
-        c, basis = np.asarray(coeffs), "legendre"
-    if basis == "monomial":
-        acc = 0.0
-        for ck in c[::-1]:
-            acc = acc * eta + ck
-        return acc
-    total = c[0]
-    p_prev, p = 1.0, eta
+        bound, x, total = abs(eta), eta, c[0]
+    if bound > ETA_BOUND:
+        raise ValueError(f"|eta| must not exceed {ETA_BOUND}, got {bound}")
+    p_prev, p = 1.0, x
     if len(c) > 1:
-        total = total + c[1] * eta
+        total = total + c[1] * x
     for k in range(2, len(c)):
-        p_prev, p = p, ((2 * k - 1) * eta * p - (k - 1) * p_prev) / k
+        p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
         total = total + c[k] * p
     return total
 
 
-def legendre_eval_many(coeffs: np.ndarray, etas: np.ndarray) -> np.ndarray:
-    """Evaluate Legendre-basis expansions at many points.
+def legendre_and_derivative(z, n: int) -> np.ndarray:
+    """P_k(z) and P_k'(z) for k = 0..n-1 at a real or complex point or array.
 
-    coeffs may be (n,) for one series or (d, n) for d series sharing the same
-    evaluation points; returns (len(etas),) or (len(etas), d).
+    Returns (n, 2) + z.shape, values in column 0 and derivatives in column 1,
+    so at one point a (d, n) coefficient block contracts with it in one
+    product. n may reach MAX_ORDER + 1, for the P_n of a MAX_ORDER rule. A
+    scalar z runs on Python scalars, as Newton iterates want; the recurrences
+    hold off [-1, 1] too, where those iterates may wander.
     """
-    etas = np.asarray(etas)
-    c = np.atleast_2d(np.asarray(coeffs))
-    n = c.shape[1]
-    p_prev = np.ones_like(etas)
-    out = c[:, 0][None, :] * p_prev[:, None]
-    if n > 1:
-        p = etas
-        out = out + c[:, 1][None, :] * p[:, None]
-        for k in range(2, n):
-            p_prev, p = p, ((2 * k - 1) * etas * p - (k - 1) * p_prev) / k
-            out = out + c[:, k][None, :] * p[:, None]
-    if np.asarray(coeffs).ndim == 1:
-        return out[:, 0]
-    return out
-
-
-def legendre_and_derivative(z: float | complex, n: int) -> np.ndarray:
-    """P_k(z) and P_k'(z) for k = 0..n-1 at one real or complex point.
-
-    Returns an (n, 2) array, values in column 0 and derivatives in column 1,
-    so a (d, n) block of Legendre coefficients contracts with it in one
-    product. The recurrences run on Python scalars and hold off [-1, 1] too,
-    where Newton iterates may wander before converging.
-    """
-    if not 1 <= n <= MAX_ORDER:
-        raise ValueError(f"n must be in [1, {MAX_ORDER}], got {n}")
-    z = complex(z) if isinstance(z, (complex, np.complexfloating)) else float(z)
-    rows = [(1.0, 0.0), (z, 1.0)]
-    p_prev, p = 1.0, z
-    dp_prev, dp = 0.0, 1.0
+    if not 1 <= n <= MAX_ORDER + 1:
+        raise ValueError(f"n must be in [1, {MAX_ORDER + 1}], got {n}")
+    if isinstance(z, np.ndarray):
+        z = z.astype(complex if np.iscomplexobj(z) else float)
+        zero, one = np.zeros_like(z), np.ones_like(z)
+    else:
+        z = complex(z) if isinstance(z, (complex, np.complexfloating)) else float(z)
+        zero, one = 0.0, 1.0
+    rows = [(one, zero), (z, one)]
+    p_prev, p = one, z
+    dp_prev, dp = zero, one
     for k in range(2, n):
         p_prev, p = p, ((2 * k - 1) * z * p - (k - 1) * p_prev) / k
         dp_prev, dp = dp, dp_prev + (2 * k - 1) * p_prev
@@ -254,14 +189,9 @@ def legendre_and_derivative(z: float | complex, n: int) -> np.ndarray:
     return np.array(rows[:n])
 
 
-def legendre_deriv_coeffs(coeffs: LegendreCoeffs | np.ndarray) -> np.ndarray:
+def legendre_deriv_coeffs(coeffs: np.ndarray) -> np.ndarray:
     """Coefficients of the derivative of a Legendre series on [-1, 1]."""
-    if isinstance(coeffs, LegendreCoeffs):
-        if coeffs.basis != "legendre":
-            raise ValueError("derivative recurrence requires the Legendre basis")
-        c = coeffs.coeffs
-    else:
-        c = np.asarray(coeffs)
+    c = np.asarray(coeffs)
     n = len(c)
     d = np.zeros(n)
     # d_k = (2k+1) * (c_{k+1} + c_{k+3} + ...)
@@ -321,8 +251,8 @@ def interpolate_to_uniform(
     samples = np.asarray(panel_samples, dtype=float)
     if samples.shape[0] != grid.node_count:
         raise ValueError("sample count does not match grid")
-    if targets.size and (targets.min() < 0.0 or targets.max() > grid.fiber_length):
-        raise ValueError("interpolation target outside [0, L]")
+    if not np.all((targets >= 0.0) & (targets <= grid.fiber_length)):
+        raise ValueError("interpolation targets must be finite and lie in [0, L]")
     vector = samples.ndim > 1
     cols = samples.shape[1] if vector else 1
     samples = samples.reshape(grid.node_count, cols)
@@ -334,5 +264,5 @@ def interpolate_to_uniform(
         pick = owners == m
         local = -1.0 + 2.0 * (targets[pick] - m * grid.panel_width) / grid.panel_width
         coeffs = transform @ samples[grid.panel_slice(m)]  # (n, cols)
-        out[pick] = legendre_eval_many(coeffs.T, local).reshape(-1, cols)
+        out[pick] = legendre_eval(coeffs.T, local)
     return out if vector else out[:, 0]

@@ -201,6 +201,14 @@ class TestKConvergenceCommand:
         )
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_bad_uniform_count(self, tmp_path, capsys, count):
+        out = tmp_path / "x.csv"
+        argv = ["k-convergence", "--panels", "4", "--reference-panels", "8"]
+        assert main([*argv, "--uniform-count", count, "--out", str(out)]) == EXIT_CONFIG
+        assert "--uniform-count must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFieldTestCommand:
     def test_tiny_grid_both_modes(self, tmp_path):

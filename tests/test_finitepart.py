@@ -5,16 +5,15 @@ from helpers import qk_two_piece, rotation_matrix
 from slenderquad.finitepart import (
     LineDensity,
     SlenderParams,
+    _g_row,
     build_weight_table,
     centerline_velocity,
     eval_K,
     eval_K_all,
     eval_L,
     eval_Lambda,
-    g0_scalar,
     g_limit,
     g_pair,
-    g_vector,
     qk_signkernel,
 )
 from slenderquad import forces
@@ -73,24 +72,6 @@ class TestWeightTable:
             assert mirrored == pytest.approx(-(TABLE.weights[ell] @ phi), abs=1e-9)
 
 
-class TestG0Scalar:
-    def test_difference_quotient(self):
-        f = lambda s: s**2
-        fp = lambda s: 2 * s
-        assert g0_scalar(f, fp, 0.5, 0.2) == pytest.approx(0.7, abs=1e-15)
-
-    def test_diagonal_limit(self):
-        f = lambda s: s**2
-        fp = lambda s: 2 * s
-        assert g0_scalar(f, fp, 0.2, 0.2) == pytest.approx(0.4, abs=0)
-
-    def test_constant(self):
-        f = lambda s: 3.0
-        fp = lambda s: 0.0
-        for s in (0.1, 0.5, 0.5000001):
-            assert g0_scalar(f, fp, s, 0.5) == 0.0
-
-
 def _constant_density(grid, value):
     vec = np.asarray(value, dtype=float)
     return LineDensity(samples=np.tile(vec, (grid.node_count, 1)))
@@ -103,7 +84,7 @@ class TestGVector:
         dens = _constant_density(pc.grid, (0.4, -1.1, 0.9))
         t = 13
         for j in (0, 5, 13, 27):
-            assert np.max(np.abs(g_vector(pc, dens, j, t))) <= 1e-13
+            assert np.max(np.abs(_g_row(pc, dens, t)[j])) <= 1e-13
 
     def test_straight_linear_diagonal(self):
         fiber = make_straight((1.0, 0.0, 0.0), 1.0)
@@ -114,7 +95,7 @@ class TestGVector:
         )
         dens = LineDensity.from_closure(f, pc.grid)
         t = 9
-        assert g_vector(pc, dens, t, t) == pytest.approx([2.0, 0.0, 0.0], abs=1e-11)
+        assert _g_row(pc, dens, t)[t] == pytest.approx([2.0, 0.0, 0.0], abs=1e-11)
 
     def test_limit_linear_in_h(self):
         helix = make_helix(8.0, 3.0, 1.5)
@@ -148,7 +129,7 @@ class TestGVector:
         t = 37
         for j in (2, 30, 37, 60):
             expected = g_pair(helix, f, fp, s[j], s[t])
-            assert g_vector(pc, dens, j, t) == pytest.approx(expected, abs=1e-11)
+            assert _g_row(pc, dens, t)[j] == pytest.approx(expected, abs=1e-11)
 
 
 class TestEvalL:

@@ -236,3 +236,10 @@ class TestConvergenceStudy:
         f, _ = forces.testf(1.5)
         with pytest.raises(ValueError):
             convergence_study(helix, f, [4, 8], 6, 50, RULE, TABLE)
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_requires_a_uniform_point(self, count):
+        helix = make_helix(8.0, 3.0, 1.5)
+        f, _ = forces.testf(1.5)
+        with pytest.raises(ValueError, match="uniform_count"):
+            convergence_study(helix, f, [4], 4, count, RULE, TABLE)

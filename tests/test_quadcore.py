@@ -4,18 +4,52 @@ import pytest
 from slenderquad.quadcore import (
     MAX_ORDER,
     SingularSystemError,
-    _legendre_value_and_derivative,
     gauss_legendre,
     integrate,
     interpolate_to_uniform,
     legendre_and_derivative,
     legendre_deriv_coeffs,
     legendre_eval,
+    legendre_transform_matrix,
     panelize,
     solve_vandermonde_transpose,
-    to_legendre,
 )
 from slenderquad.finitepart import build_weight_table, qk_signkernel
+
+
+def _legendre_value_and_derivative(n, x):
+    """P_n(x) and P_n'(x) by the three-term and derivative recurrences on arrays."""
+    p_prev = np.ones_like(x)
+    p = np.asarray(x, dtype=float).copy()
+    dp_prev = np.zeros_like(x)
+    dp = np.ones_like(x)
+    if n == 0:
+        return p_prev, dp_prev
+    for k in range(2, n + 1):
+        p_next = ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+        dp_next = dp_prev + (2 * k - 1) * p
+        p_prev, p = p, p_next
+        dp_prev, dp = dp, dp_next
+    return p, dp
+
+
+def _gauss_legendre_newton(n):
+    """Nodes and weights by Newton on the reference recurrence, mirrored about 0."""
+    k = np.arange(1, n // 2 + 1)
+    x = np.cos(np.pi * (k - 0.25) / (n + 0.5))
+    for _ in range(100):
+        p, dp = _legendre_value_and_derivative(n, x)
+        dx = p / dp
+        x = x - dx
+        if x.size == 0 or np.max(np.abs(dx)) < 1e-15:
+            break
+    p, dp = _legendre_value_and_derivative(n, x)
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    nodes = np.concatenate([-x, [0.0] if n % 2 else [], x[::-1]])
+    if n % 2:
+        _, dp0 = _legendre_value_and_derivative(n, np.array([0.0]))
+        return nodes, np.concatenate([w, [2.0 / (dp0[0] * dp0[0])], w[::-1]])
+    return nodes, np.concatenate([w, w[::-1]])
 
 
 def _bjorck_pereyra_loops(nodes, rhs):
@@ -69,6 +103,13 @@ class TestGaussLegendre:
         with pytest.raises(ValueError):
             gauss_legendre(order)
 
+    def test_equals_reference_newton_loop_bitwise(self):
+        for n in range(1, MAX_ORDER + 1):
+            rule = gauss_legendre(n)
+            nodes, weights = _gauss_legendre_newton(n)
+            assert np.array_equal(rule.nodes, nodes)
+            assert np.array_equal(rule.weights, weights)
+
 
 class TestPanelize:
     def test_single_panel_affine_map(self):
@@ -105,30 +146,30 @@ class TestLegendreTransforms:
 
     def test_basis_function_roundtrip(self):
         p3 = self.rule.nodes * (5.0 * self.rule.nodes**2 - 3.0) / 2.0
-        coeffs = to_legendre(p3, self.rule).coeffs
+        coeffs = legendre_transform_matrix(self.rule) @ p3
         expected = np.zeros(16)
         expected[3] = 1.0
         assert np.max(np.abs(coeffs - expected)) <= 1e-14
 
     def test_constant_samples(self):
-        coeffs = to_legendre(np.full(16, 5.0), self.rule).coeffs
+        coeffs = legendre_transform_matrix(self.rule) @ np.full(16, 5.0)
         assert coeffs[0] == pytest.approx(5.0, abs=1e-14)
         assert np.max(np.abs(coeffs[1:])) <= 1e-13
 
     def test_exp_interpolation(self):
-        coeffs = to_legendre(np.exp(self.rule.nodes), self.rule)
+        coeffs = legendre_transform_matrix(self.rule) @ np.exp(self.rule.nodes)
         assert legendre_eval(coeffs, 0.37) == pytest.approx(np.exp(0.37), abs=1e-12)
 
     def test_node_residual(self):
         rng = np.random.default_rng(3)
         samples = rng.standard_normal(16)
-        coeffs = to_legendre(samples, self.rule)
+        coeffs = legendre_transform_matrix(self.rule) @ samples
         back = np.array([legendre_eval(coeffs, eta) for eta in self.rule.nodes])
         assert np.max(np.abs(back - samples)) <= 1e-12
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            to_legendre(np.ones(8), self.rule)
+            legendre_transform_matrix(self.rule) @ np.ones(8)
 
 
 class TestLegendreEval:
@@ -141,7 +182,7 @@ class TestLegendreEval:
 
     def test_exp_endpoint(self):
         rule = gauss_legendre(16)
-        coeffs = to_legendre(np.exp(rule.nodes), rule)
+        coeffs = legendre_transform_matrix(rule) @ np.exp(rule.nodes)
         assert legendre_eval(coeffs, -1.0) == pytest.approx(np.exp(-1.0), abs=1e-12)
 
     def test_matches_explicit_polynomials(self):
@@ -164,25 +205,31 @@ class TestLegendreEval:
     def test_eta_bound(self):
         with pytest.raises(ValueError):
             legendre_eval(np.ones(4), 10.5)
+        with pytest.raises(ValueError):
+            legendre_eval(np.ones(4), np.array([0.0, -10.5]))
 
     def test_derivative_coefficients(self):
         # P_3' = 5 P_2 + P_0
         d = legendre_deriv_coeffs(np.array([0.0, 0.0, 0.0, 1.0]))
         assert d == pytest.approx([1.0, 0.0, 5.0, 0.0], abs=0)
 
-    def test_monomial_basis_tag(self):
-        from slenderquad.quadcore import LegendreCoeffs
-
-        cubic = LegendreCoeffs(coeffs=np.array([1.0, 0.0, -2.0, 0.5]), basis="monomial")
-        x = 0.7
-        assert legendre_eval(cubic, x) == pytest.approx(1.0 - 2.0 * x**2 + 0.5 * x**3, abs=1e-15)
-        with pytest.raises(ValueError):
-            legendre_deriv_coeffs(cubic)
+    @pytest.mark.parametrize("n", [1, 2, 16])
+    def test_points_and_blocks_equal_scalar_calls_bitwise(self, n):
+        rng = np.random.default_rng(n)
+        block = rng.standard_normal((3, n))
+        etas = np.concatenate([rng.uniform(-1.0, 1.0, 9), [-1.0, 1.0]])
+        for coeffs in (block[0], block):
+            got = legendre_eval(coeffs, etas)
+            assert got.shape == etas.shape + coeffs.shape[:-1]
+            loop = np.array([legendre_eval(coeffs, eta) for eta in etas])
+            assert np.array_equal(got, loop)
+        rows = np.array([legendre_eval(row, 0.3 - 0.2j) for row in block])
+        assert np.array_equal(legendre_eval(block, 0.3 - 0.2j), rows)
 
 
 class TestLegendreAndDerivative:
     def test_matches_real_recurrence(self):
-        n = MAX_ORDER
+        n = MAX_ORDER + 1
         for x in (-1.0, -0.73, 0.0, 0.31, 1.0, 2.5):
             got = legendre_and_derivative(x, n)
             assert got.shape == (n, 2) and got.dtype == float
@@ -210,7 +257,27 @@ class TestLegendreAndDerivative:
         assert values == pytest.approx([1.0 + 2.0 * p2, -z + 0.5 * p2], abs=1e-15)
         assert derivs == pytest.approx([6.0 * z, -1.0 + 1.5 * z], abs=1e-15)
 
-    @pytest.mark.parametrize("n", [0, MAX_ORDER + 1])
+    def test_real_array_equals_point_calls_bitwise(self):
+        n, z = MAX_ORDER + 1, np.linspace(-1.3, 1.3, 11)
+        table = legendre_and_derivative(z, n)
+        assert table.shape == (n, 2, len(z)) and table.dtype == float
+        for i, point in enumerate(z):
+            assert np.array_equal(table[:, :, i], legendre_and_derivative(point, n))
+
+    def test_complex_array_equals_point_calls(self):
+        # numpy's vectorised complex multiply may use fused multiply-adds, so
+        # against Python complex scalars the match is to rounding; against
+        # one-point arrays it is exact
+        n, z = MAX_ORDER + 1, np.array([0.2 + 0.1j, -2.0 + 0.0j, 1j, 0.9 + 0.01j, -0.5 - 0.3j])
+        table = legendre_and_derivative(z, n)
+        assert table.shape == (n, 2, len(z)) and table.dtype == complex
+        for i, point in enumerate(z):
+            assert np.array_equal(table[:, :, i], legendre_and_derivative(z[i : i + 1], n)[:, :, 0])
+            scalar = legendre_and_derivative(point, n)
+            tol = 64 * np.finfo(float).eps * np.maximum(1.0, np.abs(scalar))
+            assert np.all(np.abs(table[:, :, i] - scalar) <= tol)
+
+    @pytest.mark.parametrize("n", [0, MAX_ORDER + 2])
     def test_size_out_of_range(self, n):
         with pytest.raises(ValueError):
             legendre_and_derivative(0.5, n)
@@ -329,3 +396,6 @@ class TestInterpolateToUniform:
             interpolate_to_uniform(np.ones(32), grid, np.array([1.2]))
         with pytest.raises(ValueError):
             interpolate_to_uniform(np.ones(32), grid, np.array([-0.1]))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                interpolate_to_uniform(np.ones(32), grid, np.array([0.5, bad]))
