@@ -111,12 +111,9 @@ def build_weight_table(rule: QuadratureRule) -> ModifiedWeightTable:
 
 def g_limit(tangent, second_deriv, f_value, f_deriv) -> np.ndarray:
     """Limit of the regularized K integrand factor as s -> sbar."""
-    xs = np.asarray(tangent, dtype=float)
-    xss = np.asarray(second_deriv, dtype=float)
-    fv = np.asarray(f_value, dtype=float)
-    fd = np.asarray(f_deriv, dtype=float)
-    sym = 0.5 * (np.outer(xs, xss) + np.outer(xss, xs))
-    return sym @ fv + fd + xs * (xs @ fd)
+    xs, xss, fv, fd = np.asarray([tangent, second_deriv, f_value, f_deriv], dtype=float)
+    # sym(xs xss^T) fv without forming the two outer products
+    return 0.5 * (xs * (xss @ fv) + xss * (xs @ fv)) + fd + xs * (xs @ fd)
 
 
 def g_pair(curve: FiberCurve, f: Callable, fprime: Callable, s, s_bar: float) -> np.ndarray:
@@ -167,24 +164,32 @@ def _density_derivative_at(grid: PanelGrid, f: LineDensity, target_index: int):
 
 
 def _g_row(curve: PanelizedCurve, f: LineDensity, target_index: int) -> np.ndarray:
-    """g(s_j, sbar) for all source nodes j against one collocation node."""
+    """g(s_j, sbar) for all source nodes j against one collocation node, shape (N, 3).
+
+    Computed component-major, so every step is one contiguous pass over the N
+    nodes; only the last step writes the node-major result.
+    """
     grid = curve.grid
-    s = grid.global_nodes
     t = target_index
-    fv = np.asarray(f.samples, dtype=float)
-    r = curve.positions - curve.positions[t]
-    rnorm = np.linalg.norm(r, axis=1)
+    fv = np.ascontiguousarray(np.asarray(f.samples, dtype=float).T)
+    r = curve.coords - curve.coords[:, t : t + 1]
+    rnorm = np.sqrt(np.einsum("cj,cj->j", r, r))
     rnorm[t] = 1.0
-    rhat = r / rnorm[:, None]
-    ds = s - s[t]
-    ratio = np.abs(ds) / rnorm
-    near = (fv + rhat * np.einsum("jc,jc->j", rhat, fv)[:, None]) * ratio[:, None]
-    xs = curve.tangents[t]
-    far = fv[t] + xs * (xs @ fv[t])
+    ds = grid.global_nodes - grid.global_nodes[t]
+    ratio = np.abs(ds) / rnorm  # |s - sbar|/|R| as one ratio, to limit cancellation
+    r /= rnorm
+    # rhat . f summed (0 + 2) + 1, the order numpy's einsum takes over an (N, 3) row,
+    # so K keeps the bits of the node-major formula
+    near = r * ((r[0] * fv[0] + r[2] * fv[2]) + r[1] * fv[1])
+    near += fv
+    near *= ratio
+    xs, ft = curve.tangents[t], fv[:, t]
+    near -= (ft + xs * (xs @ ft))[:, None]
     ds[t] = 1.0
-    rows = (near - far[None, :]) / ds[:, None]
+    rows = np.empty((grid.node_count, 3))
+    np.divide(near, ds, out=rows.T)
     rows[t] = g_limit(
-        xs, curve.second_derivs[t], fv[t], _density_derivative_at(grid, f, target_index)
+        xs, curve.second_derivs[t], ft, _density_derivative_at(grid, f, target_index)
     )
     return rows
 
@@ -192,23 +197,33 @@ def _g_row(curve: PanelizedCurve, f: LineDensity, target_index: int) -> np.ndarr
 def _effective_weights(grid: PanelGrid, table: ModifiedWeightTable, target_index: int) -> np.ndarray:
     """Per-node quadrature weights for a sign-kernel integral collocated at a node.
 
-    Off-target panels carry the regular weights times the constant kernel sign;
-    the target's panel row comes from the modified table, scaled by ds/2.
+    Off-target panels carry the regular weights times the constant kernel sign,
+    -1 before the target's panel; the target's panel row comes from the
+    modified table, scaled by ds/2.
     """
-    s = grid.global_nodes
-    w = grid.global_weights * np.sign(s - s[target_index])
     m, ell = grid.panel_of_target(target_index)
-    w[grid.panel_slice(m)] = 0.5 * grid.panel_width * table.weights[ell]
+    sl = grid.panel_slice(m)
+    w = grid.global_weights.copy()
+    w[: sl.start] *= -1.0
+    w[sl] = 0.5 * grid.panel_width * table.weights[ell]
     return w
+
+
+def _checked_samples(grid: PanelGrid, f: LineDensity, table: ModifiedWeightTable, shape):
+    """f.samples as floats, after checking their shape and the table's order."""
+    fv = np.asarray(f.samples, dtype=float)
+    if fv.shape != shape:
+        raise ValueError(f"density samples must have shape {shape}, got {fv.shape}")
+    if table.order != grid.rule.order:
+        raise ValueError(f"table order {table.order} does not match rule order {grid.rule.order}")
+    return fv
 
 
 def eval_L(f: LineDensity, grid: PanelGrid, table: ModifiedWeightTable, target_index: int) -> float:
     """Scalar finite-part operator at one collocation node."""
-    if f.is_vector:
-        raise ValueError("eval_L expects a scalar density")
+    fv = _checked_samples(grid, f, table, (grid.node_count,))
     s = grid.global_nodes
     t = target_index
-    fv = np.asarray(f.samples, dtype=float)
     ds = s - s[t]
     ds[t] = 1.0
     phi = (fv - fv[t]) / ds
@@ -220,6 +235,7 @@ def eval_K(
     curve: PanelizedCurve, f: LineDensity, table: ModifiedWeightTable, target_index: int
 ) -> np.ndarray:
     """Non-local operator K at one collocation node."""
+    _checked_samples(curve.grid, f, table, (curve.grid.node_count, 3))
     w = _effective_weights(curve.grid, table, target_index)
     return w @ _g_row(curve, f, target_index)
 

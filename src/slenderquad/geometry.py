@@ -33,7 +33,8 @@ class PanelizedCurve:
     """A fiber sampled on a panel grid.
 
     panel_coeffs[m, c] holds the Legendre coefficients of coordinate c of the
-    position over panel m, in the local variable eta in [-1, 1].
+    position over panel m, in the local variable eta in [-1, 1]. coords is a
+    contiguous (3, N) copy of positions, for the component-major K rows.
     """
 
     curve: FiberCurve
@@ -42,6 +43,7 @@ class PanelizedCurve:
     tangents: np.ndarray
     second_derivs: np.ndarray
     panel_coeffs: np.ndarray
+    coords: np.ndarray
 
 
 def make_helix(curvature: float, torsion: float, length: float) -> FiberCurve:
@@ -168,4 +170,5 @@ def discretize(curve: FiberCurve, panel_count: int, rule: QuadratureRule) -> Pan
         tangents=tangents,
         second_derivs=second,
         panel_coeffs=coeffs,
+        coords=np.ascontiguousarray(positions.T),
     )

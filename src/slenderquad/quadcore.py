@@ -149,8 +149,10 @@ def legendre_eval(coeffs: np.ndarray, eta):
         bound = np.max(np.abs(eta), initial=0.0)
         x = eta[:, None] if c.ndim > 1 else eta
         total = c[0] * np.ones_like(x)
-    else:
-        bound, x, total = abs(eta), eta, c[0]
+    else:  # a real point runs on Python floats: numpy's IEEE arithmetic at half the cost
+        x = eta if isinstance(eta, (complex, np.complexfloating)) else float(eta)
+        c = c.tolist() if c.ndim == 1 else c
+        bound, total = abs(x), c[0]
     if bound > ETA_BOUND:
         raise ValueError(f"|eta| must not exceed {ETA_BOUND}, got {bound}")
     p_prev, p = 1.0, x
@@ -191,16 +193,16 @@ def legendre_and_derivative(z, n: int) -> np.ndarray:
 
 def legendre_deriv_coeffs(coeffs: np.ndarray) -> np.ndarray:
     """Coefficients of the derivative of a Legendre series on [-1, 1]."""
-    c = np.asarray(coeffs)
+    c = np.asarray(coeffs, dtype=float).tolist()  # loop on Python floats
     n = len(c)
-    d = np.zeros(n)
+    d = [0.0] * n
     # d_k = (2k+1) * (c_{k+1} + c_{k+3} + ...)
     s = 0.0
     s_next = 0.0
     for k in range(n - 2, -1, -1):
         s, s_next = c[k + 1] + s_next, s
         d[k] = (2 * k + 1) * s
-    return d
+    return np.array(d)
 
 
 def solve_vandermonde_transpose(nodes: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -221,7 +223,9 @@ def solve_vandermonde_transpose(nodes: np.ndarray, rhs: np.ndarray) -> np.ndarra
         raise ValueError("rhs must have shape (n,) or (n, k) for n nodes")
     if n > MAX_ORDER:
         raise ValueError(f"system size limited to {MAX_ORDER}")
-    if len(np.unique(x)) != n:
+    if not np.isfinite(x).all():
+        raise ValueError("nodes must be finite")
+    if len(set(x.tolist())) != n:
         raise SingularSystemError("duplicate nodes make the system singular")
     block = b[:, None] if b.ndim == 1 else b
     for k in range(n - 1):

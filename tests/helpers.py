@@ -55,3 +55,33 @@ def rotation_matrix(axis, angle: float) -> np.ndarray:
         ]
     )
     return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+
+
+def legendre_eval_numpy_scalars(coeffs, eta):
+    """Legendre series at one point, accumulated on numpy scalars.
+
+    The loop quadcore.legendre_eval ran before its scalar path moved to Python
+    floats; kept as the bit-for-bit reference for that path.
+    """
+    c = np.asarray(coeffs)
+    total = c[0]
+    p_prev, p = 1.0, eta
+    if len(c) > 1:
+        total = total + c[1] * eta
+    for k in range(2, len(c)):
+        p_prev, p = p, ((2 * k - 1) * eta * p - (k - 1) * p_prev) / k
+        total = total + c[k] * p
+    return total
+
+
+def legendre_deriv_coeffs_numpy_scalars(coeffs):
+    """Derivative-series coefficients, accumulated on numpy scalars (reference loop)."""
+    c = np.asarray(coeffs)
+    n = len(c)
+    d = np.zeros(n)
+    s = 0.0
+    s_next = 0.0
+    for k in range(n - 2, -1, -1):
+        s, s_next = c[k + 1] + s_next, s
+        d[k] = (2 * k + 1) * s
+    return d

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
 
-from helpers import qk_two_piece, rotation_matrix
+from helpers import (
+    legendre_deriv_coeffs_numpy_scalars,
+    legendre_eval_numpy_scalars,
+    qk_two_piece,
+    rotation_matrix,
+)
 from slenderquad.finitepart import (
     LineDensity,
     SlenderParams,
+    _effective_weights,
     _g_row,
     build_weight_table,
     centerline_velocity,
@@ -20,7 +26,7 @@ from slenderquad import forces
 from slenderquad.forces import legendre_mixture, splitmix64_uniforms
 from slenderquad.geometry import discretize, make_custom, make_helix, make_straight
 from slenderquad.oracle import diagonal_eigenvalues, scaled_legendre
-from slenderquad.quadcore import gauss_legendre, panelize
+from slenderquad.quadcore import gauss_legendre, legendre_transform_matrix, panelize
 
 RULE = gauss_legendre(16)
 TABLE = build_weight_table(RULE)
@@ -345,3 +351,146 @@ class TestGLimit:
         xs = np.array([0.0, 0.0, 1.0])
         out = g_limit(xs, np.zeros(3), np.array([5.0, 5.0, 5.0]), np.array([1.0, 2.0, 3.0]))
         assert out == pytest.approx([1.0, 2.0, 6.0], abs=0)
+
+
+# The node-major row kernel K used before the component-major one, kept as the
+# reference its replacement must reproduce: f' on numpy-scalar Legendre loops,
+# (N, 3) rows with a [:, None] broadcast, the kernel sign from np.sign and the
+# limit through two outer products.
+
+
+def _ref_density_derivative_at(grid, f, t):
+    if f.derivative is not None:
+        return np.asarray(f.derivative(grid.global_nodes[t]), dtype=float)
+    m, ell = grid.panel_of_target(t)
+    samples = np.asarray(f.samples, dtype=float).reshape(grid.node_count, -1)
+    coeffs = legendre_transform_matrix(grid.rule) @ samples[grid.panel_slice(m)]
+    eta = grid.rule.nodes[ell]
+    vals = np.array(
+        [
+            legendre_eval_numpy_scalars(legendre_deriv_coeffs_numpy_scalars(coeffs[:, c]), eta)
+            for c in range(samples.shape[1])
+        ]
+    )
+    out = vals * (2.0 / grid.panel_width)
+    return out if f.is_vector else out[0]
+
+
+def _ref_g_limit(xs, xss, fv, fd):
+    sym = 0.5 * (np.outer(xs, xss) + np.outer(xss, xs))
+    return sym @ fv + fd + xs * (xs @ fd)
+
+
+def _ref_g_row(curve, f, t):
+    s = curve.grid.global_nodes
+    fv = np.asarray(f.samples, dtype=float)
+    r = curve.positions - curve.positions[t]
+    rnorm = np.linalg.norm(r, axis=1)
+    rnorm[t] = 1.0
+    rhat = r / rnorm[:, None]
+    ds = s - s[t]
+    ratio = np.abs(ds) / rnorm
+    near = (fv + rhat * np.einsum("jc,jc->j", rhat, fv)[:, None]) * ratio[:, None]
+    xs = curve.tangents[t]
+    far = fv[t] + xs * (xs @ fv[t])
+    ds[t] = 1.0
+    rows = (near - far[None, :]) / ds[:, None]
+    rows[t] = _ref_g_limit(
+        xs, curve.second_derivs[t], fv[t], _ref_density_derivative_at(curve.grid, f, t)
+    )
+    return rows
+
+
+def _ref_effective_weights(grid, table, t):
+    s = grid.global_nodes
+    w = grid.global_weights * np.sign(s - s[t])
+    m, ell = grid.panel_of_target(t)
+    w[grid.panel_slice(m)] = 0.5 * grid.panel_width * table.weights[ell]
+    return w
+
+
+def _ref_eval_L(f, grid, table, t):
+    s = grid.global_nodes
+    fv = np.asarray(f.samples, dtype=float)
+    ds = s - s[t]
+    ds[t] = 1.0
+    phi = (fv - fv[t]) / ds
+    phi[t] = _ref_density_derivative_at(grid, f, t)
+    return float(_ref_effective_weights(grid, table, t) @ phi)
+
+
+FIBERS = {
+    "helix": make_helix(8.0, 3.0, 1.5),
+    "straight": make_straight((0.6, 0.0, 0.8), 1.5),
+}
+
+
+class TestSameNumbersAsNodeMajorRows:
+    @pytest.mark.parametrize("panels", [1, 4, 64])
+    @pytest.mark.parametrize("fiber", sorted(FIBERS))
+    def test_eval_K_all(self, fiber, panels):
+        pc = discretize(FIBERS[fiber], panels, RULE)
+        f, fp = forces.testf(1.5)
+        for dens in (
+            LineDensity(samples=f(pc.grid.global_nodes)),
+            LineDensity.from_closure(f, pc.grid, derivative=fp),
+        ):
+            ref = np.array(
+                [
+                    _ref_effective_weights(pc.grid, TABLE, t) @ _ref_g_row(pc, dens, t)
+                    for t in range(pc.grid.node_count)
+                ]
+            )
+            got = eval_K_all(pc, dens, TABLE)
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("panels", [1, 4, 64])
+    def test_eval_L_and_weights_bitwise(self, panels):
+        grid = panelize(1.5, panels, RULE)
+        f, fp = legendre_mixture(splitmix64_uniforms(3, 6), 1.5)
+        for dens in (
+            LineDensity(samples=f(grid.global_nodes)),
+            LineDensity.from_closure(f, grid, derivative=fp),
+        ):
+            for t in range(grid.node_count):
+                assert np.array_equal(
+                    _effective_weights(grid, TABLE, t), _ref_effective_weights(grid, TABLE, t)
+                )
+                assert eval_L(dens, grid, TABLE, t) == _ref_eval_L(dens, grid, TABLE, t)
+
+    def test_g_limit_matches_outer_products(self):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            xs, xss, fv, fd = rng.standard_normal((4, 3))
+            got = g_limit(xs, xss, fv, fd)
+            ref = _ref_g_limit(xs, xss, fv, fd)
+            norm = np.linalg.norm
+            scale = norm(xs) * norm(xss) * norm(fv) + (1.0 + xs @ xs) * norm(fd)
+            assert np.max(np.abs(got - ref)) <= 1e-15 * scale
+
+
+class TestInputChecks:
+    def setup_method(self):
+        self.pc = discretize(make_helix(8.0, 3.0, 1.5), 2, RULE)
+        self.n = self.pc.grid.node_count
+
+    @pytest.mark.parametrize("shape", [(), (32,), (31, 3), (32, 2), (32, 3, 1)])
+    def test_K_rejects_density_shape(self, shape):
+        dens = LineDensity(samples=np.ones(shape))
+        with pytest.raises(ValueError, match=r"shape \(32, 3\)"):
+            eval_K_all(self.pc, dens, TABLE)
+        with pytest.raises(ValueError, match=r"shape \(32, 3\)"):
+            eval_K(self.pc, dens, TABLE, 5)
+
+    @pytest.mark.parametrize("shape", [(), (31,), (32, 3), (32, 1)])
+    def test_L_rejects_density_shape(self, shape):
+        dens = LineDensity(samples=np.ones(shape))
+        with pytest.raises(ValueError, match=r"shape \(32,\)"):
+            eval_L(dens, self.pc.grid, TABLE, 5)
+
+    def test_rejects_table_of_another_order(self):
+        table8 = build_weight_table(gauss_legendre(8))
+        with pytest.raises(ValueError, match="table order 8 does not match rule order 16"):
+            eval_K_all(self.pc, LineDensity(samples=np.ones((self.n, 3))), table8)
+        with pytest.raises(ValueError, match="table order 8 does not match rule order 16"):
+            eval_L(LineDensity(samples=np.ones(self.n)), self.pc.grid, table8, 0)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import legendre_deriv_coeffs_numpy_scalars, legendre_eval_numpy_scalars
 from slenderquad.quadcore import (
     MAX_ORDER,
     SingularSystemError,
@@ -226,6 +227,26 @@ class TestLegendreEval:
         rows = np.array([legendre_eval(row, 0.3 - 0.2j) for row in block])
         assert np.array_equal(legendre_eval(block, 0.3 - 0.2j), rows)
 
+    def test_scalar_point_equals_numpy_scalar_loop_bitwise(self):
+        rng = np.random.default_rng(17)
+        for n in range(1, MAX_ORDER + 1):
+            coeffs = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3, n)
+            for eta in (*rng.uniform(-1.0, 1.0, 4), *gauss_legendre(n).nodes[:3], -1.0, 1.0, 2.5):
+                got = legendre_eval(coeffs, eta)
+                assert np.array_equal(got, legendre_eval_numpy_scalars(coeffs, np.float64(eta)))
+                assert np.array_equal(got, legendre_eval(coeffs, np.array([eta]))[0])
+            for z in (0.3 - 0.2j, np.complex128(-0.7 + 0.1j)):
+                ref = legendre_eval_numpy_scalars(coeffs, z)
+                assert np.array_equal(legendre_eval(coeffs, z), ref)
+
+    def test_derivative_coefficients_equal_numpy_scalar_loop_bitwise(self):
+        rng = np.random.default_rng(19)
+        for n in range(1, MAX_ORDER + 1):
+            coeffs = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3, n)
+            got = legendre_deriv_coeffs(coeffs)
+            assert got.dtype == np.float64 and got.shape == (n,)
+            assert np.array_equal(got, legendre_deriv_coeffs_numpy_scalars(coeffs))
+
 
 class TestLegendreAndDerivative:
     def test_matches_real_recurrence(self):
@@ -319,6 +340,16 @@ class TestVandermondeTranspose:
     def test_duplicate_nodes(self):
         with pytest.raises(SingularSystemError):
             solve_vandermonde_transpose(np.array([0.5, 0.5, -0.5]), np.ones(3))
+        with pytest.raises(SingularSystemError):
+            solve_vandermonde_transpose(np.array([0.0, -0.0]), np.ones((2, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_nodes(self, bad):
+        nodes = gauss_legendre(16).nodes.copy()
+        nodes[7] = bad
+        with pytest.raises(ValueError, match="finite") as err:
+            solve_vandermonde_transpose(nodes, np.ones(16))
+        assert not isinstance(err.value, SingularSystemError)
 
     def test_block_equals_columns_and_scalar_loops_bitwise(self):
         rng = np.random.default_rng(5)
