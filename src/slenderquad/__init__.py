@@ -10,7 +10,6 @@ from .finitepart import (
     eval_K_all,
     eval_L,
     eval_Lambda,
-    g_pair,
     qk_signkernel,
 )
 from .geometry import (
@@ -22,7 +21,6 @@ from .geometry import (
     make_straight,
 )
 from .nearsing import (
-    NearEvalConfig,
     RootNotFoundError,
     RootPair,
     eval_S,
@@ -37,6 +35,7 @@ from .oracle import (
     adaptive_integrate,
     convergence_study,
     diagonal_eigenvalues,
+    g_pair,
     reference_K,
     reference_L,
     reference_S,
@@ -47,7 +46,6 @@ from .quadcore import (
     QuadratureRule,
     SingularSystemError,
     gauss_legendre,
-    integrate,
     interpolate_to_uniform,
     legendre_and_derivative,
     legendre_deriv_coeffs,

@@ -3,8 +3,8 @@
 Three experiments reproduce the library's validation studies: the scalar
 operator against its Legendre diagonalization, the K operator's uniform-grid
 self-convergence on a helix, and the field-point Stokeslet errors against the
-adaptive reference. Results land in a CSV plus a JSON sidecar holding the
-fully resolved configuration.
+adaptive reference. Results land in a CSV plus a JSON sidecar whose config
+block holds the flags of the subcommand that ran, defaults filled in.
 
 Exit codes: 0 pass, 1 configuration error, 2 threshold failure, 3 oracle
 failure at one or more points.
@@ -15,15 +15,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import forces
 from .finitepart import LineDensity, build_weight_table, eval_L
 from .geometry import FiberCurve, discretize, make_helix, make_straight
-from .nearsing import MAX_MOMENT_COUNT, NearEvalConfig, eval_S, eval_S_regular
+from .nearsing import MAX_MOMENT_COUNT, eval_S, eval_S_regular
 from .oracle import (
     AccuracyError,
     convergence_study,
@@ -46,39 +46,6 @@ FIELD_SPECIAL_THRESHOLD = 1e-8
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
-
-
-@dataclass
-class FieldGridSpec:
-    """Polar evaluation grid inside the projected circle of a helix."""
-
-    radial_count: int = 20
-    angular_count: int = 20
-    z_count: int = 16
-    quarter_circle: bool = True
-    min_boundary_distance: float = 2.2e-3
-    inner_radius: float | None = None  # defaults to R/20 of the projected circle
-
-    def __post_init__(self):
-        if min(self.radial_count, self.angular_count, self.z_count) < 1:
-            raise ConfigError("grid counts must be positive")
-        if not self.min_boundary_distance > 0:
-            raise ConfigError("min boundary distance must be positive")
-
-
-@dataclass
-class ExperimentConfig:
-    experiment: str
-    panels: list[int] = field(default_factory=lambda: [16])
-    rule_order: int = 16
-    fiber: str = "helix:8,3,1.5"
-    force: str = "testf"
-    seed: int = 42
-    output_path: str = "results.csv"
-    reference_panels: int = 128
-    uniform_count: int = 400
-    modes: list[str] = field(default_factory=lambda: ["regular", "special"])
-    grid: FieldGridSpec = field(default_factory=FieldGridSpec)
 
 
 def _fmt(x: float) -> str:
@@ -112,34 +79,44 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
             fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
-def _write_sidecar(path: Path, config: ExperimentConfig, extra: dict) -> None:
-    payload = {"config": asdict(config), **extra}
+def _write_sidecar(path: Path, args: argparse.Namespace, extra: dict) -> None:
+    payload = {"config": vars(args), **extra}
     sidecar = path.with_suffix(".json")
     sidecar.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def run_eigen_test(config: ExperimentConfig) -> int:
+def _fiber_and_force(args: argparse.Namespace) -> tuple[FiberCurve, Callable]:
+    """The --fiber curve and the --force density, testf or testf-simple."""
+    curve = parse_fiber(args.fiber)
+    if args.force == "testf":
+        return curve, forces.testf(curve.length)[0]
+    if args.force == "testf-simple":
+        return curve, forces.testf_simple(curve)[0]
+    raise ConfigError(f"{args.experiment} supports --force testf or testf-simple")
+
+
+def run_eigen_test(args: argparse.Namespace) -> int:
     """Scalar-operator errors against the Legendre diagonalization, per panel count."""
-    kind, _, rest = config.force.partition(":")
+    kind, _, rest = args.force.partition(":")
     if kind != "legendre":
         raise ConfigError("eigen-test requires --force legendre:P")
     try:
         p = int(rest)
     except ValueError:
-        raise ConfigError(f"bad mode count in {config.force!r}") from None
-    if not 1 <= p <= config.rule_order:
-        raise ConfigError(f"mode count must be in [1, {config.rule_order}]")
+        raise ConfigError(f"bad mode count in {args.force!r}") from None
+    if not 1 <= p <= args.rule_order:
+        raise ConfigError(f"mode count must be in [1, {args.rule_order}]")
 
     fiber_length = 1.0
-    alpha = forces.splitmix64_uniforms(config.seed, p)
+    alpha = forces.splitmix64_uniforms(args.seed, p)
     f, fprime = forces.legendre_mixture(alpha, fiber_length)
     lam = diagonal_eigenvalues(p)
-    rule = gauss_legendre(config.rule_order)
+    rule = gauss_legendre(args.rule_order)
     table = build_weight_table(rule)
 
     rows = []
     worst = 0.0
-    for m in config.panels:
+    for m in args.panels:
         grid = panelize(fiber_length, m, rule)
         density = LineDensity.from_closure(f, grid, derivative=fprime)
         s = grid.global_nodes
@@ -149,42 +126,36 @@ def run_eigen_test(config: ExperimentConfig) -> int:
         worst = max(worst, err)
         rows.append([m, err])
 
-    path = Path(config.output_path)
+    path = Path(args.out)
     _write_csv(path, ["M", "max_error"], rows)
-    _write_sidecar(path, config, {"alpha": list(alpha), "max_error": worst})
-    print(f"eigen-test: worst max error {worst:.3e} over M={config.panels}")
+    _write_sidecar(path, args, {"alpha": list(alpha), "max_error": worst})
+    print(f"eigen-test: worst max error {worst:.3e} over M={args.panels}")
     return EXIT_PASS if worst <= EIGEN_THRESHOLD else EXIT_THRESHOLD
 
 
-def run_k_convergence(config: ExperimentConfig) -> int:
+def run_k_convergence(args: argparse.Namespace) -> int:
     """Self-convergence e_M of K on a uniform comparison grid."""
-    curve = parse_fiber(config.fiber)
-    if config.force == "testf":
-        f, _ = forces.testf(curve.length)
-    elif config.force == "testf-simple":
-        f, _ = forces.testf_simple(curve)
-    else:
-        raise ConfigError("k-convergence supports --force testf or testf-simple")
-    if config.reference_panels < max(config.panels):
+    curve, f = _fiber_and_force(args)
+    if args.reference_panels < max(args.panels):
         raise ConfigError("--reference-panels must not be below any tested panel count")
-    if config.uniform_count < 1:
-        raise ConfigError(f"--uniform-count must be >= 1, got {config.uniform_count}")
+    if args.uniform_count < 1:
+        raise ConfigError(f"--uniform-count must be >= 1, got {args.uniform_count}")
 
-    rule = gauss_legendre(config.rule_order)
+    rule = gauss_legendre(args.rule_order)
     table = build_weight_table(rule)
     study = convergence_study(
         curve,
         f,
-        config.panels,
-        config.reference_panels,
-        config.uniform_count,
+        args.panels,
+        args.reference_panels,
+        args.uniform_count,
         rule,
         table,
     )
     rows = [[m, float(e)] for m, e in zip(study.panel_counts, study.errors)]
-    path = Path(config.output_path)
+    path = Path(args.out)
     _write_csv(path, ["M", "e_M"], rows)
-    _write_sidecar(path, config, {"errors": [float(e) for e in study.errors]})
+    _write_sidecar(path, args, {"errors": [float(e) for e in study.errors]})
 
     errs = study.errors
     decreasing = all(
@@ -197,12 +168,27 @@ def run_k_convergence(config: ExperimentConfig) -> int:
     return EXIT_PASS if decreasing and final_ok else EXIT_THRESHOLD
 
 
-def helix_field_grid(curve: FiberCurve, spec: FieldGridSpec) -> np.ndarray:
+def helix_field_grid(
+    curve: FiberCurve,
+    *,
+    radial_count: int,
+    angular_count: int,
+    z_count: int,
+    min_distance: float,
+    inner_radius: float | None,
+    full_circle: bool,
+) -> np.ndarray:
     """Evaluation points in polar rings inside the projected circle of a helix.
 
-    Radii close up to min_boundary_distance short of the circle; z-values
-    span one helix period centered at the fiber's mid-height.
+    Radii run from inner_radius, or R/20 of the circle's radius R when it is
+    None, up to min_distance short of the circle, over a quarter circle or the
+    full one; z-values span one helix period centered at the fiber's
+    mid-height.
     """
+    if min(radial_count, angular_count, z_count) < 1:
+        raise ConfigError("grid counts must be positive")
+    if not min_distance > 0:
+        raise ConfigError("min distance must be positive")
     if curve.kind != "helix":
         raise ConfigError("field grid requires a helix fiber")
     kappa = curve.parameters["curvature"]
@@ -210,19 +196,19 @@ def helix_field_grid(curve: FiberCurve, spec: FieldGridSpec) -> np.ndarray:
     k2t2 = kappa**2 + tau**2
     radius = kappa / k2t2
     pitch = 2.0 * np.pi * tau / k2t2
-    r_inner = spec.inner_radius if spec.inner_radius is not None else radius / 20.0
-    r_outer = radius - spec.min_boundary_distance
+    r_inner = inner_radius if inner_radius is not None else radius / 20.0
+    r_outer = radius - min_distance
     if not 0 < r_inner < r_outer:
         raise ConfigError("inner radius must lie inside the projected circle")
-    radii = np.linspace(r_inner, r_outer, spec.radial_count)
-    span = np.pi / 2.0 if spec.quarter_circle else 2.0 * np.pi
-    angles = np.linspace(0.0, span, spec.angular_count)
+    radii = np.linspace(r_inner, r_outer, radial_count)
+    span = 2.0 * np.pi if full_circle else np.pi / 2.0
+    angles = np.linspace(0.0, span, angular_count)
     z_mid = 0.5 * curve.position(curve.length)[2]
     if pitch != 0:
         half = abs(pitch) / 2.0
-        z_vals = z_mid + np.linspace(-half, half, spec.z_count)
+        z_vals = z_mid + np.linspace(-half, half, z_count)
     else:
-        z_vals = np.full(spec.z_count, z_mid)
+        z_vals = np.full(z_count, z_mid)
     pts = [
         (r * np.cos(t), r * np.sin(t), z)
         for r in radii
@@ -232,26 +218,27 @@ def helix_field_grid(curve: FiberCurve, spec: FieldGridSpec) -> np.ndarray:
     return np.asarray(pts)
 
 
-def run_field_test(config: ExperimentConfig) -> int:
+def run_field_test(args: argparse.Namespace) -> int:
     """Stokeslet field errors against the adaptive reference, per mode and panel count."""
-    curve = parse_fiber(config.fiber)
-    if config.force == "testf-simple":
-        f, _ = forces.testf_simple(curve)
-    elif config.force == "testf":
-        f, _ = forces.testf(curve.length)
-    else:
-        raise ConfigError("field-test supports --force testf-simple or testf")
-    bad_modes = set(config.modes) - {"regular", "special"}
+    curve, f = _fiber_and_force(args)
+    bad_modes = set(args.modes) - {"regular", "special"}
     if bad_modes:
         raise ConfigError(f"unknown modes {sorted(bad_modes)}")
-    if "special" in config.modes and config.rule_order > MAX_MOMENT_COUNT:
+    if "special" in args.modes and args.rule_order > MAX_MOMENT_COUNT:
         raise ConfigError(
-            f"special mode supports --rule-order up to {MAX_MOMENT_COUNT}, got {config.rule_order}"
+            f"special mode supports --rule-order up to {MAX_MOMENT_COUNT}, got {args.rule_order}"
         )
 
-    points = helix_field_grid(curve, config.grid)
-    rule = gauss_legendre(config.rule_order)
-    cfg = NearEvalConfig()
+    points = helix_field_grid(
+        curve,
+        radial_count=args.radial_count,
+        angular_count=args.angular_count,
+        z_count=args.z_count,
+        min_distance=args.min_distance,
+        inner_radius=args.inner_radius,
+        full_circle=args.full_circle,
+    )
+    rule = gauss_legendre(args.rule_order)
 
     reference = np.empty((len(points), 3))
     flagged = np.zeros(len(points), dtype=bool)
@@ -264,14 +251,14 @@ def run_field_test(config: ExperimentConfig) -> int:
 
     rows = []
     max_by_run: dict[str, float] = {}
-    for m in config.panels:
+    for m in args.panels:
         pcurve = discretize(curve, m, rule)
         density = LineDensity.from_closure(f, pcurve.grid)
-        for mode in config.modes:
+        for mode in args.modes:
             errs = np.empty(len(points))
             for i, pt in enumerate(points):
                 value = (
-                    eval_S(pcurve, density, pt, cfg)
+                    eval_S(pcurve, density, pt)
                     if mode == "special"
                     else eval_S_regular(pcurve, density, pt)
                 )
@@ -281,7 +268,7 @@ def run_field_test(config: ExperimentConfig) -> int:
                 )
             max_by_run[f"{mode}:M={m}"] = float(np.max(errs[~flagged])) if (~flagged).any() else np.nan
 
-    path = Path(config.output_path)
+    path = Path(args.out)
     _write_csv(path, ["mode", "M", "x", "y", "z", "error"], rows)
 
     # max over z per (x, y) column, per run
@@ -293,7 +280,7 @@ def run_field_test(config: ExperimentConfig) -> int:
     _write_csv(path.with_name(path.stem + "_xy" + path.suffix), ["mode", "M", "x", "y", "max_error"], xy_rows)
     _write_sidecar(
         path,
-        config,
+        args,
         {
             "global_max": max_by_run,
             "flagged_points": int(flagged.sum()),
@@ -305,36 +292,50 @@ def run_field_test(config: ExperimentConfig) -> int:
 
     if flagged.any():
         return EXIT_ORACLE
-    if "special" in config.modes and config.force == "testf-simple":
+    if "special" in args.modes and args.force == "testf-simple":
         special_max = max(v for k, v in max_by_run.items() if k.startswith("special"))
         if special_max > FIELD_SPECIAL_THRESHOLD:
             return EXIT_THRESHOLD
     return EXIT_PASS
 
 
+def _panel_counts(text: str) -> list[int]:
+    """Comma-separated panel counts, each at least 1."""
+    try:
+        counts = [int(v) for v in text.split(",")]
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+    if any(m < 1 for m in counts):
+        raise argparse.ArgumentTypeError("panel counts must be >= 1")
+    return counts
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="slenderquad", description=__doc__)
     sub = parser.add_subparsers(dest="experiment", required=True)
 
-    def common(p):
-        p.add_argument("--panels", default=None, help="comma-separated panel counts")
+    def experiment(name: str, help_text: str, panels: str, force: str):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument(
+            "--panels", type=_panel_counts, default=panels, help="comma-separated panel counts"
+        )
         p.add_argument("--rule-order", type=int, default=16)
         p.add_argument("--fiber", default="helix:8,3,1.5")
-        p.add_argument("--force", default=None)
+        p.add_argument("--force", default=force)
         p.add_argument("--seed", type=int, default=42)
         p.add_argument("--out", default="results.csv")
+        return p
 
-    p_eigen = sub.add_parser("eigen-test", help="scalar operator vs diagonalization")
-    common(p_eigen)
+    experiment("eigen-test", "scalar operator vs diagonalization", "1,2,4,8", "legendre:5")
 
-    p_conv = sub.add_parser("k-convergence", help="uniform-grid self-convergence of K")
-    common(p_conv)
+    p_conv = experiment(
+        "k-convergence", "uniform-grid self-convergence of K", "4,8,16,32,64", "testf"
+    )
     p_conv.add_argument("--reference-panels", type=int, default=128)
     p_conv.add_argument("--uniform-count", type=int, default=400)
 
-    p_field = sub.add_parser("field-test", help="Stokeslet field errors vs reference")
-    common(p_field)
-    p_field.add_argument("--modes", default="regular,special")
+    p_field = experiment("field-test", "Stokeslet field errors vs reference", "8", "testf-simple")
+    p_field.add_argument("--modes", type=lambda text: text.split(","), default="regular,special")
     p_field.add_argument("--radial-count", type=int, default=20)
     p_field.add_argument("--angular-count", type=int, default=20)
     p_field.add_argument("--z-count", type=int, default=16)
@@ -342,54 +343,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_field.add_argument("--inner-radius", type=float, default=None)
     p_field.add_argument("--full-circle", action="store_true")
     return parser
-
-
-_DEFAULT_PANELS = {
-    "eigen-test": [1, 2, 4, 8],
-    "k-convergence": [4, 8, 16, 32, 64],
-    "field-test": [8],
-}
-_DEFAULT_FORCE = {
-    "eigen-test": "legendre:5",
-    "k-convergence": "testf",
-    "field-test": "testf-simple",
-}
-
-
-def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    try:
-        panels = (
-            [int(v) for v in args.panels.split(",")]
-            if args.panels
-            else _DEFAULT_PANELS[args.experiment]
-        )
-    except ValueError as err:
-        raise ConfigError(f"bad --panels: {err}") from None
-    if any(m < 1 for m in panels):
-        raise ConfigError("panel counts must be >= 1")
-    config = ExperimentConfig(
-        experiment=args.experiment,
-        panels=panels,
-        rule_order=args.rule_order,
-        fiber=args.fiber,
-        force=args.force or _DEFAULT_FORCE[args.experiment],
-        seed=args.seed,
-        output_path=args.out,
-    )
-    if args.experiment == "k-convergence":
-        config.reference_panels = args.reference_panels
-        config.uniform_count = args.uniform_count
-    if args.experiment == "field-test":
-        config.modes = args.modes.split(",")
-        config.grid = FieldGridSpec(
-            radial_count=args.radial_count,
-            angular_count=args.angular_count,
-            z_count=args.z_count,
-            quarter_circle=not args.full_circle,
-            min_boundary_distance=args.min_distance,
-            inner_radius=args.inner_radius,
-        )
-    return config
 
 
 _RUNNERS = {
@@ -407,8 +360,7 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 0 for --help, 2 for usage errors
         return EXIT_PASS if exc.code == 0 else EXIT_CONFIG
     try:
-        config = _config_from_args(args)
-        return _RUNNERS[args.experiment](config)
+        return _RUNNERS[args.experiment](args)
     except (ConfigError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import FiberCurve, PanelizedCurve
+from .geometry import PanelizedCurve
 from .quadcore import (
     PanelGrid,
     QuadratureRule,
@@ -25,9 +25,6 @@ from .quadcore import (
     legendre_transform_matrix,
     solve_vandermonde_transpose,
 )
-
-LOCAL_VARIANTS = ("matrix", "projector")
-
 
 @dataclass(frozen=True)
 class SlenderParams:
@@ -63,20 +60,19 @@ class ModifiedWeightTable:
 
 @dataclass(frozen=True)
 class LineDensity:
-    """Force-per-length samples at all grid nodes, optionally with closures.
+    """Force-per-length samples at all grid nodes, optionally with a derivative closure.
 
     samples has shape (N,) for scalar densities or (N, 3) for vector ones.
-    When an analytic closure and derivative are attached they are preferred
-    over spectral differentiation of the node samples.
+    An attached analytic derivative is preferred over spectral
+    differentiation of the node samples.
     """
 
     samples: np.ndarray
-    closure: Callable | None = None
     derivative: Callable | None = None
 
     @classmethod
     def from_closure(cls, f: Callable, grid: PanelGrid, derivative: Callable | None = None):
-        return cls(samples=np.asarray(f(grid.global_nodes)), closure=f, derivative=derivative)
+        return cls(samples=np.asarray(f(grid.global_nodes)), derivative=derivative)
 
     @property
     def is_vector(self) -> bool:
@@ -114,37 +110,6 @@ def g_limit(tangent, second_deriv, f_value, f_deriv) -> np.ndarray:
     xs, xss, fv, fd = np.asarray([tangent, second_deriv, f_value, f_deriv], dtype=float)
     # sym(xs xss^T) fv without forming the two outer products
     return 0.5 * (xs * (xss @ fv) + xss * (xs @ fv)) + fd + xs * (xs @ fd)
-
-
-def g_pair(curve: FiberCurve, f: Callable, fprime: Callable, s, s_bar: float) -> np.ndarray:
-    """Regularized K integrand factor between arclengths s and s_bar, from closures.
-
-    s is a scalar, giving shape (3,), or a 1-D array, giving one row per entry;
-    entries equal to s_bar take the analytic limit. Used by reference
-    computations and limit tests; the Nystrom evaluation path uses node
-    samples instead (see _g_row).
-    """
-    s_in = np.asarray(s, dtype=float)
-    s_arr = np.atleast_1d(s_in)
-    xs = np.asarray(curve.tangent(s_bar), dtype=float)
-    fbar = np.asarray(f(s_bar), dtype=float)
-    ds = s_arr - s_bar
-    on_bar = ds == 0.0
-    r = np.asarray(curve.position(s_arr), dtype=float) - np.asarray(
-        curve.position(s_bar), dtype=float
-    )
-    rnorm = np.sqrt(np.einsum("nc,nc->n", r, r))
-    rnorm[on_bar] = 1.0
-    rhat = r / rnorm[:, None]
-    fv = np.broadcast_to(np.asarray(f(s_arr), dtype=float), r.shape)
-    # |s - sbar|/|R| as one ratio before multiplying, to limit cancellation
-    ratio = np.abs(ds) / rnorm
-    near = (fv + rhat * np.einsum("nc,nc->n", rhat, fv)[:, None]) * ratio[:, None]
-    far = fbar + xs * (xs @ fbar)
-    out = (near - far) / np.where(on_bar, 1.0, ds)[:, None]
-    if on_bar.any():
-        out[on_bar] = g_limit(xs, curve.second_derivative(s_bar), fbar, fprime(s_bar))
-    return out if s_in.ndim else out[0]
 
 
 def _density_derivative_at(grid: PanelGrid, f: LineDensity, target_index: int):
@@ -249,28 +214,16 @@ def eval_K_all(curve: PanelizedCurve, f: LineDensity, table: ModifiedWeightTable
 
 
 def eval_Lambda(
-    curve: PanelizedCurve,
-    f: LineDensity,
-    params: SlenderParams,
-    target_index: int,
-    variant: str = "matrix",
+    curve: PanelizedCurve, f: LineDensity, params: SlenderParams, target_index: int
 ) -> np.ndarray:
-    """Local slender-body operator at one node.
-
-    variant selects how the non-logarithmic term acts on the density:
-    "matrix" applies 2I - ss, "projector" applies 2(I - ss). The two differ
-    only in the tangential eigenvalue.
-    """
-    if variant not in LOCAL_VARIANTS:
-        raise ValueError(f"variant must be one of {LOCAL_VARIANTS}")
+    """Local slender-body operator -c(I + ss) f + 2(I - ss) f at one node."""
     c = params.c
     if not c < 0:
         raise ValueError(f"epsilon = {params.epsilon} gives c = {c} >= 0; require epsilon < e^-0.5")
+    curve.grid.panel_of_target(target_index)  # rejects indices outside [0, N)
     fv = np.asarray(f.samples, dtype=float)[target_index]
     xs = curve.tangents[target_index]
     along = xs * (xs @ fv)
-    if variant == "matrix":
-        return -c * (fv + along) + 2.0 * fv - along
     return -c * (fv + along) + 2.0 * (fv - along)
 
 
@@ -280,14 +233,13 @@ def centerline_velocity(
     params: SlenderParams,
     background: Callable,
     table: ModifiedWeightTable,
-    variant: str = "matrix",
 ) -> np.ndarray:
     """Fiber velocity at every node: u_inf - (Lambda[f] + K[f]) / (8 pi mu)."""
     n = curve.grid.node_count
     out = np.empty((n, 3))
     scale = 1.0 / (8.0 * np.pi * params.mu)
     for t in range(n):
-        lam = eval_Lambda(curve, f, params, t, variant=variant)
+        lam = eval_Lambda(curve, f, params, t)
         k = eval_K(curve, f, table, t)
         out[t] = np.asarray(background(curve.positions[t]), dtype=float) - scale * (lam + k)
     return out

@@ -119,16 +119,12 @@ def make_straight(direction, length: float) -> FiberCurve:
 
 
 def make_custom(
-    position: Curve3,
-    tangent: Curve3,
-    second_derivative: Curve3,
-    length: float,
-    validate: bool = False,
+    position: Curve3, tangent: Curve3, second_derivative: Curve3, length: float
 ) -> FiberCurve:
-    """Wrap user closures as a fiber; they are trusted to be arclength-parameterized.
+    """Wrap user closures as a fiber that must be arclength-parameterized.
 
-    With validate=True, unit tangents and tangent-curvature orthogonality are
-    checked at a small sample of arclengths.
+    Unit tangents and tangent-curvature orthogonality are checked at 13
+    arclengths; a curve failing either check raises ValueError.
     """
     if not length > 0:
         raise ValueError(f"length must be positive, got {length}")
@@ -140,14 +136,13 @@ def make_custom(
         second_derivative=second_derivative,
         parameters={},
     )
-    if validate:
-        s = np.linspace(0.05, 0.95, 13) * length
-        ts = curve.tangent(s)
-        xss = curve.second_derivative(s)
-        if np.max(np.abs(np.linalg.norm(ts, axis=-1) - 1.0)) > 1e-10:
-            raise ValueError("custom curve is not arclength-parameterized")
-        if np.max(np.abs(np.sum(ts * xss, axis=-1))) > 1e-10:
-            raise ValueError("custom curve has x_s . x_ss != 0")
+    s = np.linspace(0.05, 0.95, 13) * length
+    ts = curve.tangent(s)
+    xss = curve.second_derivative(s)
+    if np.max(np.abs(np.linalg.norm(ts, axis=-1) - 1.0)) > 1e-10:
+        raise ValueError("custom curve is not arclength-parameterized")
+    if np.max(np.abs(np.sum(ts * xss, axis=-1))) > 1e-10:
+        raise ValueError("custom curve has x_s . x_ss != 0")
     return curve
 
 

@@ -22,6 +22,9 @@ from .quadcore import gauss_legendre, legendre_and_derivative, solve_vandermonde
 _RECURSION_RANGE = 0.5  # root-to-interval distance where upward recursion stays accurate
 _GRADED_ORDER = 32
 MAX_MOMENT_COUNT = 16  # highest moment count q_k^p is computed to; caps eval_S's rule order
+_SWITCH_FACTOR = 1.0  # a panel is near when its closest node lies within this many panel widths
+_NEWTON_TOL = 1e-13
+_NEWTON_MAX_ITER = 30
 
 
 class RootNotFoundError(RuntimeError):
@@ -38,19 +41,6 @@ class RootPair:
     def __post_init__(self):
         if not self.z1.imag > 0:
             raise ValueError("z1 must lie in the upper half plane")
-
-
-@dataclass(frozen=True)
-class NearEvalConfig:
-    """Dispatch and root-finding knobs for near evaluation."""
-
-    switch_factor: float = 1.0
-    newton_tol: float = 1e-13
-    newton_max_iter: int = 30
-
-    def __post_init__(self):
-        if not self.switch_factor > 0:
-            raise ValueError("switch_factor must be positive")
 
 
 def _chord_guess(coeffs: np.ndarray, xb: np.ndarray) -> complex:
@@ -71,24 +61,18 @@ def _chord_guess(coeffs: np.ndarray, xb: np.ndarray) -> complex:
     return complex(eta0, max(2.0 * d / h, 1e-8))
 
 
-def find_root(
-    panel_coeffs: np.ndarray,
-    x_bar,
-    cfg: NearEvalConfig | None = None,
-    guess: complex | None = None,
-) -> RootPair:
+def find_root(panel_coeffs: np.ndarray, x_bar, guess: complex | None = None) -> RootPair:
     """Newton iteration for the upper-half root of R^2(eta) = |x_bar - x(eta)|^2.
 
     The iteration starts from guess, or from the chord guess when none is
     given.
     """
-    cfg = cfg or NearEvalConfig()
     coeffs = np.asarray(panel_coeffs, dtype=float)
     xb = np.asarray(x_bar, dtype=float)
     n = coeffs.shape[1]
     z = complex(_chord_guess(coeffs, xb) if guess is None else guess)
 
-    for _ in range(cfg.newton_max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         vals, ders = (coeffs @ legendre_and_derivative(z, n)).T
         diff = xb - vals
         r2 = complex(diff @ diff)
@@ -100,12 +84,12 @@ def find_root(
         if abs(step) > 1.0:
             step /= abs(step)
         z = z - step
-        if abs(step) <= cfg.newton_tol:
+        if abs(step) <= _NEWTON_TOL:
             break
         if abs(z) > 20.0:
             raise RootNotFoundError("Newton iterate escaped the panel neighborhood")
     else:
-        raise RootNotFoundError(f"no convergence in {cfg.newton_max_iter} iterations")
+        raise RootNotFoundError(f"no convergence in {_NEWTON_MAX_ITER} iterations")
 
     if z.imag < 0:
         z = z.conjugate()
@@ -186,8 +170,14 @@ def _moments_graded(a: float, b: float, count: int) -> np.ndarray:
     return np.stack([powers @ (wts / np.sqrt(w2)), powers @ (wts / w2**1.5)], axis=1)
 
 
-def _moments(z1: complex, count: int) -> np.ndarray:
-    """q_k^1 and q_k^3 for k = 0..count-1 as the two columns of a (count, 2) array."""
+def qkp_moments(z1: complex, count: int) -> np.ndarray:
+    """Moments q_k^p = int_{-1}^{1} eta^k / |eta - z1|^p deta, k = 0..count-1.
+
+    Returns a (count, 2) array with p = 1 in column 0 and p = 3 in column 1.
+    Upward recursion is used while the root sits within _RECURSION_RANGE of
+    the interval, where it holds near machine accuracy; beyond that it sheds
+    digits and the graded quadrature takes over.
+    """
     if not 1 <= count <= MAX_MOMENT_COUNT:
         raise ValueError(f"count must be in [1, {MAX_MOMENT_COUNT}], got {count}")
     z1 = complex(z1)
@@ -198,18 +188,6 @@ def _moments(z1: complex, count: int) -> np.ndarray:
     if distance <= _RECURSION_RANGE:
         return _moments_recursion(a, b, count)
     return _moments_graded(a, b, count)
-
-
-def qkp_moments(z1: complex, p: int, count: int) -> np.ndarray:
-    """Moments q_k^p = int_{-1}^{1} eta^k / |eta - z1|^p deta, k = 0..count-1.
-
-    Upward recursion is used while the root sits within _RECURSION_RANGE of
-    the interval, where it holds near machine accuracy; beyond that it sheds
-    digits and the graded quadrature takes over.
-    """
-    if p not in (1, 3):
-        raise ValueError(f"p must be 1 or 3, got {p}")
-    return _moments(z1, count)[:, p // 2]
 
 
 def _offsets(curve: PanelizedCurve, x_bar) -> tuple[np.ndarray, np.ndarray]:
@@ -266,24 +244,21 @@ def eval_S_special(
     rdotf = np.einsum("jc,jc->j", r, fv)
     smooth3 = r * (rdotf * ratio**1.5)[:, None]
 
-    w1, w3 = solve_vandermonde_transpose(eta, _moments(root.z1, n)).T
+    w1, w3 = solve_vandermonde_transpose(eta, qkp_moments(root.z1, n)).T
     return 0.5 * grid.panel_width * (w1 @ smooth1 + w3 @ smooth3)
 
 
-def eval_S(
-    curve: PanelizedCurve, f: LineDensity, x_bar, cfg: NearEvalConfig | None = None
-) -> np.ndarray:
+def eval_S(curve: PanelizedCurve, f: LineDensity, x_bar) -> np.ndarray:
     """Stokeslet integral with per-panel dispatch between regular and special quadrature.
 
     A panel is treated as near when the closest node lies within
-    switch_factor times the panel arclength. Root-finding failures and roots
+    _SWITCH_FACTOR times the panel arclength. Root-finding failures and roots
     with Im(z1) >= 1 fall back to the regular rule. All panels left to the
     regular rule are summed in one contraction, the same one eval_S_regular
     makes, so a point with no near panel gets eval_S_regular's value exactly.
     Rule orders above MAX_MOMENT_COUNT are rejected, since the moments stop
     there.
     """
-    cfg = cfg or NearEvalConfig()
     grid = curve.grid
     n = grid.rule.order
     if n > MAX_MOMENT_COUNT:
@@ -296,14 +271,14 @@ def eval_S(
     dist = np.sqrt(r2.reshape(grid.panel_count, n).min(axis=1))
     special = np.zeros(grid.panel_count, dtype=bool)
     total = np.zeros(3)
-    for m in np.flatnonzero(dist <= cfg.switch_factor * grid.panel_width):
+    for m in np.flatnonzero(dist <= _SWITCH_FACTOR * grid.panel_width):
         coeffs = curve.panel_coeffs[m]
         guess = _chord_guess(coeffs, xb)
         # a chord-estimated root with Im >= 1 is not near; skip the Newton run
         if guess.imag >= 1.0:
             continue
         try:
-            root = find_root(coeffs, xb, cfg, guess)
+            root = find_root(coeffs, xb, guess)
         except RootNotFoundError as err:
             warnings.warn(f"panel {m}: {err}; falling back to regular quadrature")
             continue

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .finitepart import LineDensity, ModifiedWeightTable, eval_K_all, g_pair
+from .finitepart import LineDensity, ModifiedWeightTable, eval_K_all
 from .geometry import FiberCurve, discretize
 from .quadcore import QuadratureRule, interpolate_to_uniform
 
@@ -200,6 +200,40 @@ def reference_L(
     left = adaptive_integrate(integrand, 0.0, s_bar, tol / 2)
     right = adaptive_integrate(integrand, s_bar, length, tol / 2)
     return left + right
+
+
+def g_pair(curve: FiberCurve, f: Callable, fprime: Callable, s, s_bar: float) -> np.ndarray:
+    """Regularized K integrand factor between arclengths s and s_bar, from closures.
+
+    s is a scalar, giving shape (3,), or a 1-D array, giving one row per entry;
+    entries equal to s_bar take the analytic limit
+    sym(x_s x_ss^T) f + f' + x_s (x_s . f'). The limit is written here from
+    the formula rather than taken from finitepart, so the reference shares no
+    code with the Nystrom rows it checks.
+    """
+    s_in = np.asarray(s, dtype=float)
+    s_arr = np.atleast_1d(s_in)
+    xs = np.asarray(curve.tangent(s_bar), dtype=float)
+    fbar = np.asarray(f(s_bar), dtype=float)
+    ds = s_arr - s_bar
+    on_bar = ds == 0.0
+    r = np.asarray(curve.position(s_arr), dtype=float) - np.asarray(
+        curve.position(s_bar), dtype=float
+    )
+    rnorm = np.sqrt(np.einsum("nc,nc->n", r, r))
+    rnorm[on_bar] = 1.0
+    rhat = r / rnorm[:, None]
+    fv = np.broadcast_to(np.asarray(f(s_arr), dtype=float), r.shape)
+    # |s - sbar|/|R| as one ratio before multiplying, to limit cancellation
+    ratio = np.abs(ds) / rnorm
+    near = (fv + rhat * np.einsum("nc,nc->n", rhat, fv)[:, None]) * ratio[:, None]
+    far = fbar + xs * (xs @ fbar)
+    out = (near - far) / np.where(on_bar, 1.0, ds)[:, None]
+    if on_bar.any():
+        xss = np.asarray(curve.second_derivative(s_bar), dtype=float)
+        fd = np.asarray(fprime(s_bar), dtype=float)
+        out[on_bar] = 0.5 * (xs * (xss @ fbar) + xss * (xs @ fbar)) + fd + xs * (xs @ fd)
+    return out if s_in.ndim else out[0]
 
 
 def reference_K(

@@ -111,14 +111,6 @@ def panelize(fiber_length: float, panel_count: int, rule: QuadratureRule) -> Pan
     )
 
 
-def integrate(samples: np.ndarray, grid: PanelGrid) -> float | np.ndarray:
-    """Composite integral over [0, L] of values sampled at all grid nodes."""
-    samples = np.asarray(samples)
-    if samples.shape[0] != grid.node_count:
-        raise ValueError("sample count does not match grid")
-    return grid.global_weights @ samples
-
-
 _TRANSFORM_CACHE: dict[int, np.ndarray] = {}
 
 

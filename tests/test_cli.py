@@ -9,8 +9,7 @@ from slenderquad.cli import (
     EXIT_PASS,
     EXIT_THRESHOLD,
     ConfigError,
-    ExperimentConfig,
-    FieldGridSpec,
+    _build_parser,
     helix_field_grid,
     main,
     parse_fiber,
@@ -40,23 +39,39 @@ class TestParseFiber:
                 parse_fiber(spec)
 
 
+def _grid(radial_count, angular_count, z_count, **extra):
+    options = {"min_distance": 2.2e-3, "inner_radius": None, "full_circle": False, **extra}
+    return helix_field_grid(
+        make_helix(8.0, 3.0, 1.5),
+        radial_count=radial_count,
+        angular_count=angular_count,
+        z_count=z_count,
+        **options,
+    )
+
+
 class TestHelixFieldGrid:
     def test_counts_and_bounds(self):
-        helix = make_helix(8.0, 3.0, 1.5)
-        spec = FieldGridSpec(radial_count=4, angular_count=3, z_count=2)
-        pts = helix_field_grid(helix, spec)
+        pts = _grid(4, 3, 2)
         assert pts.shape == (24, 3)
         radius = 8.0 / 73.0
         r = np.hypot(pts[:, 0], pts[:, 1])
-        assert r.max() <= radius - spec.min_boundary_distance + 1e-15
+        assert r.max() <= radius - 2.2e-3 + 1e-15
         assert r.min() > 0.0
 
     def test_quarter_circle_angles(self):
-        helix = make_helix(8.0, 3.0, 1.5)
-        pts = helix_field_grid(helix, FieldGridSpec(radial_count=1, angular_count=5, z_count=1))
+        pts = _grid(1, 5, 1)
         angles = np.arctan2(pts[:, 1], pts[:, 0])
         assert angles.min() == pytest.approx(0.0, abs=1e-15)
         assert angles.max() == pytest.approx(np.pi / 2, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "counts, extra",
+        [((0, 3, 2), {}), ((4, 0, 2), {}), ((4, 3, 0), {}), ((4, 3, 2), {"min_distance": 0.0})],
+    )
+    def test_rejects_empty_grid_and_nonpositive_distance(self, counts, extra):
+        with pytest.raises(ConfigError):
+            _grid(*counts, **extra)
 
 
 class TestEigenTestCommand:
@@ -91,6 +106,20 @@ class TestEigenTestCommand:
         for out in (a, b):
             assert main(["eigen-test", "--seed", "3", "--out", str(out)]) == EXIT_PASS
         assert a.read_bytes() == b.read_bytes()
+
+    def test_sidecar_config_holds_this_subcommands_flags(self, tmp_path):
+        out = tmp_path / "e.csv"
+        assert main(["eigen-test", "--out", str(out)]) == EXIT_PASS
+        config = json.loads(out.with_suffix(".json").read_text())["config"]
+        assert config == {
+            "experiment": "eigen-test",
+            "panels": [1, 2, 4, 8],
+            "rule_order": 16,
+            "fiber": "helix:8,3,1.5",
+            "force": "legendre:5",
+            "seed": 42,
+            "out": str(out),
+        }
 
     def test_constant_mode_is_exact(self, tmp_path):
         out = tmp_path / "p1.csv"
@@ -268,15 +297,7 @@ class TestFieldTestCommand:
             raise AssertionError("oracle ran before the rule order was checked")
 
         monkeypatch.setattr(cli, "reference_S", oracle_must_not_run)
-        config = ExperimentConfig(
-            experiment="field-test",
-            panels=[8],
-            rule_order=20,
-            force="testf-simple",
-            output_path=str(tmp_path / "x.csv"),
-            modes=["regular", "special"],
-        )
-        with pytest.raises(ConfigError, match=r"up to 16, got 20"):
-            run_field_test(config)
         argv = ["field-test", "--rule-order", "20", "--out", str(tmp_path / "x.csv")]
+        with pytest.raises(ConfigError, match=r"up to 16, got 20"):
+            run_field_test(_build_parser().parse_args(argv))
         assert main(argv) == EXIT_CONFIG

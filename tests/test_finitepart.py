@@ -19,13 +19,12 @@ from slenderquad.finitepart import (
     eval_L,
     eval_Lambda,
     g_limit,
-    g_pair,
     qk_signkernel,
 )
 from slenderquad import forces
 from slenderquad.forces import legendre_mixture, splitmix64_uniforms
 from slenderquad.geometry import discretize, make_custom, make_helix, make_straight
-from slenderquad.oracle import diagonal_eigenvalues, scaled_legendre
+from slenderquad.oracle import diagonal_eigenvalues, g_pair, scaled_legendre
 from slenderquad.quadcore import gauss_legendre, legendre_transform_matrix, panelize
 
 RULE = gauss_legendre(16)
@@ -136,6 +135,20 @@ class TestGVector:
         for j in (2, 30, 37, 60):
             expected = g_pair(helix, f, fp, s[j], s[t])
             assert _g_row(pc, dens, t)[j] == pytest.approx(expected, abs=1e-11)
+
+    def test_independent_limits_agree(self):
+        # finitepart.g_limit on the row's diagonal against the oracle's own limit expression
+        helix = make_helix(8.0, 3.0, 1.5)
+        pc = discretize(helix, 8, RULE)
+        f, fp = forces.testf(1.5)
+        dens = LineDensity.from_closure(f, pc.grid, derivative=fp)
+        s = pc.grid.global_nodes
+        worst = 0.0
+        for t in range(pc.grid.node_count):
+            ref = g_pair(helix, f, fp, s[t], s[t])
+            diff = np.max(np.abs(_g_row(pc, dens, t)[t] - ref))
+            worst = max(worst, diff / max(1.0, np.max(np.abs(ref))))
+        assert worst <= 1e-14
 
 
 class TestEvalL:
@@ -263,9 +276,10 @@ class TestEvalLambda:
         self.params = SlenderParams(epsilon=np.exp(-1.0))  # c = -1
 
     def test_tangential_component(self):
+        # -c(1 + 1) + 2(1 - 1) = 2 at c = -1
         dens = _constant_density(self.pc.grid, (1.0, 0.0, 0.0))
         assert eval_Lambda(self.pc, dens, self.params, 4) == pytest.approx(
-            [3.0, 0.0, 0.0], abs=1e-14
+            [2.0, 0.0, 0.0], abs=1e-14
         )
 
     def test_normal_component(self):
@@ -274,14 +288,25 @@ class TestEvalLambda:
             [0.0, 3.0, 0.0], abs=1e-14
         )
 
-    def test_variants_differ_tangentially_only(self):
-        dens = _constant_density(self.pc.grid, (1.0, 1.0, 0.0))
-        matrix = eval_Lambda(self.pc, dens, self.params, 0, variant="matrix")
-        projector = eval_Lambda(self.pc, dens, self.params, 0, variant="projector")
-        assert matrix == pytest.approx([3.0, 3.0, 0.0], abs=1e-14)
-        assert projector == pytest.approx([2.0, 3.0, 0.0], abs=1e-14)
-        with pytest.raises(ValueError):
-            eval_Lambda(self.pc, dens, self.params, 0, variant="bogus")
+    def test_default_is_slender_body_operator(self):
+        # -c(I + ss) + 2(I - ss) on a tilted fiber, eigenvalues -2c along s and 2 - c across
+        fiber = make_straight((0.6, 0.0, 0.8), 1.0)
+        pc = discretize(fiber, 2, RULE)
+        params = SlenderParams(epsilon=1e-2)
+        c = params.c
+        xs = np.array([0.6, 0.0, 0.8])
+        v = np.array([0.3, -1.2, 0.5])
+        along = xs * (xs @ v)
+        expected = -2.0 * c * along + (2.0 - c) * (v - along)
+        for t in (0, 17, 31):
+            got = eval_Lambda(pc, _constant_density(pc.grid, v), params, t)
+            assert got == pytest.approx(expected, abs=1e-13)
+
+    @pytest.mark.parametrize("index", [-1, 16])
+    def test_rejects_index_outside_grid(self, index):
+        dens = _constant_density(self.pc.grid, (1.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="out of range"):
+            eval_Lambda(self.pc, dens, self.params, index)
 
     def test_linearity(self):
         rng = np.random.default_rng(4)

@@ -67,9 +67,7 @@ class TestMakeStraight:
 class TestMakeCustom:
     def test_validation_accepts_arclength(self):
         helix = make_helix(2.0, 1.0, 1.0)
-        custom = make_custom(
-            helix.position, helix.tangent, helix.second_derivative, 1.0, validate=True
-        )
+        custom = make_custom(helix.position, helix.tangent, helix.second_derivative, 1.0)
         assert custom.kind == "custom"
 
     def test_validation_rejects_non_arclength(self):
@@ -86,7 +84,7 @@ class TestMakeCustom:
             return np.stack([2 * np.ones_like(s), np.zeros_like(s), np.zeros_like(s)], axis=-1)
 
         with pytest.raises(ValueError):
-            make_custom(position, tangent, second, 1.0, validate=True)
+            make_custom(position, tangent, second, 1.0)
 
 
 class TestDerivativeConsistency:

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from helpers import segment_stokeslet
-from slenderquad import forces
+from slenderquad import forces, nearsing
 from slenderquad.finitepart import LineDensity
 from slenderquad.geometry import discretize, make_helix, make_straight
 from slenderquad.nearsing import (
-    NearEvalConfig,
     RootNotFoundError,
     RootPair,
     eval_S,
@@ -95,21 +94,21 @@ class TestFindRoot:
         r2_dn = np.sum((pt - vals_dn) ** 2)
         assert r2_dn == pytest.approx(r2_up.conjugate(), abs=1e-14)
 
-    def test_newton_iteration_budget(self):
+    def test_newton_iteration_budget(self, monkeypatch):
+        monkeypatch.setattr(nearsing, "_NEWTON_MAX_ITER", 10)
         pc = discretize(make_helix(8.0, 3.0, 1.5), 8, RULE)
-        cfg = NearEvalConfig(newton_max_iter=10)
         helix = pc.curve
         s0 = 0.33
         pt = helix.position(s0) + 2e-3 * helix.second_derivative(s0) / 8.0
         m = int(s0 / pc.grid.panel_width)
-        root = find_root(pc.panel_coeffs[m], pt, cfg)  # converges within 10 iterations
+        root = find_root(pc.panel_coeffs[m], pt)  # converges within 10 iterations
         assert root.z1.imag > 0
 
-    def test_failure_raises(self):
+    def test_failure_raises(self, monkeypatch):
+        monkeypatch.setattr(nearsing, "_NEWTON_MAX_ITER", 1)
         pc = discretize(make_helix(8.0, 3.0, 1.5), 8, RULE)
-        cfg = NearEvalConfig(newton_max_iter=1)
-        with pytest.raises(RootNotFoundError):
-            find_root(pc.panel_coeffs[0], np.array([0.02, 0.01, 0.2]), cfg)
+        with pytest.raises(RootNotFoundError, match="no convergence in 1 iterations"):
+            find_root(pc.panel_coeffs[0], np.array([0.02, 0.01, 0.2]))
 
     def test_rootpair_validation(self):
         with pytest.raises(ValueError):
@@ -118,18 +117,18 @@ class TestFindRoot:
 
 class TestQkpMoments:
     def test_p1_closed_form(self):
-        got = qkp_moments(0.5j, 1, 1)
-        assert got[0] == pytest.approx(2.0 * np.arcsinh(2.0), abs=1e-14)
+        got = qkp_moments(0.5j, 1)
+        assert got.shape == (1, 2)
+        assert got[0, 0] == pytest.approx(2.0 * np.arcsinh(2.0), abs=1e-14)
 
     def test_p3_closed_form(self):
-        got = qkp_moments(0.5j, 3, 1)
+        got = qkp_moments(0.5j, 1)
         d = 0.5
-        assert got[0] == pytest.approx(2.0 / (d**2 * np.sqrt(1 + d**2)), abs=1e-13)
+        assert got[0, 1] == pytest.approx(2.0 / (d**2 * np.sqrt(1 + d**2)), abs=1e-13)
 
     def test_odd_moment_vanishes_on_axis(self):
-        for p in (1, 3):
-            got = qkp_moments(0.25j, p, 2)
-            assert got[1] == pytest.approx(0.0, abs=1e-15)
+        got = qkp_moments(0.25j, 2)
+        assert got[1] == pytest.approx([0.0, 0.0], abs=1e-15)
 
     @pytest.mark.parametrize("p", [1, 3])
     def test_against_adaptive_integration(self, p):
@@ -137,7 +136,7 @@ class TestQkpMoments:
         for _ in range(12):
             a = rng.uniform(-1.0, 1.0)
             b = 10.0 ** rng.uniform(-3, 0)
-            got = qkp_moments(complex(a, b), p, 16)
+            got = qkp_moments(complex(a, b), 16)[:, p // 2]
             for k in (0, 3, 9, 15):
                 integrand = lambda e: e**k / ((e - a) ** 2 + b * b) ** (p / 2.0)
                 ref = adaptive_integrate(integrand, -1.0, a, 1e-13) + adaptive_integrate(
@@ -148,7 +147,7 @@ class TestQkpMoments:
     def test_far_root_branch(self):
         # far roots exercise the graded-quadrature path
         for z in (0.2 + 2.0j, 1.8 + 0.05j, -3.0 + 0.7j):
-            got = qkp_moments(z, 1, 16)
+            got = qkp_moments(z, 16)[:, 0]
             a, b = z.real, z.imag
             for k in (0, 7, 15):
                 integrand = lambda e: e**k / ((e - a) ** 2 + b * b) ** 0.5
@@ -157,11 +156,11 @@ class TestQkpMoments:
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
-            qkp_moments(0.5j, 2, 4)
+            qkp_moments(0.5 - 0.1j, 4)
         with pytest.raises(ValueError):
-            qkp_moments(0.5 - 0.1j, 1, 4)
+            qkp_moments(0.5j, 17)
         with pytest.raises(ValueError):
-            qkp_moments(0.5j, 1, 17)
+            qkp_moments(0.5j, 0)
 
 
 class TestEvalSSpecial:
@@ -230,6 +229,24 @@ class TestEvalSDispatch:
         with pytest.raises(ValueError, match=r"up to 16.*rule order 20"):
             eval_S(pc, dens, far)
         assert np.all(np.isfinite(eval_S_regular(pc, dens, far)))
+
+    def test_one_moment_call_per_special_panel(self, monkeypatch):
+        moments, specials = [], []
+
+        def counted(record, fn):
+            def wrapper(*args):
+                record.append(args)
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(nearsing, "qkp_moments", counted(moments, nearsing.qkp_moments))
+        monkeypatch.setattr(nearsing, "eval_S_special", counted(specials, nearsing.eval_S_special))
+        s0 = 0.62
+        pt = self.helix.position(s0) + 2.2e-3 * self.helix.second_derivative(s0) / 8.0
+        eval_S(self.pc, self.dens, pt)
+        assert len(specials) > 0
+        assert len(moments) == len(specials)
 
     def test_near_point_matches_oracle(self):
         s0 = 0.62
