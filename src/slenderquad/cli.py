@@ -67,7 +67,10 @@ def parse_fiber(spec: str) -> FiberCurve:
             return make_straight((1.0, 0.0, 0.0), params[0])
         if len(params) == 4:
             d = np.asarray(params[:3])
-            return make_straight(d / np.linalg.norm(d), params[3])
+            norm = np.linalg.norm(d)
+            if not (np.isfinite(norm) and norm > 0):
+                raise ConfigError(f"straight fiber direction must be finite and nonzero: {spec!r}")
+            return make_straight(d / norm, params[3])
         raise ConfigError("straight fiber needs length or dx,dy,dz,length")
     raise ConfigError(f"unknown fiber kind {kind!r}")
 
@@ -320,13 +323,14 @@ def _build_parser() -> argparse.ArgumentParser:
             "--panels", type=_panel_counts, default=panels, help="comma-separated panel counts"
         )
         p.add_argument("--rule-order", type=int, default=16)
-        p.add_argument("--fiber", default="helix:8,3,1.5")
         p.add_argument("--force", default=force)
-        p.add_argument("--seed", type=int, default=42)
         p.add_argument("--out", default="results.csv")
         return p
 
-    experiment("eigen-test", "scalar operator vs diagonalization", "1,2,4,8", "legendre:5")
+    p_eigen = experiment(
+        "eigen-test", "scalar operator vs diagonalization", "1,2,4,8", "legendre:5"
+    )
+    p_eigen.add_argument("--seed", type=int, default=42)
 
     p_conv = experiment(
         "k-convergence", "uniform-grid self-convergence of K", "4,8,16,32,64", "testf"
@@ -335,6 +339,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--uniform-count", type=int, default=400)
 
     p_field = experiment("field-test", "Stokeslet field errors vs reference", "8", "testf-simple")
+    # the scalar operator of eigen-test lives on [0, 1] with no curve
+    for p in (p_conv, p_field):
+        p.add_argument("--fiber", default="helix:8,3,1.5")
     p_field.add_argument("--modes", type=lambda text: text.split(","), default="regular,special")
     p_field.add_argument("--radial-count", type=int, default=20)
     p_field.add_argument("--angular-count", type=int, default=20)

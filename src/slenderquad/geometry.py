@@ -94,7 +94,7 @@ def make_helix(curvature: float, torsion: float, length: float) -> FiberCurve:
 def make_straight(direction, length: float) -> FiberCurve:
     """Straight fiber x(s) = s * direction for a unit direction vector."""
     d = np.asarray(direction, dtype=float)
-    if d.shape != (3,) or abs(np.linalg.norm(d) - 1.0) > 1e-12:
+    if d.shape != (3,) or not abs(np.linalg.norm(d) - 1.0) <= 1e-12:  # NaN fails too
         raise ValueError("direction must be a unit 3-vector")
     if not length > 0:
         raise ValueError(f"length must be positive, got {length}")

@@ -10,6 +10,7 @@ metric.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -109,35 +110,48 @@ def _evaluate(integrand: Callable, x: np.ndarray) -> np.ndarray:
     return values
 
 
-def _gk15(f: Callable, lo: float, hi: float):
-    """Kronrod-15 estimate, its Gauss-7 companion gap, on one interval."""
-    half = 0.5 * (hi - lo)
-    return _gk15_rule(_evaluate(f, 0.5 * (lo + hi) + half * _X15), half)
-
-
-def adaptive_integrate(integrand: Callable, a: float, b: float, tol: float = 1e-10):
+def adaptive_integrate(
+    integrand: Callable, a: float, b: float, tol: float = 1e-10, points: Sequence[float] = ()
+):
     """Globally adaptive Gauss-Kronrod integration of a scalar or vector integrand.
 
     The integrand receives a 1-D array of n abscissae and returns its values
     with the node axis leading: shape (n,) for a scalar integrand, (n, d) for
-    a vector one. It is called once on the 15 Kronrod nodes of [a, b], then
-    once per bisection on the 30 nodes of both halves; any other output shape
-    raises ValueError.
+    a vector one; any other output shape raises ValueError. The start
+    partition splits [a, b] at the strictly increasing interior breakpoints
+    `points`; its k + 1 intervals are evaluated in one call on 15 (k + 1)
+    Kronrod nodes, then each bisection makes one call on the 30 nodes of both
+    halves. Breakpoints that are unsorted, repeated, non-finite or outside
+    (a, b) raise ValueError.
 
     Bisects the worst interval until the summed error estimate drops below
     tol scaled by max(1, |result|). Raises AccuracyError, carrying the best
-    estimate, when the bisection depth or the interval budget runs out.
+    estimate, when the bisection depth or the interval budget runs out, or
+    when an integrand value is not finite.
     """
     if not a < b:
         raise ValueError(f"need a < b, got [{a}, {b}]")
-    val, err = _gk15(integrand, a, b)
-    heap = [(-err, a, b, 0, val)]
-    total = np.asarray(val, dtype=float)
-    total_err = err
-    count = 1
-    while total_err > tol * max(1.0, float(np.max(np.abs(total)))):
+    inner = np.asarray(points, dtype=float)
+    edges = np.concatenate([[a], inner.ravel(), [b]])
+    if inner.ndim != 1 or not (np.all(np.isfinite(edges)) and np.all(np.diff(edges) > 0)):
+        raise ValueError(f"points must be finite, strictly increasing and inside ({a}, {b})")
+    halves = 0.5 * (edges[1:] - edges[:-1])
+    x = 0.5 * (edges[:-1] + edges[1:])[:, None] + halves[:, None] * _X15
+    values = _evaluate(integrand, x.reshape(-1))
+    heap = []
+    total = 0.0
+    total_err = 0.0
+    for j, half in enumerate(halves):
+        val, err = _gk15_rule(values[15 * j : 15 * (j + 1)], half)
+        heapq.heappush(heap, (-err, float(edges[j]), float(edges[j + 1]), 0, val))
+        total = total + val
+        total_err += err
+    total = np.asarray(total, dtype=float)
+    count = len(heap)
+    # `not <=` keeps a NaN estimate (from a non-finite integrand value) in the loop to raise
+    while not total_err <= tol * max(1.0, float(np.max(np.abs(total)))):
         neg_err, lo, hi, depth, val = heapq.heappop(heap)
-        if depth >= MAX_DEPTH or count >= MAX_INTERVALS:
+        if depth >= MAX_DEPTH or count >= MAX_INTERVALS or not math.isfinite(total_err):
             result = total if total.ndim else float(total)
             raise AccuracyError(
                 f"tolerance {tol} not met (error estimate {total_err:.3e})",
@@ -276,43 +290,47 @@ def reference_K(
 
 
 def _closest_parameter(curve: FiberCurve, x_bar, samples: int = 2000) -> float:
-    """Arclength of the centerline point closest to x_bar."""
+    """Arclength of the centerline point closest to x_bar.
+
+    The sampled argmin brackets the minimum of |x(s) - x_bar|^2; safeguarded
+    Newton on phi(s) = (x(s) - x_bar) . x_s(s), with
+    phi' = x_s . x_s + (x(s) - x_bar) . x_ss, refines it. Each iterate moves
+    the bracket end on its side of the sign change of phi, and a step that
+    leaves the bracket, or meets phi' <= 0, bisects instead. An end of the
+    fiber at which phi points outward is returned exactly.
+    """
     xb = np.asarray(x_bar, dtype=float)
     s = np.linspace(0.0, curve.length, samples)
     d2 = np.sum((curve.position(s) - xb) ** 2, axis=-1)
     i = int(np.argmin(d2))
     lo = s[max(i - 1, 0)]
     hi = s[min(i + 1, samples - 1)]
-    # golden-section refinement of the sampled minimum
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = hi - inv_phi * (hi - lo)
-    d = lo + inv_phi * (hi - lo)
-
-    def dist2(t):
-        return np.sum((curve.position(t) - xb) ** 2)
-
-    # the surviving probe becomes the new opposite probe, so only the fresh
-    # one is evaluated per iteration
-    fc, fd = dist2(c), dist2(d)
-    for _ in range(80):
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - inv_phi * (hi - lo)
-            fc = dist2(c)
+    t = s[i]
+    for _ in range(60):  # bisection alone narrows the sample bracket to 1e-15 L in ~40
+        r = curve.position(t) - xb
+        xs = curve.tangent(t)
+        phi = r @ xs
+        if phi < 0:  # distance still falling: the minimum lies above t
+            lo = t
         else:
-            lo, c, fc = c, d, fd
-            d = lo + inv_phi * (hi - lo)
-            fd = dist2(d)
-        if hi - lo < 1e-13 * max(curve.length, 1.0):
-            break
-    return 0.5 * (lo + hi)
+            hi = t
+        dphi = xs @ xs + r @ curve.second_derivative(t)
+        nxt = t - phi / dphi if dphi > 0 else np.nan
+        if not lo <= nxt <= hi:  # also taken for NaN
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - t) <= 1e-15 * curve.length:
+            return float(nxt)
+        t = nxt
+    return float(t)
 
 
 def reference_S(curve: FiberCurve, f: Callable, x_bar, tol: float = 1e-12) -> np.ndarray:
     """Adaptive evaluation of the Stokeslet line integral at a field point.
 
-    The interval is pre-split at the closest centerline parameter, which keeps
-    the bisection cascade local when x_bar sits very close to the fiber.
+    The start partition has breakpoints at the closest centerline parameter
+    s* and at s* -+ h 2^k, graded geometrically from h = the closest distance
+    (floored at 1e-12 L) out to the ends, so the near-singular peak is
+    resolved in the first integrand call rather than by a bisection cascade.
     """
     xb = np.asarray(x_bar, dtype=float)
 
@@ -322,13 +340,13 @@ def reference_S(curve: FiberCurve, f: Callable, x_bar, tol: float = 1e-12) -> np
         fv = np.broadcast_to(np.asarray(f(s), dtype=float), r.shape)
         return fv / rnorm + r * np.einsum("nc,nc->n", r, fv)[:, None] / rnorm**3
 
+    length = curve.length
     s_star = _closest_parameter(curve, xb)
-    margin = 1e-9 * curve.length
-    if margin < s_star < curve.length - margin:
-        left = adaptive_integrate(integrand, 0.0, s_star, tol / 2)
-        right = adaptive_integrate(integrand, s_star, curve.length, tol / 2)
-        return left + right
-    return adaptive_integrate(integrand, 0.0, curve.length, tol)
+    h = max(float(np.linalg.norm(curve.position(s_star) - xb)), 1e-12 * length)
+    offsets = h * 2.0 ** np.arange(int(np.log2(length / h)) + 1)
+    points = np.concatenate([s_star - offsets[::-1], [s_star], s_star + offsets])
+    points = points[(points > 0.0) & (points < length)]
+    return adaptive_integrate(integrand, 0.0, length, tol, points=points)
 
 
 def convergence_study(

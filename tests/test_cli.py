@@ -38,6 +38,13 @@ class TestParseFiber:
             with pytest.raises(ValueError):
                 parse_fiber(spec)
 
+    @pytest.mark.parametrize(
+        "spec", ["straight:0,0,0,1", "straight:nan,0,0,1", "straight:inf,0,0,1"]
+    )
+    def test_zero_or_nonfinite_direction(self, spec):
+        with pytest.raises(ConfigError, match="finite and nonzero"):
+            parse_fiber(spec)
+
 
 def _grid(radial_count, angular_count, z_count, **extra):
     options = {"min_distance": 2.2e-3, "inner_radius": None, "full_circle": False, **extra}
@@ -115,7 +122,6 @@ class TestEigenTestCommand:
             "experiment": "eigen-test",
             "panels": [1, 2, 4, 8],
             "rule_order": 16,
-            "fiber": "helix:8,3,1.5",
             "force": "legendre:5",
             "seed": 42,
             "out": str(out),
@@ -134,6 +140,8 @@ class TestEigenTestCommand:
         assert main(["eigen-test", "--force", "legendre:40", "--out", out]) == EXIT_CONFIG
         assert main(["eigen-test", "--panels", "0", "--out", out]) == EXIT_CONFIG
         assert main(["bogus-experiment"]) == EXIT_CONFIG
+        # eigen-test's scalar operator has no curve
+        assert main(["eigen-test", "--fiber", "straight:1.0", "--out", out]) == EXIT_CONFIG
 
 
 class TestKConvergenceCommand:
@@ -230,6 +238,13 @@ class TestKConvergenceCommand:
         )
         assert code == EXIT_CONFIG
 
+    def test_zero_direction_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        argv = ["k-convergence", "--fiber", "straight:0,0,0,1", "--panels", "2"]
+        assert main([*argv, "--reference-panels", "4", "--out", str(out)]) == EXIT_CONFIG
+        assert "finite and nonzero" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_bad_uniform_count(self, tmp_path, capsys, count):
         out = tmp_path / "x.csv"
@@ -285,6 +300,15 @@ class TestFieldTestCommand:
             ]
         )
         assert code == EXIT_CONFIG
+
+    def test_seed_is_a_usage_error(self, tmp_path, monkeypatch):
+        def oracle_must_not_run(*args, **kwargs):
+            raise AssertionError("oracle ran for a rejected command line")
+
+        monkeypatch.setattr(cli, "reference_S", oracle_must_not_run)
+        out = tmp_path / "x.csv"
+        assert main(["field-test", "--seed", "5", "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
 
     def test_unknown_mode(self, tmp_path):
         code = main(

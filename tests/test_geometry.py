@@ -63,6 +63,11 @@ class TestMakeStraight:
         with pytest.raises(ValueError):
             make_straight((1.0, 1.0, 0.0), 1.0)
 
+    @pytest.mark.parametrize("direction", [(np.nan, 0.0, 0.0), (0.0, 0.0, 0.0)])
+    def test_nan_or_zero_direction(self, direction):
+        with pytest.raises(ValueError, match="unit 3-vector"):
+            make_straight(direction, 1.0)
+
 
 class TestMakeCustom:
     def test_validation_accepts_arclength(self):

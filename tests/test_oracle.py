@@ -39,6 +39,10 @@ class TestAdaptiveIntegrate:
         left = adaptive_integrate(integrand, 0.0, 0.3, 1e-12)
         right = adaptive_integrate(integrand, 0.3, 1.0, 1e-12)
         assert left + right == pytest.approx(0.4, abs=1e-13)
+        # a breakpoint at the jump does the same in one call
+        assert adaptive_integrate(integrand, 0.0, 1.0, 1e-12, points=[0.3]) == pytest.approx(
+            0.4, abs=1e-13
+        )
 
     def test_vector_integrand(self):
         got = adaptive_integrate(
@@ -91,9 +95,68 @@ class TestAdaptiveIntegrate:
         assert 9.0 < info.value.best_estimate < 10.1
         assert info.value.error_estimate > 0
 
+    def test_non_finite_integrand_raises(self):
+        with pytest.raises(AccuracyError):
+            adaptive_integrate(lambda s: np.where(s > 0.5, np.nan, s), 0.0, 1.0, 1e-10)
+
     def test_invalid_interval(self):
         with pytest.raises(ValueError):
             adaptive_integrate(lambda s: s, 1.0, 0.0, 1e-10)
+
+
+class TestBreakpoints:
+    @staticmethod
+    def peak(s):
+        return 1.0 / (s * s + 1e-4)
+
+    @pytest.mark.parametrize("points", [[0.0], [-0.5, -0.01, 0.0, 0.01, 0.5], [0.9]])
+    def test_one_start_call_then_bisections(self, points):
+        sizes = []
+
+        def counted(s):
+            sizes.append(s.size)
+            return self.peak(s)
+
+        value = adaptive_integrate(counted, -1.0, 1.0, 1e-11, points=points)
+        plain = adaptive_integrate(self.peak, -1.0, 1.0, 1e-11)
+        assert sizes[0] == 15 * (len(points) + 1)
+        assert set(sizes[1:]) <= {30}
+        assert abs(value - plain) <= 1e-11 * abs(plain)
+
+    @pytest.mark.parametrize(
+        "points",
+        [[0.5, 0.2], [0.2, 0.2], [np.nan], [np.inf], [0.0], [1.0], [-0.1], [1.5], [[0.5]]],
+        ids=[
+            "unsorted", "repeated", "nan", "inf", "at-a", "at-b", "below-a", "above-b", "2-d",
+        ],
+    )
+    def test_rejects_bad_points(self, points):
+        with pytest.raises(ValueError, match="points"):
+            adaptive_integrate(lambda s: s, 0.0, 1.0, 1e-10, points=points)
+
+
+class TestClosestParameter:
+    HELIX = make_helix(8.0, 3.0, 1.5)
+
+    @pytest.mark.parametrize("s0", [0.3, 0.75, 1.2])
+    @pytest.mark.parametrize("d", [1e-6, 2.2e-3, 0.05])
+    def test_normal_offset_on_helix(self, s0, d):
+        # the principal normal x_ss / kappa is orthogonal to x_s, so s0 is the foot
+        pt = self.HELIX.position(s0) + d * self.HELIX.second_derivative(s0) / 8.0
+        assert abs(oracle._closest_parameter(self.HELIX, pt) - s0) <= 1e-13
+
+    def test_points_beyond_the_ends(self):
+        h = self.HELIX
+        before = h.position(0.0) - 0.1 * h.tangent(0.0)
+        after = h.position(h.length) + 0.1 * h.tangent(h.length)
+        assert oracle._closest_parameter(h, before) == 0.0
+        assert oracle._closest_parameter(h, after) == h.length
+
+    @pytest.mark.parametrize("s0", [0.0, 0.37, 1.3, 2.0])
+    def test_straight_fiber_is_exact(self, s0):
+        fiber = make_straight((0.6, 0.8, 0.0), 2.0)
+        pt = fiber.position(s0) + np.array([0.0, 0.0, 0.3])
+        assert oracle._closest_parameter(fiber, pt) == pytest.approx(s0, abs=1e-15)
 
 
 class TestGaussKronrodRows:
@@ -218,6 +281,40 @@ class TestReferenceS:
         # halving the tolerance moves the value by less than the claimed error
         again = reference_S(helix, f, pt, tol=5e-13)
         assert np.max(np.abs(got - again)) <= 1e-11 * np.linalg.norm(got)
+
+    def test_point_past_the_end(self):
+        helix = make_helix(8.0, 3.0, 1.5)
+        f, _ = forces.testf_simple(helix)
+        pt = helix.position(1.5) + 3e-3 * helix.tangent(1.5)
+        got = reference_S(helix, f, pt, tol=1e-12)
+        tight = reference_S(helix, f, pt, tol=1e-14)
+        assert np.max(np.abs(got - tight)) <= 1e-12 * max(1.0, np.max(np.abs(tight)))
+
+    def test_point_on_the_centerline_is_not_certified(self):
+        helix = make_helix(8.0, 3.0, 1.5)
+        f, _ = forces.testf_simple(helix)
+        # bisection toward s* reaches nodes at x_bar itself, where 0/0 warns
+        with np.errstate(invalid="ignore", divide="ignore"), pytest.raises(AccuracyError):
+            reference_S(helix, f, helix.position(0.75))
+
+    def test_one_graded_call(self, monkeypatch):
+        calls = []
+
+        def recording(integrand, a, b, tol, points=()):
+            calls.append(np.asarray(points))
+            return adaptive_integrate(integrand, a, b, tol, points=points)
+
+        monkeypatch.setattr(oracle, "adaptive_integrate", recording)
+        helix = make_helix(8.0, 3.0, 1.5)
+        f, _ = forces.testf_simple(helix)
+        s0, d = 0.75, 2.2e-3
+        reference_S(helix, f, helix.position(s0) + d * helix.second_derivative(s0) / 8.0)
+        (points,) = calls
+        gaps = np.abs(points - s0)
+        assert s0 in points
+        # spacing doubles away from the foot, starting at the closest distance
+        assert np.min(gaps[gaps > 0]) == pytest.approx(d, rel=1e-9)
+        assert np.max(gaps) > helix.length / 4
 
 
 class TestConvergenceStudy:
