@@ -31,9 +31,7 @@ from .nearsing import (
 )
 from .oracle import (
     AccuracyError,
-    ErrorGrid,
     adaptive_integrate,
-    convergence_study,
     diagonal_eigenvalues,
     g_pair,
     reference_K,

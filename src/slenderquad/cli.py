@@ -21,17 +21,11 @@ from typing import Callable
 import numpy as np
 
 from . import forces
-from .finitepart import LineDensity, build_weight_table, eval_L
+from .finitepart import LineDensity, build_weight_table, eval_K_all, eval_L
 from .geometry import FiberCurve, discretize, make_helix, make_straight
 from .nearsing import MAX_MOMENT_COUNT, eval_S, eval_S_regular
-from .oracle import (
-    AccuracyError,
-    convergence_study,
-    diagonal_eigenvalues,
-    reference_S,
-    scaled_legendre,
-)
-from .quadcore import gauss_legendre, panelize
+from .oracle import AccuracyError, diagonal_eigenvalues, reference_S, scaled_legendre
+from .quadcore import gauss_legendre, interpolate_to_uniform, panelize
 
 EXIT_PASS = 0
 EXIT_CONFIG = 1
@@ -42,6 +36,7 @@ EIGEN_THRESHOLD = 1e-12
 KCONV_FINAL_THRESHOLD = 1e-10
 KCONV_PLATEAU = 1e-11
 FIELD_SPECIAL_THRESHOLD = 1e-8
+FIELD_MIN_DISTANCE = 2.2e-3  # field grid's closest approach to the projected circle
 
 
 class ConfigError(ValueError):
@@ -137,7 +132,12 @@ def run_eigen_test(args: argparse.Namespace) -> int:
 
 
 def run_k_convergence(args: argparse.Namespace) -> int:
-    """Self-convergence e_M of K on a uniform comparison grid."""
+    """Self-convergence e_M of K on a uniform comparison grid.
+
+    K on each panel count and on the --reference-panels discretization is
+    interpolated to the uniform arclengths l*L/N_u, l = 0..N_u; e_M is the
+    largest pointwise 2-norm of the difference.
+    """
     curve, f = _fiber_and_force(args)
     if args.reference_panels < max(args.panels):
         raise ConfigError("--reference-panels must not be below any tested panel count")
@@ -146,21 +146,21 @@ def run_k_convergence(args: argparse.Namespace) -> int:
 
     rule = gauss_legendre(args.rule_order)
     table = build_weight_table(rule)
-    study = convergence_study(
-        curve,
-        f,
-        args.panels,
-        args.reference_panels,
-        args.uniform_count,
-        rule,
-        table,
-    )
-    rows = [[m, float(e)] for m, e in zip(study.panel_counts, study.errors)]
-    path = Path(args.out)
-    _write_csv(path, ["M", "e_M"], rows)
-    _write_sidecar(path, args, {"errors": [float(e) for e in study.errors]})
+    targets = np.arange(args.uniform_count + 1) * curve.length / args.uniform_count
 
-    errs = study.errors
+    def k_on_uniform(m: int) -> np.ndarray:
+        pcurve = discretize(curve, m, rule)
+        values = eval_K_all(pcurve, LineDensity.from_closure(f, pcurve.grid), table)
+        return interpolate_to_uniform(values, pcurve.grid, targets)
+
+    reference = k_on_uniform(args.reference_panels)
+    errs = [
+        float(np.max(np.linalg.norm(k_on_uniform(m) - reference, axis=1))) for m in args.panels
+    ]
+    path = Path(args.out)
+    _write_csv(path, ["M", "e_M"], [[m, e] for m, e in zip(args.panels, errs)])
+    _write_sidecar(path, args, {"errors": errs})
+
     decreasing = all(
         errs[i + 1] < errs[i]
         for i in range(len(errs) - 1)
@@ -177,21 +177,15 @@ def helix_field_grid(
     radial_count: int,
     angular_count: int,
     z_count: int,
-    min_distance: float,
-    inner_radius: float | None,
-    full_circle: bool,
 ) -> np.ndarray:
     """Evaluation points in polar rings inside the projected circle of a helix.
 
-    Radii run from inner_radius, or R/20 of the circle's radius R when it is
-    None, up to min_distance short of the circle, over a quarter circle or the
-    full one; z-values span one helix period centered at the fiber's
-    mid-height.
+    Radii run from R/20 of the circle's radius R up to FIELD_MIN_DISTANCE
+    short of the circle, over a quarter circle; z-values span one helix
+    period centered at the fiber's mid-height.
     """
     if min(radial_count, angular_count, z_count) < 1:
         raise ConfigError("grid counts must be positive")
-    if not min_distance > 0:
-        raise ConfigError("min distance must be positive")
     if curve.kind != "helix":
         raise ConfigError("field grid requires a helix fiber")
     kappa = curve.parameters["curvature"]
@@ -199,13 +193,12 @@ def helix_field_grid(
     k2t2 = kappa**2 + tau**2
     radius = kappa / k2t2
     pitch = 2.0 * np.pi * tau / k2t2
-    r_inner = inner_radius if inner_radius is not None else radius / 20.0
-    r_outer = radius - min_distance
-    if not 0 < r_inner < r_outer:
-        raise ConfigError("inner radius must lie inside the projected circle")
+    r_inner = radius / 20.0
+    r_outer = radius - FIELD_MIN_DISTANCE
+    if not r_inner < r_outer:
+        raise ConfigError(f"projected circle radius {radius:.3g} is too small for the field grid")
     radii = np.linspace(r_inner, r_outer, radial_count)
-    span = 2.0 * np.pi if full_circle else np.pi / 2.0
-    angles = np.linspace(0.0, span, angular_count)
+    angles = np.linspace(0.0, np.pi / 2.0, angular_count)
     z_mid = 0.5 * curve.position(curve.length)[2]
     if pitch != 0:
         half = abs(pitch) / 2.0
@@ -224,10 +217,7 @@ def helix_field_grid(
 def run_field_test(args: argparse.Namespace) -> int:
     """Stokeslet field errors against the adaptive reference, per mode and panel count."""
     curve, f = _fiber_and_force(args)
-    bad_modes = set(args.modes) - {"regular", "special"}
-    if bad_modes:
-        raise ConfigError(f"unknown modes {sorted(bad_modes)}")
-    if "special" in args.modes and args.rule_order > MAX_MOMENT_COUNT:
+    if args.rule_order > MAX_MOMENT_COUNT:
         raise ConfigError(
             f"special mode supports --rule-order up to {MAX_MOMENT_COUNT}, got {args.rule_order}"
         )
@@ -237,9 +227,6 @@ def run_field_test(args: argparse.Namespace) -> int:
         radial_count=args.radial_count,
         angular_count=args.angular_count,
         z_count=args.z_count,
-        min_distance=args.min_distance,
-        inner_radius=args.inner_radius,
-        full_circle=args.full_circle,
     )
     rule = gauss_legendre(args.rule_order)
 
@@ -257,7 +244,7 @@ def run_field_test(args: argparse.Namespace) -> int:
     for m in args.panels:
         pcurve = discretize(curve, m, rule)
         density = LineDensity.from_closure(f, pcurve.grid)
-        for mode in args.modes:
+        for mode in ("regular", "special"):
             errs = np.empty(len(points))
             for i, pt in enumerate(points):
                 value = (
@@ -295,7 +282,7 @@ def run_field_test(args: argparse.Namespace) -> int:
 
     if flagged.any():
         return EXIT_ORACLE
-    if "special" in args.modes and args.force == "testf-simple":
+    if args.force == "testf-simple":
         special_max = max(v for k, v in max_by_run.items() if k.startswith("special"))
         if special_max > FIELD_SPECIAL_THRESHOLD:
             return EXIT_THRESHOLD
@@ -342,13 +329,9 @@ def _build_parser() -> argparse.ArgumentParser:
     # the scalar operator of eigen-test lives on [0, 1] with no curve
     for p in (p_conv, p_field):
         p.add_argument("--fiber", default="helix:8,3,1.5")
-    p_field.add_argument("--modes", type=lambda text: text.split(","), default="regular,special")
     p_field.add_argument("--radial-count", type=int, default=20)
     p_field.add_argument("--angular-count", type=int, default=20)
     p_field.add_argument("--z-count", type=int, default=16)
-    p_field.add_argument("--min-distance", type=float, default=2.2e-3)
-    p_field.add_argument("--inner-radius", type=float, default=None)
-    p_field.add_argument("--full-circle", action="store_true")
     return parser
 
 

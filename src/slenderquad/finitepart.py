@@ -34,14 +34,18 @@ class SlenderParams:
     mu: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
+        if not self.epsilon > 0:
+            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not self.c < 0:
+            raise ValueError(
+                f"epsilon = {self.epsilon} gives c = {self.c} >= 0; require epsilon < e^-0.5"
+            )
         if not self.mu > 0:
             raise ValueError(f"viscosity must be positive, got {self.mu}")
 
     @property
     def c(self) -> float:
-        """log(epsilon^2 e), negative for epsilon < e^{-1/2}."""
+        """log(epsilon^2 e), negative because epsilon < e^{-1/2}."""
         return 2.0 * np.log(self.epsilon) + 1.0
 
 
@@ -218,8 +222,6 @@ def eval_Lambda(
 ) -> np.ndarray:
     """Local slender-body operator -c(I + ss) f + 2(I - ss) f at one node."""
     c = params.c
-    if not c < 0:
-        raise ValueError(f"epsilon = {params.epsilon} gives c = {c} >= 0; require epsilon < e^-0.5")
     curve.grid.panel_of_target(target_index)  # rejects indices outside [0, N)
     fv = np.asarray(f.samples, dtype=float)[target_index]
     xs = curve.tangents[target_index]
@@ -235,11 +237,10 @@ def centerline_velocity(
     table: ModifiedWeightTable,
 ) -> np.ndarray:
     """Fiber velocity at every node: u_inf - (Lambda[f] + K[f]) / (8 pi mu)."""
-    n = curve.grid.node_count
-    out = np.empty((n, 3))
+    k = eval_K_all(curve, f, table)
+    out = np.empty_like(k)
     scale = 1.0 / (8.0 * np.pi * params.mu)
-    for t in range(n):
+    for t in range(curve.grid.node_count):
         lam = eval_Lambda(curve, f, params, t)
-        k = eval_K(curve, f, table, t)
-        out[t] = np.asarray(background(curve.positions[t]), dtype=float) - scale * (lam + k)
+        out[t] = np.asarray(background(curve.positions[t]), dtype=float) - scale * (lam + k[t])
     return out

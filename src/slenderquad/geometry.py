@@ -54,10 +54,12 @@ def make_helix(curvature: float, torsion: float, length: float) -> FiberCurve:
     c = 1/sqrt(kappa^2+tau^2), which is arclength-parameterized exactly.
     Torsion zero degenerates to a circle of radius 1/kappa.
     """
-    if not curvature > 0:
-        raise ValueError(f"curvature must be positive, got {curvature}")
-    if not length > 0:
-        raise ValueError(f"length must be positive, got {length}")
+    if not 0 < curvature < np.inf:
+        raise ValueError(f"curvature must be positive and finite, got {curvature}")
+    if not np.isfinite(torsion):
+        raise ValueError(f"torsion must be finite, got {torsion}")
+    if not 0 < length < np.inf:  # NaN fails too
+        raise ValueError(f"length must be positive and finite, got {length}")
     k2t2 = curvature**2 + torsion**2
     a = curvature / k2t2
     b = torsion / k2t2
@@ -96,8 +98,8 @@ def make_straight(direction, length: float) -> FiberCurve:
     d = np.asarray(direction, dtype=float)
     if d.shape != (3,) or not abs(np.linalg.norm(d) - 1.0) <= 1e-12:  # NaN fails too
         raise ValueError("direction must be a unit 3-vector")
-    if not length > 0:
-        raise ValueError(f"length must be positive, got {length}")
+    if not 0 < length < np.inf:  # NaN fails too
+        raise ValueError(f"length must be positive and finite, got {length}")
 
     def position(s):
         return np.multiply.outer(np.asarray(s, dtype=float), d)
@@ -126,8 +128,8 @@ def make_custom(
     Unit tangents and tangent-curvature orthogonality are checked at 13
     arclengths; a curve failing either check raises ValueError.
     """
-    if not length > 0:
-        raise ValueError(f"length must be positive, got {length}")
+    if not 0 < length < np.inf:  # NaN fails too
+        raise ValueError(f"length must be positive and finite, got {length}")
     curve = FiberCurve(
         kind="custom",
         length=float(length),

@@ -2,26 +2,24 @@
 
 The adaptive integrator is a self-contained Gauss-Kronrod 7/15 bisection
 scheme sharing no code with the panel quadrature, so agreement between the
-two routes is meaningful evidence. Also hosts the diagonalization ground
-truth of the scalar finite-part operator and the uniform-grid convergence
-metric.
+two routes is meaningful evidence: the module imports nothing from the
+package but the FiberCurve type. Also hosts the diagonalization ground truth
+of the scalar finite-part operator.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .finitepart import LineDensity, ModifiedWeightTable, eval_K_all
-from .geometry import FiberCurve, discretize
-from .quadcore import QuadratureRule, interpolate_to_uniform
+from .geometry import FiberCurve
 
 MAX_DEPTH = 50
 MAX_INTERVALS = 20000
+_CLOSEST_SAMPLES = 2000  # centerline samples bracketing the closest point
 
 # Gauss-Kronrod 7/15 abscissae and weights on [-1, 1] (positive half), the
 # 33-digit literals of QUADPACK's qk15 (Piessens et al., 1983).
@@ -70,16 +68,6 @@ class AccuracyError(RuntimeError):
         super().__init__(message)
         self.best_estimate = best_estimate
         self.error_estimate = error_estimate
-
-
-@dataclass
-class ErrorGrid:
-    """Uniform-grid self-convergence record for the K operator."""
-
-    uniform_count: int
-    reference_panels: int
-    panel_counts: list[int]
-    errors: np.ndarray
 
 
 def _mirror(half_values: np.ndarray) -> np.ndarray:
@@ -289,7 +277,7 @@ def reference_K(
     return left + right
 
 
-def _closest_parameter(curve: FiberCurve, x_bar, samples: int = 2000) -> float:
+def _closest_parameter(curve: FiberCurve, x_bar) -> float:
     """Arclength of the centerline point closest to x_bar.
 
     The sampled argmin brackets the minimum of |x(s) - x_bar|^2; safeguarded
@@ -300,11 +288,11 @@ def _closest_parameter(curve: FiberCurve, x_bar, samples: int = 2000) -> float:
     fiber at which phi points outward is returned exactly.
     """
     xb = np.asarray(x_bar, dtype=float)
-    s = np.linspace(0.0, curve.length, samples)
+    s = np.linspace(0.0, curve.length, _CLOSEST_SAMPLES)
     d2 = np.sum((curve.position(s) - xb) ** 2, axis=-1)
     i = int(np.argmin(d2))
     lo = s[max(i - 1, 0)]
-    hi = s[min(i + 1, samples - 1)]
+    hi = s[min(i + 1, _CLOSEST_SAMPLES - 1)]
     t = s[i]
     for _ in range(60):  # bisection alone narrows the sample bracket to 1e-15 L in ~40
         r = curve.position(t) - xb
@@ -347,43 +335,3 @@ def reference_S(curve: FiberCurve, f: Callable, x_bar, tol: float = 1e-12) -> np
     points = np.concatenate([s_star - offsets[::-1], [s_star], s_star + offsets])
     points = points[(points > 0.0) & (points < length)]
     return adaptive_integrate(integrand, 0.0, length, tol, points=points)
-
-
-def convergence_study(
-    curve: FiberCurve,
-    f: Callable,
-    m_list: Sequence[int],
-    reference_m: int,
-    uniform_count: int,
-    rule: QuadratureRule,
-    table: ModifiedWeightTable,
-) -> ErrorGrid:
-    """Uniform-grid self-convergence of K against a fine reference discretization.
-
-    Both the reference and each coarse solution are interpolated to the
-    uniform arclengths l*L/N_u, l = 0..N_u, and compared in the pointwise
-    2-norm.
-    """
-    if reference_m < max(m_list):
-        raise ValueError("reference panel count must not be below any entry of m_list")
-    if uniform_count < 1:
-        raise ValueError(f"uniform_count must be >= 1, got {uniform_count}")
-    targets = np.arange(uniform_count + 1) * curve.length / uniform_count
-
-    def k_on_uniform(m: int) -> np.ndarray:
-        pcurve = discretize(curve, m, rule)
-        density = LineDensity.from_closure(f, pcurve.grid)
-        values = eval_K_all(pcurve, density, table)
-        return interpolate_to_uniform(values, pcurve.grid, targets)
-
-    reference = k_on_uniform(reference_m)
-    errors = np.empty(len(m_list))
-    for i, m in enumerate(m_list):
-        diff = k_on_uniform(m) - reference
-        errors[i] = np.max(np.linalg.norm(diff, axis=1))
-    return ErrorGrid(
-        uniform_count=uniform_count,
-        reference_panels=reference_m,
-        panel_counts=list(m_list),
-        errors=errors,
-    )

@@ -93,8 +93,8 @@ def gauss_legendre(order: int) -> QuadratureRule:
 
 def panelize(fiber_length: float, panel_count: int, rule: QuadratureRule) -> PanelGrid:
     """Split [0, fiber_length] into equal panels carrying the given rule."""
-    if not fiber_length > 0:
-        raise ValueError(f"fiber length must be positive, got {fiber_length}")
+    if not 0 < fiber_length < np.inf:  # NaN fails too
+        raise ValueError(f"fiber length must be positive and finite, got {fiber_length}")
     if panel_count < 1:
         raise ValueError(f"panel count must be >= 1, got {panel_count}")
     ds = fiber_length / panel_count

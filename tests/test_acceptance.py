@@ -7,6 +7,9 @@ evaluation grid by default; set SLENDERQUAD_FULL_GRID=1 to run all
 20x20x16 points within the 5-minute budget.
 """
 
+import contextlib
+import io
+import json
 import os
 import time
 
@@ -14,7 +17,7 @@ import numpy as np
 import pytest
 
 from helpers import qk_two_piece, rotation_matrix
-from slenderquad import forces
+from slenderquad import cli, forces
 from slenderquad.finitepart import (
     LineDensity,
     build_weight_table,
@@ -27,7 +30,6 @@ from slenderquad.geometry import discretize, make_custom, make_helix, make_strai
 from slenderquad.nearsing import eval_S, eval_S_regular, qkp_moments
 from slenderquad.oracle import (
     adaptive_integrate,
-    convergence_study,
     diagonal_eigenvalues,
     g_pair,
     reference_K,
@@ -77,16 +79,19 @@ def test_criterion_2_sign_kernel_moments():
     _report(2, "sign-kernel moments", worst <= 1e-14, elapsed, 0.1, f"max diff {worst:.3e}")
 
 
-def test_criterion_3_k_self_convergence():
+def test_criterion_3_k_self_convergence(tmp_path):
+    # the k-convergence experiment at its defaults: M = 4..64 against 128 panels
     start = time.perf_counter()
-    f, _ = forces.testf(1.5)
-    study = convergence_study(HELIX, f, [4, 8, 16, 32, 64], 128, 400, RULE, TABLE)
-    errs = study.errors
+    out = tmp_path / "kconv.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["k-convergence", "--out", str(out)])
+    errs = np.array(json.loads(out.with_suffix(".json").read_text(encoding="utf-8"))["errors"])
     decreasing = bool(np.all(np.diff(errs[:4]) < 0))
     final_ok = errs[4] <= 1e-10
     elapsed = time.perf_counter() - start
     detail = "e_M = " + ", ".join(f"{e:.2e}" for e in errs)
-    _report(3, "K self-convergence", decreasing and final_ok, elapsed, 30.0, detail)
+    ok = code == cli.EXIT_PASS and decreasing and final_ok
+    _report(3, "K self-convergence", ok, elapsed, 30.0, detail)
 
 
 def test_criterion_4_k_oracle_equivalence():

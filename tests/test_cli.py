@@ -46,14 +46,12 @@ class TestParseFiber:
             parse_fiber(spec)
 
 
-def _grid(radial_count, angular_count, z_count, **extra):
-    options = {"min_distance": 2.2e-3, "inner_radius": None, "full_circle": False, **extra}
+def _grid(radial_count, angular_count, z_count, curve=make_helix(8.0, 3.0, 1.5)):
     return helix_field_grid(
-        make_helix(8.0, 3.0, 1.5),
+        curve,
         radial_count=radial_count,
         angular_count=angular_count,
         z_count=z_count,
-        **options,
     )
 
 
@@ -74,7 +72,13 @@ class TestHelixFieldGrid:
 
     @pytest.mark.parametrize(
         "counts, extra",
-        [((0, 3, 2), {}), ((4, 0, 2), {}), ((4, 3, 0), {}), ((4, 3, 2), {"min_distance": 0.0})],
+        [
+            ((0, 3, 2), {}),
+            ((4, 0, 2), {}),
+            ((4, 3, 0), {}),
+            # projected circle of radius 2e-3: FIELD_MIN_DISTANCE short of it is below zero
+            ((4, 3, 2), {"curve": make_helix(500.0, 0.0, 1.0)}),
+        ],
     )
     def test_rejects_empty_grid_and_nonpositive_distance(self, counts, extra):
         with pytest.raises(ConfigError):
@@ -165,6 +169,9 @@ class TestKConvergenceCommand:
         assert lines[0] == "M,e_M"
         errors = [float(line.split(",")[1]) for line in lines[1:]]
         assert errors[0] > errors[1] > errors[2]
+        # doubling panels in the pre-asymptotic range gains at least 10x
+        assert errors[0] / errors[1] >= 10.0
+        assert json.loads(out.with_suffix(".json").read_text())["errors"] == errors
 
     def test_self_reference_entry(self, tmp_path):
         out = tmp_path / "selfref.csv"
@@ -224,19 +231,29 @@ class TestKConvergenceCommand:
         errors = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
         assert errors[0] > errors[1]
 
-    def test_bad_reference(self, tmp_path):
+    def test_bad_reference(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
         code = main(
             [
                 "k-convergence",
                 "--panels",
-                "8",
+                "4,8",
                 "--reference-panels",
-                "4",
+                "6",
                 "--out",
-                str(tmp_path / "x.csv"),
+                str(out),
             ]
         )
         assert code == EXIT_CONFIG
+        assert "--reference-panels must not be below" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec", ["helix:8,nan,1.5", "helix:8,3,inf", "straight:inf"])
+    def test_nonfinite_fiber_is_a_config_error(self, tmp_path, capsys, spec):
+        out = tmp_path / "x.csv"
+        assert main(["k-convergence", "--fiber", spec, "--out", str(out)]) == EXIT_CONFIG
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_direction_is_a_config_error(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
@@ -311,10 +328,23 @@ class TestFieldTestCommand:
         assert not out.exists()
 
     def test_unknown_mode(self, tmp_path):
+        # field-test always runs both modes, so it takes no --modes flag
         code = main(
-            ["field-test", "--modes", "fancy", "--out", str(tmp_path / "x.csv")]
+            ["field-test", "--modes", "regular", "--out", str(tmp_path / "x.csv")]
         )
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "flag", [["--min-distance", "1e-3"], ["--inner-radius", "0.01"], ["--full-circle"]]
+    )
+    def test_fixed_grid_flags_are_usage_errors(self, tmp_path, monkeypatch, flag):
+        def oracle_must_not_run(*args, **kwargs):
+            raise AssertionError("oracle ran for a rejected command line")
+
+        monkeypatch.setattr(cli, "reference_S", oracle_must_not_run)
+        out = tmp_path / "x.csv"
+        assert main(["field-test", *flag, "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
 
     def test_special_mode_rejects_rule_order_before_oracle(self, tmp_path, monkeypatch):
         def oracle_must_not_run(*args, **kwargs):

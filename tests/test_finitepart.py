@@ -316,12 +316,14 @@ class TestEvalLambda:
         assert scaled == pytest.approx(3.5 * base, abs=1e-13)
 
     def test_epsilon_validation(self):
-        with pytest.raises(ValueError):
-            SlenderParams(epsilon=1.5)
-        params = SlenderParams(epsilon=0.8)  # c > 0
-        dens = _constant_density(self.pc.grid, (1.0, 0.0, 0.0))
-        with pytest.raises(ValueError):
-            eval_Lambda(self.pc, dens, params, 0)
+        # c = log(epsilon^2 e) >= 0 is rejected when the parameters are built
+        for epsilon in (0.7, 0.8, 1.5, np.inf):
+            with pytest.raises(ValueError, match=r"require epsilon < e\^-0.5"):
+                SlenderParams(epsilon=epsilon)
+        assert SlenderParams(epsilon=0.6).c < 0
+        for epsilon in (0.0, -0.1, np.nan):
+            with pytest.raises(ValueError, match="positive"):
+                SlenderParams(epsilon=epsilon)
 
 
 class TestCenterlineVelocity:
@@ -348,14 +350,17 @@ class TestCenterlineVelocity:
         assert np.max(np.abs(vsum - v1 - v2)) <= 1e-12
 
     def test_composition_identity(self):
+        # one eval_K_all call gives the same bits as K applied node by node
         f, fp = forces.testf(1.5)
         dens = LineDensity.from_closure(f, self.pc.grid, derivative=fp)
-        background = lambda x: np.zeros(3)
+        background = lambda x: np.array([x[0], -x[2], 0.5])
         vel = centerline_velocity(self.pc, dens, self.params, background, TABLE)
-        for t in (0, 20, 45):
+        scale = 1.0 / (8.0 * np.pi * self.params.mu)
+        for t in range(self.pc.grid.node_count):
             lam = eval_Lambda(self.pc, dens, self.params, t)
             k = eval_K(self.pc, dens, TABLE, t)
-            assert vel[t] == pytest.approx(-(lam + k) / (8 * np.pi), abs=1e-13)
+            expected = background(self.pc.positions[t]) - scale * (lam + k)
+            np.testing.assert_array_equal(vel[t], expected)
 
 
 class TestMomentExactness:

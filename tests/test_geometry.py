@@ -44,6 +44,15 @@ class TestMakeHelix:
             make_helix(-2.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             make_helix(1.0, 1.0, 0.0)
+        for args, match in (
+            ((np.inf, 3.0, 1.5), "curvature"),
+            ((8.0, np.nan, 1.5), "torsion"),
+            ((8.0, np.inf, 1.5), "torsion"),
+            ((8.0, 3.0, np.inf), "length"),
+            ((8.0, 3.0, np.nan), "length"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                make_helix(*args)
 
 
 class TestMakeStraight:
@@ -62,6 +71,11 @@ class TestMakeStraight:
     def test_non_unit_direction(self):
         with pytest.raises(ValueError):
             make_straight((1.0, 1.0, 0.0), 1.0)
+
+    @pytest.mark.parametrize("length", [np.inf, np.nan])
+    def test_nonfinite_length(self, length):
+        with pytest.raises(ValueError, match="positive and finite"):
+            make_straight((1.0, 0.0, 0.0), length)
 
     @pytest.mark.parametrize("direction", [(np.nan, 0.0, 0.0), (0.0, 0.0, 0.0)])
     def test_nan_or_zero_direction(self, direction):
@@ -90,6 +104,12 @@ class TestMakeCustom:
 
         with pytest.raises(ValueError):
             make_custom(position, tangent, second, 1.0)
+
+    @pytest.mark.parametrize("length", [np.inf, np.nan])
+    def test_nonfinite_length(self, length):
+        helix = make_helix(2.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="positive and finite"):
+            make_custom(helix.position, helix.tangent, helix.second_derivative, length)
 
 
 class TestDerivativeConsistency:

@@ -1,4 +1,6 @@
+import ast
 import heapq
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +13,6 @@ from slenderquad.geometry import discretize, make_custom, make_helix, make_strai
 from slenderquad.oracle import (
     AccuracyError,
     adaptive_integrate,
-    convergence_study,
     diagonal_eigenvalues,
     reference_K,
     reference_L,
@@ -317,26 +318,17 @@ class TestReferenceS:
         assert np.max(gaps) > helix.length / 4
 
 
-class TestConvergenceStudy:
-    def test_self_comparison_and_decrease(self):
-        helix = make_helix(8.0, 3.0, 1.5)
-        f, _ = forces.testf(1.5)
-        study = convergence_study(helix, f, [4, 8, 16, 32], 32, 100, RULE, TABLE)
-        errs = study.errors
-        assert errs[-1] <= 1e-12  # reference compared with itself
-        assert errs[0] > errs[1] > errs[2]
-        # doubling panels in the pre-asymptotic range gains at least 10x
-        assert errs[0] / errs[1] >= 10.0
-
-    def test_requires_reference_at_least_as_fine(self):
-        helix = make_helix(8.0, 3.0, 1.5)
-        f, _ = forces.testf(1.5)
-        with pytest.raises(ValueError):
-            convergence_study(helix, f, [4, 8], 6, 50, RULE, TABLE)
-
-    @pytest.mark.parametrize("count", [0, -3])
-    def test_requires_a_uniform_point(self, count):
-        helix = make_helix(8.0, 3.0, 1.5)
-        f, _ = forces.testf(1.5)
-        with pytest.raises(ValueError, match="uniform_count"):
-            convergence_study(helix, f, [4], 4, count, RULE, TABLE)
+def test_oracle_imports_only_the_curve_type_from_the_package():
+    # agreement with the oracle is evidence only while it shares no code with
+    # the panel quadrature (finitepart, nearsing, quadcore)
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").startswith("slenderquad")
+        ):
+            module = (node.module or "").removeprefix("slenderquad.")
+            imported |= {(module, alias.name) for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {(a.name, "*") for a in node.names if a.name.startswith("slenderquad")}
+    assert imported == {("geometry", "FiberCurve")}

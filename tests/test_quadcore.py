@@ -138,6 +138,9 @@ class TestPanelize:
             panelize(0.0, 2, gauss_legendre(4))
         with pytest.raises(ValueError):
             panelize(-1.0, 2, gauss_legendre(4))
+        for length in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                panelize(length, 2, gauss_legendre(4))
 
 
 class TestLegendreTransforms:
