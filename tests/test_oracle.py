@@ -1,5 +1,6 @@
 import ast
 import heapq
+import json
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import rotation_matrix, segment_stokeslet
-from slenderquad import forces, oracle
+from slenderquad import cli, forces, oracle
 from slenderquad.finitepart import LineDensity, build_weight_table, eval_K
 from slenderquad.geometry import discretize, make_custom, make_helix, make_straight
 from slenderquad.oracle import (
@@ -316,6 +317,39 @@ class TestReferenceS:
         # spacing doubles away from the foot, starting at the closest distance
         assert np.min(gaps[gaps > 0]) == pytest.approx(d, rel=1e-9)
         assert np.max(gaps) > helix.length / 4
+
+
+class TestConvergenceStudy:
+    # the uniform-grid self-convergence study of K against a fine reference
+    # discretization, run through the k-convergence command that owns it
+    def _study(self, tmp_path, panels, reference, uniform):
+        out = tmp_path / "conv.csv"
+        argv = ["k-convergence", "--fiber", "helix:8,3,1.5", "--force", "testf"]
+        argv += ["--panels", panels, "--reference-panels", str(reference)]
+        argv += ["--uniform-count", str(uniform), "--out", str(out)]
+        return cli.main(argv), out
+
+    def test_self_comparison_and_decrease(self, tmp_path):
+        code, out = self._study(tmp_path, "4,8,16,32", 32, 100)
+        assert code == cli.EXIT_PASS
+        errs = json.loads(out.with_suffix(".json").read_text())["errors"]
+        assert errs[-1] <= 1e-12  # reference compared with itself
+        assert errs[0] > errs[1] > errs[2]
+        # doubling panels in the pre-asymptotic range gains at least 10x
+        assert errs[0] / errs[1] >= 10.0
+
+    def test_requires_reference_at_least_as_fine(self, tmp_path, capsys):
+        code, out = self._study(tmp_path, "4,8", 6, 50)
+        assert code == cli.EXIT_CONFIG
+        assert "--reference-panels" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_requires_a_uniform_point(self, tmp_path, capsys, count):
+        code, out = self._study(tmp_path, "4", 4, count)
+        assert code == cli.EXIT_CONFIG
+        assert "--uniform-count" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_oracle_imports_only_the_curve_type_from_the_package():
