@@ -2,7 +2,6 @@
 
 from .finitepart import (
     LineDensity,
-    ModifiedWeightTable,
     SlenderParams,
     build_weight_table,
     centerline_velocity,

@@ -40,26 +40,13 @@ class SlenderParams:
             raise ValueError(
                 f"epsilon = {self.epsilon} gives c = {self.c} >= 0; require epsilon < e^-0.5"
             )
-        if not self.mu > 0:
+        if not 0 < self.mu < np.inf:  # NaN fails too
             raise ValueError(f"viscosity must be positive, got {self.mu}")
 
     @property
     def c(self) -> float:
         """log(epsilon^2 e), negative because epsilon < e^{-1/2}."""
         return 2.0 * np.log(self.epsilon) + 1.0
-
-
-@dataclass(frozen=True)
-class ModifiedWeightTable:
-    """Target-specific sign-kernel weights for one reference panel.
-
-    weights[l, k] multiplies the sample at node k when the collocation point
-    sits at node l of the same panel. Row l reproduces the sign-kernel moments
-    q_k(eta_l) exactly on monomial samples up to the rule order.
-    """
-
-    order: int
-    weights: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -78,9 +65,12 @@ class LineDensity:
     def from_closure(cls, f: Callable, grid: PanelGrid, derivative: Callable | None = None):
         return cls(samples=np.asarray(f(grid.global_nodes)), derivative=derivative)
 
-    @property
-    def is_vector(self) -> bool:
-        return self.samples.ndim > 1
+    def checked_samples(self, shape: tuple) -> np.ndarray:
+        """The samples as floats, after checking that they have the given shape."""
+        fv = np.asarray(self.samples, dtype=float)
+        if fv.shape != shape:
+            raise ValueError(f"density samples must have shape {shape}, got {fv.shape}")
+        return fv
 
 
 def qk_signkernel(k: int, eta_bar: float) -> float:
@@ -95,18 +85,20 @@ def qk_signkernel(k: int, eta_bar: float) -> float:
     return (1.0 + (-1.0) ** (k + 1) - 2.0 * eta_bar ** (k + 1)) / (k + 1)
 
 
-def build_weight_table(rule: QuadratureRule) -> ModifiedWeightTable:
-    """Solve the transposed monomial Vandermonde systems for every node target.
+def build_weight_table(rule: QuadratureRule) -> np.ndarray:
+    """Sign-kernel weights for one reference panel, a read-only (n, n) array.
 
-    One solve per collocation node of a reference panel; the same table serves
-    every panel of every grid built with this rule.
+    Entry [l, k] weights the sample at node k when the collocation point sits
+    at node l; row l is one transposed monomial Vandermonde solve for the
+    moments q_k(eta_l). The table serves every panel of every grid of this rule.
     """
     n = rule.order
     table = np.empty((n, n))
     for ell in range(n):
         q = np.array([qk_signkernel(k, rule.nodes[ell]) for k in range(n)])
         table[ell] = solve_vandermonde_transpose(rule.nodes, q)
-    return ModifiedWeightTable(order=n, weights=table)
+    table.flags.writeable = False
+    return table
 
 
 def g_limit(tangent, second_deriv, f_value, f_deriv) -> np.ndarray:
@@ -129,7 +121,7 @@ def _density_derivative_at(grid: PanelGrid, f: LineDensity, target_index: int):
         [legendre_eval(legendre_deriv_coeffs(coeffs[:, c]), eta) for c in range(samples.shape[1])]
     )
     out = vals * (2.0 / grid.panel_width)  # d/ds from d/deta
-    return out if f.is_vector else out[0]
+    return out if np.ndim(f.samples) > 1 else out[0]
 
 
 def _g_row(curve: PanelizedCurve, f: LineDensity, target_index: int) -> np.ndarray:
@@ -163,7 +155,7 @@ def _g_row(curve: PanelizedCurve, f: LineDensity, target_index: int) -> np.ndarr
     return rows
 
 
-def _effective_weights(grid: PanelGrid, table: ModifiedWeightTable, target_index: int) -> np.ndarray:
+def _effective_weights(grid: PanelGrid, table: np.ndarray, target_index: int) -> np.ndarray:
     """Per-node quadrature weights for a sign-kernel integral collocated at a node.
 
     Off-target panels carry the regular weights times the constant kernel sign,
@@ -174,21 +166,20 @@ def _effective_weights(grid: PanelGrid, table: ModifiedWeightTable, target_index
     sl = grid.panel_slice(m)
     w = grid.global_weights.copy()
     w[: sl.start] *= -1.0
-    w[sl] = 0.5 * grid.panel_width * table.weights[ell]
+    w[sl] = 0.5 * grid.panel_width * table[ell]
     return w
 
 
-def _checked_samples(grid: PanelGrid, f: LineDensity, table: ModifiedWeightTable, shape):
+def _checked_samples(grid: PanelGrid, f: LineDensity, table: np.ndarray, shape):
     """f.samples as floats, after checking their shape and the table's order."""
-    fv = np.asarray(f.samples, dtype=float)
-    if fv.shape != shape:
-        raise ValueError(f"density samples must have shape {shape}, got {fv.shape}")
-    if table.order != grid.rule.order:
-        raise ValueError(f"table order {table.order} does not match rule order {grid.rule.order}")
+    fv = f.checked_samples(shape)
+    n = grid.rule.order
+    if np.shape(table) != (n, n):
+        raise ValueError(f"table order {len(table)} does not match rule order {n}")
     return fv
 
 
-def eval_L(f: LineDensity, grid: PanelGrid, table: ModifiedWeightTable, target_index: int) -> float:
+def eval_L(f: LineDensity, grid: PanelGrid, table: np.ndarray, target_index: int) -> float:
     """Scalar finite-part operator at one collocation node."""
     fv = _checked_samples(grid, f, table, (grid.node_count,))
     s = grid.global_nodes
@@ -201,7 +192,7 @@ def eval_L(f: LineDensity, grid: PanelGrid, table: ModifiedWeightTable, target_i
 
 
 def eval_K(
-    curve: PanelizedCurve, f: LineDensity, table: ModifiedWeightTable, target_index: int
+    curve: PanelizedCurve, f: LineDensity, table: np.ndarray, target_index: int
 ) -> np.ndarray:
     """Non-local operator K at one collocation node."""
     _checked_samples(curve.grid, f, table, (curve.grid.node_count, 3))
@@ -209,7 +200,7 @@ def eval_K(
     return w @ _g_row(curve, f, target_index)
 
 
-def eval_K_all(curve: PanelizedCurve, f: LineDensity, table: ModifiedWeightTable) -> np.ndarray:
+def eval_K_all(curve: PanelizedCurve, f: LineDensity, table: np.ndarray) -> np.ndarray:
     """K at every collocation node, shape (N, 3)."""
     out = np.empty((curve.grid.node_count, 3))
     for t in range(curve.grid.node_count):
@@ -234,7 +225,7 @@ def centerline_velocity(
     f: LineDensity,
     params: SlenderParams,
     background: Callable,
-    table: ModifiedWeightTable,
+    table: np.ndarray,
 ) -> np.ndarray:
     """Fiber velocity at every node: u_inf - (Lambda[f] + K[f]) / (8 pi mu)."""
     k = eval_K_all(curve, f, table)

@@ -52,7 +52,8 @@ def make_helix(curvature: float, torsion: float, length: float) -> FiberCurve:
     Uses the standard representation x(s) = (a cos(s/c), a sin(s/c), b s/c)
     with a = kappa/(kappa^2+tau^2), b = tau/(kappa^2+tau^2) and
     c = 1/sqrt(kappa^2+tau^2), which is arclength-parameterized exactly.
-    Torsion zero degenerates to a circle of radius 1/kappa.
+    Torsion zero degenerates to a circle of radius 1/kappa. parameters carry
+    the radius a of the projected circle and the pitch.
     """
     if not 0 < curvature < np.inf:
         raise ValueError(f"curvature must be positive and finite, got {curvature}")
@@ -64,6 +65,7 @@ def make_helix(curvature: float, torsion: float, length: float) -> FiberCurve:
     a = curvature / k2t2
     b = torsion / k2t2
     c = 1.0 / np.sqrt(k2t2)
+    pitch = 2.0 * np.pi * torsion / k2t2  # rise per turn, 2 pi b
 
     def position(s):
         phi = np.asarray(s) / c
@@ -89,7 +91,7 @@ def make_helix(curvature: float, torsion: float, length: float) -> FiberCurve:
         position=position,
         tangent=tangent,
         second_derivative=second_derivative,
-        parameters={"curvature": curvature, "torsion": torsion},
+        parameters={"curvature": curvature, "torsion": torsion, "radius": a, "pitch": pitch},
     )
 
 

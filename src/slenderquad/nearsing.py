@@ -131,7 +131,7 @@ def _moments_recursion(a: float, b: float, count: int) -> np.ndarray:
     return np.stack([first, third], axis=1)
 
 
-_graded_rule = None
+_GRADED_RULE = gauss_legendre(_GRADED_ORDER)
 
 
 def _moments_graded(a: float, b: float, count: int) -> np.ndarray:
@@ -141,9 +141,6 @@ def _moments_graded(a: float, b: float, count: int) -> np.ndarray:
     which the integrand is analytic well clear of each panel. Returns the
     p = 1 and p = 3 moments as columns 0 and 1, one matrix-vector product each.
     """
-    global _graded_rule
-    if _graded_rule is None:
-        _graded_rule = gauss_legendre(_GRADED_ORDER)
     c = float(np.clip(a, -1.0, 1.0))
     delta = np.hypot(a - c, b)
     breaks = [-1.0]
@@ -162,8 +159,8 @@ def _moments_graded(a: float, b: float, count: int) -> np.ndarray:
 
     mids = 0.5 * (pts[1:] + pts[:-1])
     halves = 0.5 * (pts[1:] - pts[:-1])
-    nodes = (mids[:, None] + halves[:, None] * _graded_rule.nodes[None, :]).ravel()
-    wts = (halves[:, None] * _graded_rule.weights[None, :]).ravel()
+    nodes = (mids[:, None] + halves[:, None] * _GRADED_RULE.nodes[None, :]).ravel()
+    wts = (halves[:, None] * _GRADED_RULE.weights[None, :]).ravel()
     w2 = (nodes - a) ** 2 + b * b
     powers = np.vander(nodes, count, increasing=True).T
     # a single (N, 2) block product would change the bits; keep two products
@@ -190,19 +187,19 @@ def qkp_moments(z1: complex, count: int) -> np.ndarray:
     return _moments_graded(a, b, count)
 
 
-def _offsets(curve: PanelizedCurve, x_bar) -> tuple[np.ndarray, np.ndarray]:
-    """Vectors x_bar - x_j to all N nodes and their squared lengths."""
-    r = np.asarray(x_bar, dtype=float)[None, :] - curve.positions
+def _offsets(positions: np.ndarray, x_bar) -> tuple[np.ndarray, np.ndarray]:
+    """Vectors x_bar - x_j to the given node positions and their squared lengths."""
+    r = np.asarray(x_bar, dtype=float)[None, :] - positions
     r2 = np.einsum("jc,jc->j", r, r)
     if np.any(r2 == 0.0):
         raise ZeroDivisionError("field point coincides with a quadrature node")
     return r, r2
 
 
-def _regular_sum(curve: PanelizedCurve, f: LineDensity, r, r2, keep=slice(None)) -> np.ndarray:
-    """Plain Gauss-Legendre Stokeslet sum over the nodes that keep selects."""
+def _regular_sum(curve: PanelizedCurve, fv, r, r2, keep=slice(None)) -> np.ndarray:
+    """Plain Gauss-Legendre Stokeslet sum of samples fv over the nodes that keep selects."""
     r, rnorm = r[keep], np.sqrt(r2[keep])
-    fv = np.asarray(f.samples, dtype=float)[keep]
+    fv = fv[keep]
     w = curve.grid.global_weights[keep]
     rdotf = np.einsum("jc,jc->j", r, fv)
     return (w / rnorm) @ fv + (w * rdotf / rnorm**3) @ r
@@ -210,7 +207,8 @@ def _regular_sum(curve: PanelizedCurve, f: LineDensity, r, r2, keep=slice(None))
 
 def eval_S_regular(curve: PanelizedCurve, f: LineDensity, x_bar) -> np.ndarray:
     """Stokeslet integral by composite Gauss-Legendre over all panels."""
-    return _regular_sum(curve, f, *_offsets(curve, x_bar))
+    fv = f.checked_samples((curve.grid.node_count, 3))
+    return _regular_sum(curve, fv, *_offsets(curve.positions, x_bar))
 
 
 def eval_S_special(
@@ -227,19 +225,15 @@ def eval_S_special(
     """
     grid = curve.grid
     sl = grid.panel_slice(m)
+    fv = f.checked_samples((grid.node_count, 3))[sl]
     eta = grid.rule.nodes
     n = grid.rule.order
 
-    xb = np.asarray(x_bar, dtype=float)
-    r = xb[None, :] - curve.positions[sl]
-    r2 = np.einsum("jc,jc->j", r, r)
-    if np.any(r2 == 0.0):
-        raise ZeroDivisionError("field point coincides with a quadrature node")
+    r, r2 = _offsets(curve.positions[sl], x_bar)
     a, b = root.z1.real, root.z1.imag
     omega = (eta - a) ** 2 + b * b
     ratio = omega / r2
 
-    fv = np.asarray(f.samples, dtype=float)[sl]
     smooth1 = fv * np.sqrt(ratio)[:, None]
     rdotf = np.einsum("jc,jc->j", r, fv)
     smooth3 = r * (rdotf * ratio**1.5)[:, None]
@@ -266,8 +260,9 @@ def eval_S(curve: PanelizedCurve, f: LineDensity, x_bar) -> np.ndarray:
             f"eval_S supports rule orders up to {MAX_MOMENT_COUNT}, the q_k^p moment limit; "
             f"got rule order {n}"
         )
+    fv = f.checked_samples((grid.node_count, 3))
     xb = np.asarray(x_bar, dtype=float)
-    r, r2 = _offsets(curve, xb)
+    r, r2 = _offsets(curve.positions, xb)
     dist = np.sqrt(r2.reshape(grid.panel_count, n).min(axis=1))
     special = np.zeros(grid.panel_count, dtype=bool)
     total = np.zeros(3)
@@ -286,4 +281,4 @@ def eval_S(curve: PanelizedCurve, f: LineDensity, x_bar) -> np.ndarray:
             total += eval_S_special(curve, f, m, xb, root)
             special[m] = True
     keep = np.repeat(~special, n) if special.any() else slice(None)
-    return _regular_sum(curve, f, r, r2, keep) + total
+    return _regular_sum(curve, fv, r, r2, keep) + total

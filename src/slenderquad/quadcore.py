@@ -125,6 +125,7 @@ def legendre_transform_matrix(rule: QuadratureRule) -> np.ndarray:
         table = legendre_and_derivative(rule.nodes, rule.order)[:, 0]  # P_k(eta_ell)
         scale = (2.0 * np.arange(rule.order) + 1.0) / 2.0
         _TRANSFORM_CACHE[rule.order] = scale[:, None] * table * rule.weights[None, :]
+        _TRANSFORM_CACHE[rule.order].flags.writeable = False  # shared by every caller
     return _TRANSFORM_CACHE[rule.order]
 
 

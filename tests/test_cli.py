@@ -147,6 +147,14 @@ class TestEigenTestCommand:
         # eigen-test's scalar operator has no curve
         assert main(["eigen-test", "--fiber", "straight:1.0", "--out", out]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("order", [0, 65])
+    def test_bad_rule_order_is_blamed_on_the_order(self, tmp_path, capsys, order):
+        argv = ["eigen-test", "--rule-order", str(order), "--out", str(tmp_path / "x.csv")]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: order must be an integer in [1, 64], got {order}\n"
+        )
+
 
 class TestKConvergenceCommand:
     def test_small_study(self, tmp_path):
@@ -297,8 +305,38 @@ class TestFieldTestCommand:
         assert sidecar["flagged_points"] == 0
         assert sidecar["global_max"]["special:M=8"] <= 1e-8
         xy = out.with_name("field_xy.csv")
-        assert xy.exists()
-        assert len(xy.read_text().splitlines()) == 1 + 2 * 9
+        column_max = {}
+        for line in lines[1:]:
+            mode, m, x, y, _z, e = line.split(",")
+            column_max[(mode, m, x, y)] = max(column_max.get((mode, m, x, y), -1.0), float(e))
+        xy_lines = xy.read_text().splitlines()
+        assert xy_lines[0] == "mode,M,x,y,max_error"
+        assert [line.rsplit(",", 1)[0] for line in xy_lines[1:]] == [
+            ",".join(key) for key in column_max
+        ]
+        assert [float(line.rsplit(",", 1)[1]) for line in xy_lines[1:]] == list(
+            column_max.values()
+        )
+
+    def test_nan_error_reaches_the_xy_csv_and_fails(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "reference_S", lambda *args, **kwargs: np.zeros(3))
+        calls = []
+
+        def eval_S_nan_at_second_point(*args):
+            calls.append(1)
+            return np.full(3, np.nan if len(calls) == 2 else 1.0)
+
+        monkeypatch.setattr(cli, "eval_S", eval_S_nan_at_second_point)
+        out = tmp_path / "field.csv"
+        argv = ["field-test", "--radial-count", "2", "--angular-count", "2", "--z-count", "2"]
+        assert main([*argv, "--out", str(out)]) == EXIT_THRESHOLD
+        special = [
+            line.split(",")[-1]
+            for line in out.with_name("field_xy.csv").read_text().splitlines()
+            if line.startswith("special")
+        ]
+        # the second point is the top of the first (x, y) column
+        assert special == ["nan", "1.7320508075688772", "1.7320508075688772", "1.7320508075688772"]
 
     def test_requires_helix(self, tmp_path):
         code = main(

@@ -52,19 +52,24 @@ class TestQkSignKernel:
 
 
 class TestWeightTable:
+    def test_read_only_array(self):
+        assert TABLE.shape == (16, 16)
+        with pytest.raises(ValueError, match="read-only"):
+            TABLE[0, 0] = 1.0
+
     def test_monomial_moments(self):
         vander = np.vander(RULE.nodes, increasing=True)
         for ell in range(16):
-            got = TABLE.weights[ell] @ vander
+            got = TABLE[ell] @ vander
             expected = np.array([qk_signkernel(k, RULE.nodes[ell]) for k in range(16)])
             assert np.max(np.abs(got - expected)) <= 1e-10
 
     def test_constant_and_linear_moment_invariants(self):
         for ell in range(16):
-            assert TABLE.weights[ell].sum() == pytest.approx(
+            assert TABLE[ell].sum() == pytest.approx(
                 -2.0 * RULE.nodes[ell], abs=1e-10
             )
-            assert TABLE.weights[ell] @ RULE.nodes == pytest.approx(
+            assert TABLE[ell] @ RULE.nodes == pytest.approx(
                 1.0 - RULE.nodes[ell] ** 2, abs=1e-10
             )
 
@@ -73,8 +78,8 @@ class TestWeightTable:
         rng = np.random.default_rng(2)
         phi = rng.standard_normal(16)
         for ell in range(16):
-            mirrored = TABLE.weights[15 - ell] @ phi[::-1]
-            assert mirrored == pytest.approx(-(TABLE.weights[ell] @ phi), abs=1e-9)
+            mirrored = TABLE[15 - ell] @ phi[::-1]
+            assert mirrored == pytest.approx(-(TABLE[ell] @ phi), abs=1e-9)
 
 
 def _constant_density(grid, value):
@@ -325,6 +330,12 @@ class TestEvalLambda:
             with pytest.raises(ValueError, match="positive"):
                 SlenderParams(epsilon=epsilon)
 
+    @pytest.mark.parametrize("mu", [np.inf, np.nan, 0.0, -1.0])
+    def test_viscosity_validation(self, mu):
+        # an infinite viscosity would scale K away and return the background flow
+        with pytest.raises(ValueError, match="viscosity must be positive"):
+            SlenderParams(epsilon=1e-3, mu=mu)
+
 
 class TestCenterlineVelocity:
     def setup_method(self):
@@ -372,7 +383,7 @@ class TestMomentExactness:
             eta_bar = RULE.nodes[ell]
             for k in range(16):
                 phi = RULE.nodes**k
-                got = TABLE.weights[ell] @ phi
+                got = TABLE[ell] @ phi
                 assert got == pytest.approx(qk_signkernel(k, eta_bar), abs=1e-10)
 
 
@@ -403,7 +414,7 @@ def _ref_density_derivative_at(grid, f, t):
         ]
     )
     out = vals * (2.0 / grid.panel_width)
-    return out if f.is_vector else out[0]
+    return out if np.ndim(f.samples) > 1 else out[0]
 
 
 def _ref_g_limit(xs, xss, fv, fd):
@@ -435,7 +446,7 @@ def _ref_effective_weights(grid, table, t):
     s = grid.global_nodes
     w = grid.global_weights * np.sign(s - s[t])
     m, ell = grid.panel_of_target(t)
-    w[grid.panel_slice(m)] = 0.5 * grid.panel_width * table.weights[ell]
+    w[grid.panel_slice(m)] = 0.5 * grid.panel_width * table[ell]
     return w
 
 

@@ -8,9 +8,17 @@ from slenderquad.quadcore import gauss_legendre, legendre_eval
 class TestMakeHelix:
     def test_study_helix_parameters(self):
         helix = make_helix(8.0, 3.0, 1.5)
-        assert helix.parameters == {"curvature": 8.0, "torsion": 3.0}
+        assert helix.parameters == {
+            "curvature": 8.0,
+            "torsion": 3.0,
+            "radius": 8.0 / 73.0,
+            "pitch": 2.0 * np.pi * 3.0 / 73.0,
+        }
         s = np.linspace(0.0, 1.5, 50)
         pos = helix.position(s)
+        # one turn, arclength 2 pi / sqrt(kappa^2 + tau^2), rises by the pitch
+        turn = helix.position(s + 2.0 * np.pi / np.sqrt(73.0)) - pos
+        assert turn[:, 2] == pytest.approx(np.full(50, helix.parameters["pitch"]), abs=1e-14)
         # projects onto the circle of radius kappa/(kappa^2 + tau^2)
         assert np.hypot(pos[:, 0], pos[:, 1]) == pytest.approx(np.full(50, 8.0 / 73.0), abs=1e-15)
         assert np.linalg.norm(helix.tangent(s), axis=-1) == pytest.approx(

@@ -177,7 +177,7 @@ class TestEvalSSpecial:
         special = eval_S_special(pc, dens, m, pt, root)
         from slenderquad.nearsing import _offsets, _regular_sum
 
-        regular = _regular_sum(pc, dens, *_offsets(pc, pt), sl)
+        regular = _regular_sum(pc, dens.samples, *_offsets(pc.positions, pt), sl)
         assert special == pytest.approx(regular, abs=1e-12)
 
     def test_near_straight_panel_beats_regular(self):
@@ -221,6 +221,17 @@ class TestEvalSDispatch:
         assert np.array_equal(
             eval_S(self.pc, self.dens, pt), eval_S_regular(self.pc, self.dens, pt)
         )
+
+    @pytest.mark.parametrize("shape", [(128, 1), (128,), (127, 3), (128, 2)])
+    def test_rejects_density_shape(self, shape):
+        dens = LineDensity(samples=np.ones(shape))
+        pt = self.helix.position(0.75) + np.array([0.0, 0.0, 5e-3])
+        with pytest.raises(ValueError, match=r"density samples must have shape \(128, 3\)"):
+            eval_S(self.pc, dens, pt)
+        with pytest.raises(ValueError, match=r"density samples must have shape \(128, 3\)"):
+            eval_S_regular(self.pc, dens, pt)
+        with pytest.raises(ValueError, match=r"density samples must have shape \(128, 3\)"):
+            eval_S_special(self.pc, dens, 4, pt, RootPair(z1=0.1 + 0.2j, residual=0.0))
 
     def test_rejects_rule_order_above_moment_limit(self):
         pc = discretize(self.helix, 8, gauss_legendre(20))

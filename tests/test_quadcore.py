@@ -174,6 +174,13 @@ class TestLegendreTransforms:
         with pytest.raises(ValueError):
             legendre_transform_matrix(self.rule) @ np.ones(8)
 
+    def test_cached_matrix_is_read_only(self):
+        # every caller shares the cached matrix, so a write would reach them all
+        transform = legendre_transform_matrix(self.rule)
+        with pytest.raises(ValueError, match="read-only"):
+            transform[0, 0] = 2.0
+        assert legendre_transform_matrix(self.rule) is transform
+
 
 class TestLegendreEval:
     def test_p1(self):
@@ -369,7 +376,7 @@ class TestVandermondeTranspose:
         for n in range(1, MAX_ORDER + 1):
             rule = gauss_legendre(n)
             moments = np.array([[qk_signkernel(k, e) for e in rule.nodes] for k in range(n)])
-            table = build_weight_table(rule).weights
+            table = build_weight_table(rule)
             assert np.array_equal(solve_vandermonde_transpose(rule.nodes, moments).T, table)
             for ell in (0, n // 2, n - 1):
                 reference = _bjorck_pereyra_loops(rule.nodes, moments[:, ell])
