@@ -224,14 +224,11 @@ def run_field_test(args: argparse.Namespace) -> int:
     )
     rule = gauss_legendre(args.rule_order)
 
-    reference = np.empty((len(points), 3))
-    flagged = np.zeros(len(points), dtype=bool)
-    for i, pt in enumerate(points):
-        try:
-            reference[i] = reference_S(curve, f, pt, tol=1e-12)
-        except AccuracyError as err:
-            reference[i] = err.best_estimate
-            flagged[i] = True
+    try:
+        reference = reference_S(curve, f, points, tol=1e-12)
+        flagged = np.zeros(len(points), dtype=bool)
+    except AccuracyError as err:
+        reference, flagged = err.best_estimate, err.failed
 
     rows, xy_rows = [], []
     # the points run z fastest, so each (x, y) column is z_count consecutive points

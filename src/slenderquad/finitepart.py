@@ -214,7 +214,7 @@ def eval_Lambda(
     """Local slender-body operator -c(I + ss) f + 2(I - ss) f at one node."""
     c = params.c
     curve.grid.panel_of_target(target_index)  # rejects indices outside [0, N)
-    fv = np.asarray(f.samples, dtype=float)[target_index]
+    fv = f.checked_samples((curve.grid.node_count, 3))[target_index]
     xs = curve.tangents[target_index]
     along = xs * (xs @ fv)
     return -c * (fv + along) + 2.0 * (fv - along)

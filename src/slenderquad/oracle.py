@@ -20,6 +20,7 @@ from .geometry import FiberCurve
 MAX_DEPTH = 50
 MAX_INTERVALS = 20000
 _CLOSEST_SAMPLES = 2000  # centerline samples bracketing the closest point
+_BLOCK = 16  # field points bisected together; bounds the memory of one round
 
 # Gauss-Kronrod 7/15 abscissae and weights on [-1, 1] (positive half), the
 # 33-digit literals of QUADPACK's qk15 (Piessens et al., 1983).
@@ -60,14 +61,14 @@ _WG = np.array(
 class AccuracyError(RuntimeError):
     """Raised when the requested tolerance cannot be certified.
 
-    Carries the best available value in best_estimate and the estimated
-    error in error_estimate.
+    Carries the best available value in best_estimate and the estimated error
+    in error_estimate; for a block of field points, one row per point of each
+    and the boolean mask `failed` of the uncertified points.
     """
 
-    def __init__(self, message: str, best_estimate, error_estimate: float):
+    def __init__(self, message: str, best_estimate, error_estimate, failed=None):
         super().__init__(message)
-        self.best_estimate = best_estimate
-        self.error_estimate = error_estimate
+        self.best_estimate, self.error_estimate, self.failed = best_estimate, error_estimate, failed
 
 
 def _mirror(half_values: np.ndarray) -> np.ndarray:
@@ -81,21 +82,75 @@ _X15 = np.concatenate([-_XGK, _XGK[-2::-1]])
 _W15 = np.stack([_mirror(_WGK), _mirror(np.insert(_WG, np.arange(4), 0.0))])
 
 
-def _gk15_rule(values: np.ndarray, half: float):
-    """Kronrod-15 estimate and its gap to the embedded Gauss-7 from node values."""
-    kron, gauss = half * (_W15 @ values)
-    return kron, float(np.max(np.abs(kron - gauss)))
+def _gk15(integrand: Callable, centres: np.ndarray, halves: np.ndarray, owner: np.ndarray):
+    """Kronrod-15 estimates (K, d) on the K intervals centres -+ halves, in one call.
 
-
-def _evaluate(integrand: Callable, x: np.ndarray) -> np.ndarray:
-    """Integrand values at the abscissae x, node axis leading."""
-    values = np.asarray(integrand(x), dtype=float)
+    Also returns each gap to the embedded Gauss-7 estimate and the values'
+    shape past the node axis; the stacked matmul gives every interval the
+    bits of its own `_W15 @ values`. owner[k] is the problem of interval k.
+    """
+    x = (centres[:, None] + halves[:, None] * _X15).reshape(-1)
+    values = np.asarray(integrand(x, owner), dtype=float)
     if values.ndim not in (1, 2) or values.shape[0] != x.size:
         raise ValueError(
             f"integrand returned shape {values.shape} for {x.size} abscissae; "
             f"expected ({x.size},) or ({x.size}, d)"
         )
-    return values
+    both = halves[:, None, None] * (_W15 @ values.reshape(len(halves), 15, -1))
+    return both[:, 0], np.abs(both[:, 0] - both[:, 1]).max(axis=-1), values.shape[1:]
+
+
+def _bisect(integrand: Callable, partitions: Sequence[np.ndarray], tol: float):
+    """Worst-first Gauss-Kronrod bisection of several integrals in one loop.
+
+    partitions[p] holds the increasing edges of problem p's start intervals.
+    Each problem keeps its own heap, sums and interval count, so it bisects
+    exactly as it would alone; a round pops the worst interval of every
+    unconverged problem and evaluates all halves in one integrand call. A
+    problem out of depth or intervals, or with a non-finite error sum, leaves
+    with its best estimate. Returns the totals, error sums and failure mask.
+    """
+    counts = [len(e) - 1 for e in partitions]
+    lo, hi = (np.concatenate([e[i:j] for e in partitions]) for i, j in ((0, -1), (1, None)))
+    owner = np.repeat(np.arange(len(partitions)), counts)
+    kron, err, shape = _gk15(integrand, 0.5 * (lo + hi), 0.5 * (hi - lo), owner)
+    sums, err_sums = [[0.0] * kron.shape[1] for _ in partitions], [0.0] * len(partitions)
+    heaps = [[] for _ in partitions]
+    for p, e, a, b, val in zip(owner.tolist(), err.tolist(), lo.tolist(), hi.tolist(), kron):
+        sums[p] = [t + v for t, v in zip(sums[p], val.tolist())]  # in the partition's order
+        err_sums[p] += e
+        heapq.heappush(heaps[p], (-e, a, b, 0, val))
+    totals, errs = np.array(sums), np.array(err_sums)
+    failed = np.zeros(len(partitions), dtype=bool)
+    rows, total, err_sum = np.arange(len(partitions)), totals, errs  # the problems still looping
+    while True:
+        popped, centres, halves, keep = [], [], [], np.zeros(len(rows), dtype=bool)
+        bigs = np.abs(total).max(axis=1).tolist()
+        for j, (p, e, big) in enumerate(zip(rows.tolist(), err_sum.tolist(), bigs)):
+            if e <= tol * max(1.0, big):  # False for a NaN estimate, which stays to fail
+                continue
+            neg, a, b, depth, val = heapq.heappop(heaps[p])
+            failed[p] = depth >= MAX_DEPTH or counts[p] >= MAX_INTERVALS or not math.isfinite(e)
+            if not failed[p]:
+                mid = 0.5 * (a + b)
+                popped.append((p, a, mid, b, depth, neg, val))
+                centres += (0.5 * (a + mid), 0.5 * (mid + b))
+                halves += (0.5 * (mid - a), 0.5 * (b - mid))
+                counts[p] += 1
+                keep[j] = True
+        if not keep.all():  # problems leave with their current state
+            totals[rows], errs[rows] = total, err_sum
+            rows, total, err_sum = rows[keep], total[keep], err_sum[keep]
+        if not popped:
+            return totals.reshape((len(partitions),) + shape), errs, failed
+        kron, err, _ = _gk15(integrand, *np.array([centres, halves]), rows.repeat(2))
+        *_, neg, val = zip(*popped)
+        total = total - np.array(val) + kron[0::2] + kron[1::2]
+        err_sum = err_sum + (err[0::2] + err[1::2] + np.array(neg))  # neg drops the split one's
+        e = err.tolist()
+        for j, (p, a, mid, b, depth, _, _) in enumerate(popped):
+            heapq.heappush(heaps[p], (-e[2 * j], a, mid, depth + 1, kron[2 * j]))
+            heapq.heappush(heaps[p], (-e[2 * j + 1], mid, b, depth + 1, kron[2 * j + 1]))
 
 
 def adaptive_integrate(
@@ -123,42 +178,17 @@ def adaptive_integrate(
     edges = np.concatenate([[a], inner.ravel(), [b]])
     if inner.ndim != 1 or not (np.all(np.isfinite(edges)) and np.all(np.diff(edges) > 0)):
         raise ValueError(f"points must be finite, strictly increasing and inside ({a}, {b})")
-    halves = 0.5 * (edges[1:] - edges[:-1])
-    x = 0.5 * (edges[:-1] + edges[1:])[:, None] + halves[:, None] * _X15
-    values = _evaluate(integrand, x.reshape(-1))
-    heap = []
-    total = 0.0
-    total_err = 0.0
-    for j, half in enumerate(halves):
-        val, err = _gk15_rule(values[15 * j : 15 * (j + 1)], half)
-        heapq.heappush(heap, (-err, float(edges[j]), float(edges[j + 1]), 0, val))
-        total = total + val
-        total_err += err
-    total = np.asarray(total, dtype=float)
-    count = len(heap)
-    # `not <=` keeps a NaN estimate (from a non-finite integrand value) in the loop to raise
-    while not total_err <= tol * max(1.0, float(np.max(np.abs(total)))):
-        neg_err, lo, hi, depth, val = heapq.heappop(heap)
-        if depth >= MAX_DEPTH or count >= MAX_INTERVALS or not math.isfinite(total_err):
-            result = total if total.ndim else float(total)
-            raise AccuracyError(
-                f"tolerance {tol} not met (error estimate {total_err:.3e})",
-                result,
-                total_err,
-            )
-        mid = 0.5 * (lo + hi)
-        half_l = 0.5 * (mid - lo)
-        half_r = 0.5 * (hi - mid)
-        x = np.concatenate([0.5 * (lo + mid) + half_l * _X15, 0.5 * (mid + hi) + half_r * _X15])
-        values = _evaluate(integrand, x)
-        vl, el = _gk15_rule(values[:15], half_l)
-        vr, er = _gk15_rule(values[15:], half_r)
-        total = total - val + vl + vr
-        total_err += el + er + neg_err  # neg_err removes the parent's estimate
-        heapq.heappush(heap, (-el, lo, mid, depth + 1, vl))
-        heapq.heappush(heap, (-er, mid, hi, depth + 1, vr))
-        count += 1
-    return total if total.ndim else float(total)
+    return _certified(*_bisect(lambda x, owner: integrand(x), [edges], tol), tol, one=True)
+
+
+def _certified(totals, errs, failed, tol: float, one: bool):
+    """The totals, or AccuracyError with the best estimates; `one` unwraps problem 0."""
+    if one:
+        totals, errs = (totals[0] if totals.ndim > 1 else float(totals[0])), float(errs[0])
+    if np.any(failed):
+        where = f"error estimate {errs:.3e}" if one else f"at {failed.sum()} of {failed.size} points"
+        raise AccuracyError(f"tolerance {tol} not met ({where})", totals, errs, None if one else failed)
+    return totals
 
 
 def scaled_legendre(n: int, s, length: float = 1.0):
@@ -277,61 +307,74 @@ def reference_K(
     return left + right
 
 
-def _closest_parameter(curve: FiberCurve, x_bar) -> float:
-    """Arclength of the centerline point closest to x_bar.
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (P, 3) arrays, each with the bits of `a[i] @ b[i]`."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
-    The sampled argmin brackets the minimum of |x(s) - x_bar|^2; safeguarded
-    Newton on phi(s) = (x(s) - x_bar) . x_s(s), with
-    phi' = x_s . x_s + (x(s) - x_bar) . x_ss, refines it. Each iterate moves
-    the bracket end on its side of the sign change of phi, and a step that
-    leaves the bracket, or meets phi' <= 0, bisects instead. An end of the
-    fiber at which phi points outward is returned exactly.
+
+def _closest_parameters(curve: FiberCurve, x_bar: np.ndarray) -> np.ndarray:
+    """Arclengths of the centerline points closest to the (P, 3) points x_bar.
+
+    A sampled argmin per point brackets the minimum of |x(s) - x_bar|^2;
+    safeguarded Newton on phi(s) = (x(s) - x_bar) . x_s(s), with phi' =
+    x_s . x_s + (x(s) - x_bar) . x_ss, refines all points at once. A step
+    that leaves the bracket, or meets phi' <= 0, bisects instead. An end of
+    the fiber at which phi points outward is returned exactly.
     """
-    xb = np.asarray(x_bar, dtype=float)
     s = np.linspace(0.0, curve.length, _CLOSEST_SAMPLES)
-    d2 = np.sum((curve.position(s) - xb) ** 2, axis=-1)
-    i = int(np.argmin(d2))
-    lo = s[max(i - 1, 0)]
-    hi = s[min(i + 1, _CLOSEST_SAMPLES - 1)]
-    t = s[i]
+    samples = curve.position(s)
+    i = np.array([np.argmin(np.sum((samples - xb) ** 2, axis=-1)) for xb in x_bar], dtype=int)
+    t, lo, hi = s[i], s[np.maximum(i - 1, 0)], s[np.minimum(i + 1, _CLOSEST_SAMPLES - 1)]
+    live = np.ones(len(x_bar), dtype=bool)  # a converged point keeps its t
     for _ in range(60):  # bisection alone narrows the sample bracket to 1e-15 L in ~40
-        r = curve.position(t) - xb
-        xs = curve.tangent(t)
-        phi = r @ xs
-        if phi < 0:  # distance still falling: the minimum lies above t
-            lo = t
-        else:
-            hi = t
-        dphi = xs @ xs + r @ curve.second_derivative(t)
-        nxt = t - phi / dphi if dphi > 0 else np.nan
-        if not lo <= nxt <= hi:  # also taken for NaN
-            nxt = 0.5 * (lo + hi)
-        if abs(nxt - t) <= 1e-15 * curve.length:
-            return float(nxt)
-        t = nxt
-    return float(t)
+        r, xs = curve.position(t) - x_bar, curve.tangent(t)
+        phi = _rowdot(r, xs)
+        below = phi < 0  # distance still falling: the minimum lies above t
+        lo, hi = np.where(below, t, lo), np.where(below, hi, t)
+        dphi = _rowdot(xs, xs) + _rowdot(r, curve.second_derivative(t))
+        nxt = t - np.divide(phi, dphi, out=np.full_like(phi, np.nan), where=dphi > 0)
+        nxt = np.where((lo <= nxt) & (nxt <= hi), nxt, 0.5 * (lo + hi))  # also taken for NaN
+        done = np.abs(nxt - t) <= 1e-15 * curve.length
+        t = np.where(live, nxt, t)
+        live &= ~done
+        if not live.any():
+            break
+    return t
 
 
 def reference_S(curve: FiberCurve, f: Callable, x_bar, tol: float = 1e-12) -> np.ndarray:
-    """Adaptive evaluation of the Stokeslet line integral at a field point.
+    """Adaptive evaluation of the Stokeslet line integral at one point (3,) or a block (P, 3).
 
-    The start partition has breakpoints at the closest centerline parameter
-    s* and at s* -+ h 2^k, graded geometrically from h = the closest distance
-    (floored at 1e-12 L) out to the ends, so the near-singular peak is
-    resolved in the first integrand call rather than by a bisection cascade.
+    Other shapes and non-finite points raise ValueError. Each point's start
+    partition has breakpoints at its closest centerline parameter s* and at
+    s* -+ h 2^k, graded from h = the closest distance (floored at 1e-12 L) to
+    the ends, so the near-singular peak is resolved in the first call. Blocks
+    of _BLOCK points bisect in one loop, each point as it would alone; an
+    uncertified point does not stop the others, and a block call then raises
+    AccuracyError with (P, 3) best estimates and (P,) errors and mask `failed`.
     """
     xb = np.asarray(x_bar, dtype=float)
+    if xb.ndim not in (1, 2) or xb.shape[-1] != 3 or not np.all(np.isfinite(xb)):
+        raise ValueError(f"field points must be finite with shape (3,) or (P, 3), got {xb.shape}")
+    block, length = xb.reshape(-1, 3), curve.length
+    totals, errs, failed = np.empty(block.shape), np.empty(len(block)), np.empty(len(block), bool)
+    for start in range(0, len(block), _BLOCK):
+        pts = block[start : start + _BLOCK]
+        s_star = _closest_parameters(curve, pts)
+        foot = curve.position(s_star) - pts
+        partitions = []
+        for s0, h in zip(s_star, np.maximum(np.sqrt(_rowdot(foot, foot)), 1e-12 * length)):
+            offsets = h * 2.0 ** np.arange(int(np.log2(length / h)) + 1)
+            inner = np.concatenate([s0 - offsets[::-1], [s0], s0 + offsets])
+            inner = inner[(inner > 0.0) & (inner < length)]
+            partitions.append(np.concatenate([[0.0], inner, [length]]))
 
-    def integrand(s):
-        r = xb - np.asarray(curve.position(s), dtype=float)
-        rnorm = np.sqrt(np.einsum("nc,nc->n", r, r))[:, None]
-        fv = np.broadcast_to(np.asarray(f(s), dtype=float), r.shape)
-        return fv / rnorm + r * np.einsum("nc,nc->n", r, fv)[:, None] / rnorm**3
+        def integrand(s, owner):
+            r = pts[owner].repeat(15, axis=0) - np.asarray(curve.position(s), dtype=float)
+            rnorm = np.sqrt(np.einsum("nc,nc->n", r, r))[:, None]
+            fv = np.broadcast_to(np.asarray(f(s), dtype=float), r.shape)
+            return fv / rnorm + r * np.einsum("nc,nc->n", r, fv)[:, None] / rnorm**3
 
-    length = curve.length
-    s_star = _closest_parameter(curve, xb)
-    h = max(float(np.linalg.norm(curve.position(s_star) - xb)), 1e-12 * length)
-    offsets = h * 2.0 ** np.arange(int(np.log2(length / h)) + 1)
-    points = np.concatenate([s_star - offsets[::-1], [s_star], s_star + offsets])
-    points = points[(points > 0.0) & (points < length)]
-    return adaptive_integrate(integrand, 0.0, length, tol, points=points)
+        run = slice(start, start + _BLOCK)
+        totals[run], errs[run], failed[run] = _bisect(integrand, partitions, tol)
+    return _certified(totals, errs, failed, tol, one=xb.ndim == 1)

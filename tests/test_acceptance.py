@@ -148,7 +148,7 @@ def test_criterion_5_near_singular_stokeslet():
     budget = 300.0 if full else 15.0
     points = _field_points(full)
     f, _ = forces.testf_simple(HELIX)
-    reference = np.array([reference_S(HELIX, f, pt, tol=1e-12) for pt in points])
+    reference = reference_S(HELIX, f, points, tol=1e-12)
 
     def run(m, mode):
         pcurve = discretize(HELIX, m, RULE)

@@ -319,7 +319,7 @@ class TestFieldTestCommand:
         )
 
     def test_nan_error_reaches_the_xy_csv_and_fails(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "reference_S", lambda *args, **kwargs: np.zeros(3))
+        monkeypatch.setattr(cli, "reference_S", lambda curve, f, points, tol: np.zeros(np.shape(points)))
         calls = []
 
         def eval_S_nan_at_second_point(*args):

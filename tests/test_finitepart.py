@@ -529,6 +529,16 @@ class TestInputChecks:
         with pytest.raises(ValueError, match=r"shape \(32,\)"):
             eval_L(dens, self.pc.grid, TABLE, 5)
 
+    @pytest.mark.parametrize("shape", [(69, 3), (64,), (64, 1), (64, 2)])
+    def test_Lambda_and_velocity_reject_density_shape(self, shape):
+        pc = discretize(make_helix(8.0, 3.0, 1.5), 4, RULE)  # N = 64
+        dens = LineDensity(samples=np.ones(shape))
+        params = SlenderParams(epsilon=1e-2)
+        with pytest.raises(ValueError, match=r"shape \(64, 3\)"):
+            eval_Lambda(pc, dens, params, 3)
+        with pytest.raises(ValueError, match=r"shape \(64, 3\)"):
+            centerline_velocity(pc, dens, params, lambda x: np.zeros(3), TABLE)
+
     def test_rejects_table_of_another_order(self):
         table8 = build_weight_table(gauss_legendre(8))
         with pytest.raises(ValueError, match="table order 8 does not match rule order 16"):

@@ -280,14 +280,16 @@ class TestEvalSDispatch:
 
     def test_oracle_equivalence_random_distances(self):
         rng = np.random.default_rng(31)
-        worst = 0.0
+        points = []
         for _ in range(200):
             s0 = rng.uniform(0.1, 1.4)
             d = 10.0 ** rng.uniform(-3, 0)
             direction = rng.standard_normal(3)
             direction /= np.linalg.norm(direction)
-            pt = self.helix.position(s0) + d * direction
-            ref = reference_S(self.helix, self.f, pt, tol=1e-12)
+            points.append(self.helix.position(s0) + d * direction)
+        refs = reference_S(self.helix, self.f, np.array(points), tol=1e-12)
+        worst = 0.0
+        for pt, ref in zip(points, refs):
             got = eval_S(self.pc, self.dens, pt)
             rel = np.linalg.norm(got - ref) / max(np.linalg.norm(ref), 1.0)
             worst = max(worst, rel)

@@ -83,6 +83,25 @@ class TestAdaptiveIntegrate:
         assert bisections > 10
         assert len(sizes) == bisections + 1
 
+    @pytest.mark.parametrize(
+        "integrand, a, b, points",
+        [
+            (lambda s: 1.0 / (s * s + 1e-4), -1.0, 1.0, ()),
+            (lambda s: 1.0 / np.sqrt(s * s + 1e-6), -1.0, 1.0, (-0.5, 0.0, 0.3)),
+            (lambda s: np.stack([s, s**2, np.sin(40.0 * s)], axis=-1), 0.0, 1.0, ()),
+            (lambda s: s**-0.9, 1e-300, 1.0, ()),
+        ],
+        ids=["peak", "breakpoints", "vector", "fails"],
+    )
+    def test_equals_the_one_interval_loop_bit_for_bit(self, integrand, a, b, points):
+        total, err, ok = _ref_integrate(integrand, a, b, 1e-12, points)
+        if ok:
+            assert np.array_equal(adaptive_integrate(integrand, a, b, 1e-12, points), total)
+        else:
+            with pytest.raises(AccuracyError) as info:
+                adaptive_integrate(integrand, a, b, 1e-12, points)
+            assert info.value.best_estimate == total and info.value.error_estimate == err
+
     def test_self_consistency_under_tol_halving(self):
         f = lambda s: np.exp(-3.0 * s) * np.cos(20.0 * s)
         loose = adaptive_integrate(f, 0.0, 2.0, 1e-8)
@@ -140,25 +159,29 @@ class TestBreakpoints:
 class TestClosestParameter:
     HELIX = make_helix(8.0, 3.0, 1.5)
 
+    @staticmethod
+    def closest(curve, pt):
+        return oracle._closest_parameters(curve, np.asarray(pt)[None, :])[0]
+
     @pytest.mark.parametrize("s0", [0.3, 0.75, 1.2])
     @pytest.mark.parametrize("d", [1e-6, 2.2e-3, 0.05])
     def test_normal_offset_on_helix(self, s0, d):
         # the principal normal x_ss / kappa is orthogonal to x_s, so s0 is the foot
         pt = self.HELIX.position(s0) + d * self.HELIX.second_derivative(s0) / 8.0
-        assert abs(oracle._closest_parameter(self.HELIX, pt) - s0) <= 1e-13
+        assert abs(self.closest(self.HELIX, pt) - s0) <= 1e-13
 
     def test_points_beyond_the_ends(self):
         h = self.HELIX
         before = h.position(0.0) - 0.1 * h.tangent(0.0)
         after = h.position(h.length) + 0.1 * h.tangent(h.length)
-        assert oracle._closest_parameter(h, before) == 0.0
-        assert oracle._closest_parameter(h, after) == h.length
+        assert self.closest(h, before) == 0.0
+        assert self.closest(h, after) == h.length
 
     @pytest.mark.parametrize("s0", [0.0, 0.37, 1.3, 2.0])
     def test_straight_fiber_is_exact(self, s0):
         fiber = make_straight((0.6, 0.8, 0.0), 2.0)
         pt = fiber.position(s0) + np.array([0.0, 0.0, 0.3])
-        assert oracle._closest_parameter(fiber, pt) == pytest.approx(s0, abs=1e-15)
+        assert self.closest(fiber, pt) == pytest.approx(s0, abs=1e-15)
 
 
 class TestGaussKronrodRows:
@@ -302,21 +325,163 @@ class TestReferenceS:
     def test_one_graded_call(self, monkeypatch):
         calls = []
 
-        def recording(integrand, a, b, tol, points=()):
-            calls.append(np.asarray(points))
-            return adaptive_integrate(integrand, a, b, tol, points=points)
+        def recording(integrand, partitions, tol):
+            calls.append(partitions)
+            return bisect(integrand, partitions, tol)
 
-        monkeypatch.setattr(oracle, "adaptive_integrate", recording)
+        bisect = oracle._bisect
+        monkeypatch.setattr(oracle, "_bisect", recording)
         helix = make_helix(8.0, 3.0, 1.5)
         f, _ = forces.testf_simple(helix)
         s0, d = 0.75, 2.2e-3
         reference_S(helix, f, helix.position(s0) + d * helix.second_derivative(s0) / 8.0)
-        (points,) = calls
-        gaps = np.abs(points - s0)
-        assert s0 in points
+        ((edges,),) = calls
+        assert edges[0] == 0.0 and edges[-1] == helix.length
+        gaps = np.abs(edges[1:-1] - s0)
+        assert s0 in edges
         # spacing doubles away from the foot, starting at the closest distance
         assert np.min(gaps[gaps > 0]) == pytest.approx(d, rel=1e-9)
         assert np.max(gaps) > helix.length / 4
+
+
+def _ref_integrate(integrand, a, b, tol, points=()):
+    """One interval at a time: the bisection loop that the oracle batches.
+
+    Returns the total, the error sum and whether the tolerance was met, for
+    bit-for-bit comparison; the oracle must bisect every problem in this order.
+    """
+    w15, x15 = oracle._W15, oracle._X15
+
+    def rule(lo, hi):
+        half = 0.5 * (hi - lo)
+        kron, gauss = half * (w15 @ np.asarray(integrand(0.5 * (lo + hi) + half * x15)))
+        return kron, float(np.max(np.abs(kron - gauss)))
+
+    edges = np.concatenate([[a], np.asarray(points, dtype=float), [b]])
+    heap, total, total_err = [], 0.0, 0.0
+    for lo, hi in zip(edges[:-1].tolist(), edges[1:].tolist()):
+        val, err = rule(lo, hi)
+        heapq.heappush(heap, (-err, lo, hi, 0, val))
+        total, total_err = total + val, total_err + err
+    count = len(heap)
+    while not total_err <= tol * max(1.0, float(np.max(np.abs(total)))):
+        neg_err, lo, hi, depth, val = heapq.heappop(heap)
+        if depth >= oracle.MAX_DEPTH or count >= oracle.MAX_INTERVALS or not np.isfinite(total_err):
+            return total, total_err, False
+        mid = 0.5 * (lo + hi)
+        (vl, el), (vr, er) = rule(lo, mid), rule(mid, hi)
+        total = total - val + vl + vr
+        total_err += el + er + neg_err
+        heapq.heappush(heap, (-el, lo, mid, depth + 1, vl))
+        heapq.heappush(heap, (-er, mid, hi, depth + 1, vr))
+        count += 1
+    return total, total_err, True
+
+
+def _ref_reference_S(curve, f, x_bar, tol):
+    """reference_S for one point through _ref_integrate and a scalar Newton closest point."""
+    s = np.linspace(0.0, curve.length, oracle._CLOSEST_SAMPLES)
+    i = int(np.argmin(np.sum((curve.position(s) - x_bar) ** 2, axis=-1)))
+    lo, hi, t = s[max(i - 1, 0)], s[min(i + 1, len(s) - 1)], s[i]
+    for _ in range(60):
+        r, xs = curve.position(t) - x_bar, curve.tangent(t)
+        lo, hi = (t, hi) if r @ xs < 0 else (lo, t)
+        dphi = xs @ xs + r @ curve.second_derivative(t)
+        nxt = t - (r @ xs) / dphi if dphi > 0 else np.nan
+        nxt = nxt if lo <= nxt <= hi else 0.5 * (lo + hi)
+        t, step = nxt, abs(nxt - t)
+        if step <= 1e-15 * curve.length:
+            break
+    h = max(float(np.linalg.norm(curve.position(t) - x_bar)), 1e-12 * curve.length)
+    offsets = h * 2.0 ** np.arange(int(np.log2(curve.length / h)) + 1)
+    points = np.concatenate([t - offsets[::-1], [t], t + offsets])
+
+    def integrand(s):
+        r = x_bar - curve.position(s)
+        rnorm = np.sqrt(np.einsum("nc,nc->n", r, r))[:, None]
+        return f(s) / rnorm + r * np.einsum("nc,nc->n", r, f(s))[:, None] / rnorm**3
+
+    inside = points[(points > 0.0) & (points < curve.length)]
+    return _ref_integrate(integrand, 0.0, curve.length, tol, inside)
+
+
+def _near_points(count, seed=5):
+    """Seeded points 2.2e-3 to 2e-2 off the (8, 3, 1.5) helix, along random normals."""
+    helix = make_helix(8.0, 3.0, 1.5)
+    rng = np.random.default_rng(seed)
+    s = rng.uniform(0.05, 1.45, count)
+    dist = np.exp(rng.uniform(np.log(2.2e-3), np.log(2e-2), count))
+    angle = rng.uniform(0.0, 2.0 * np.pi, count)
+    tangent = helix.tangent(s)
+    normal = helix.second_derivative(s) / 8.0
+    offset = np.cos(angle)[:, None] * normal + np.sin(angle)[:, None] * np.cross(tangent, normal)
+    return helix.position(s) + dist[:, None] * offset
+
+
+class TestReferenceSBlock:
+    HELIX = make_helix(8.0, 3.0, 1.5)
+    F = staticmethod(forces.testf_simple(HELIX)[0])
+    GRID = cli.helix_field_grid(HELIX, radial_count=5, angular_count=5, z_count=4)
+
+    @pytest.mark.parametrize("count", [1, 15, 16, 17, 33])
+    @pytest.mark.parametrize("where", ["grid", "near"])
+    def test_block_equals_single_points_bit_for_bit(self, count, where):
+        points = self.GRID[:count] if where == "grid" else _near_points(count)
+        block = reference_S(self.HELIX, self.F, points, tol=1e-12)
+        single = np.array([reference_S(self.HELIX, self.F, p, tol=1e-12) for p in points])
+        assert block.shape == (count, 3)
+        assert np.array_equal(block, single)
+
+    def test_block_equals_the_one_interval_loop_bit_for_bit(self):
+        points = np.concatenate([_near_points(12, seed=9), self.GRID[::9]])
+        block = reference_S(self.HELIX, self.F, points, tol=1e-12)
+        for got, pt in zip(block, points):
+            want, _, ok = _ref_reference_S(self.HELIX, self.F, pt, 1e-12)
+            assert ok and np.array_equal(got, want)
+
+    def test_points_bisect_in_blocks_of_16(self, monkeypatch):
+        sizes = []
+
+        def recording(integrand, partitions, tol):
+            sizes.append(len(partitions))
+            return bisect(integrand, partitions, tol)
+
+        bisect = oracle._bisect
+        monkeypatch.setattr(oracle, "_bisect", recording)
+        reference_S(self.HELIX, self.F, self.GRID[:33], tol=1e-12)
+        assert sizes == [16, 16, 1]
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-9], ids=["on-centerline", "1e-9-off"])
+    def test_one_bad_point_does_not_stop_the_block(self, monkeypatch, offset):
+        # 1e-9 off the centerline cannot be certified at tol 1e-12; a small
+        # interval budget makes it run out in a fraction of the full budget's time
+        monkeypatch.setattr(oracle, "MAX_INTERVALS", 400)
+        s0 = 0.75
+        bad = self.HELIX.position(s0) + offset * self.HELIX.second_derivative(s0) / 8.0
+        points = np.concatenate([_near_points(5), [bad], self.GRID[:4]])
+        # nodes at x_bar itself divide 0 by 0
+        with np.errstate(invalid="ignore", divide="ignore"):
+            with pytest.raises(AccuracyError) as info:
+                reference_S(self.HELIX, self.F, points, tol=1e-12)
+            with pytest.raises(AccuracyError) as alone:
+                reference_S(self.HELIX, self.F, bad, tol=1e-12)
+        err = info.value
+        assert err.failed.tolist() == [False] * 5 + [True] + [False] * 4
+        assert err.best_estimate.shape == (10, 3) and err.error_estimate.shape == (10,)
+        assert np.array_equal(err.best_estimate[5], alone.value.best_estimate, equal_nan=True)
+        for i in np.flatnonzero(~err.failed):
+            assert np.array_equal(err.best_estimate[i], reference_S(self.HELIX, self.F, points[i]))
+        assert alone.value.failed is None and np.ndim(alone.value.error_estimate) == 0
+
+    @pytest.mark.parametrize(
+        "points",
+        [np.ones((4, 2)), np.ones((4, 3, 1)), np.ones(2), np.array([[0.1, 0.2, np.nan]]), np.array([np.inf, 0.0, 0.0])],
+        ids=["P-2", "P-3-1", "2", "nan", "inf"],
+    )
+    def test_rejects_bad_points_up_front(self, points, monkeypatch):
+        monkeypatch.setattr(oracle, "_closest_parameters", None)  # never reached
+        with pytest.raises(ValueError, match="field points"):
+            reference_S(self.HELIX, self.F, points)
 
 
 class TestConvergenceStudy:
