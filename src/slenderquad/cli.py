@@ -238,7 +238,7 @@ def run_field_test(args: argparse.Namespace) -> int:
         pcurve = discretize(curve, m, rule)
         density = LineDensity.from_closure(f, pcurve.grid)
         for mode, evaluate in (("regular", eval_S_regular), ("special", eval_S)):
-            values = [evaluate(pcurve, density, pt) for pt in points]
+            values = evaluate(pcurve, density, points)
             errs = np.array([np.linalg.norm(v - ref) for v, ref in zip(values, reference)])
             rows.extend([mode, m, *map(float, pt), float(e)] for pt, e in zip(points, errs))
             max_by_run[f"{mode}:M={m}"] = float(np.max(errs[~flagged])) if (~flagged).any() else np.nan

@@ -10,6 +10,7 @@ in monomials and contracted against the analytic moments of eta^k/|eta-z1|^p.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -25,6 +26,7 @@ MAX_MOMENT_COUNT = 16  # highest moment count q_k^p is computed to; caps eval_S'
 _SWITCH_FACTOR = 1.0  # a panel is near when its closest node lies within this many panel widths
 _NEWTON_TOL = 1e-13
 _NEWTON_MAX_ITER = 30
+_CHUNK = 32  # field points per pass; bounds the (T, N, 3) offset array
 
 
 class RootNotFoundError(RuntimeError):
@@ -43,22 +45,25 @@ class RootPair:
             raise ValueError("z1 must lie in the upper half plane")
 
 
-def _chord_guess(coeffs: np.ndarray, xb: np.ndarray) -> complex:
-    """Initial root guess from projecting the point onto the panel chord.
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (P, 3) arrays, each with the bits of `a[i] @ b[i]`."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _chord_guesses(coeffs: np.ndarray, xb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Initial root guesses for (P, 3, n) panel coefficients and (P, 3) points, pair by pair.
 
     eta0 comes from the projection parameter and the imaginary part is 2d/h
     for point-to-chord distance d and chord length h; exact for straight
-    panels.
+    panels. Returns the (P,) real and imaginary parts.
     """
-    signs = (-1.0) ** np.arange(coeffs.shape[1])
-    p_left = coeffs @ signs
-    p_right = coeffs.sum(axis=1)
-    chord = p_right - p_left
-    h = np.linalg.norm(chord)
-    tpar = (xb - p_left) @ chord / (h * h)
-    eta0 = np.clip(2.0 * tpar - 1.0, -1.0, 1.0)
-    d = np.linalg.norm(xb - (p_left + tpar * chord))
-    return complex(eta0, max(2.0 * d / h, 1e-8))
+    p_left = coeffs @ (-1.0) ** np.arange(coeffs.shape[2])
+    chord = coeffs.sum(axis=2) - p_left
+    h = np.sqrt(_rowdot(chord, chord))
+    tpar = _rowdot(xb - p_left, chord) / (h * h)
+    foot = xb - (p_left + tpar[:, None] * chord)
+    im = np.maximum(2.0 * np.sqrt(_rowdot(foot, foot)) / h, 1e-8)
+    return np.clip(2.0 * tpar - 1.0, -1.0, 1.0), im
 
 
 def find_root(panel_coeffs: np.ndarray, x_bar, guess: complex | None = None) -> RootPair:
@@ -70,7 +75,10 @@ def find_root(panel_coeffs: np.ndarray, x_bar, guess: complex | None = None) -> 
     coeffs = np.asarray(panel_coeffs, dtype=float)
     xb = np.asarray(x_bar, dtype=float)
     n = coeffs.shape[1]
-    z = complex(_chord_guess(coeffs, xb) if guess is None else guess)
+    if guess is None:
+        eta0, im = _chord_guesses(coeffs[None], xb[None])
+        guess = complex(eta0[0], im[0])
+    z = complex(guess)
 
     for _ in range(_NEWTON_MAX_ITER):
         vals, ders = (coeffs @ legendre_and_derivative(z, n)).T
@@ -188,70 +196,114 @@ def qkp_moments(z1: complex, count: int) -> np.ndarray:
 
 
 def _offsets(positions: np.ndarray, x_bar) -> tuple[np.ndarray, np.ndarray]:
-    """Vectors x_bar - x_j to the given node positions and their squared lengths."""
-    r = np.asarray(x_bar, dtype=float)[None, :] - positions
-    r2 = np.einsum("jc,jc->j", r, r)
-    if np.any(r2 == 0.0):
+    """Vectors x_bar - x_j to the given node positions and their squared lengths.
+
+    x_bar is one point (3,) or a block (T, 3); the results gain its leading axis.
+    """
+    r = np.asarray(x_bar, dtype=float)[..., None, :] - positions
+    r2 = np.einsum("...c,...c->...", r, r)
+    if (r2 == 0.0).any():
         raise ZeroDivisionError("field point coincides with a quadrature node")
     return r, r2
 
 
 def _regular_sum(curve: PanelizedCurve, fv, r, r2, keep=slice(None)) -> np.ndarray:
-    """Plain Gauss-Legendre Stokeslet sum of samples fv over the nodes that keep selects."""
-    r, rnorm = r[keep], np.sqrt(r2[keep])
+    """Plain Gauss-Legendre Stokeslet sum of samples fv over the nodes that keep selects.
+
+    r and r2 are one point's offsets, (N, 3) and (N,), or a block's, (T, N, 3)
+    and (T, N); a block gets one sum per row, each with its one-point bits.
+    """
+    r, rnorm = r[..., keep, :], np.sqrt(r2[..., keep])
     fv = fv[keep]
     w = curve.grid.global_weights[keep]
-    rdotf = np.einsum("jc,jc->j", r, fv)
-    return (w / rnorm) @ fv + (w * rdotf / rnorm**3) @ r
+    rdotf = np.einsum("...jc,jc->...j", r, fv)
+    return ((w / rnorm)[..., None, :] @ fv + (w * rdotf / rnorm**3)[..., None, :] @ r)[..., 0, :]
+
+
+def _blockwise(curve: PanelizedCurve, x_bar, sums) -> np.ndarray:
+    """Run sums over x_bar, one point (3,) or a block (T, 3), _CHUNK points at a time.
+
+    sums(points, r, r2, start) gets a (t, 3) chunk, its offsets to every
+    node and the index of its first row, and returns the chunk's (t, 3) sums.
+    Other shapes and non-finite points raise ValueError before any work.
+    """
+    xb = np.asarray(x_bar, dtype=float)
+    # math.isfinite on Python floats costs a one-point call a third of np.isfinite(xb).all()
+    finite = all(map(math.isfinite, xb.ravel().tolist()))
+    if xb.ndim not in (1, 2) or xb.shape[-1] != 3 or not finite:
+        raise ValueError(f"field points must be finite with shape (3,) or (T, 3), got {xb.shape}")
+    block = xb.reshape(-1, 3)
+    if 0 < len(block) <= _CHUNK:  # one chunk, as every one-point call is: no output buffer
+        out = sums(block, *_offsets(curve.positions, block), 0)
+    else:
+        out = np.empty(block.shape)
+        for start in range(0, len(block), _CHUNK):
+            points = block[start : start + _CHUNK]
+            out[start : start + _CHUNK] = sums(points, *_offsets(curve.positions, points), start)
+    return out[0] if xb.ndim == 1 else out
 
 
 def eval_S_regular(curve: PanelizedCurve, f: LineDensity, x_bar) -> np.ndarray:
-    """Stokeslet integral by composite Gauss-Legendre over all panels."""
+    """Stokeslet integral by composite Gauss-Legendre over all panels.
+
+    x_bar is one point (3,) or a block (T, 3); the result has the same shape.
+    """
     fv = f.checked_samples((curve.grid.node_count, 3))
-    return _regular_sum(curve, fv, *_offsets(curve.positions, x_bar))
+    return _blockwise(curve, x_bar, lambda points, r, r2, start: _regular_sum(curve, fv, r, r2))
+
+
+def _special_sums(curve: PanelizedCurve, fv, panels, z1, r, r2) -> np.ndarray:
+    """Product-integration Stokeslet contributions of S (point, panel) pairs, one row each.
+
+    panels and z1 hold each pair's panel index and root; r (S, n, 3) and
+    r2 (S, n) its point's offsets to that panel's nodes. The smooth factors
+    g_p * (omega/R^2)^{p/2} are known at the panel nodes; contracting them
+    with the weights solving A^T w = q^p integrates their monomial
+    interpolants against the exact kernel moments. The p = 1 and p = 3
+    weights of every pair come from one block solve, which equals the
+    column-by-column solves bit for bit. At real nodes omega/R^2 is a
+    positive real number, so the principal square root is the right branch
+    automatically.
+    """
+    grid = curve.grid
+    eta = grid.rule.nodes
+    n = grid.rule.order
+    moments = np.concatenate([qkp_moments(z, n) for z in z1], axis=1)
+    w = solve_vandermonde_transpose(eta, moments).reshape(n, len(z1), 2)
+    a = np.array([z.real for z in z1])[:, None]
+    b = np.array([z.imag for z in z1])[:, None]
+    ratio = ((eta - a) ** 2 + b * b) / r2
+
+    fv = fv.reshape(grid.panel_count, n, 3)[panels]
+    smooth1 = fv * np.sqrt(ratio)[..., None]
+    rdotf = np.einsum("sjc,sjc->sj", r, fv)
+    smooth3 = r * (rdotf * ratio**1.5)[..., None]
+    w1, w3 = w[:, :, 0].T[:, None, :], w[:, :, 1].T[:, None, :]
+    return 0.5 * grid.panel_width * (w1 @ smooth1 + w3 @ smooth3)[:, 0]
 
 
 def eval_S_special(
     curve: PanelizedCurve, f: LineDensity, m: int, x_bar, root: RootPair
 ) -> np.ndarray:
-    """Product-integration Stokeslet contribution of one panel near x_bar.
-
-    The smooth factors g_p * (omega/R^2)^{p/2} are known at the panel nodes;
-    contracting them with the weights solving A^T w = q^p integrates their
-    monomial interpolants against the exact kernel moments. Both p = 1 and
-    p = 3 weights come from one block solve. At real nodes omega/R^2 is a
-    positive real number, so the principal square root is the right branch
-    automatically.
-    """
+    """Product-integration Stokeslet contribution of one panel near the point x_bar (3,)."""
     grid = curve.grid
-    sl = grid.panel_slice(m)
-    fv = f.checked_samples((grid.node_count, 3))[sl]
-    eta = grid.rule.nodes
-    n = grid.rule.order
-
-    r, r2 = _offsets(curve.positions[sl], x_bar)
-    a, b = root.z1.real, root.z1.imag
-    omega = (eta - a) ** 2 + b * b
-    ratio = omega / r2
-
-    smooth1 = fv * np.sqrt(ratio)[:, None]
-    rdotf = np.einsum("jc,jc->j", r, fv)
-    smooth3 = r * (rdotf * ratio**1.5)[:, None]
-
-    w1, w3 = solve_vandermonde_transpose(eta, qkp_moments(root.z1, n)).T
-    return 0.5 * grid.panel_width * (w1 @ smooth1 + w3 @ smooth3)
+    fv = f.checked_samples((grid.node_count, 3))
+    r, r2 = _offsets(curve.positions[grid.panel_slice(m)], x_bar)
+    return _special_sums(curve, fv, [m], [root.z1], r[None], r2[None])[0]
 
 
 def eval_S(curve: PanelizedCurve, f: LineDensity, x_bar) -> np.ndarray:
     """Stokeslet integral with per-panel dispatch between regular and special quadrature.
 
-    A panel is treated as near when the closest node lies within
-    _SWITCH_FACTOR times the panel arclength. Root-finding failures and roots
-    with Im(z1) >= 1 fall back to the regular rule. All panels left to the
-    regular rule are summed in one contraction, the same one eval_S_regular
-    makes, so a point with no near panel gets eval_S_regular's value exactly.
-    Rule orders above MAX_MOMENT_COUNT are rejected, since the moments stop
-    there.
+    x_bar is one point (3,) or a block (T, 3); the result has the same shape,
+    and every row equals the one-point call bit for bit. A panel is treated
+    as near a point when its closest node lies within _SWITCH_FACTOR times the
+    panel arclength. Root-finding failures and roots with Im(z1) >= 1 fall
+    back to the regular rule for that (point, panel) pair only. All panels a
+    point leaves to the regular rule are summed in one contraction, the same
+    one eval_S_regular makes, so a point with no near panel gets
+    eval_S_regular's value exactly. Rule orders above MAX_MOMENT_COUNT are
+    rejected, since the moments stop there.
     """
     grid = curve.grid
     n = grid.rule.order
@@ -261,24 +313,39 @@ def eval_S(curve: PanelizedCurve, f: LineDensity, x_bar) -> np.ndarray:
             f"got rule order {n}"
         )
     fv = f.checked_samples((grid.node_count, 3))
-    xb = np.asarray(x_bar, dtype=float)
-    r, r2 = _offsets(curve.positions, xb)
-    dist = np.sqrt(r2.reshape(grid.panel_count, n).min(axis=1))
-    special = np.zeros(grid.panel_count, dtype=bool)
-    total = np.zeros(3)
-    for m in np.flatnonzero(dist <= _SWITCH_FACTOR * grid.panel_width):
-        coeffs = curve.panel_coeffs[m]
-        guess = _chord_guess(coeffs, xb)
-        # a chord-estimated root with Im >= 1 is not near; skip the Newton run
-        if guess.imag >= 1.0:
-            continue
-        try:
-            root = find_root(coeffs, xb, guess)
-        except RootNotFoundError as err:
-            warnings.warn(f"panel {m}: {err}; falling back to regular quadrature")
-            continue
-        if root.z1.imag < 1.0:
-            total += eval_S_special(curve, f, m, xb, root)
-            special[m] = True
-    keep = np.repeat(~special, n) if special.any() else slice(None)
-    return _regular_sum(curve, fv, r, r2, keep) + total
+
+    def chunk_sums(points, r, r2, start):
+        count = len(points)
+        dist = np.sqrt(r2.reshape(count, grid.panel_count, n).min(axis=2))
+        tt, mm = np.nonzero(dist <= _SWITCH_FACTOR * grid.panel_width)
+        pairs = []
+        if len(tt):
+            eta0, im = _chord_guesses(curve.panel_coeffs[mm], points[tt])
+            # a chord-estimated root with Im >= 1 is not near; skip the Newton run
+            for i in np.flatnonzero(im < 1.0):
+                t, m = tt[i], mm[i]
+                try:
+                    root = find_root(curve.panel_coeffs[m], points[t], complex(eta0[i], im[i]))
+                except RootNotFoundError as err:
+                    warnings.warn(
+                        f"point {start + t}, panel {m}: {err}; falling back to regular quadrature"
+                    )
+                    continue
+                if root.z1.imag < 1.0:
+                    pairs.append((t, m, root.z1))
+        total = np.zeros((count, 3))
+        out = _regular_sum(curve, fv, r, r2)
+        if pairs:
+            tp, mp, z1 = map(list, zip(*pairs))
+            rp = r.reshape(count, grid.panel_count, n, 3)[tp, mp]
+            r2p = r2.reshape(count, grid.panel_count, n)[tp, mp]
+            for t, value in zip(tp, _special_sums(curve, fv, mp, z1, rp, r2p)):
+                total[t] += value
+            special = np.zeros((count, grid.panel_count), dtype=bool)
+            special[tp, mp] = True
+            # a point with special panels sums the rest of its nodes on its own
+            for t in set(tp):
+                out[t] = _regular_sum(curve, fv, r[t], r2[t], np.repeat(~special[t], n))
+        return out + total
+
+    return _blockwise(curve, x_bar, chunk_sums)

@@ -154,9 +154,8 @@ def test_criterion_5_near_singular_stokeslet():
         pcurve = discretize(HELIX, m, RULE)
         density = LineDensity.from_closure(f, pcurve.grid)
         evaluate = eval_S if mode == "special" else eval_S_regular
-        return np.array(
-            [np.linalg.norm(evaluate(pcurve, density, pt) - ref) for pt, ref in zip(points, reference)]
-        )
+        values = evaluate(pcurve, density, points)
+        return np.array([np.linalg.norm(v - ref) for v, ref in zip(values, reference)])
 
     special8 = run(8, "special")
     regular6 = run(6, "regular")

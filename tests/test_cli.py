@@ -322,14 +322,17 @@ class TestFieldTestCommand:
         monkeypatch.setattr(cli, "reference_S", lambda curve, f, points, tol: np.zeros(np.shape(points)))
         calls = []
 
-        def eval_S_nan_at_second_point(*args):
-            calls.append(1)
-            return np.full(3, np.nan if len(calls) == 2 else 1.0)
+        def eval_S_nan_at_second_point(curve, density, points):
+            calls.append(np.shape(points))
+            values = np.ones(np.shape(points))
+            values[1] = np.nan
+            return values
 
         monkeypatch.setattr(cli, "eval_S", eval_S_nan_at_second_point)
         out = tmp_path / "field.csv"
         argv = ["field-test", "--radial-count", "2", "--angular-count", "2", "--z-count", "2"]
         assert main([*argv, "--out", str(out)]) == EXIT_THRESHOLD
+        assert calls == [(8, 3)]  # one block call for the one panel count
         special = [
             line.split(",")[-1]
             for line in out.with_name("field_xy.csv").read_text().splitlines()

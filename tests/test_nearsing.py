@@ -242,22 +242,39 @@ class TestEvalSDispatch:
         assert np.all(np.isfinite(eval_S_regular(pc, dens, far)))
 
     def test_one_moment_call_per_special_panel(self, monkeypatch):
-        moments, specials = [], []
+        moments, solves, roots = [], [], []
 
         def counted(record, fn):
             def wrapper(*args):
-                record.append(args)
-                return fn(*args)
+                out = fn(*args)
+                record.append(out)
+                return out
 
             return wrapper
 
         monkeypatch.setattr(nearsing, "qkp_moments", counted(moments, nearsing.qkp_moments))
-        monkeypatch.setattr(nearsing, "eval_S_special", counted(specials, nearsing.eval_S_special))
+        solve = nearsing.solve_vandermonde_transpose
+        monkeypatch.setattr(nearsing, "solve_vandermonde_transpose", counted(solves, solve))
+        monkeypatch.setattr(nearsing, "find_root", counted(roots, nearsing.find_root))
         s0 = 0.62
         pt = self.helix.position(s0) + 2.2e-3 * self.helix.second_derivative(s0) / 8.0
         eval_S(self.pc, self.dens, pt)
+        # a special pair is a root the Newton run accepts, Im(z1) < 1
+        specials = [root for root in roots if root.z1.imag < 1.0]
         assert len(specials) > 0
         assert len(moments) == len(specials)
+        assert len(solves) == 1
+
+        # three chunks, the middle one far from the fiber: one solve per chunk with a special pair
+        chunk = nearsing._CHUNK
+        far = np.array([1.2, 1.2, 0.3])
+        block = np.array([pt] * chunk + [far] * chunk + [pt])
+        moments.clear(), solves.clear(), roots.clear()
+        eval_S(self.pc, self.dens, block)
+        specials = [root for root in roots if root.z1.imag < 1.0]
+        assert len(specials) > 0
+        assert len(moments) == len(specials)
+        assert len(solves) == 2
 
     def test_near_point_matches_oracle(self):
         s0 = 0.62
@@ -289,8 +306,94 @@ class TestEvalSDispatch:
             points.append(self.helix.position(s0) + d * direction)
         refs = reference_S(self.helix, self.f, np.array(points), tol=1e-12)
         worst = 0.0
-        for pt, ref in zip(points, refs):
-            got = eval_S(self.pc, self.dens, pt)
+        for got, ref in zip(eval_S(self.pc, self.dens, np.array(points)), refs):
             rel = np.linalg.norm(got - ref) / max(np.linalg.norm(ref), 1.0)
             worst = max(worst, rel)
         assert worst <= 1e-8
+
+
+def _block_points(helix, count, seed):
+    """Seeded field points 1e-4 to 1 off the centerline, near and far panels mixed."""
+    rng = np.random.default_rng(seed)
+    s0 = rng.uniform(0.0, helix.length, count)
+    direction = rng.standard_normal((count, 3))
+    direction /= np.linalg.norm(direction, axis=1)[:, None]
+    return helix.position(s0) + 10.0 ** rng.uniform(-4, 0, count)[:, None] * direction
+
+
+class TestEvalSBlocks:
+    HELIX = make_helix(8.0, 3.0, 1.5)
+    POINTS = _block_points(HELIX, 100, 5)
+
+    def setup_method(self):
+        self.f, _ = forces.testf_simple(self.HELIX)
+        self.pc = discretize(self.HELIX, 8, RULE)
+        self.dens = LineDensity.from_closure(self.f, self.pc.grid)
+
+    @pytest.mark.parametrize("panels", [4, 8, 16])
+    def test_block_equals_point_calls_bitwise(self, panels):
+        pc = discretize(self.HELIX, panels, RULE)
+        dens = LineDensity.from_closure(self.f, pc.grid)
+        chunk = nearsing._CHUNK
+        for evaluate in (eval_S, eval_S_regular):
+            single = np.array([evaluate(pc, dens, pt) for pt in self.POINTS])
+            for count in (1, 2, chunk - 1, chunk, chunk + 1, 100):
+                block = evaluate(pc, dens, self.POINTS[:count])
+                assert block.shape == (count, 3)
+                assert np.array_equal(block, single[:count])
+        # the points mix rows with special panels and rows without any
+        regular = eval_S_regular(pc, dens, self.POINTS)
+        same = np.all(eval_S(pc, dens, self.POINTS) == regular, axis=1)
+        assert same.any() and not same.all()
+
+    def test_root_failure_falls_back_for_its_pair_only(self, monkeypatch):
+        helix = self.HELIX
+        normal = helix.second_derivative(np.array([0.7, 0.45])) / 8.0
+        near = helix.position(np.array([0.7, 0.45])) + np.array([1e-2, 5e-2])[:, None] * normal
+        # the failing point opens the second chunk, so the warning names its row in the block
+        first = nearsing._CHUNK
+        far = np.array([1.2, 1.2, 0.3]) + 0.01 * np.arange(first + 1)[:, None]
+        block = np.concatenate([far[:first], near, far[first:]])
+        good = np.array([eval_S(self.pc, self.dens, pt) for pt in block])
+        # 8 Newton steps are too few for one of that point's two special panels only
+        monkeypatch.setattr(nearsing, "_NEWTON_MAX_ITER", 8)
+        with pytest.warns(UserWarning) as caught:
+            got = eval_S(self.pc, self.dens, block)
+        assert [str(w.message) for w in caught] == [
+            f"point {first}, panel 4: no convergence in 8 iterations; "
+            "falling back to regular quadrature"
+        ]
+        with pytest.warns(UserWarning, match="point 0, panel 4"):
+            alone = eval_S(self.pc, self.dens, block[first])
+        assert np.array_equal(got[first], alone)
+        assert not np.array_equal(got[first], good[first])
+        others = np.arange(len(block)) != first
+        assert np.array_equal(got[others], good[others])
+
+    def test_on_node_point_in_block_raises(self):
+        block = np.array([[1.2, 1.2, 0.3], self.pc.positions[7], [1.0, -0.7, 0.9]])
+        for evaluate in (eval_S, eval_S_regular):
+            with pytest.raises(ZeroDivisionError):
+                evaluate(self.pc, self.dens, block)
+
+    @pytest.mark.parametrize(
+        "x_bar",
+        [
+            np.zeros(2),
+            np.zeros((4, 2)),
+            np.zeros((4, 3, 1)),
+            np.zeros(()),
+            np.array([np.nan, 0.0, 0.0]),
+            np.array([np.inf, 0.0, 0.0]),
+            np.array([[1.2, 1.2, 0.3], [0.0, -np.inf, 0.0]]),
+        ],
+    )
+    def test_rejects_shape_and_non_finite_before_any_work(self, x_bar, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("offsets computed for a rejected point")
+
+        monkeypatch.setattr(nearsing, "_offsets", no_work)
+        message = r"field points must be finite with shape \(3,\) or \(T, 3\)"
+        for evaluate in (eval_S, eval_S_regular):
+            with pytest.raises(ValueError, match=message):
+                evaluate(self.pc, self.dens, x_bar)
