@@ -9,7 +9,6 @@ from .finitepart import (
     eval_K_all,
     eval_L,
     eval_Lambda,
-    qk_signkernel,
 )
 from .geometry import (
     FiberCurve,
@@ -21,10 +20,8 @@ from .geometry import (
 )
 from .nearsing import (
     RootNotFoundError,
-    RootPair,
     eval_S,
     eval_S_regular,
-    eval_S_special,
     find_root,
     qkp_moments,
 )
@@ -41,11 +38,9 @@ from .oracle import (
 from .quadcore import (
     PanelGrid,
     QuadratureRule,
-    SingularSystemError,
     gauss_legendre,
     interpolate_to_uniform,
     legendre_and_derivative,
-    legendre_deriv_coeffs,
     legendre_eval,
     panelize,
     solve_vandermonde_transpose,

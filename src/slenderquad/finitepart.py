@@ -160,8 +160,12 @@ def _effective_weights(grid: PanelGrid, table: np.ndarray, target_index: int) ->
 
     Off-target panels carry the regular weights times the constant kernel sign,
     -1 before the target's panel; the target's panel row comes from the
-    modified table, scaled by ds/2.
+    modified table, scaled by ds/2. A table of another order than the grid's
+    rule raises ValueError.
     """
+    n = grid.rule.order
+    if np.shape(table) != (n, n):
+        raise ValueError(f"table order {len(table)} does not match rule order {n}")
     m, ell = grid.panel_of_target(target_index)
     sl = grid.panel_slice(m)
     w = grid.global_weights.copy()
@@ -170,18 +174,9 @@ def _effective_weights(grid: PanelGrid, table: np.ndarray, target_index: int) ->
     return w
 
 
-def _checked_samples(grid: PanelGrid, f: LineDensity, table: np.ndarray, shape):
-    """f.samples as floats, after checking their shape and the table's order."""
-    fv = f.checked_samples(shape)
-    n = grid.rule.order
-    if np.shape(table) != (n, n):
-        raise ValueError(f"table order {len(table)} does not match rule order {n}")
-    return fv
-
-
 def eval_L(f: LineDensity, grid: PanelGrid, table: np.ndarray, target_index: int) -> float:
     """Scalar finite-part operator at one collocation node."""
-    fv = _checked_samples(grid, f, table, (grid.node_count,))
+    fv = f.checked_samples((grid.node_count,))
     s = grid.global_nodes
     t = target_index
     ds = s - s[t]
@@ -195,7 +190,7 @@ def eval_K(
     curve: PanelizedCurve, f: LineDensity, table: np.ndarray, target_index: int
 ) -> np.ndarray:
     """Non-local operator K at one collocation node."""
-    _checked_samples(curve.grid, f, table, (curve.grid.node_count, 3))
+    f.checked_samples((curve.grid.node_count, 3))
     w = _effective_weights(curve.grid, table, target_index)
     return w @ _g_row(curve, f, target_index)
 

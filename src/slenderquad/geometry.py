@@ -17,7 +17,8 @@ class FiberCurve:
     """A centerline x(s) on s in [0, length] with |x_s| = 1 everywhere.
 
     The three closures accept scalar or array arguments and return arrays with
-    a trailing coordinate axis of size 3.
+    a trailing coordinate axis of size 3. A length that is not positive and
+    finite raises ValueError.
     """
 
     kind: str
@@ -26,6 +27,10 @@ class FiberCurve:
     tangent: Curve3
     second_derivative: Curve3
     parameters: dict
+
+    def __post_init__(self):
+        if not 0 < self.length < np.inf:  # NaN fails too
+            raise ValueError(f"length must be positive and finite, got {self.length}")
 
 
 @dataclass(frozen=True)
@@ -59,8 +64,6 @@ def make_helix(curvature: float, torsion: float, length: float) -> FiberCurve:
         raise ValueError(f"curvature must be positive and finite, got {curvature}")
     if not np.isfinite(torsion):
         raise ValueError(f"torsion must be finite, got {torsion}")
-    if not 0 < length < np.inf:  # NaN fails too
-        raise ValueError(f"length must be positive and finite, got {length}")
     k2t2 = curvature**2 + torsion**2
     a = curvature / k2t2
     b = torsion / k2t2
@@ -100,8 +103,6 @@ def make_straight(direction, length: float) -> FiberCurve:
     d = np.asarray(direction, dtype=float)
     if d.shape != (3,) or not abs(np.linalg.norm(d) - 1.0) <= 1e-12:  # NaN fails too
         raise ValueError("direction must be a unit 3-vector")
-    if not 0 < length < np.inf:  # NaN fails too
-        raise ValueError(f"length must be positive and finite, got {length}")
 
     def position(s):
         return np.multiply.outer(np.asarray(s, dtype=float), d)
@@ -130,8 +131,6 @@ def make_custom(
     Unit tangents and tangent-curvature orthogonality are checked at 13
     arclengths; a curve failing either check raises ValueError.
     """
-    if not 0 < length < np.inf:  # NaN fails too
-        raise ValueError(f"length must be positive and finite, got {length}")
     curve = FiberCurve(
         kind="custom",
         length=float(length),

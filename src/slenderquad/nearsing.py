@@ -40,10 +40,6 @@ class RootPair:
     z1: complex
     residual: float
 
-    def __post_init__(self):
-        if not self.z1.imag > 0:
-            raise ValueError("z1 must lie in the upper half plane")
-
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise dot products of two (P, 3) arrays, each with the bits of `a[i] @ b[i]`."""
@@ -280,16 +276,6 @@ def _special_sums(curve: PanelizedCurve, fv, panels, z1, r, r2) -> np.ndarray:
     smooth3 = r * (rdotf * ratio**1.5)[..., None]
     w1, w3 = w[:, :, 0].T[:, None, :], w[:, :, 1].T[:, None, :]
     return 0.5 * grid.panel_width * (w1 @ smooth1 + w3 @ smooth3)[:, 0]
-
-
-def eval_S_special(
-    curve: PanelizedCurve, f: LineDensity, m: int, x_bar, root: RootPair
-) -> np.ndarray:
-    """Product-integration Stokeslet contribution of one panel near the point x_bar (3,)."""
-    grid = curve.grid
-    fv = f.checked_samples((grid.node_count, 3))
-    r, r2 = _offsets(curve.positions[grid.panel_slice(m)], x_bar)
-    return _special_sums(curve, fv, [m], [root.z1], r[None], r2[None])[0]
 
 
 def eval_S(curve: PanelizedCurve, f: LineDensity, x_bar) -> np.ndarray:

@@ -109,7 +109,10 @@ def _bisect(integrand: Callable, partitions: Sequence[np.ndarray], tol: float):
     unconverged problem and evaluates all halves in one integrand call. A
     problem out of depth or intervals, or with a non-finite error sum, leaves
     with its best estimate. Returns the totals, error sums and failure mask.
+    A tol that is not positive and finite raises ValueError before any call.
     """
+    if not 0.0 < tol < math.inf:  # NaN fails too
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     counts = [len(e) - 1 for e in partitions]
     lo, hi = (np.concatenate([e[i:j] for e in partitions]) for i, j in ((0, -1), (1, None)))
     owner = np.repeat(np.arange(len(partitions)), counts)
@@ -153,31 +156,25 @@ def _bisect(integrand: Callable, partitions: Sequence[np.ndarray], tol: float):
             heapq.heappush(heaps[p], (-e[2 * j + 1], mid, b, depth + 1, kron[2 * j + 1]))
 
 
-def adaptive_integrate(
-    integrand: Callable, a: float, b: float, tol: float = 1e-10, points: Sequence[float] = ()
-):
+def adaptive_integrate(integrand: Callable, a: float, b: float, tol: float = 1e-10):
     """Globally adaptive Gauss-Kronrod integration of a scalar or vector integrand.
 
     The integrand receives a 1-D array of n abscissae and returns its values
     with the node axis leading: shape (n,) for a scalar integrand, (n, d) for
-    a vector one; any other output shape raises ValueError. The start
-    partition splits [a, b] at the strictly increasing interior breakpoints
-    `points`; its k + 1 intervals are evaluated in one call on 15 (k + 1)
-    Kronrod nodes, then each bisection makes one call on the 30 nodes of both
-    halves. Breakpoints that are unsorted, repeated, non-finite or outside
-    (a, b) raise ValueError.
+    a vector one; any other output shape raises ValueError. The first call
+    evaluates [a, b] on the 15 Kronrod nodes, then each bisection makes one
+    call on the 30 nodes of both halves. An interval that is empty, reversed
+    or not finite raises ValueError, and so does a tol that is not positive
+    and finite.
 
     Bisects the worst interval until the summed error estimate drops below
     tol scaled by max(1, |result|). Raises AccuracyError, carrying the best
     estimate, when the bisection depth or the interval budget runs out, or
     when an integrand value is not finite.
     """
-    if not a < b:
-        raise ValueError(f"need a < b, got [{a}, {b}]")
-    inner = np.asarray(points, dtype=float)
-    edges = np.concatenate([[a], inner.ravel(), [b]])
-    if inner.ndim != 1 or not (np.all(np.isfinite(edges)) and np.all(np.diff(edges) > 0)):
-        raise ValueError(f"points must be finite, strictly increasing and inside ({a}, {b})")
+    if not -math.inf < a < b < math.inf:  # NaN fails too
+        raise ValueError(f"need finite a < b, got [{a}, {b}]")
+    edges = np.array([a, b], dtype=float)
     return _certified(*_bisect(lambda x, owner: integrand(x), [edges], tol), tol, one=True)
 
 

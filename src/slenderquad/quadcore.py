@@ -15,10 +15,6 @@ MAX_ORDER = 64
 ETA_BOUND = 10.0
 
 
-class SingularSystemError(ValueError):
-    """Raised when a Vandermonde system has coincident nodes."""
-
-
 @dataclass(frozen=True)
 class QuadratureRule:
     """Gauss-Legendre nodes and weights on [-1, 1]."""
@@ -219,7 +215,7 @@ def solve_vandermonde_transpose(nodes: np.ndarray, rhs: np.ndarray) -> np.ndarra
     if not np.isfinite(x).all():
         raise ValueError("nodes must be finite")
     if len(set(x.tolist())) != n:
-        raise SingularSystemError("duplicate nodes make the system singular")
+        raise ValueError("duplicate nodes make the system singular")
     block = b[:, None] if b.ndim == 1 else b
     for k in range(n - 1):
         block[k + 1 :] -= x[k] * block[k : n - 1]

@@ -1,8 +1,22 @@
 import numpy as np
 import pytest
 
-from slenderquad.geometry import discretize, make_custom, make_helix, make_straight
+from slenderquad.geometry import FiberCurve, discretize, make_custom, make_helix, make_straight
 from slenderquad.quadcore import gauss_legendre, legendre_eval
+
+
+class TestFiberCurve:
+    def test_rejects_nan_length(self):
+        helix = make_helix(8.0, 3.0, 1.5)
+        with pytest.raises(ValueError, match="length must be positive and finite, got nan"):
+            FiberCurve(
+                kind="custom",
+                length=float("nan"),
+                position=helix.position,
+                tangent=helix.tangent,
+                second_derivative=helix.second_derivative,
+                parameters={},
+            )
 
 
 class TestMakeHelix:

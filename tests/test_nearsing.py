@@ -7,10 +7,8 @@ from slenderquad.finitepart import LineDensity
 from slenderquad.geometry import discretize, make_helix, make_straight
 from slenderquad.nearsing import (
     RootNotFoundError,
-    RootPair,
     eval_S,
     eval_S_regular,
-    eval_S_special,
     find_root,
     qkp_moments,
 )
@@ -110,10 +108,6 @@ class TestFindRoot:
         with pytest.raises(RootNotFoundError, match="no convergence in 1 iterations"):
             find_root(pc.panel_coeffs[0], np.array([0.02, 0.01, 0.2]))
 
-    def test_rootpair_validation(self):
-        with pytest.raises(ValueError):
-            RootPair(z1=0.5 - 0.1j, residual=0.0)
-
 
 class TestQkpMoments:
     def test_p1_closed_form(self):
@@ -174,21 +168,22 @@ class TestEvalSSpecial:
         center = pc.positions[sl].mean(axis=0)
         pt = center + np.array([0.0, 0.0, 5.0]) * pc.grid.panel_width
         root = find_root(pc.panel_coeffs[m], pt)
-        special = eval_S_special(pc, dens, m, pt, root)
-        from slenderquad.nearsing import _offsets, _regular_sum
+        from slenderquad.nearsing import _offsets, _regular_sum, _special_sums
 
+        r, r2 = _offsets(pc.positions[sl], pt)
+        special = _special_sums(pc, dens.samples, [m], [root.z1], r[None], r2[None])[0]
         regular = _regular_sum(pc, dens.samples, *_offsets(pc.positions, pt), sl)
         assert special == pytest.approx(regular, abs=1e-12)
 
     def test_near_straight_panel_beats_regular(self):
+        # one panel, so eval_S is that panel's special contribution alone
         pc = discretize(make_straight((1.0, 0.0, 0.0), 1.0), 1, RULE)
         fconst = (0.4, -0.7, 1.1)
         dens = constant_density(pc.grid, fconst)
         d = 1e-3
         pt = np.array([0.5, d, 0.0])
         exact = segment_stokeslet(0.5, d, 1.0, fconst)
-        root = find_root(pc.panel_coeffs[0], pt)
-        special = eval_S_special(pc, dens, 0, pt, root)
+        special = eval_S(pc, dens, pt)
         regular = eval_S_regular(pc, dens, pt)
         assert np.max(np.abs(special - exact)) <= 1e-10
         assert np.max(np.abs(regular - exact)) >= 1e-2
@@ -198,15 +193,15 @@ class TestEvalSSpecial:
         helix = pc.curve
         s0 = 0.9
         pt = helix.position(s0) + 3e-3 * helix.second_derivative(s0) / 8.0
-        m = int(s0 / pc.grid.panel_width)
-        root = find_root(pc.panel_coeffs[m], pt)
         rng = np.random.default_rng(23)
         fa = rng.standard_normal((pc.grid.node_count, 3))
         fb = rng.standard_normal((pc.grid.node_count, 3))
-        sa = eval_S_special(pc, LineDensity(samples=fa), m, pt, root)
-        sb = eval_S_special(pc, LineDensity(samples=fb), m, pt, root)
-        sab = eval_S_special(pc, LineDensity(samples=fa + 2.0 * fb), m, pt, root)
+        sa = eval_S(pc, LineDensity(samples=fa), pt)
+        sb = eval_S(pc, LineDensity(samples=fb), pt)
+        sab = eval_S(pc, LineDensity(samples=fa + 2.0 * fb), pt)
         assert sab == pytest.approx(sa + 2.0 * sb, rel=1e-13, abs=1e-13)
+        # the point takes the special path, so its value is not the regular sum
+        assert not np.array_equal(sa, eval_S_regular(pc, LineDensity(samples=fa), pt))
 
 
 class TestEvalSDispatch:
@@ -230,8 +225,6 @@ class TestEvalSDispatch:
             eval_S(self.pc, dens, pt)
         with pytest.raises(ValueError, match=r"density samples must have shape \(128, 3\)"):
             eval_S_regular(self.pc, dens, pt)
-        with pytest.raises(ValueError, match=r"density samples must have shape \(128, 3\)"):
-            eval_S_special(self.pc, dens, 4, pt, RootPair(z1=0.1 + 0.2j, residual=0.0))
 
     def test_rejects_rule_order_above_moment_limit(self):
         pc = discretize(self.helix, 8, gauss_legendre(20))

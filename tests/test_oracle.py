@@ -41,10 +41,8 @@ class TestAdaptiveIntegrate:
         left = adaptive_integrate(integrand, 0.0, 0.3, 1e-12)
         right = adaptive_integrate(integrand, 0.3, 1.0, 1e-12)
         assert left + right == pytest.approx(0.4, abs=1e-13)
-        # a breakpoint at the jump does the same in one call
-        assert adaptive_integrate(integrand, 0.0, 1.0, 1e-12, points=[0.3]) == pytest.approx(
-            0.4, abs=1e-13
-        )
+        # a start partition split at the jump, as reference_S builds them, does the same
+        assert _bisect_one(integrand, [0.0, 0.3, 1.0], 1e-12) == pytest.approx(0.4, abs=1e-13)
 
     def test_vector_integrand(self):
         got = adaptive_integrate(
@@ -95,11 +93,15 @@ class TestAdaptiveIntegrate:
     )
     def test_equals_the_one_interval_loop_bit_for_bit(self, integrand, a, b, points):
         total, err, ok = _ref_integrate(integrand, a, b, 1e-12, points)
+        if points:  # the multi-interval start partition that reference_S hands _bisect
+            run = lambda: _bisect_one(integrand, [a, *points, b], 1e-12)
+        else:
+            run = lambda: adaptive_integrate(integrand, a, b, 1e-12)
         if ok:
-            assert np.array_equal(adaptive_integrate(integrand, a, b, 1e-12, points), total)
+            assert np.array_equal(run(), total)
         else:
             with pytest.raises(AccuracyError) as info:
-                adaptive_integrate(integrand, a, b, 1e-12, points)
+                run()
             assert info.value.best_estimate == total and info.value.error_estimate == err
 
     def test_self_consistency_under_tol_halving(self):
@@ -124,8 +126,39 @@ class TestAdaptiveIntegrate:
         with pytest.raises(ValueError):
             adaptive_integrate(lambda s: s, 1.0, 0.0, 1e-10)
 
+    @pytest.mark.parametrize("a, b", [(np.nan, 1.0), (0.0, np.nan), (-np.inf, 0.0), (0.0, np.inf)])
+    def test_rejects_non_finite_interval(self, a, b):
+        with pytest.raises(ValueError, match="finite a < b"):
+            adaptive_integrate(lambda s: s, a, b, 1e-10)
+
+
+class TestBadTol:
+    HELIX = make_helix(8.0, 3.0, 1.5)
+    F, FPRIME = forces.testf_simple(HELIX)
+    CALLS = {
+        "adaptive_integrate": lambda tol: adaptive_integrate(lambda s: s, 0.0, 1.0, tol),
+        "reference_S": lambda tol: reference_S(
+            TestBadTol.HELIX, TestBadTol.F, np.array([0.1, 0.0, 0.3]), tol
+        ),
+        "reference_K": lambda tol: reference_K(
+            TestBadTol.HELIX, TestBadTol.F, TestBadTol.FPRIME, 0.7, tol
+        ),
+    }
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, np.nan, np.inf])
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_rejected_before_any_integrand_call(self, name, tol, monkeypatch):
+        def no_rule(*args):
+            raise AssertionError("the integrand was evaluated")
+
+        monkeypatch.setattr(oracle, "_gk15", no_rule)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            self.CALLS[name](tol)
+
 
 class TestBreakpoints:
+    """_bisect's multi-interval start partitions, which reference_S builds."""
+
     @staticmethod
     def peak(s):
         return 1.0 / (s * s + 1e-4)
@@ -138,22 +171,11 @@ class TestBreakpoints:
             sizes.append(s.size)
             return self.peak(s)
 
-        value = adaptive_integrate(counted, -1.0, 1.0, 1e-11, points=points)
+        value = _bisect_one(counted, [-1.0, *points, 1.0], 1e-11)
         plain = adaptive_integrate(self.peak, -1.0, 1.0, 1e-11)
         assert sizes[0] == 15 * (len(points) + 1)
         assert set(sizes[1:]) <= {30}
         assert abs(value - plain) <= 1e-11 * abs(plain)
-
-    @pytest.mark.parametrize(
-        "points",
-        [[0.5, 0.2], [0.2, 0.2], [np.nan], [np.inf], [0.0], [1.0], [-0.1], [1.5], [[0.5]]],
-        ids=[
-            "unsorted", "repeated", "nan", "inf", "at-a", "at-b", "below-a", "above-b", "2-d",
-        ],
-    )
-    def test_rejects_bad_points(self, points):
-        with pytest.raises(ValueError, match="points"):
-            adaptive_integrate(lambda s: s, 0.0, 1.0, 1e-10, points=points)
 
 
 class TestClosestParameter:
@@ -342,6 +364,12 @@ class TestReferenceS:
         # spacing doubles away from the foot, starting at the closest distance
         assert np.min(gaps[gaps > 0]) == pytest.approx(d, rel=1e-9)
         assert np.max(gaps) > helix.length / 4
+
+
+def _bisect_one(integrand, edges, tol):
+    """One problem through _bisect from the start partition edges, certified."""
+    found = oracle._bisect(lambda x, owner: integrand(x), [np.asarray(edges, dtype=float)], tol)
+    return oracle._certified(*found, tol, one=True)
 
 
 def _ref_integrate(integrand, a, b, tol, points=()):

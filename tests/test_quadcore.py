@@ -4,7 +4,6 @@ import pytest
 from helpers import legendre_deriv_coeffs_numpy_scalars, legendre_eval_numpy_scalars
 from slenderquad.quadcore import (
     MAX_ORDER,
-    SingularSystemError,
     gauss_legendre,
     interpolate_to_uniform,
     legendre_and_derivative,
@@ -347,9 +346,9 @@ class TestVandermondeTranspose:
             assert np.max(np.abs(got - direct)) <= 1e-10
 
     def test_duplicate_nodes(self):
-        with pytest.raises(SingularSystemError):
+        with pytest.raises(ValueError, match="duplicate"):
             solve_vandermonde_transpose(np.array([0.5, 0.5, -0.5]), np.ones(3))
-        with pytest.raises(SingularSystemError):
+        with pytest.raises(ValueError, match="duplicate"):
             solve_vandermonde_transpose(np.array([0.0, -0.0]), np.ones((2, 2)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -358,7 +357,7 @@ class TestVandermondeTranspose:
         nodes[7] = bad
         with pytest.raises(ValueError, match="finite") as err:
             solve_vandermonde_transpose(nodes, np.ones(16))
-        assert not isinstance(err.value, SingularSystemError)
+        assert "duplicate" not in str(err.value)
 
     def test_block_equals_columns_and_scalar_loops_bitwise(self):
         rng = np.random.default_rng(5)
