@@ -42,7 +42,6 @@ class PanelizedCurve:
     contiguous (3, N) copy of positions, for the component-major K rows.
     """
 
-    curve: FiberCurve
     grid: PanelGrid
     positions: np.ndarray
     tangents: np.ndarray
@@ -162,7 +161,6 @@ def discretize(curve: FiberCurve, panel_count: int, rule: QuadratureRule) -> Pan
     per_panel = positions.reshape(panel_count, n, 3)
     coeffs = np.einsum("kl,mlc->mck", transform, per_panel)
     return PanelizedCurve(
-        curve=curve,
         grid=grid,
         positions=positions,
         tangents=tangents,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,25 +32,17 @@ class RootNotFoundError(RuntimeError):
     """Newton iteration on R^2(eta) failed to locate a complex root."""
 
 
-@dataclass(frozen=True)
-class RootPair:
-    """Upper-half root of R^2(eta) nearest the panel, with its Newton residual."""
-
-    z1: complex
-    residual: float
-
-
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise dot products of two (P, 3) arrays, each with the bits of `a[i] @ b[i]`."""
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def _chord_guesses(coeffs: np.ndarray, xb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _chord_guesses(coeffs: np.ndarray, xb: np.ndarray) -> np.ndarray:
     """Initial root guesses for (P, 3, n) panel coefficients and (P, 3) points, pair by pair.
 
-    eta0 comes from the projection parameter and the imaginary part is 2d/h
-    for point-to-chord distance d and chord length h; exact for straight
-    panels. Returns the (P,) real and imaginary parts.
+    The real part comes from the projection parameter and the imaginary part
+    is 2d/h for point-to-chord distance d and chord length h; exact for
+    straight panels. Returns the (P,) complex guesses.
     """
     p_left = coeffs @ (-1.0) ** np.arange(coeffs.shape[2])
     chord = coeffs.sum(axis=2) - p_left
@@ -59,21 +50,17 @@ def _chord_guesses(coeffs: np.ndarray, xb: np.ndarray) -> tuple[np.ndarray, np.n
     tpar = _rowdot(xb - p_left, chord) / (h * h)
     foot = xb - (p_left + tpar[:, None] * chord)
     im = np.maximum(2.0 * np.sqrt(_rowdot(foot, foot)) / h, 1e-8)
-    return np.clip(2.0 * tpar - 1.0, -1.0, 1.0), im
+    return np.clip(2.0 * tpar - 1.0, -1.0, 1.0) + 1j * im
 
 
-def find_root(panel_coeffs: np.ndarray, x_bar, guess: complex | None = None) -> RootPair:
-    """Newton iteration for the upper-half root of R^2(eta) = |x_bar - x(eta)|^2.
+def find_root(panel_coeffs: np.ndarray, x_bar, guess: complex) -> complex:
+    """Newton iteration from guess for the upper-half root z1 of R^2(eta) = |x_bar - x(eta)|^2.
 
-    The iteration starts from guess, or from the chord guess when none is
-    given.
+    Returns z1 as a Python complex; a failed iteration raises RootNotFoundError.
     """
     coeffs = np.asarray(panel_coeffs, dtype=float)
     xb = np.asarray(x_bar, dtype=float)
     n = coeffs.shape[1]
-    if guess is None:
-        eta0, im = _chord_guesses(coeffs[None], xb[None])
-        guess = complex(eta0[0], im[0])
     z = complex(guess)
 
     for _ in range(_NEWTON_MAX_ITER):
@@ -99,8 +86,7 @@ def find_root(panel_coeffs: np.ndarray, x_bar, guess: complex | None = None) -> 
         z = z.conjugate()
     if z.imag == 0:
         raise RootNotFoundError("converged to a real root; point lies on the curve extension")
-    diff = xb - coeffs @ legendre_and_derivative(z, n)[:, 0]
-    return RootPair(z1=z, residual=abs(complex(diff @ diff)))
+    return z
 
 
 def _moments_recursion(a: float, b: float, count: int) -> np.ndarray:
@@ -306,19 +292,19 @@ def eval_S(curve: PanelizedCurve, f: LineDensity, x_bar) -> np.ndarray:
         tt, mm = np.nonzero(dist <= _SWITCH_FACTOR * grid.panel_width)
         pairs = []
         if len(tt):
-            eta0, im = _chord_guesses(curve.panel_coeffs[mm], points[tt])
+            guess = _chord_guesses(curve.panel_coeffs[mm], points[tt])
             # a chord-estimated root with Im >= 1 is not near; skip the Newton run
-            for i in np.flatnonzero(im < 1.0):
+            for i in np.flatnonzero(guess.imag < 1.0):
                 t, m = tt[i], mm[i]
                 try:
-                    root = find_root(curve.panel_coeffs[m], points[t], complex(eta0[i], im[i]))
+                    z1 = find_root(curve.panel_coeffs[m], points[t], guess[i])
                 except RootNotFoundError as err:
                     warnings.warn(
                         f"point {start + t}, panel {m}: {err}; falling back to regular quadrature"
                     )
                     continue
-                if root.z1.imag < 1.0:
-                    pairs.append((t, m, root.z1))
+                if z1.imag < 1.0:
+                    pairs.append((t, m, z1))
         total = np.zeros((count, 3))
         out = _regular_sum(curve, fv, r, r2)
         if pairs:

@@ -189,7 +189,9 @@ def _certified(totals, errs, failed, tol: float, one: bool):
 
 
 def scaled_legendre(n: int, s, length: float = 1.0):
-    """P_n mapped to [0, length]: P_n(-1 + 2 s / length)."""
+    """P_n mapped to [0, length]: P_n(-1 + 2 s / length). A negative n raises ValueError."""
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
     x = -1.0 + 2.0 * np.asarray(s, dtype=float) / length
     p_prev = np.ones_like(x)
     if n == 0:
@@ -217,6 +219,8 @@ def reference_L(
     """Adaptive evaluation of the scalar finite-part operator, split at s_bar."""
     if not 0.0 < s_bar < length:
         raise ValueError("s_bar must lie strictly inside (0, length)")
+    if not 0.0 < tol < math.inf:  # here, since the halves would report tol / 2
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     f_bar = f(s_bar)
     fp_bar = fprime(s_bar)
 
@@ -283,6 +287,8 @@ def reference_K(
     """
     if not 0.0 < s_bar < curve.length:
         raise ValueError("s_bar must lie strictly inside (0, length)")
+    if not 0.0 < tol < math.inf:  # here, since the halves would report tol / 2
+        raise ValueError(f"tol must be positive and finite, got {tol}")
 
     window = 2e-5 * curve.length
     h0 = 1e-3 * curve.length

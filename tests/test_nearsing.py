@@ -18,6 +18,11 @@ from slenderquad.quadcore import gauss_legendre, legendre_and_derivative
 RULE = gauss_legendre(16)
 
 
+def chord_root(coeffs, pt):
+    """find_root from the chord guess, as eval_S starts it."""
+    return find_root(coeffs, pt, nearsing._chord_guesses(coeffs[None], pt[None])[0])
+
+
 def constant_density(grid, value):
     vec = np.asarray(value, dtype=float)
     return LineDensity(samples=np.tile(vec, (grid.node_count, 1)))
@@ -59,15 +64,17 @@ class TestFindRoot:
     def test_straight_panel_center(self):
         pc = discretize(make_straight((1.0, 0.0, 0.0), 1.0), 1, RULE)
         d = 0.1
-        root = find_root(pc.panel_coeffs[0], np.array([0.5, d, 0.0]))
+        # a guess off the root, so Newton does the work the exact chord guess would skip
+        z1 = find_root(pc.panel_coeffs[0], np.array([0.5, d, 0.0]), 0.3 + 0.5j)
         # x(eta) = (eta+1)/2, so R^2 has roots at eta = 2 x_bar - 1 +- 2 i d
-        assert root.z1 == pytest.approx(2j * d, abs=1e-12)
+        assert type(z1) is complex
+        assert z1 == pytest.approx(2j * d, abs=1e-12)
 
     def test_straight_panel_interior_offset(self):
         pc = discretize(make_straight((1.0, 0.0, 0.0), 1.0), 1, RULE)
         d = 0.07
-        root = find_root(pc.panel_coeffs[0], np.array([0.3, 0.0, d]))
-        assert root.z1 == pytest.approx(complex(-0.4, 2 * d), abs=1e-12)
+        z1 = find_root(pc.panel_coeffs[0], np.array([0.3, 0.0, d]), 0.2 + 0.5j)
+        assert z1 == pytest.approx(complex(-0.4, 2 * d), abs=1e-12)
 
     def test_residual_scale(self):
         helix = make_helix(8.0, 3.0, 1.5)
@@ -75,38 +82,39 @@ class TestFindRoot:
         s0 = 0.7
         pt = helix.position(s0) + 0.01 * helix.second_derivative(s0) / 8.0
         m = int(s0 / pc.grid.panel_width)
-        root = find_root(pc.panel_coeffs[m], pt)
+        z1 = chord_root(pc.panel_coeffs[m], pt)
+        diff = pt - pc.panel_coeffs[m] @ legendre_and_derivative(z1, 16)[:, 0]
         sl = pc.grid.panel_slice(m)
         scale = np.max(np.sum((pt[None, :] - pc.positions[sl]) ** 2, axis=1))
-        assert root.residual <= 1e-12 * scale
+        assert abs(complex(diff @ diff)) <= 1e-12 * scale
 
     def test_conjugate_symmetry(self):
         # real-coefficient expansions give conjugate R^2 values
         pc = discretize(make_helix(8.0, 3.0, 1.5), 8, RULE)
         coeffs = pc.panel_coeffs[3]
         pt = pc.positions[3 * 16 + 7] + np.array([0.0, 0.0, 5e-3])
-        root = find_root(coeffs, pt)
-        vals_up = coeffs @ legendre_and_derivative(root.z1, 16)[:, 0]
-        vals_dn = coeffs @ legendre_and_derivative(root.z1.conjugate(), 16)[:, 0]
+        z1 = chord_root(coeffs, pt)
+        vals_up = coeffs @ legendre_and_derivative(z1, 16)[:, 0]
+        vals_dn = coeffs @ legendre_and_derivative(z1.conjugate(), 16)[:, 0]
         r2_up = np.sum((pt - vals_up) ** 2)
         r2_dn = np.sum((pt - vals_dn) ** 2)
         assert r2_dn == pytest.approx(r2_up.conjugate(), abs=1e-14)
 
     def test_newton_iteration_budget(self, monkeypatch):
         monkeypatch.setattr(nearsing, "_NEWTON_MAX_ITER", 10)
-        pc = discretize(make_helix(8.0, 3.0, 1.5), 8, RULE)
-        helix = pc.curve
+        helix = make_helix(8.0, 3.0, 1.5)
+        pc = discretize(helix, 8, RULE)
         s0 = 0.33
         pt = helix.position(s0) + 2e-3 * helix.second_derivative(s0) / 8.0
         m = int(s0 / pc.grid.panel_width)
-        root = find_root(pc.panel_coeffs[m], pt)  # converges within 10 iterations
-        assert root.z1.imag > 0
+        z1 = chord_root(pc.panel_coeffs[m], pt)  # converges within 10 iterations
+        assert z1.imag > 0
 
     def test_failure_raises(self, monkeypatch):
         monkeypatch.setattr(nearsing, "_NEWTON_MAX_ITER", 1)
         pc = discretize(make_helix(8.0, 3.0, 1.5), 8, RULE)
         with pytest.raises(RootNotFoundError, match="no convergence in 1 iterations"):
-            find_root(pc.panel_coeffs[0], np.array([0.02, 0.01, 0.2]))
+            chord_root(pc.panel_coeffs[0], np.array([0.02, 0.01, 0.2]))
 
 
 class TestQkpMoments:
@@ -167,11 +175,11 @@ class TestEvalSSpecial:
         sl = pc.grid.panel_slice(m)
         center = pc.positions[sl].mean(axis=0)
         pt = center + np.array([0.0, 0.0, 5.0]) * pc.grid.panel_width
-        root = find_root(pc.panel_coeffs[m], pt)
+        z1 = chord_root(pc.panel_coeffs[m], pt)
         from slenderquad.nearsing import _offsets, _regular_sum, _special_sums
 
         r, r2 = _offsets(pc.positions[sl], pt)
-        special = _special_sums(pc, dens.samples, [m], [root.z1], r[None], r2[None])[0]
+        special = _special_sums(pc, dens.samples, [m], [z1], r[None], r2[None])[0]
         regular = _regular_sum(pc, dens.samples, *_offsets(pc.positions, pt), sl)
         assert special == pytest.approx(regular, abs=1e-12)
 
@@ -189,8 +197,8 @@ class TestEvalSSpecial:
         assert np.max(np.abs(regular - exact)) >= 1e-2
 
     def test_linearity(self):
-        pc = discretize(make_helix(8.0, 3.0, 1.5), 8, RULE)
-        helix = pc.curve
+        helix = make_helix(8.0, 3.0, 1.5)
+        pc = discretize(helix, 8, RULE)
         s0 = 0.9
         pt = helix.position(s0) + 3e-3 * helix.second_derivative(s0) / 8.0
         rng = np.random.default_rng(23)
@@ -253,7 +261,7 @@ class TestEvalSDispatch:
         pt = self.helix.position(s0) + 2.2e-3 * self.helix.second_derivative(s0) / 8.0
         eval_S(self.pc, self.dens, pt)
         # a special pair is a root the Newton run accepts, Im(z1) < 1
-        specials = [root for root in roots if root.z1.imag < 1.0]
+        specials = [z1 for z1 in roots if z1.imag < 1.0]
         assert len(specials) > 0
         assert len(moments) == len(specials)
         assert len(solves) == 1
@@ -264,7 +272,7 @@ class TestEvalSDispatch:
         block = np.array([pt] * chunk + [far] * chunk + [pt])
         moments.clear(), solves.clear(), roots.clear()
         eval_S(self.pc, self.dens, block)
-        specials = [root for root in roots if root.z1.imag < 1.0]
+        specials = [z1 for z1 in roots if z1.imag < 1.0]
         assert len(specials) > 0
         assert len(moments) == len(specials)
         assert len(solves) == 2

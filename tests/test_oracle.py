@@ -143,6 +143,7 @@ class TestBadTol:
         "reference_K": lambda tol: reference_K(
             TestBadTol.HELIX, TestBadTol.F, TestBadTol.FPRIME, 0.7, tol
         ),
+        "reference_L": lambda tol: reference_L(lambda s: s, lambda s: 1.0, 1.0, 0.4, tol),
     }
 
     @pytest.mark.parametrize("tol", [0.0, -1e-12, np.nan, np.inf])
@@ -154,6 +155,12 @@ class TestBadTol:
         monkeypatch.setattr(oracle, "_gk15", no_rule)
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             self.CALLS[name](tol)
+
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_message_names_the_callers_tol(self, name):
+        # reference_K and reference_L integrate two halves to tol / 2 each
+        with pytest.raises(ValueError, match=r"got -1e-12$"):
+            self.CALLS[name](-1e-12)
 
 
 class TestBreakpoints:
@@ -234,6 +241,10 @@ class TestDiagonalization:
         assert scaled_legendre(2, 0.37, 1.0) == pytest.approx(
             (3 * (-0.26) ** 2 - 1) / 2, abs=1e-15
         )
+
+    def test_scaled_legendre_rejects_negative_order(self):
+        with pytest.raises(ValueError, match="n must be non-negative, got -3"):
+            scaled_legendre(-3, np.array([0.0, 0.25, 1.0]), 1.0)
 
 
 class TestReferenceL:
