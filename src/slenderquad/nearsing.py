@@ -10,6 +10,7 @@ in monomials and contracted against the analytic moments of eta^k/|eta-z1|^p.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from .finitepart import LineDensity
 from .geometry import PanelizedCurve
-from .quadcore import gauss_legendre, legendre_and_derivative, solve_vandermonde_transpose
+from .quadcore import _legendre_terms, gauss_legendre, solve_vandermonde_transpose
 
 _RECURSION_RANGE = 0.5  # root-to-interval distance where upward recursion stays accurate
 _GRADED_ORDER = 32
@@ -29,7 +30,16 @@ _CHUNK = 32  # field points per pass; bounds the (T, N, 3) offset array
 
 
 class RootNotFoundError(RuntimeError):
-    """Newton iteration on R^2(eta) failed to locate a complex root."""
+    """Newton iteration on R^2(eta) failed to locate a complex root.
+
+    A block call's error carries every pair's outcome: the (P,) roots, NaN
+    where Newton failed, the (P,) boolean mask `failed` and the P `reasons`,
+    empty strings for the pairs that converged. A one-pair call's has None.
+    """
+
+    def __init__(self, message: str, roots=None, failed=None, reasons=None):
+        super().__init__(message)
+        self.roots, self.failed, self.reasons = roots, failed, reasons
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -53,40 +63,101 @@ def _chord_guesses(coeffs: np.ndarray, xb: np.ndarray) -> np.ndarray:
     return np.clip(2.0 * tpar - 1.0, -1.0, 1.0) + 1j * im
 
 
-def find_root(panel_coeffs: np.ndarray, x_bar, guess: complex) -> complex:
+def find_root(panel_coeffs: np.ndarray, x_bar, guess) -> complex | np.ndarray:
     """Newton iteration from guess for the upper-half root z1 of R^2(eta) = |x_bar - x(eta)|^2.
 
-    Returns z1 as a Python complex; a failed iteration raises RootNotFoundError.
+    Takes one pair, (3, n) panel coefficients, a (3,) point and a scalar
+    guess, and returns z1 as a Python complex; or a block of P pairs, (P, 3, n),
+    (P, 3) and (P,), and returns the (P,) complex roots, each with the bits of
+    its one-pair call. Shapes that do not match and non-finite input raise
+    ValueError before any Newton step. A failed pair raises RootNotFoundError,
+    after every other pair of its block has run: a one-pair call's message
+    is the reason, and a block's error carries every pair's outcome.
     """
     coeffs = np.asarray(panel_coeffs, dtype=float)
     xb = np.asarray(x_bar, dtype=float)
-    n = coeffs.shape[1]
-    z = complex(guess)
+    z0 = np.asarray(guess, dtype=complex)
+    lead = coeffs.shape[:-2]
+    if not (
+        coeffs.ndim in (2, 3)
+        and coeffs.shape[-2] == 3
+        and coeffs.shape[-1] >= 1
+        and xb.shape == lead + (3,)
+        and z0.shape == lead
+    ):
+        raise ValueError(
+            "find_root takes (3, n) coefficients, a (3,) point and a scalar guess, "
+            f"or (P, 3, n), (P, 3) and (P,); got {coeffs.shape}, {xb.shape} and {z0.shape}"
+        )
+    if not (np.isfinite(coeffs).all() and np.isfinite(xb).all() and np.isfinite(z0).all()):
+        raise ValueError("panel coefficients, points and guesses must be finite")
+    roots, reasons = _newton(coeffs.reshape(-1, *coeffs.shape[-2:]), xb.reshape(-1, 3), z0.ravel())
+    if not lead:
+        if reasons[0]:
+            raise RootNotFoundError(reasons[0])
+        return roots[0]
+    roots = np.array(roots, dtype=complex)
+    failed = np.array([bool(r) for r in reasons], dtype=bool)
+    if failed.any():
+        raise RootNotFoundError(
+            f"Newton failed for {int(failed.sum())} of {len(failed)} pairs", roots, failed, reasons
+        )
+    return roots
 
+
+def _newton(coeffs: np.ndarray, xb: np.ndarray, guesses: np.ndarray) -> tuple[list, list]:
+    """Newton on the P pairs of (P, 3, n) coefficients, (P, 3) points and (P,) guesses together.
+
+    Every iteration builds each live pair's (n, 2) Legendre table on its
+    Python-complex iterate and contracts all of them in one stacked product;
+    the stacked product and row dots give every pair the bits of its own
+    2-D ones. Step, damping and stopping tests stay per pair on Python
+    scalars. A pair leaves the live set when it converges or fails. Returns
+    the roots, NaN where Newton failed, and the reasons, empty where it did not.
+    """
+    count, n = len(guesses), coeffs.shape[2]
+    z = guesses.tolist()
+    roots = [complex(math.nan, math.nan)] * count
+    reasons = [""] * count
+    live = list(range(count))
+    c_live, x_live = coeffs.astype(complex), xb
     for _ in range(_NEWTON_MAX_ITER):
-        vals, ders = (coeffs @ legendre_and_derivative(z, n)).T
-        diff = xb - vals
-        r2 = complex(diff @ diff)
-        dr2 = -2.0 * complex(diff @ ders)
-        if dr2 == 0:
-            raise RootNotFoundError("stationary R^2, Newton step undefined")
-        step = r2 / dr2
-        # overshoots past unit length leave the panel's basin; damp them
-        if abs(step) > 1.0:
-            step /= abs(step)
-        z = z - step
-        if abs(step) <= _NEWTON_TOL:
+        if not live:
             break
-        if abs(z) > 20.0:
-            raise RootNotFoundError("Newton iterate escaped the panel neighborhood")
-    else:
-        raise RootNotFoundError(f"no convergence in {_NEWTON_MAX_ITER} iterations")
-
-    if z.imag < 0:
-        z = z.conjugate()
-    if z.imag == 0:
-        raise RootNotFoundError("converged to a real root; point lies on the curve extension")
-    return z
+        terms = itertools.chain.from_iterable(_legendre_terms(z[i], n) for i in live)
+        table = np.fromiter(terms, complex, 2 * n * len(live)).reshape(len(live), n, 2)
+        vals_ders = c_live @ table
+        diff = x_live - vals_ders[:, :, 0]
+        still = []
+        for j, (i, r2, d) in enumerate(
+            zip(live, _rowdot(diff, diff).tolist(), _rowdot(diff, vals_ders[:, :, 1]).tolist())
+        ):
+            dr2 = -2.0 * d
+            if dr2 == 0:
+                reasons[i] = "stationary R^2, Newton step undefined"
+                continue
+            step = r2 / dr2
+            # overshoots past unit length leave the panel's basin; damp them
+            if abs(step) > 1.0:
+                step /= abs(step)
+            z[i] = z[i] - step
+            if abs(step) <= _NEWTON_TOL:
+                root = z[i].conjugate() if z[i].imag < 0 else z[i]
+                if root.imag == 0:
+                    reasons[i] = "converged to a real root; point lies on the curve extension"
+                else:
+                    roots[i] = root
+                continue
+            if abs(z[i]) > 20.0:
+                reasons[i] = "Newton iterate escaped the panel neighborhood"
+                continue
+            still.append(j)
+        if len(still) < len(live):
+            live = [live[j] for j in still]
+            c_live, x_live = c_live[still], x_live[still]
+    for i in live:
+        reasons[i] = f"no convergence in {_NEWTON_MAX_ITER} iterations"
+    return roots, reasons
 
 
 def _moments_recursion(a: float, b: float, count: int) -> np.ndarray:
@@ -270,8 +341,10 @@ def eval_S(curve: PanelizedCurve, f: LineDensity, x_bar) -> np.ndarray:
     x_bar is one point (3,) or a block (T, 3); the result has the same shape,
     and every row equals the one-point call bit for bit. A panel is treated
     as near a point when its closest node lies within _SWITCH_FACTOR times the
-    panel arclength. Root-finding failures and roots with Im(z1) >= 1 fall
-    back to the regular rule for that (point, panel) pair only. All panels a
+    panel arclength. The near pairs of each chunk of points share one block
+    find_root call. Root-finding failures, each warned of, and roots with
+    Im(z1) >= 1 fall back to the regular rule for that (point, panel) pair
+    only. All panels a
     point leaves to the regular rule are summed in one contraction, the same
     one eval_S_regular makes, so a point with no near panel gets
     eval_S_regular's value exactly. Rule orders above MAX_MOMENT_COUNT are
@@ -290,25 +363,27 @@ def eval_S(curve: PanelizedCurve, f: LineDensity, x_bar) -> np.ndarray:
         count = len(points)
         dist = np.sqrt(r2.reshape(count, grid.panel_count, n).min(axis=2))
         tt, mm = np.nonzero(dist <= _SWITCH_FACTOR * grid.panel_width)
-        pairs = []
+        tp = mp = ()
         if len(tt):
             guess = _chord_guesses(curve.panel_coeffs[mm], points[tt])
             # a chord-estimated root with Im >= 1 is not near; skip the Newton run
-            for i in np.flatnonzero(guess.imag < 1.0):
-                t, m = tt[i], mm[i]
-                try:
-                    z1 = find_root(curve.panel_coeffs[m], points[t], guess[i])
-                except RootNotFoundError as err:
+            run = guess.imag < 1.0
+            tt, mm, guess = tt[run], mm[run], guess[run]
+        if len(tt):  # one Newton run for all of the chunk's pairs
+            try:
+                z1 = find_root(curve.panel_coeffs[mm], points[tt], guess)
+            except RootNotFoundError as err:
+                z1 = err.roots
+                for i in np.flatnonzero(err.failed):
                     warnings.warn(
-                        f"point {start + t}, panel {m}: {err}; falling back to regular quadrature"
+                        f"point {start + tt[i]}, panel {mm[i]}: {err.reasons[i]}; "
+                        "falling back to regular quadrature"
                     )
-                    continue
-                if z1.imag < 1.0:
-                    pairs.append((t, m, z1))
+            near = z1.imag < 1.0  # False for the NaN roots of failed pairs
+            tp, mp, z1 = tt[near], mm[near], z1[near].tolist()
         total = np.zeros((count, 3))
         out = _regular_sum(curve, fv, r, r2)
-        if pairs:
-            tp, mp, z1 = map(list, zip(*pairs))
+        if len(tp):
             rp = r.reshape(count, grid.panel_count, n, 3)[tp, mp]
             r2p = r2.reshape(count, grid.panel_count, n)[tp, mp]
             for t, value in zip(tp, _special_sums(curve, fv, mp, z1, rp, r2p)):

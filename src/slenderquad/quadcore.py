@@ -166,18 +166,29 @@ def legendre_and_derivative(z, n: int) -> np.ndarray:
         raise ValueError(f"n must be in [1, {MAX_ORDER + 1}], got {n}")
     if isinstance(z, np.ndarray):
         z = z.astype(complex if np.iscomplexobj(z) else float)
-        zero, one = np.zeros_like(z), np.ones_like(z)
+        terms = _legendre_terms(z, n, np.zeros_like(z), np.ones_like(z))
     else:
         z = complex(z) if isinstance(z, (complex, np.complexfloating)) else float(z)
-        zero, one = 0.0, 1.0
-    rows = [(one, zero), (z, one)]
+        terms = _legendre_terms(z, n)
+    return np.array(terms).reshape((n, 2) + np.shape(z))
+
+
+def _legendre_terms(z, n: int, zero=0.0, one=1.0) -> list:
+    """P_0(z), P_0'(z), P_1(z), P_1'(z), ..., P_{n-1}'(z) as one flat list of 2n terms.
+
+    The three-term recurrences run in z's own arithmetic: on a Python scalar
+    with the default zero and one, or on an array with zero and one arrays
+    of its shape. A flat list of scalars converts to an array several times
+    faster than nested rows, which Newton's tables on many iterates need.
+    """
+    terms = [one, zero, z, one]
     p_prev, p = one, z
     dp_prev, dp = zero, one
     for k in range(2, n):
         p_prev, p = p, ((2 * k - 1) * z * p - (k - 1) * p_prev) / k
         dp_prev, dp = dp, dp_prev + (2 * k - 1) * p_prev
-        rows.append((p, dp))
-    return np.array(rows[:n])
+        terms += (p, dp)
+    return terms[: 2 * n]
 
 
 def legendre_deriv_coeffs(coeffs: np.ndarray) -> np.ndarray:

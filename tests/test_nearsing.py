@@ -117,6 +117,164 @@ class TestFindRoot:
             chord_root(pc.panel_coeffs[0], np.array([0.02, 0.01, 0.2]))
 
 
+def _s_field_near_points(helix, seed, count=128):
+    """Points 2.2e-3 to 2e-2 off interior centerline points, drawn as the s_field benchmark does."""
+    rng = np.random.default_rng(seed)
+    batch, batches = 64, count // 64
+
+    def stratified(lo, hi):
+        u = (rng.permuted(np.tile(np.arange(batch), (batches, 1)), axis=1)
+             + rng.uniform(size=(batches, batch))) / batch
+        return (lo + (hi - lo) * u).ravel()
+
+    s = stratified(0.05 * helix.length, 0.95 * helix.length)
+    dist = np.exp(stratified(np.log(2.2e-3), np.log(2e-2)))
+    angle = stratified(0.0, 2.0 * np.pi)
+    normal = helix.second_derivative(s)
+    normal /= np.linalg.norm(normal, axis=1)[:, None]
+    binormal = np.cross(helix.tangent(s), normal)
+    offset = np.cos(angle)[:, None] * normal + np.sin(angle)[:, None] * binormal
+    return helix.position(s) + dist[:, None] * offset
+
+
+def _newton_pairs(pc, points):
+    """The (point, panel) pairs eval_S starts Newton on: coefficients, points and chord guesses."""
+    n = pc.grid.rule.order
+    r2 = np.sum((points[:, None, :] - pc.positions[None]) ** 2, axis=2)
+    dist = np.sqrt(r2.reshape(len(points), pc.grid.panel_count, n).min(axis=2))
+    tt, mm = np.nonzero(dist <= pc.grid.panel_width)
+    guess = nearsing._chord_guesses(pc.panel_coeffs[mm], points[tt])
+    run = guess.imag < 1.0
+    return pc.panel_coeffs[mm[run]], points[tt[run]], guess[run]
+
+
+def _one_pair_roots(coeffs, points, guesses):
+    return np.array([find_root(c, x, g) for c, x, g in zip(coeffs, points, guesses)])
+
+
+class TestFindRootBlocks:
+    HELIX = make_helix(8.0, 3.0, 1.5)
+    LINE = np.array([[0.5, 0.5], [0.0, 0.0], [0.0, 0.0]])  # x(eta) = ((eta + 1)/2, 0, 0) exactly
+
+    def setup_method(self):
+        self.pc = discretize(self.HELIX, 8, RULE)
+        self.pairs = _newton_pairs(self.pc, _s_field_near_points(self.HELIX, 41))
+
+    @pytest.mark.parametrize("count", [1, 2, 33])
+    def test_block_equals_one_pair_calls_bitwise(self, count):
+        coeffs, points, guesses = (a[:count] for a in self.pairs)
+        block = find_root(coeffs, points, guesses)
+        assert block.shape == (count,) and block.dtype == complex
+        assert block.tobytes() == _one_pair_roots(coeffs, points, guesses).tobytes()
+
+    def test_all_s_field_near_pairs_bitwise(self):
+        coeffs, points, guesses = self.pairs
+        assert len(guesses) >= 250
+        block = find_root(coeffs, points, guesses)
+        assert block.tobytes() == _one_pair_roots(coeffs, points, guesses).tobytes()
+        assert np.all(block.imag > 0)
+
+    def test_empty_block(self):
+        got = find_root(np.zeros((0, 3, 16)), np.zeros((0, 3)), np.zeros(0, dtype=complex))
+        assert got.shape == (0,)
+
+    def _assert_failures(self, coeffs, points, guesses, reasons):
+        """The block raises with every pair's outcome; good roots keep their one-pair bits."""
+        with pytest.raises(RootNotFoundError) as info:
+            find_root(coeffs, points, guesses)
+        err = info.value
+        bad = np.array([bool(r) for r in reasons])
+        assert str(err) == f"Newton failed for {bad.sum()} of {len(bad)} pairs"
+        assert err.reasons == reasons
+        assert np.array_equal(err.failed, bad)
+        assert np.isnan(err.roots[bad]).all()
+        good = _one_pair_roots(coeffs[~bad], points[~bad], guesses[~bad])
+        assert err.roots[~bad].tobytes() == good.tobytes()
+        for c, x, g, reason in zip(coeffs[bad], points[bad], guesses[bad], np.array(reasons)[bad]):
+            with pytest.raises(RootNotFoundError) as alone:
+                find_root(c, x, g)
+            assert str(alone.value) == reason
+            assert alone.value.roots is None and alone.value.failed is None
+
+    def test_no_convergence_fails_its_pairs_only(self, monkeypatch):
+        coeffs, points, guesses = (a[:40] for a in self.pairs)
+        # pairs whose chord guess is further off the root need more Newton steps than others
+        monkeypatch.setattr(nearsing, "_NEWTON_MAX_ITER", 7)
+        reasons = []
+        for c, x, g in zip(coeffs, points, guesses):
+            try:
+                find_root(c, x, g)
+                reasons.append("")
+            except RootNotFoundError as err:
+                reasons.append(str(err))
+        assert "" in reasons and "no convergence in 7 iterations" in reasons
+        self._assert_failures(coeffs, points, guesses, reasons)
+
+    def test_escape_and_real_roots_fail_their_pairs_only(self):
+        straight = discretize(make_straight((1.0, 0.0, 0.0), 1.0), 1, RULE).panel_coeffs[0]
+        line = np.zeros((3, 16))
+        line[:, :2] = self.LINE
+        coeffs, points, guesses = (a[:3] for a in self.pairs)
+        coeffs = np.concatenate([coeffs[:1], [line, straight], coeffs[1:], [line]])
+        points = np.concatenate([points[:1], [[0.5, 50.0, 0.0], [1.5, 0.0, 0.0]], points[1:],
+                                 [[1.5, 0.0, 0.0]]])
+        # the roots +-100i lie beyond the escape radius; the extension point has a real
+        # double root at eta = 2, which a real start reaches, or stalls on exactly
+        guesses = np.concatenate([guesses[:1], [0.1j, 2.0 + 1e-12], guesses[1:], [2.0]])
+        reasons = [
+            "",
+            "Newton iterate escaped the panel neighborhood",
+            "converged to a real root; point lies on the curve extension",
+            "",
+            "",
+            "stationary R^2, Newton step undefined",
+        ]
+        self._assert_failures(coeffs, points, guesses, reasons)
+
+    @pytest.mark.parametrize(
+        "point, guess",
+        [
+            (np.array([np.nan, 0.0, 0.0]), 0.5j),
+            (np.array([0.0, np.inf, 0.0]), 0.5j),
+            (np.array([0.5, 0.1, 0.0]), complex(np.nan, 0.5)),
+            (np.array([0.5, 0.1, 0.0]), complex(np.inf, 0.0)),
+        ],
+    )
+    def test_rejects_non_finite_before_any_newton_step(self, point, guess, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("Newton ran on rejected input")
+
+        monkeypatch.setattr(nearsing, "_newton", no_work)
+        with pytest.raises(ValueError, match="must be finite"):
+            find_root(self.LINE, point, guess)
+        with pytest.raises(ValueError, match="must be finite"):
+            find_root(self.LINE[None].repeat(2, 0), np.stack([[0.5, 0.1, 0.0], point]),
+                      np.array([0.5j, guess]))
+
+    @pytest.mark.parametrize(
+        "coeffs, point, guess",
+        [
+            (np.zeros((3, 4)), np.zeros(2), 0.5j),
+            (np.zeros((3, 4)), np.zeros(3), np.array([0.5j])),
+            (np.zeros((2, 4)), np.zeros(2), 0.5j),
+            (np.zeros((3, 0)), np.zeros(3), 0.5j),
+            (np.zeros(4), np.zeros(3), 0.5j),
+            (np.zeros((2, 3, 4)), np.zeros((3, 3)), np.full(2, 0.5j)),
+            (np.zeros((2, 3, 4)), np.zeros((2, 3)), np.full(3, 0.5j)),
+            (np.zeros((2, 3, 4)), np.zeros((2, 3)), 0.5j),
+            (np.zeros((1, 2, 3, 4)), np.zeros((1, 2, 3)), np.full((1, 2), 0.5j)),
+        ],
+    )
+    def test_rejects_mismatched_shapes_before_any_newton_step(self, coeffs, point, guess,
+                                                              monkeypatch):
+        def no_work(*args):
+            raise AssertionError("Newton ran on rejected input")
+
+        monkeypatch.setattr(nearsing, "_newton", no_work)
+        with pytest.raises(ValueError, match=r"find_root takes \(3, n\) coefficients"):
+            find_root(coeffs, point, guess)
+
+
 class TestQkpMoments:
     def test_p1_closed_form(self):
         got = qkp_moments(0.5j, 1)
@@ -260,8 +418,10 @@ class TestEvalSDispatch:
         s0 = 0.62
         pt = self.helix.position(s0) + 2.2e-3 * self.helix.second_derivative(s0) / 8.0
         eval_S(self.pc, self.dens, pt)
+        # one find_root call per chunk with candidates, each returning its block of roots
+        assert len(roots) == 1
         # a special pair is a root the Newton run accepts, Im(z1) < 1
-        specials = [z1 for z1 in roots if z1.imag < 1.0]
+        specials = [z1 for z1 in np.concatenate(roots) if z1.imag < 1.0]
         assert len(specials) > 0
         assert len(moments) == len(specials)
         assert len(solves) == 1
@@ -272,7 +432,8 @@ class TestEvalSDispatch:
         block = np.array([pt] * chunk + [far] * chunk + [pt])
         moments.clear(), solves.clear(), roots.clear()
         eval_S(self.pc, self.dens, block)
-        specials = [z1 for z1 in roots if z1.imag < 1.0]
+        assert len(roots) == 2
+        specials = [z1 for z1 in np.concatenate(roots) if z1.imag < 1.0]
         assert len(specials) > 0
         assert len(moments) == len(specials)
         assert len(solves) == 2
