@@ -10,6 +10,7 @@ in monomials and contracted against the analytic moments of eta^k/|eta-z1|^p.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import warnings
@@ -89,7 +90,12 @@ def find_root(panel_coeffs: np.ndarray, x_bar, guess) -> complex | np.ndarray:
             "find_root takes (3, n) coefficients, a (3,) point and a scalar guess, "
             f"or (P, 3, n), (P, 3) and (P,); got {coeffs.shape}, {xb.shape} and {z0.shape}"
         )
-    if not (np.isfinite(coeffs).all() and np.isfinite(xb).all() and np.isfinite(z0).all()):
+    if lead:
+        finite = np.isfinite(coeffs).all() and np.isfinite(xb).all() and np.isfinite(z0).all()
+    else:  # math.isfinite on a pair's Python floats costs under half of np.isfinite
+        floats = coeffs.ravel().tolist() + xb.tolist()
+        finite = cmath.isfinite(z0.item()) and all(map(math.isfinite, floats))
+    if not finite:
         raise ValueError("panel coefficients, points and guesses must be finite")
     roots, reasons = _newton(coeffs.reshape(-1, *coeffs.shape[-2:]), xb.reshape(-1, 3), z0.ravel())
     if not lead:
@@ -174,22 +180,23 @@ def _moments_recursion(a: float, b: float, count: int) -> np.ndarray:
     winv_diff = w_diff / (w1 * wm1)  # 1/w(-1) - 1/w(1)
     winv_sum = 1.0 / w1 + 1.0 / wm1
 
-    first = np.zeros(count)
-    first[0] = np.arcsinh((1.0 - a) / b) - np.arcsinh((-1.0 - a) / b)
+    first0 = np.arcsinh((1.0 - a) / b) - np.arcsinh((-1.0 - a) / b)
+    third0 = ((1.0 - a) / w1 + (1.0 + a) / wm1) / (b * b)
+    # the upward recursions run on Python floats: the bits of numpy scalars at half the cost
+    first, third = [float(first0)], [float(third0)]
+    w_diff, w_sum, winv_diff, winv_sum = map(float, (w_diff, w_sum, winv_diff, winv_sum))
     if count > 1:
-        first[1] = w_diff + a * first[0]
+        first.append(w_diff + a * first[0])
+        third.append(a * third[0] + winv_diff)
     ab2 = a * a + b * b
     for k in range(2, count):
-        boundary = w_diff if k % 2 else w_sum
-        first[k] = (boundary + a * (2 * k - 1) * first[k - 1] - (k - 1) * ab2 * first[k - 2]) / k
-    third = np.zeros(count)
-    third[0] = ((1.0 - a) / w1 + (1.0 + a) / wm1) / (b * b)
-    if count > 1:
-        third[1] = a * third[0] + winv_diff
-    for k in range(2, count):
-        boundary = -winv_diff if k % 2 else winv_sum
-        third[k] = a * third[k - 1] + (k - 1) * first[k - 2] - boundary
-    return np.stack([first, third], axis=1)
+        odd = k % 2
+        boundary = w_diff if odd else w_sum
+        first.append((boundary + a * (2 * k - 1) * first[k - 1] - (k - 1) * ab2 * first[k - 2]) / k)
+        boundary = -winv_diff if odd else winv_sum
+        third.append(a * third[k - 1] + (k - 1) * first[k - 2] - boundary)
+    # C order, as np.stack gave: the special sums' products round by layout
+    return np.column_stack((first, third))
 
 
 _GRADED_RULE = gauss_legendre(_GRADED_ORDER)
@@ -216,7 +223,7 @@ def _moments_graded(a: float, b: float, count: int) -> np.ndarray:
         levels = int(np.ceil(np.log2(dist / delta))) if dist > delta else 0
         breaks.extend(c + dist * 0.5**j for j in range(levels, 0, -1))
     breaks.append(1.0)
-    pts = np.unique(np.asarray(breaks))
+    pts = np.array(sorted(set(breaks)))  # np.unique's points at a fraction of its cost
 
     mids = 0.5 * (pts[1:] + pts[:-1])
     halves = 0.5 * (pts[1:] - pts[:-1])

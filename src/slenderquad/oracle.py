@@ -20,7 +20,9 @@ from .geometry import FiberCurve
 MAX_DEPTH = 50
 MAX_INTERVALS = 20000
 _CLOSEST_SAMPLES = 2000  # centerline samples bracketing the closest point
-_BLOCK = 16  # field points bisected together; bounds the memory of one round
+_CLOSEST_SLICE = 16  # points whose (slice, samples) distances are formed at once
+_BLOCK = 128  # field points bisected in one loop; bounds the heaps a loop holds
+_CALL_INTERVALS = 256  # intervals per integrand call: one round of _BLOCK points fits
 
 # Gauss-Kronrod 7/15 abscissae and weights on [-1, 1] (positive half), the
 # 33-digit literals of QUADPACK's qk15 (Piessens et al., 1983).
@@ -88,7 +90,15 @@ def _gk15(integrand: Callable, centres: np.ndarray, halves: np.ndarray, owner: n
     Also returns each gap to the embedded Gauss-7 estimate and the values'
     shape past the node axis; the stacked matmul gives every interval the
     bits of its own `_W15 @ values`. owner[k] is the problem of interval k.
+    More than _CALL_INTERVALS intervals are split over several calls.
     """
+    if len(centres) > _CALL_INTERVALS:
+        parts = [
+            _gk15(integrand, *(v[i : i + _CALL_INTERVALS] for v in (centres, halves, owner)))
+            for i in range(0, len(centres), _CALL_INTERVALS)
+        ]
+        kron, err, shapes = zip(*parts)
+        return np.concatenate(kron), np.concatenate(err), shapes[0]
     x = (centres[:, None] + halves[:, None] * _X15).reshape(-1)
     values = np.asarray(integrand(x, owner), dtype=float)
     if values.ndim not in (1, 2) or values.shape[0] != x.size:
@@ -325,8 +335,18 @@ def _closest_parameters(curve: FiberCurve, x_bar: np.ndarray) -> np.ndarray:
     the fiber at which phi points outward is returned exactly.
     """
     s = np.linspace(0.0, curve.length, _CLOSEST_SAMPLES)
-    samples = curve.position(s)
-    i = np.array([np.argmin(np.sum((samples - xb) ** 2, axis=-1)) for xb in x_bar], dtype=int)
+    samples = curve.position(s).T
+    i = np.empty(len(x_bar), dtype=int)
+    # every slice reuses two (slice, samples) arrays, which bound the memory
+    buffers = np.empty((2, min(len(x_bar), _CLOSEST_SLICE), _CLOSEST_SAMPLES))
+    for start in range(0, len(x_bar), _CLOSEST_SLICE):
+        xb = x_bar[start : start + _CLOSEST_SLICE]
+        d, dist2 = buffers[:, : len(xb)]
+        # (dx^2 + dy^2) + dz^2 adds in the order of np.sum(d**2, axis=-1), so it has its bits
+        np.square(np.subtract(samples[0], xb[:, :1], out=d), out=dist2)
+        for c in (1, 2):
+            dist2 += np.square(np.subtract(samples[c], xb[:, c : c + 1], out=d), out=d)
+        i[start : start + len(xb)] = np.argmin(dist2, axis=1)
     t, lo, hi = s[i], s[np.maximum(i - 1, 0)], s[np.minimum(i + 1, _CLOSEST_SAMPLES - 1)]
     live = np.ones(len(x_bar), dtype=bool)  # a converged point keeps its t
     for _ in range(60):  # bisection alone narrows the sample bracket to 1e-15 L in ~40
@@ -351,8 +371,9 @@ def reference_S(curve: FiberCurve, f: Callable, x_bar, tol: float = 1e-12) -> np
     Other shapes and non-finite points raise ValueError. Each point's start
     partition has breakpoints at its closest centerline parameter s* and at
     s* -+ h 2^k, graded from h = the closest distance (floored at 1e-12 L) to
-    the ends, so the near-singular peak is resolved in the first call. Blocks
-    of _BLOCK points bisect in one loop, each point as it would alone; an
+    the ends, so the start intervals already resolve the near-singular peak.
+    Up to _BLOCK points bisect in one loop, each point as it would alone, and
+    no integrand call takes more than _CALL_INTERVALS intervals. An
     uncertified point does not stop the others, and a block call then raises
     AccuracyError with (P, 3) best estimates and (P,) errors and mask `failed`.
     """

@@ -460,9 +460,9 @@ def _near_points(count, seed=5):
 class TestReferenceSBlock:
     HELIX = make_helix(8.0, 3.0, 1.5)
     F = staticmethod(forces.testf_simple(HELIX)[0])
-    GRID = cli.helix_field_grid(HELIX, radial_count=5, angular_count=5, z_count=4)
+    GRID = cli.helix_field_grid(HELIX, radial_count=5, angular_count=6, z_count=5)
 
-    @pytest.mark.parametrize("count", [1, 15, 16, 17, 33])
+    @pytest.mark.parametrize("count", [1, 15, 16, 17, 33, 128, 129])
     @pytest.mark.parametrize("where", ["grid", "near"])
     def test_block_equals_single_points_bit_for_bit(self, count, where):
         points = self.GRID[:count] if where == "grid" else _near_points(count)
@@ -478,17 +478,30 @@ class TestReferenceSBlock:
             want, _, ok = _ref_reference_S(self.HELIX, self.F, pt, 1e-12)
             assert ok and np.array_equal(got, want)
 
-    def test_points_bisect_in_blocks_of_16(self, monkeypatch):
-        sizes = []
+    def test_points_bisect_in_loops_of_128_under_the_interval_cap(self, monkeypatch):
+        loops, calls = [], []
 
         def recording(integrand, partitions, tol):
-            sizes.append(len(partitions))
-            return bisect(integrand, partitions, tol)
+            def counted(x, owner):
+                calls.append(len(owner))
+                return integrand(x, owner)
+
+            loops.append(partitions)
+            return bisect(counted, partitions, tol)
 
         bisect = oracle._bisect
         monkeypatch.setattr(oracle, "_bisect", recording)
         reference_S(self.HELIX, self.F, self.GRID[:33], tol=1e-12)
-        assert sizes == [16, 16, 1]
+        assert [len(p) for p in loops] == [33]
+        loops.clear()
+        calls.clear()
+        reference_S(self.HELIX, self.F, self.GRID[:129], tol=1e-12)
+        assert [len(p) for p in loops] == [128, 1]
+        cap = oracle._CALL_INTERVALS
+        assert max(calls) <= cap
+        # the 128 points' start intervals overflow one call, so they fill full calls first
+        start = sum(len(e) - 1 for e in loops[0])
+        assert start > cap and calls[: start // cap] == [cap] * (start // cap)
 
     @pytest.mark.parametrize("offset", [0.0, 1e-9], ids=["on-centerline", "1e-9-off"])
     def test_one_bad_point_does_not_stop_the_block(self, monkeypatch, offset):
