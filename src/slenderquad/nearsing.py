@@ -10,7 +10,6 @@ in monomials and contracted against the analytic moments of eta^k/|eta-z1|^p.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 import warnings
@@ -90,12 +89,7 @@ def find_root(panel_coeffs: np.ndarray, x_bar, guess) -> complex | np.ndarray:
             "find_root takes (3, n) coefficients, a (3,) point and a scalar guess, "
             f"or (P, 3, n), (P, 3) and (P,); got {coeffs.shape}, {xb.shape} and {z0.shape}"
         )
-    if lead:
-        finite = np.isfinite(coeffs).all() and np.isfinite(xb).all() and np.isfinite(z0).all()
-    else:  # math.isfinite on a pair's Python floats costs under half of np.isfinite
-        floats = coeffs.ravel().tolist() + xb.tolist()
-        finite = cmath.isfinite(z0.item()) and all(map(math.isfinite, floats))
-    if not finite:
+    if not (np.isfinite(coeffs).all() and np.isfinite(xb).all() and np.isfinite(z0).all()):
         raise ValueError("panel coefficients, points and guesses must be finite")
     roots, reasons = _newton(coeffs.reshape(-1, *coeffs.shape[-2:]), xb.reshape(-1, 3), z0.ravel())
     if not lead:

@@ -22,7 +22,7 @@ MAX_INTERVALS = 20000
 _CLOSEST_SAMPLES = 2000  # centerline samples bracketing the closest point
 _CLOSEST_SLICE = 16  # points whose (slice, samples) distances are formed at once
 _BLOCK = 128  # field points bisected in one loop; bounds the heaps a loop holds
-_CALL_INTERVALS = 256  # intervals per integrand call: one round of _BLOCK points fits
+_CALL_INTERVALS = 256  # intervals per integrand call; bounds its node arrays
 
 # Gauss-Kronrod 7/15 abscissae and weights on [-1, 1] (positive half), the
 # 33-digit literals of QUADPACK's qk15 (Piessens et al., 1983).
