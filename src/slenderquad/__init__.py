@@ -40,7 +40,6 @@ from .quadcore import (
     QuadratureRule,
     gauss_legendre,
     interpolate_to_uniform,
-    legendre_and_derivative,
     legendre_eval,
     panelize,
     solve_vandermonde_transpose,

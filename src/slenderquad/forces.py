@@ -11,7 +11,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import FiberCurve
-from .quadcore import legendre_and_derivative, legendre_deriv_coeffs
+from .quadcore import _legendre_series, legendre_deriv_coeffs
 
 _MASK = (1 << 64) - 1
 
@@ -33,15 +33,12 @@ def splitmix64_uniforms(seed: int, count: int) -> np.ndarray:
 def legendre_mixture(alpha: np.ndarray, length: float) -> tuple[Callable, Callable]:
     """Scalar density sum_n alpha_n P_n(-1 + 2s/L) and its arclength derivative."""
     alpha = np.asarray(alpha, dtype=float)
+    if alpha.ndim != 1 or not alpha.size:
+        raise ValueError(f"alpha must be a non-empty 1-D array, got shape {alpha.shape}")
     dalpha = legendre_deriv_coeffs(alpha)
 
     def series(coeffs, s):
-        x = -1.0 + 2.0 * np.asarray(s, dtype=float) / length
-        values = legendre_and_derivative(x, len(coeffs))[:, 0]
-        total = coeffs[0] * values[0]
-        for k in range(1, len(coeffs)):
-            total = total + coeffs[k] * values[k]
-        return total
+        return _legendre_series(coeffs, -1.0 + 2.0 * np.asarray(s, dtype=float) / length)
 
     def f(s):
         return series(alpha, s)

@@ -345,11 +345,10 @@ def eval_S(curve: PanelizedCurve, f: LineDensity, x_bar) -> np.ndarray:
     panel arclength. The near pairs of each chunk of points share one block
     find_root call. Root-finding failures, each warned of, and roots with
     Im(z1) >= 1 fall back to the regular rule for that (point, panel) pair
-    only. All panels a
-    point leaves to the regular rule are summed in one contraction, the same
-    one eval_S_regular makes, so a point with no near panel gets
-    eval_S_regular's value exactly. Rule orders above MAX_MOMENT_COUNT are
-    rejected, since the moments stop there.
+    only. All panels a point leaves to the regular rule are summed in one
+    contraction, the same one eval_S_regular makes, so a point with no near
+    panel gets eval_S_regular's value exactly. Rule orders above
+    MAX_MOMENT_COUNT are rejected, since the moments stop there.
     """
     grid = curve.grid
     n = grid.rule.order

@@ -188,6 +188,16 @@ def adaptive_integrate(integrand: Callable, a: float, b: float, tol: float = 1e-
     return _certified(*_bisect(lambda x, owner: integrand(x), [edges], tol), tol, one=True)
 
 
+def _split_at(integrand: Callable, s_bar: float, length: float, tol: float):
+    """Integral over [0, length] as the problems [0, s_bar] and [s_bar, length] of one loop.
+
+    Each is held to tol / 2 and they are summed left + right, also in the
+    AccuracyError, which names tol."""
+    edges = [np.array([0.0, s_bar]), np.array([s_bar, length])]
+    totals, errs, failed = _bisect(lambda x, owner: integrand(x), edges, tol / 2)
+    return _certified(totals[:1] + totals[1:], errs[:1] + errs[1:], failed.any(), tol, one=True)
+
+
 def _certified(totals, errs, failed, tol: float, one: bool):
     """The totals, or AccuracyError with the best estimates; `one` unwraps problem 0."""
     if one:
@@ -227,8 +237,8 @@ def reference_L(
     f: Callable, fprime: Callable, length: float, s_bar: float, tol: float = 1e-12
 ) -> float:
     """Adaptive evaluation of the scalar finite-part operator, split at s_bar."""
-    if not 0.0 < s_bar < length:
-        raise ValueError("s_bar must lie strictly inside (0, length)")
+    if not 0.0 < s_bar < length < math.inf:
+        raise ValueError("s_bar must lie strictly inside (0, length), with length finite")
     if not 0.0 < tol < math.inf:  # here, since the halves would report tol / 2
         raise ValueError(f"tol must be positive and finite, got {tol}")
     f_bar = f(s_bar)
@@ -240,9 +250,7 @@ def reference_L(
         quotient = (np.broadcast_to(f(s), s.shape) - f_bar) / np.where(at_bar, 1.0, dist)
         return np.where(at_bar, fp_bar * np.sign(s - s_bar), quotient)
 
-    left = adaptive_integrate(integrand, 0.0, s_bar, tol / 2)
-    right = adaptive_integrate(integrand, s_bar, length, tol / 2)
-    return left + right
+    return _split_at(integrand, s_bar, length, tol)
 
 
 def g_pair(curve: FiberCurve, f: Callable, fprime: Callable, s, s_bar: float) -> np.ndarray:
@@ -315,9 +323,7 @@ def reference_K(
         g = np.where(np.abs(u) < window, taylor, g_pair(curve, f, fprime, s, s_bar))
         return g * np.sign(u)
 
-    left = adaptive_integrate(integrand, 0.0, s_bar, tol / 2)
-    right = adaptive_integrate(integrand, s_bar, curve.length, tol / 2)
-    return left + right
+    return _split_at(integrand, s_bar, curve.length, tol)
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -70,18 +70,18 @@ def gauss_legendre(order: int) -> QuadratureRule:
     k = np.arange(1, m + 1)
     x = np.cos(np.pi * (k - 0.25) / (n + 0.5))
     for _ in range(100):
-        p, dp = legendre_and_derivative(x, n + 1)[n]
+        p, dp = _legendre_table(x, n + 1)[n]
         dx = p / dp
         x = x - dx
         if x.size == 0 or np.max(np.abs(dx)) < 1e-15:
             break
-    dp = legendre_and_derivative(x, n + 1)[n, 1]
+    dp = _legendre_table(x, n + 1)[n, 1]
     w = 2.0 / ((1.0 - x * x) * dp * dp)
 
     nodes = np.concatenate([-x, [0.0] if n % 2 else [], x[::-1]])
     if n % 2:
-        dp0 = legendre_and_derivative(0.0, n + 1)[n, 1]
-        weights = np.concatenate([w, [2.0 / (dp0 * dp0)], w[::-1]])
+        dp0 = _legendre_table(np.zeros(1), n + 1)[n, 1]
+        weights = np.concatenate([w, 2.0 / (dp0 * dp0), w[::-1]])
     else:
         weights = np.concatenate([w, w[::-1]])
     return QuadratureRule(order=n, nodes=nodes, weights=weights)
@@ -91,8 +91,8 @@ def panelize(fiber_length: float, panel_count: int, rule: QuadratureRule) -> Pan
     """Split [0, fiber_length] into equal panels carrying the given rule."""
     if not 0 < fiber_length < np.inf:  # NaN fails too
         raise ValueError(f"fiber length must be positive and finite, got {fiber_length}")
-    if panel_count < 1:
-        raise ValueError(f"panel count must be >= 1, got {panel_count}")
+    if not isinstance(panel_count, (int, np.integer)) or panel_count < 1:
+        raise ValueError(f"panel count must be an integer >= 1, got {panel_count!r}")
     ds = fiber_length / panel_count
     starts = ds * np.arange(panel_count)
     nodes = (starts[:, None] + 0.5 * ds * (rule.nodes[None, :] + 1.0)).ravel()
@@ -118,7 +118,7 @@ def legendre_transform_matrix(rule: QuadratureRule) -> np.ndarray:
     polynomial's coefficient vector.
     """
     if rule.order not in _TRANSFORM_CACHE:
-        table = legendre_and_derivative(rule.nodes, rule.order)[:, 0]  # P_k(eta_ell)
+        table = _legendre_table(rule.nodes, rule.order)[:, 0]  # P_k(eta_ell)
         scale = (2.0 * np.arange(rule.order) + 1.0) / 2.0
         _TRANSFORM_CACHE[rule.order] = scale[:, None] * table * rule.weights[None, :]
         _TRANSFORM_CACHE[rule.order].flags.writeable = False  # shared by every caller
@@ -129,9 +129,16 @@ def legendre_eval(coeffs: np.ndarray, eta):
     """Evaluate (n,) or (d, n) Legendre coefficients at a point or (T,) points.
 
     eta is real or complex with |eta| <= ETA_BOUND. The point axis leads: the
-    result is a scalar or (d,) at one point, (T,) or (T, d) at T points. This
-    value-only loop stays apart from legendre_and_derivative because
-    eval_K_all calls it 3N times per apply, where the table costs more.
+    result is a scalar or (d,) at one point, (T,) or (T, d) at T points.
+    """
+    return _legendre_series(coeffs, eta)
+
+
+def _legendre_series(coeffs: np.ndarray, eta):
+    """legendre_eval's loop, which the test densities call under this name.
+
+    It stays apart from _legendre_terms, whose table costs more at K's 3N
+    calls per apply; the benchmark counts legendre_eval calls as K's f'.
     """
     c = np.asarray(coeffs).T  # degree axis first
     if isinstance(eta, np.ndarray):
@@ -153,24 +160,13 @@ def legendre_eval(coeffs: np.ndarray, eta):
     return total
 
 
-def legendre_and_derivative(z, n: int) -> np.ndarray:
-    """P_k(z) and P_k'(z) for k = 0..n-1 at a real or complex point or array.
+def _legendre_table(z: np.ndarray, n: int) -> np.ndarray:
+    """P_k(z) and P_k'(z), k = 0..n-1, at a real or complex float array z.
 
-    Returns (n, 2) + z.shape, values in column 0 and derivatives in column 1,
-    so at one point a (d, n) coefficient block contracts with it in one
-    product. n may reach MAX_ORDER + 1, for the P_n of a MAX_ORDER rule. A
-    scalar z runs on Python scalars, as Newton iterates want; the recurrences
-    hold off [-1, 1] too, where those iterates may wander.
-    """
-    if not 1 <= n <= MAX_ORDER + 1:
-        raise ValueError(f"n must be in [1, {MAX_ORDER + 1}], got {n}")
-    if isinstance(z, np.ndarray):
-        z = z.astype(complex if np.iscomplexobj(z) else float)
-        terms = _legendre_terms(z, n, np.zeros_like(z), np.ones_like(z))
-    else:
-        z = complex(z) if isinstance(z, (complex, np.complexfloating)) else float(z)
-        terms = _legendre_terms(z, n)
-    return np.array(terms).reshape((n, 2) + np.shape(z))
+    Returns (n, 2) + z.shape, values in column 0 and derivatives in column 1;
+    n may reach MAX_ORDER + 1, for the P_n of a MAX_ORDER rule."""
+    terms = _legendre_terms(z, n, np.zeros_like(z), np.ones_like(z))
+    return np.array(terms).reshape((n, 2) + z.shape)
 
 
 def _legendre_terms(z, n: int, zero=0.0, one=1.0) -> list:

@@ -85,3 +85,21 @@ def legendre_deriv_coeffs_numpy_scalars(coeffs):
         s, s_next = c[k + 1] + s_next, s
         d[k] = (2 * k + 1) * s
     return d
+
+
+def legendre_table_sum(coeffs, x):
+    """Legendre series at x summed over a table of P_0(x), P_1(x), ... (reference loop).
+
+    The sum forces.legendre_mixture made before it ran on legendre_eval's
+    loop: the recurrence on x's own type, then c_0 P_0 + c_1 P_1 + ... in
+    order; kept as the bit-for-bit reference for the densities.
+    """
+    c = np.asarray(coeffs, dtype=float)
+    x = np.asarray(x, dtype=float)
+    values = [np.ones_like(x), x]
+    for k in range(2, len(c)):
+        values.append(((2 * k - 1) * x * values[-1] - (k - 1) * values[-2]) / k)
+    total = c[0] * values[0]
+    for k in range(1, len(c)):
+        total = total + c[k] * values[k]
+    return total

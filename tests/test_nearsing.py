@@ -13,7 +13,7 @@ from slenderquad.nearsing import (
     qkp_moments,
 )
 from slenderquad.oracle import adaptive_integrate, reference_S
-from slenderquad.quadcore import gauss_legendre, legendre_and_derivative
+from slenderquad.quadcore import gauss_legendre, legendre_eval
 
 RULE = gauss_legendre(16)
 
@@ -83,7 +83,7 @@ class TestFindRoot:
         pt = helix.position(s0) + 0.01 * helix.second_derivative(s0) / 8.0
         m = int(s0 / pc.grid.panel_width)
         z1 = chord_root(pc.panel_coeffs[m], pt)
-        diff = pt - pc.panel_coeffs[m] @ legendre_and_derivative(z1, 16)[:, 0]
+        diff = pt - legendre_eval(pc.panel_coeffs[m], z1)
         sl = pc.grid.panel_slice(m)
         scale = np.max(np.sum((pt[None, :] - pc.positions[sl]) ** 2, axis=1))
         assert abs(complex(diff @ diff)) <= 1e-12 * scale
@@ -94,8 +94,8 @@ class TestFindRoot:
         coeffs = pc.panel_coeffs[3]
         pt = pc.positions[3 * 16 + 7] + np.array([0.0, 0.0, 5e-3])
         z1 = chord_root(coeffs, pt)
-        vals_up = coeffs @ legendre_and_derivative(z1, 16)[:, 0]
-        vals_dn = coeffs @ legendre_and_derivative(z1.conjugate(), 16)[:, 0]
+        vals_up = legendre_eval(coeffs, z1)
+        vals_dn = legendre_eval(coeffs, z1.conjugate())
         r2_up = np.sum((pt - vals_up) ** 2)
         r2_dn = np.sum((pt - vals_dn) ** 2)
         assert r2_dn == pytest.approx(r2_up.conjugate(), abs=1e-14)

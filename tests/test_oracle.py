@@ -162,6 +162,23 @@ class TestBadTol:
         with pytest.raises(ValueError, match=r"got -1e-12$"):
             self.CALLS[name](-1e-12)
 
+    @pytest.mark.parametrize("name", ["reference_K", "reference_L"])
+    def test_accuracy_error_names_the_callers_tol_and_sums_both_sides(self, name, monkeypatch):
+        f, fprime = forces.testf(1.5)
+        call = {
+            "reference_K": lambda: reference_K(make_helix(8.0, 3.0, 1.5), f, fprime, 0.7, 1e-9),
+            "reference_L": lambda: reference_L(np.cos, lambda s: -np.sin(s), 40.0, 17.0, 1e-9),
+        }[name]
+        loops, bisect = [], oracle._bisect
+        monkeypatch.setattr(oracle, "_bisect", lambda *a: loops.append(bisect(*a)) or loops[-1])
+        monkeypatch.setattr(oracle, "MAX_DEPTH", 2)
+        with pytest.raises(AccuracyError, match=r"^tolerance 1e-09 not met") as info:
+            call()
+        [(totals, errs, failed)] = loops  # both sides of s_bar bisect in one loop
+        assert len(totals) == 2 and failed.any()
+        assert np.array_equal(info.value.best_estimate, totals[0] + totals[1])
+        assert info.value.error_estimate == errs[0] + errs[1]
+
 
 class TestBreakpoints:
     """_bisect's multi-interval start partitions, which reference_S builds."""

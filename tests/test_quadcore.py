@@ -4,9 +4,10 @@ import pytest
 from helpers import legendre_deriv_coeffs_numpy_scalars, legendre_eval_numpy_scalars
 from slenderquad.quadcore import (
     MAX_ORDER,
+    _legendre_table,
+    _legendre_terms,
     gauss_legendre,
     interpolate_to_uniform,
-    legendre_and_derivative,
     legendre_deriv_coeffs,
     legendre_eval,
     legendre_transform_matrix,
@@ -140,6 +141,10 @@ class TestPanelize:
         for length in (np.inf, np.nan):
             with pytest.raises(ValueError, match="positive and finite"):
                 panelize(length, 2, gauss_legendre(4))
+        for count in (2.5, 3.0, np.float64(3.0), 0, np.int64(-1)):
+            with pytest.raises(ValueError, match="integer >= 1"):
+                panelize(1.5, count, gauss_legendre(4))
+        assert panelize(1.5, np.int64(3), gauss_legendre(4)).panel_count == 3
 
 
 class TestLegendreTransforms:
@@ -258,58 +263,50 @@ class TestLegendreEval:
 
 class TestLegendreAndDerivative:
     def test_matches_real_recurrence(self):
-        n = MAX_ORDER + 1
-        for x in (-1.0, -0.73, 0.0, 0.31, 1.0, 2.5):
-            got = legendre_and_derivative(x, n)
-            assert got.shape == (n, 2) and got.dtype == float
-            for k in range(n):
-                p, dp = _legendre_value_and_derivative(k, np.array([x]))
-                assert abs(got[k, 0] - p[0]) <= 1e-15 * max(1.0, abs(p[0]))
-                assert abs(got[k, 1] - dp[0]) <= 1e-15 * max(1.0, abs(dp[0]))
+        n, x = MAX_ORDER + 1, np.array([-1.0, -0.73, 0.0, 0.31, 1.0, 2.5])
+        got = _legendre_table(x, n)
+        assert got.shape == (n, 2, len(x)) and got.dtype == float
+        for k in range(n):
+            p, dp = _legendre_value_and_derivative(k, x)
+            assert np.all(np.abs(got[k, 0] - p) <= 1e-15 * np.maximum(1.0, np.abs(p)))
+            assert np.all(np.abs(got[k, 1] - dp) <= 1e-15 * np.maximum(1.0, np.abs(dp)))
 
     def test_derivative_matches_centred_difference_at_complex_point(self):
         n, h = 16, 1e-6
-        for z in (0.3 + 0.02j, -0.9 + 0.5j, 1.4 - 0.1j):
-            table = legendre_and_derivative(z, n)
-            assert table.dtype == complex
-            upper = legendre_and_derivative(z + h, n)[:, 0]
-            lower = legendre_and_derivative(z - h, n)[:, 0]
-            diff = (upper - lower) / (2 * h)
-            scale = np.maximum(1.0, np.abs(table[:, 1]))
-            assert np.all(np.abs(diff - table[:, 1]) <= 1e-8 * scale)
+        z = np.array([0.3 + 0.02j, -0.9 + 0.5j, 1.4 - 0.1j])
+        table = _legendre_table(z, n)
+        assert table.dtype == complex
+        diff = (_legendre_table(z + h, n)[:, 0] - _legendre_table(z - h, n)[:, 0]) / (2 * h)
+        scale = np.maximum(1.0, np.abs(table[:, 1]))
+        assert np.all(np.abs(diff - table[:, 1]) <= 1e-8 * scale)
 
     def test_contracts_with_coefficient_block(self):
         coeffs = np.array([[1.0, 0.0, 2.0], [0.0, -1.0, 0.5]])
         z = 0.4 + 0.3j
-        values, derivs = (coeffs @ legendre_and_derivative(z, 3)).T
+        values, derivs = (coeffs @ _legendre_table(np.array(z), 3)).T
         p2 = (3 * z * z - 1) / 2
         assert values == pytest.approx([1.0 + 2.0 * p2, -z + 0.5 * p2], abs=1e-15)
         assert derivs == pytest.approx([6.0 * z, -1.0 + 1.5 * z], abs=1e-15)
 
     def test_real_array_equals_point_calls_bitwise(self):
         n, z = MAX_ORDER + 1, np.linspace(-1.3, 1.3, 11)
-        table = legendre_and_derivative(z, n)
+        table = _legendre_table(z, n)
         assert table.shape == (n, 2, len(z)) and table.dtype == float
-        for i, point in enumerate(z):
-            assert np.array_equal(table[:, :, i], legendre_and_derivative(point, n))
+        for i, point in enumerate(z.tolist()):
+            assert np.array_equal(table[:, :, i], np.reshape(_legendre_terms(point, n), (n, 2)))
 
     def test_complex_array_equals_point_calls(self):
         # numpy's vectorised complex multiply may use fused multiply-adds, so
-        # against Python complex scalars the match is to rounding; against
-        # one-point arrays it is exact
+        # against Python complex scalars, the iterates Newton runs on, the
+        # match is to rounding; against one-point arrays it is exact
         n, z = MAX_ORDER + 1, np.array([0.2 + 0.1j, -2.0 + 0.0j, 1j, 0.9 + 0.01j, -0.5 - 0.3j])
-        table = legendre_and_derivative(z, n)
+        table = _legendre_table(z, n)
         assert table.shape == (n, 2, len(z)) and table.dtype == complex
-        for i, point in enumerate(z):
-            assert np.array_equal(table[:, :, i], legendre_and_derivative(z[i : i + 1], n)[:, :, 0])
-            scalar = legendre_and_derivative(point, n)
+        for i, point in enumerate(z.tolist()):
+            assert np.array_equal(table[:, :, i], _legendre_table(z[i : i + 1], n)[:, :, 0])
+            scalar = np.reshape(_legendre_terms(point, n), (n, 2))
             tol = 64 * np.finfo(float).eps * np.maximum(1.0, np.abs(scalar))
             assert np.all(np.abs(table[:, :, i] - scalar) <= tol)
-
-    @pytest.mark.parametrize("n", [0, MAX_ORDER + 2])
-    def test_size_out_of_range(self, n):
-        with pytest.raises(ValueError):
-            legendre_and_derivative(0.5, n)
 
 
 class TestVandermondeTranspose:
