@@ -23,7 +23,6 @@ from .quadcore import _legendre_terms, gauss_legendre, solve_vandermonde_transpo
 _RECURSION_RANGE = 0.5  # root-to-interval distance where upward recursion stays accurate
 _GRADED_ORDER = 32
 MAX_MOMENT_COUNT = 16  # highest moment count q_k^p is computed to; caps eval_S's rule order
-_SWITCH_FACTOR = 1.0  # a panel is near when its closest node lies within this many panel widths
 _NEWTON_TOL = 1e-13
 _NEWTON_MAX_ITER = 30
 _CHUNK = 32  # field points per pass; bounds the (T, N, 3) offset array
@@ -32,12 +31,12 @@ _CHUNK = 32  # field points per pass; bounds the (T, N, 3) offset array
 class RootNotFoundError(RuntimeError):
     """Newton iteration on R^2(eta) failed to locate a complex root.
 
-    A block call's error carries every pair's outcome: the (P,) roots, NaN
-    where Newton failed, the (P,) boolean mask `failed` and the P `reasons`,
-    empty strings for the pairs that converged. A one-pair call's has None.
+    Carries every pair's outcome: the (P,) roots, NaN where Newton failed,
+    the (P,) boolean mask `failed` and the P `reasons`, empty strings for
+    the pairs that converged.
     """
 
-    def __init__(self, message: str, roots=None, failed=None, reasons=None):
+    def __init__(self, message: str, roots: np.ndarray, failed: np.ndarray, reasons: list):
         super().__init__(message)
         self.roots, self.failed, self.reasons = roots, failed, reasons
 
@@ -63,60 +62,39 @@ def _chord_guesses(coeffs: np.ndarray, xb: np.ndarray) -> np.ndarray:
     return np.clip(2.0 * tpar - 1.0, -1.0, 1.0) + 1j * im
 
 
-def find_root(panel_coeffs: np.ndarray, x_bar, guess) -> complex | np.ndarray:
-    """Newton iteration from guess for the upper-half root z1 of R^2(eta) = |x_bar - x(eta)|^2.
+def find_root(panel_coeffs: np.ndarray, x_bar: np.ndarray, guess: np.ndarray) -> np.ndarray:
+    """Newton iteration for the upper-half roots z1 of R^2(eta) = |x_bar - x(eta)|^2.
 
-    Takes one pair, (3, n) panel coefficients, a (3,) point and a scalar
-    guess, and returns z1 as a Python complex; or a block of P pairs, (P, 3, n),
-    (P, 3) and (P,), and returns the (P,) complex roots, each with the bits of
-    its one-pair call. Shapes that do not match and non-finite input raise
-    ValueError before any Newton step. A failed pair raises RootNotFoundError,
-    after every other pair of its block has run: a one-pair call's message
-    is the reason, and a block's error carries every pair's outcome.
+    Takes P pairs, (P, 3, n) panel coefficients, (P, 3) points and (P,)
+    guesses, and returns the (P,) complex roots; one pair is a one-row
+    block. Shapes that do not match and non-finite input raise ValueError
+    before any Newton step. Newton runs on all pairs together: every
+    iteration builds each live pair's (n, 2) Legendre table on its
+    Python-complex iterate and contracts all of them in one stacked
+    product, which with the row dots gives every pair the bits of its
+    one-row block. Step, damping and stopping tests stay per pair on Python
+    scalars, and a pair leaves the live set when it converges or fails. A
+    failed pair raises RootNotFoundError, after every other pair has run,
+    carrying every pair's outcome.
     """
     coeffs = np.asarray(panel_coeffs, dtype=float)
     xb = np.asarray(x_bar, dtype=float)
     z0 = np.asarray(guess, dtype=complex)
-    lead = coeffs.shape[:-2]
     if not (
-        coeffs.ndim in (2, 3)
-        and coeffs.shape[-2] == 3
-        and coeffs.shape[-1] >= 1
-        and xb.shape == lead + (3,)
-        and z0.shape == lead
+        coeffs.ndim == 3
+        and coeffs.shape[1] == 3
+        and coeffs.shape[2] >= 1
+        and xb.shape == coeffs.shape[:2]
+        and z0.shape == coeffs.shape[:1]
     ):
         raise ValueError(
-            "find_root takes (3, n) coefficients, a (3,) point and a scalar guess, "
-            f"or (P, 3, n), (P, 3) and (P,); got {coeffs.shape}, {xb.shape} and {z0.shape}"
+            "find_root takes (P, 3, n) coefficients, (P, 3) points and (P,) guesses; "
+            f"got {coeffs.shape}, {xb.shape} and {z0.shape}"
         )
     if not (np.isfinite(coeffs).all() and np.isfinite(xb).all() and np.isfinite(z0).all()):
         raise ValueError("panel coefficients, points and guesses must be finite")
-    roots, reasons = _newton(coeffs.reshape(-1, *coeffs.shape[-2:]), xb.reshape(-1, 3), z0.ravel())
-    if not lead:
-        if reasons[0]:
-            raise RootNotFoundError(reasons[0])
-        return roots[0]
-    roots = np.array(roots, dtype=complex)
-    failed = np.array([bool(r) for r in reasons], dtype=bool)
-    if failed.any():
-        raise RootNotFoundError(
-            f"Newton failed for {int(failed.sum())} of {len(failed)} pairs", roots, failed, reasons
-        )
-    return roots
-
-
-def _newton(coeffs: np.ndarray, xb: np.ndarray, guesses: np.ndarray) -> tuple[list, list]:
-    """Newton on the P pairs of (P, 3, n) coefficients, (P, 3) points and (P,) guesses together.
-
-    Every iteration builds each live pair's (n, 2) Legendre table on its
-    Python-complex iterate and contracts all of them in one stacked product;
-    the stacked product and row dots give every pair the bits of its own
-    2-D ones. Step, damping and stopping tests stay per pair on Python
-    scalars. A pair leaves the live set when it converges or fails. Returns
-    the roots, NaN where Newton failed, and the reasons, empty where it did not.
-    """
-    count, n = len(guesses), coeffs.shape[2]
-    z = guesses.tolist()
+    count, n = len(z0), coeffs.shape[2]
+    z = z0.tolist()
     roots = [complex(math.nan, math.nan)] * count
     reasons = [""] * count
     live = list(range(count))
@@ -157,7 +135,13 @@ def _newton(coeffs: np.ndarray, xb: np.ndarray, guesses: np.ndarray) -> tuple[li
             c_live, x_live = c_live[still], x_live[still]
     for i in live:
         reasons[i] = f"no convergence in {_NEWTON_MAX_ITER} iterations"
-    return roots, reasons
+    roots = np.array(roots, dtype=complex)
+    failed = np.array([bool(r) for r in reasons], dtype=bool)
+    if failed.any():
+        raise RootNotFoundError(
+            f"Newton failed for {int(failed.sum())} of {count} pairs", roots, failed, reasons
+        )
+    return roots
 
 
 def _moments_recursion(a: float, b: float, count: int) -> np.ndarray:
@@ -240,8 +224,8 @@ def qkp_moments(z1: complex, count: int) -> np.ndarray:
     if not 1 <= count <= MAX_MOMENT_COUNT:
         raise ValueError(f"count must be in [1, {MAX_MOMENT_COUNT}], got {count}")
     z1 = complex(z1)
-    if not z1.imag > 0:
-        raise ValueError(f"z1 must have positive imaginary part, got {z1}")
+    if not (z1.imag > 0 and math.isfinite(z1.real) and math.isfinite(z1.imag)):
+        raise ValueError(f"z1 must be finite with positive imaginary part, got {z1}")
     a, b = z1.real, z1.imag
     distance = np.hypot(max(abs(a) - 1.0, 0.0), b)
     if distance <= _RECURSION_RANGE:
@@ -341,14 +325,14 @@ def eval_S(curve: PanelizedCurve, f: LineDensity, x_bar) -> np.ndarray:
 
     x_bar is one point (3,) or a block (T, 3); the result has the same shape,
     and every row equals the one-point call bit for bit. A panel is treated
-    as near a point when its closest node lies within _SWITCH_FACTOR times the
-    panel arclength. The near pairs of each chunk of points share one block
-    find_root call. Root-finding failures, each warned of, and roots with
-    Im(z1) >= 1 fall back to the regular rule for that (point, panel) pair
-    only. All panels a point leaves to the regular rule are summed in one
-    contraction, the same one eval_S_regular makes, so a point with no near
-    panel gets eval_S_regular's value exactly. Rule orders above
-    MAX_MOMENT_COUNT are rejected, since the moments stop there.
+    as near a point when its closest node lies within one panel arclength.
+    The near pairs of each chunk of points share one find_root call.
+    Root-finding failures, each warned of, and roots with Im(z1) >= 1 fall
+    back to the regular rule for that (point, panel) pair only. All panels a
+    point leaves to the regular rule are summed in one contraction, the same
+    one eval_S_regular makes, so a point with no near panel gets
+    eval_S_regular's value exactly. Rule orders above MAX_MOMENT_COUNT are
+    rejected, since the moments stop there.
     """
     grid = curve.grid
     n = grid.rule.order
@@ -362,7 +346,7 @@ def eval_S(curve: PanelizedCurve, f: LineDensity, x_bar) -> np.ndarray:
     def chunk_sums(points, r, r2, start):
         count = len(points)
         dist = np.sqrt(r2.reshape(count, grid.panel_count, n).min(axis=2))
-        tt, mm = np.nonzero(dist <= _SWITCH_FACTOR * grid.panel_width)
+        tt, mm = np.nonzero(dist <= grid.panel_width)
         tp = mp = ()
         if len(tt):
             guess = _chord_guesses(curve.panel_coeffs[mm], points[tt])

@@ -135,11 +135,11 @@ def _bisect(integrand: Callable, partitions: Sequence[np.ndarray], tol: float):
         heapq.heappush(heaps[p], (-e, a, b, 0, val))
     totals, errs = np.array(sums), np.array(err_sums)
     failed = np.zeros(len(partitions), dtype=bool)
-    rows, total, err_sum = np.arange(len(partitions)), totals, errs  # the problems still looping
+    rows = np.arange(len(partitions))  # the problems still looping
     while True:
-        popped, centres, halves, keep = [], [], [], np.zeros(len(rows), dtype=bool)
-        bigs = np.abs(total).max(axis=1).tolist()
-        for j, (p, e, big) in enumerate(zip(rows.tolist(), err_sum.tolist(), bigs)):
+        popped, centres, halves = [], [], []
+        bigs = np.abs(totals[rows]).max(axis=1).tolist()
+        for p, e, big in zip(rows.tolist(), errs[rows].tolist(), bigs):
             if e <= tol * max(1.0, big):  # False for a NaN estimate, which stays to fail
                 continue
             neg, a, b, depth, val = heapq.heappop(heaps[p])
@@ -150,16 +150,14 @@ def _bisect(integrand: Callable, partitions: Sequence[np.ndarray], tol: float):
                 centres += (0.5 * (a + mid), 0.5 * (mid + b))
                 halves += (0.5 * (mid - a), 0.5 * (b - mid))
                 counts[p] += 1
-                keep[j] = True
-        if not keep.all():  # problems leave with their current state
-            totals[rows], errs[rows] = total, err_sum
-            rows, total, err_sum = rows[keep], total[keep], err_sum[keep]
         if not popped:
             return totals.reshape((len(partitions),) + shape), errs, failed
+        rows, *_, neg, val = zip(*popped)
+        rows = np.array(rows)
         kron, err, _ = _gk15(integrand, *np.array([centres, halves]), rows.repeat(2))
-        *_, neg, val = zip(*popped)
-        total = total - np.array(val) + kron[0::2] + kron[1::2]
-        err_sum = err_sum + (err[0::2] + err[1::2] + np.array(neg))  # neg drops the split one's
+        totals[rows] = totals[rows] - np.array(val) + kron[0::2] + kron[1::2]
+        # neg drops the split interval's error
+        errs[rows] = errs[rows] + (err[0::2] + err[1::2] + np.array(neg))
         e = err.tolist()
         for j, (p, a, mid, b, depth, _, _) in enumerate(popped):
             heapq.heappush(heaps[p], (-e[2 * j], a, mid, depth + 1, kron[2 * j]))

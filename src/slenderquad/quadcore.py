@@ -130,7 +130,10 @@ def legendre_eval(coeffs: np.ndarray, eta):
 
     eta is real or complex with |eta| <= ETA_BOUND. The point axis leads: the
     result is a scalar or (d,) at one point, (T,) or (T, d) at T points.
+    An empty degree axis raises ValueError.
     """
+    if np.shape(coeffs)[-1:] == (0,):
+        raise ValueError(f"coefficients need a non-empty degree axis, got shape {np.shape(coeffs)}")
     return _legendre_series(coeffs, eta)
 
 

@@ -19,8 +19,8 @@ RULE = gauss_legendre(16)
 
 
 def chord_root(coeffs, pt):
-    """find_root from the chord guess, as eval_S starts it."""
-    return find_root(coeffs, pt, nearsing._chord_guesses(coeffs[None], pt[None])[0])
+    """One pair's root, from the chord guess as eval_S starts it, as a one-row block."""
+    return find_root(coeffs[None], pt[None], nearsing._chord_guesses(coeffs[None], pt[None]))[0]
 
 
 def constant_density(grid, value):
@@ -65,16 +65,16 @@ class TestFindRoot:
         pc = discretize(make_straight((1.0, 0.0, 0.0), 1.0), 1, RULE)
         d = 0.1
         # a guess off the root, so Newton does the work the exact chord guess would skip
-        z1 = find_root(pc.panel_coeffs[0], np.array([0.5, d, 0.0]), 0.3 + 0.5j)
+        z1 = find_root(pc.panel_coeffs[:1], np.array([[0.5, d, 0.0]]), np.array([0.3 + 0.5j]))
         # x(eta) = (eta+1)/2, so R^2 has roots at eta = 2 x_bar - 1 +- 2 i d
-        assert type(z1) is complex
-        assert z1 == pytest.approx(2j * d, abs=1e-12)
+        assert z1.shape == (1,) and z1.dtype == complex
+        assert z1[0] == pytest.approx(2j * d, abs=1e-12)
 
     def test_straight_panel_interior_offset(self):
         pc = discretize(make_straight((1.0, 0.0, 0.0), 1.0), 1, RULE)
         d = 0.07
-        z1 = find_root(pc.panel_coeffs[0], np.array([0.3, 0.0, d]), 0.2 + 0.5j)
-        assert z1 == pytest.approx(complex(-0.4, 2 * d), abs=1e-12)
+        z1 = find_root(pc.panel_coeffs[:1], np.array([[0.3, 0.0, d]]), np.array([0.2 + 0.5j]))
+        assert z1[0] == pytest.approx(complex(-0.4, 2 * d), abs=1e-12)
 
     def test_residual_scale(self):
         helix = make_helix(8.0, 3.0, 1.5)
@@ -113,8 +113,9 @@ class TestFindRoot:
     def test_failure_raises(self, monkeypatch):
         monkeypatch.setattr(nearsing, "_NEWTON_MAX_ITER", 1)
         pc = discretize(make_helix(8.0, 3.0, 1.5), 8, RULE)
-        with pytest.raises(RootNotFoundError, match="no convergence in 1 iterations"):
+        with pytest.raises(RootNotFoundError, match="Newton failed for 1 of 1 pairs") as info:
             chord_root(pc.panel_coeffs[0], np.array([0.02, 0.01, 0.2]))
+        assert info.value.reasons == ["no convergence in 1 iterations"]
 
 
 def _s_field_near_points(helix, seed, count=128):
@@ -149,7 +150,9 @@ def _newton_pairs(pc, points):
 
 
 def _one_pair_roots(coeffs, points, guesses):
-    return np.array([find_root(c, x, g) for c, x, g in zip(coeffs, points, guesses)])
+    """Each pair's root from its own one-row block."""
+    pairs = zip(coeffs, points, guesses)
+    return np.concatenate([find_root(c[None], x[None], g[None]) for c, x, g in pairs])
 
 
 class TestFindRootBlocks:
@@ -179,7 +182,7 @@ class TestFindRootBlocks:
         assert got.shape == (0,)
 
     def _assert_failures(self, coeffs, points, guesses, reasons):
-        """The block raises with every pair's outcome; good roots keep their one-pair bits."""
+        """The block raises with every pair's outcome; good roots keep their one-row bits."""
         with pytest.raises(RootNotFoundError) as info:
             find_root(coeffs, points, guesses)
         err = info.value
@@ -192,9 +195,10 @@ class TestFindRootBlocks:
         assert err.roots[~bad].tobytes() == good.tobytes()
         for c, x, g, reason in zip(coeffs[bad], points[bad], guesses[bad], np.array(reasons)[bad]):
             with pytest.raises(RootNotFoundError) as alone:
-                find_root(c, x, g)
-            assert str(alone.value) == reason
-            assert alone.value.roots is None and alone.value.failed is None
+                find_root(c[None], x[None], g[None])
+            assert str(alone.value) == "Newton failed for 1 of 1 pairs"
+            assert alone.value.reasons == [reason]
+            assert alone.value.failed.tolist() == [True] and np.isnan(alone.value.roots).all()
 
     def test_no_convergence_fails_its_pairs_only(self, monkeypatch):
         coeffs, points, guesses = (a[:40] for a in self.pairs)
@@ -203,10 +207,10 @@ class TestFindRootBlocks:
         reasons = []
         for c, x, g in zip(coeffs, points, guesses):
             try:
-                find_root(c, x, g)
+                find_root(c[None], x[None], g[None])
                 reasons.append("")
             except RootNotFoundError as err:
-                reasons.append(str(err))
+                reasons.append(err.reasons[0])
         assert "" in reasons and "no convergence in 7 iterations" in reasons
         self._assert_failures(coeffs, points, guesses, reasons)
 
@@ -244,9 +248,9 @@ class TestFindRootBlocks:
         def no_work(*args):
             raise AssertionError("Newton ran on rejected input")
 
-        monkeypatch.setattr(nearsing, "_newton", no_work)
+        monkeypatch.setattr(nearsing, "_legendre_terms", no_work)
         with pytest.raises(ValueError, match="must be finite"):
-            find_root(self.LINE, point, guess)
+            find_root(self.LINE[None], point[None], np.array([guess]))
         with pytest.raises(ValueError, match="must be finite"):
             find_root(self.LINE[None].repeat(2, 0), np.stack([[0.5, 0.1, 0.0], point]),
                       np.array([0.5j, guess]))
@@ -254,8 +258,12 @@ class TestFindRootBlocks:
     @pytest.mark.parametrize(
         "coeffs, point, guess",
         [
+            (np.zeros((3, 4)), np.zeros(3), 0.5j),
             (np.zeros((3, 4)), np.zeros(2), 0.5j),
             (np.zeros((3, 4)), np.zeros(3), np.array([0.5j])),
+            (np.zeros((1, 3, 4)), np.zeros(3), np.array([0.5j])),
+            (np.zeros((1, 3, 4)), np.zeros((1, 3)), 0.5j),
+            (np.zeros((1, 3, 0)), np.zeros((1, 3)), np.array([0.5j])),
             (np.zeros((2, 4)), np.zeros(2), 0.5j),
             (np.zeros((3, 0)), np.zeros(3), 0.5j),
             (np.zeros(4), np.zeros(3), 0.5j),
@@ -270,8 +278,8 @@ class TestFindRootBlocks:
         def no_work(*args):
             raise AssertionError("Newton ran on rejected input")
 
-        monkeypatch.setattr(nearsing, "_newton", no_work)
-        with pytest.raises(ValueError, match=r"find_root takes \(3, n\) coefficients"):
+        monkeypatch.setattr(nearsing, "_legendre_terms", no_work)
+        with pytest.raises(ValueError, match=r"find_root takes \(P, 3, n\) coefficients"):
             find_root(coeffs, point, guess)
 
 
@@ -321,6 +329,10 @@ class TestQkpMoments:
             qkp_moments(0.5j, 17)
         with pytest.raises(ValueError):
             qkp_moments(0.5j, 0)
+        for z1 in (complex(np.nan, 0.3), complex(0.2, np.nan), complex(np.inf, 0.5),
+                   complex(-np.inf, 0.5), complex(0.1, np.inf)):
+            with pytest.raises(ValueError, match="z1 must be finite"):
+                qkp_moments(z1, 3)
 
 
 class TestEvalSSpecial:

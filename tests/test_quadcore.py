@@ -222,6 +222,12 @@ class TestLegendreEval:
         with pytest.raises(ValueError):
             legendre_eval(np.ones(4), np.array([0.0, -10.5]))
 
+    @pytest.mark.parametrize("coeffs", [np.array([]), np.zeros((3, 0))])
+    @pytest.mark.parametrize("eta", [0.3, np.array([0.3, -0.5])])
+    def test_rejects_empty_degree_axis(self, coeffs, eta):
+        with pytest.raises(ValueError, match="non-empty degree axis"):
+            legendre_eval(coeffs, eta)
+
     def test_derivative_coefficients(self):
         # P_3' = 5 P_2 + P_0
         d = legendre_deriv_coeffs(np.array([0.0, 0.0, 0.0, 1.0]))
