@@ -31,7 +31,6 @@ from .oracle import (
     diagonal_eigenvalues,
     g_pair,
     reference_K,
-    reference_L,
     reference_S,
     scaled_legendre,
 )

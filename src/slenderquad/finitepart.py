@@ -176,6 +176,7 @@ def _effective_weights(grid: PanelGrid, table: np.ndarray, target_index: int) ->
 
 def eval_L(f: LineDensity, grid: PanelGrid, table: np.ndarray, target_index: int) -> float:
     """Scalar finite-part operator at one collocation node."""
+    grid.panel_of_target(target_index)  # rejects indices that are not integers in [0, N)
     fv = f.checked_samples((grid.node_count,))
     s = grid.global_nodes
     t = target_index
@@ -208,7 +209,7 @@ def eval_Lambda(
 ) -> np.ndarray:
     """Local slender-body operator -c(I + ss) f + 2(I - ss) f at one node."""
     c = params.c
-    curve.grid.panel_of_target(target_index)  # rejects indices outside [0, N)
+    curve.grid.panel_of_target(target_index)  # rejects indices that are not integers in [0, N)
     fv = f.checked_samples((curve.grid.node_count, 3))[target_index]
     xs = curve.tangents[target_index]
     along = xs * (xs @ fv)

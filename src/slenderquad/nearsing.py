@@ -346,7 +346,8 @@ def eval_S(curve: PanelizedCurve, f: LineDensity, x_bar) -> np.ndarray:
     def chunk_sums(points, r, r2, start):
         count = len(points)
         dist = np.sqrt(r2.reshape(count, grid.panel_count, n).min(axis=2))
-        tt, mm = np.nonzero(dist <= grid.panel_width)
+        # a one-node panel is a point: R^2(eta) is constant and has no root
+        tt, mm = np.nonzero(dist <= grid.panel_width) if n > 1 else ((), ())
         tp = mp = ()
         if len(tt):
             guess = _chord_guesses(curve.panel_coeffs[mm], points[tt])

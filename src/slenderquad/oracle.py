@@ -21,8 +21,7 @@ MAX_DEPTH = 50
 MAX_INTERVALS = 20000
 _CLOSEST_SAMPLES = 2000  # centerline samples bracketing the closest point
 _CLOSEST_SLICE = 16  # points whose (slice, samples) distances are formed at once
-_BLOCK = 128  # field points bisected in one loop; bounds the heaps a loop holds
-_CALL_INTERVALS = 256  # intervals per integrand call; bounds its node arrays
+_BLOCK = 128  # field points bisected in one loop; bounds its heaps and node arrays
 
 # Gauss-Kronrod 7/15 abscissae and weights on [-1, 1] (positive half), the
 # 33-digit literals of QUADPACK's qk15 (Piessens et al., 1983).
@@ -90,12 +89,14 @@ def _gk15(integrand: Callable, centres: np.ndarray, halves: np.ndarray, owner: n
     Also returns each gap to the embedded Gauss-7 estimate and the values'
     shape past the node axis; the stacked matmul gives every interval the
     bits of its own `_W15 @ values`. owner[k] is the problem of interval k.
-    More than _CALL_INTERVALS intervals are split over several calls.
+    More intervals than the 2 * _BLOCK halves of one round are split over
+    several calls of that many, which only a loop's start call can need.
     """
-    if len(centres) > _CALL_INTERVALS:
+    cap = 2 * _BLOCK
+    if len(centres) > cap:
         parts = [
-            _gk15(integrand, *(v[i : i + _CALL_INTERVALS] for v in (centres, halves, owner)))
-            for i in range(0, len(centres), _CALL_INTERVALS)
+            _gk15(integrand, *(v[i : i + cap] for v in (centres, halves, owner)))
+            for i in range(0, len(centres), cap)
         ]
         kron, err, shapes = zip(*parts)
         return np.concatenate(kron), np.concatenate(err), shapes[0]
@@ -127,13 +128,13 @@ def _bisect(integrand: Callable, partitions: Sequence[np.ndarray], tol: float):
     lo, hi = (np.concatenate([e[i:j] for e in partitions]) for i, j in ((0, -1), (1, None)))
     owner = np.repeat(np.arange(len(partitions)), counts)
     kron, err, shape = _gk15(integrand, 0.5 * (lo + hi), 0.5 * (hi - lo), owner)
-    sums, err_sums = [[0.0] * kron.shape[1] for _ in partitions], [0.0] * len(partitions)
+    totals, errs = np.zeros((len(partitions), kron.shape[1])), np.zeros(len(partitions))
+    # add.at adds row after row in index order: each problem sums in its partition's order
+    np.add.at(totals, owner, kron)
+    np.add.at(errs, owner, err)
     heaps = [[] for _ in partitions]
     for p, e, a, b, val in zip(owner.tolist(), err.tolist(), lo.tolist(), hi.tolist(), kron):
-        sums[p] = [t + v for t, v in zip(sums[p], val.tolist())]  # in the partition's order
-        err_sums[p] += e
         heapq.heappush(heaps[p], (-e, a, b, 0, val))
-    totals, errs = np.array(sums), np.array(err_sums)
     failed = np.zeros(len(partitions), dtype=bool)
     rows = np.arange(len(partitions))  # the problems still looping
     while True:
@@ -186,16 +187,6 @@ def adaptive_integrate(integrand: Callable, a: float, b: float, tol: float = 1e-
     return _certified(*_bisect(lambda x, owner: integrand(x), [edges], tol), tol, one=True)
 
 
-def _split_at(integrand: Callable, s_bar: float, length: float, tol: float):
-    """Integral over [0, length] as the problems [0, s_bar] and [s_bar, length] of one loop.
-
-    Each is held to tol / 2 and they are summed left + right, also in the
-    AccuracyError, which names tol."""
-    edges = [np.array([0.0, s_bar]), np.array([s_bar, length])]
-    totals, errs, failed = _bisect(lambda x, owner: integrand(x), edges, tol / 2)
-    return _certified(totals[:1] + totals[1:], errs[:1] + errs[1:], failed.any(), tol, one=True)
-
-
 def _certified(totals, errs, failed, tol: float, one: bool):
     """The totals, or AccuracyError with the best estimates; `one` unwraps problem 0."""
     if one:
@@ -207,9 +198,11 @@ def _certified(totals, errs, failed, tol: float, one: bool):
 
 
 def scaled_legendre(n: int, s, length: float = 1.0):
-    """P_n mapped to [0, length]: P_n(-1 + 2 s / length). A negative n raises ValueError."""
+    """P_n mapped to [0, length]: P_n(-1 + 2 s / length). A bad n or length raises ValueError."""
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
+    if not 0.0 < length < math.inf:  # NaN fails too
+        raise ValueError(f"length must be positive and finite, got {length}")
     x = -1.0 + 2.0 * np.asarray(s, dtype=float) / length
     p_prev = np.ones_like(x)
     if n == 0:
@@ -229,26 +222,6 @@ def diagonal_eigenvalues(count: int) -> np.ndarray:
     for n in range(1, count):
         lam[n] = lam[n - 1] + 2.0 / n
     return lam
-
-
-def reference_L(
-    f: Callable, fprime: Callable, length: float, s_bar: float, tol: float = 1e-12
-) -> float:
-    """Adaptive evaluation of the scalar finite-part operator, split at s_bar."""
-    if not 0.0 < s_bar < length < math.inf:
-        raise ValueError("s_bar must lie strictly inside (0, length), with length finite")
-    if not 0.0 < tol < math.inf:  # here, since the halves would report tol / 2
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-    f_bar = f(s_bar)
-    fp_bar = fprime(s_bar)
-
-    def integrand(s):
-        dist = np.abs(s - s_bar)
-        at_bar = dist < 1e-14
-        quotient = (np.broadcast_to(f(s), s.shape) - f_bar) / np.where(at_bar, 1.0, dist)
-        return np.where(at_bar, fp_bar * np.sign(s - s_bar), quotient)
-
-    return _split_at(integrand, s_bar, length, tol)
 
 
 def g_pair(curve: FiberCurve, f: Callable, fprime: Callable, s, s_bar: float) -> np.ndarray:
@@ -315,13 +288,16 @@ def reference_K(
         g_pair(curve, f, fprime, hi, s_bar) - g_pair(curve, f, fprime, lo, s_bar)
     ) / (hi - lo)
 
-    def integrand(s):
+    def integrand(s, owner):
         u = (s - s_bar)[:, None]
         taylor = g_lim + slope * u
         g = np.where(np.abs(u) < window, taylor, g_pair(curve, f, fprime, s, s_bar))
         return g * np.sign(u)
 
-    return _split_at(integrand, s_bar, curve.length, tol)
+    # the two sides of s_bar bisect in one loop, each to tol / 2, and are summed left + right
+    edges = [np.array([0.0, s_bar]), np.array([s_bar, curve.length])]
+    totals, errs, failed = _bisect(integrand, edges, tol / 2)
+    return _certified(totals[:1] + totals[1:], errs[:1] + errs[1:], failed.any(), tol, one=True)
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -377,7 +353,7 @@ def reference_S(curve: FiberCurve, f: Callable, x_bar, tol: float = 1e-12) -> np
     s* -+ h 2^k, graded from h = the closest distance (floored at 1e-12 L) to
     the ends, so the start intervals already resolve the near-singular peak.
     Up to _BLOCK points bisect in one loop, each point as it would alone, and
-    no integrand call takes more than _CALL_INTERVALS intervals. An
+    no integrand call takes more than 2 * _BLOCK intervals. An
     uncertified point does not stop the others, and a block call then raises
     AccuracyError with (P, 3) best estimates and (P,) errors and mask `failed`.
     """

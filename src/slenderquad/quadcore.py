@@ -49,8 +49,10 @@ class PanelGrid:
         return slice(m * n, (m + 1) * n)
 
     def panel_of_target(self, target_index: int) -> tuple[int, int]:
-        """Panel index and local node index of a global node index."""
+        """Panel and local node index of a global node index, an integer in [0, N) or ValueError."""
         n = self.rule.order
+        if not isinstance(target_index, (int, np.integer)):
+            raise ValueError(f"target index must be an integer, got {target_index!r}")
         if not 0 <= target_index < self.node_count:
             raise ValueError(f"target index {target_index} out of range")
         return target_index // n, target_index % n

@@ -103,3 +103,17 @@ def legendre_table_sum(coeffs, x):
     for k in range(1, len(c)):
         total = total + c[k] * values[k]
     return total
+
+
+def bisect_start_sums(owner, kron, err, count):
+    """Each problem's start totals and error sums, added interval by interval.
+
+    The loop oracle._bisect ran before its start sums moved to np.add.at; kept
+    as the bit-for-bit reference for them. owner[k] is the problem of start
+    interval k, kron its (K, d) estimates and err its (K,) error estimates.
+    """
+    sums, err_sums = [[0.0] * kron.shape[1] for _ in range(count)], [0.0] * count
+    for p, e, val in zip(owner.tolist(), err.tolist(), kron):
+        sums[p] = [t + v for t, v in zip(sums[p], val.tolist())]  # in the partition's order
+        err_sums[p] += e
+    return np.array(sums), np.array(err_sums)

@@ -307,10 +307,10 @@ class TestEvalLambda:
             got = eval_Lambda(pc, _constant_density(pc.grid, v), params, t)
             assert got == pytest.approx(expected, abs=1e-13)
 
-    @pytest.mark.parametrize("index", [-1, 16])
+    @pytest.mark.parametrize("index", [-1, 16, 3.0, 3.5])
     def test_rejects_index_outside_grid(self, index):
         dens = _constant_density(self.pc.grid, (1.0, 0.0, 0.0))
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match="out of range|must be an integer"):
             eval_Lambda(self.pc, dens, self.params, index)
 
     def test_linearity(self):
@@ -538,6 +538,24 @@ class TestInputChecks:
             eval_Lambda(pc, dens, params, 3)
         with pytest.raises(ValueError, match=r"shape \(64, 3\)"):
             centerline_velocity(pc, dens, params, lambda x: np.zeros(3), TABLE)
+
+    @pytest.mark.parametrize(
+        "index, match",
+        [(-1, "-1 out of range"), (32, "32 out of range"), (3.0, "integer, got 3.0"),
+         (3.5, "integer, got 3.5")],
+    )
+    def test_K_and_L_reject_index(self, index, match):
+        dens = LineDensity(samples=np.ones((self.n, 3)))
+        with pytest.raises(ValueError, match=match):
+            eval_K(self.pc, dens, TABLE, index)
+        with pytest.raises(ValueError, match=match):
+            eval_L(LineDensity(samples=np.ones(self.n)), self.pc.grid, TABLE, index)
+
+    def test_numpy_integer_index_is_an_index(self):
+        dens = LineDensity(samples=np.arange(3.0 * self.n).reshape(self.n, 3))
+        assert np.array_equal(
+            eval_K(self.pc, dens, TABLE, np.int64(5)), eval_K(self.pc, dens, TABLE, 5)
+        )
 
     def test_rejects_table_of_another_order(self):
         table8 = build_weight_table(gauss_legendre(8))

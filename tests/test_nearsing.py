@@ -404,6 +404,13 @@ class TestEvalSDispatch:
         with pytest.raises(ValueError, match=r"density samples must have shape \(128, 3\)"):
             eval_S_regular(self.pc, dens, pt)
 
+    def test_rule_order_1_is_the_regular_rule(self):
+        # a one-node panel is a point, so R^2(eta) is constant and has no root to find
+        pc = discretize(self.helix, 8, gauss_legendre(1))
+        dens = LineDensity.from_closure(self.f, pc.grid)
+        pt = self.helix.position(0.75) + 1e-3 * self.helix.second_derivative(0.75) / 8.0
+        assert np.array_equal(eval_S(pc, dens, pt), eval_S_regular(pc, dens, pt))
+
     def test_rejects_rule_order_above_moment_limit(self):
         pc = discretize(self.helix, 8, gauss_legendre(20))
         dens = LineDensity.from_closure(self.f, pc.grid)

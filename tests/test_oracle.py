@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helpers import rotation_matrix, segment_stokeslet
+from helpers import bisect_start_sums, rotation_matrix, segment_stokeslet
 from slenderquad import cli, forces, oracle
 from slenderquad.finitepart import LineDensity, build_weight_table, eval_K
 from slenderquad.geometry import discretize, make_custom, make_helix, make_straight
@@ -16,7 +16,6 @@ from slenderquad.oracle import (
     adaptive_integrate,
     diagonal_eigenvalues,
     reference_K,
-    reference_L,
     reference_S,
     scaled_legendre,
 )
@@ -143,7 +142,6 @@ class TestBadTol:
         "reference_K": lambda tol: reference_K(
             TestBadTol.HELIX, TestBadTol.F, TestBadTol.FPRIME, 0.7, tol
         ),
-        "reference_L": lambda tol: reference_L(lambda s: s, lambda s: 1.0, 1.0, 0.4, tol),
     }
 
     @pytest.mark.parametrize("tol", [0.0, -1e-12, np.nan, np.inf])
@@ -158,26 +156,46 @@ class TestBadTol:
 
     @pytest.mark.parametrize("name", list(CALLS))
     def test_message_names_the_callers_tol(self, name):
-        # reference_K and reference_L integrate two halves to tol / 2 each
+        # reference_K integrates two halves to tol / 2 each
         with pytest.raises(ValueError, match=r"got -1e-12$"):
             self.CALLS[name](-1e-12)
 
-    @pytest.mark.parametrize("name", ["reference_K", "reference_L"])
-    def test_accuracy_error_names_the_callers_tol_and_sums_both_sides(self, name, monkeypatch):
+    def test_accuracy_error_names_the_callers_tol_and_sums_both_sides(self, monkeypatch):
         f, fprime = forces.testf(1.5)
-        call = {
-            "reference_K": lambda: reference_K(make_helix(8.0, 3.0, 1.5), f, fprime, 0.7, 1e-9),
-            "reference_L": lambda: reference_L(np.cos, lambda s: -np.sin(s), 40.0, 17.0, 1e-9),
-        }[name]
         loops, bisect = [], oracle._bisect
         monkeypatch.setattr(oracle, "_bisect", lambda *a: loops.append(bisect(*a)) or loops[-1])
         monkeypatch.setattr(oracle, "MAX_DEPTH", 2)
         with pytest.raises(AccuracyError, match=r"^tolerance 1e-09 not met") as info:
-            call()
+            reference_K(make_helix(8.0, 3.0, 1.5), f, fprime, 0.7, 1e-9)
         [(totals, errs, failed)] = loops  # both sides of s_bar bisect in one loop
         assert len(totals) == 2 and failed.any()
         assert np.array_equal(info.value.best_estimate, totals[0] + totals[1])
         assert info.value.error_estimate == errs[0] + errs[1]
+
+
+class TestStartSums:
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_equal_the_interval_by_interval_loop_bit_for_bit(self, d, monkeypatch):
+        rng = np.random.default_rng(d)
+        partitions = [np.sort(rng.uniform(-3.0, 3.0, rng.integers(2, 40))) for _ in range(150)]
+        scales = np.exp(rng.uniform(-20.0, 20.0, (len(partitions), d)))
+        starts, gk15 = [], oracle._gk15
+        record = lambda *a: starts.append((a[3], gk15(*a))) or starts[-1][1]
+        monkeypatch.setattr(oracle, "_gk15", record)
+
+        def integrand(x, owner):
+            values = scales[owner.repeat(15)] * np.cos(np.arange(1, d + 1) * x[:, None])
+            return values[:, 0] if d == 1 else values
+
+        # no problem bisects at this tol, so _bisect returns its start sums
+        totals, errs, failed = oracle._bisect(integrand, partitions, 1e300)
+        # the start call's 256-interval slices record first, then the whole call
+        owner, (kron, err, _) = starts[-1]
+        assert len(owner) > 2 * oracle._BLOCK
+        want_totals, want_errs = bisect_start_sums(owner, kron, err, len(partitions))
+        assert not failed.any()
+        assert np.array_equal(totals.reshape(want_totals.shape), want_totals)
+        assert np.array_equal(errs, want_errs)
 
 
 class TestBreakpoints:
@@ -263,39 +281,10 @@ class TestDiagonalization:
         with pytest.raises(ValueError, match="n must be non-negative, got -3"):
             scaled_legendre(-3, np.array([0.0, 0.25, 1.0]), 1.0)
 
-
-class TestReferenceL:
-    def test_second_mode(self):
-        f = lambda s: scaled_legendre(2, s, 1.0)
-        fp = lambda s: 6.0 * (2.0 * s - 1.0)  # d/ds P2(2s-1)
-        got = reference_L(f, fp, 1.0, 0.37, tol=1e-12)
-        assert got == pytest.approx(-3.0 * scaled_legendre(2, 0.37, 1.0), abs=1e-11)
-
-    def test_constant(self):
-        got = reference_L(lambda s: 4.0, lambda s: 0.0, 1.0, 0.7, tol=1e-12)
-        assert got == pytest.approx(0.0, abs=1e-12)
-
-    def test_fifth_mode_eigenvalue(self):
-        f, fp = forces.legendre_mixture(np.array([0, 0, 0, 0, 0, 1.0]), 1.0)
-        got = reference_L(f, fp, 1.0, 0.41, tol=1e-12)
-        assert got == pytest.approx(-(137.0 / 30.0) * scaled_legendre(5, 0.41, 1.0), abs=1e-11)
-
-    def test_diagonalization_property(self):
-        rng = np.random.default_rng(8)
-        lam = diagonal_eigenvalues(11)
-        for n in range(11):
-            unit = np.zeros(n + 1)
-            unit[n] = 1.0
-            f, fp = forces.legendre_mixture(unit, 1.0)
-            for s_bar in rng.uniform(0.05, 0.95, 2):
-                got = reference_L(f, fp, 1.0, s_bar, tol=1e-12)
-                assert got == pytest.approx(
-                    -lam[n] * scaled_legendre(n, s_bar, 1.0), abs=1e-11
-                )
-
-    def test_requires_interior_point(self):
-        with pytest.raises(ValueError):
-            reference_L(lambda s: s, lambda s: 1.0, 1.0, 0.0)
+    @pytest.mark.parametrize("length", [-1.0, 0.0, np.inf, np.nan])
+    def test_scaled_legendre_rejects_length_not_positive_and_finite(self, length):
+        with pytest.raises(ValueError, match=f"length must be positive and finite, got {length}"):
+            scaled_legendre(2, [0.2], length)
 
 
 class TestReferenceK:
@@ -514,7 +503,7 @@ class TestReferenceSBlock:
         calls.clear()
         reference_S(self.HELIX, self.F, self.GRID[:129], tol=1e-12)
         assert [len(p) for p in loops] == [128, 1]
-        cap = oracle._CALL_INTERVALS
+        cap = 2 * oracle._BLOCK
         assert max(calls) <= cap
         # the 128 points' start intervals overflow one call, so they fill full calls first
         start = sum(len(e) - 1 for e in loops[0])

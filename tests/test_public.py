@@ -19,7 +19,7 @@ EXPORTS = {
     "RootNotFoundError", "eval_S", "eval_S_regular", "find_root", "qkp_moments",
     # oracle
     "AccuracyError", "adaptive_integrate", "diagonal_eigenvalues", "g_pair",
-    "reference_K", "reference_L", "reference_S", "scaled_legendre",
+    "reference_K", "reference_S", "scaled_legendre",
     # quadcore
     "PanelGrid", "QuadratureRule", "gauss_legendre", "interpolate_to_uniform",
     "legendre_eval", "panelize", "solve_vandermonde_transpose",
@@ -32,7 +32,7 @@ def test_exports_exactly_the_public_names():
         for name, value in vars(slenderquad).items()
         if not name.startswith("_") and not isinstance(value, ModuleType)
     }
-    assert len(EXPORTS) == 34
+    assert len(EXPORTS) == 33
     assert exported == EXPORTS
 
 
