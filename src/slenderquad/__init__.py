@@ -14,7 +14,6 @@ from .geometry import (
     FiberCurve,
     PanelizedCurve,
     discretize,
-    make_custom,
     make_helix,
     make_straight,
 )

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -17,20 +17,35 @@ class FiberCurve:
     """A centerline x(s) on s in [0, length] with |x_s| = 1 everywhere.
 
     The three closures accept scalar or array arguments and return arrays with
-    a trailing coordinate axis of size 3. A length that is not positive and
-    finite raises ValueError.
+    a trailing coordinate axis of size 3. Every curve is checked where it is
+    built, and ValueError is raised for a length that is not positive and
+    finite, or for closures that at 13 arclengths in [0.05, 0.95] * length
+    return anything but finite (13, 3) arrays, a tangent off unit length by
+    more than 1e-10, or x_s . x_ss off zero by more than 1e-10 * max(1, |x_ss|).
+    A custom fiber is FiberCurve(length, position, tangent, second_derivative).
     """
 
-    kind: str
     length: float
     position: Curve3
     tangent: Curve3
     second_derivative: Curve3
-    parameters: dict
+    kind: str = "custom"
+    parameters: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not 0 < self.length < np.inf:  # NaN fails too
             raise ValueError(f"length must be positive and finite, got {self.length}")
+        s = np.linspace(0.05, 0.95, 13) * self.length
+        samples = [np.asarray(g(s)) for g in (self.position, self.tangent, self.second_derivative)]
+        if any(x.shape != (13, 3) or not np.all(np.isfinite(x)) for x in samples):
+            raise ValueError("curve closures must return finite (n, 3) arrays")
+        _, ts, xss = samples
+        # written as `not err <= tol` so that NaN fails too
+        if not np.max(np.abs(np.linalg.norm(ts, axis=-1) - 1.0)) <= 1e-10:
+            raise ValueError("curve is not arclength-parameterized")
+        scale = max(1.0, float(np.max(np.linalg.norm(xss, axis=-1))))
+        if not np.max(np.abs(np.sum(ts * xss, axis=-1))) <= 1e-10 * scale:
+            raise ValueError("curve has x_s . x_ss != 0")
 
 
 @dataclass(frozen=True)
@@ -120,32 +135,6 @@ def make_straight(direction, length: float) -> FiberCurve:
         second_derivative=second_derivative,
         parameters={"direction": tuple(d)},
     )
-
-
-def make_custom(
-    position: Curve3, tangent: Curve3, second_derivative: Curve3, length: float
-) -> FiberCurve:
-    """Wrap user closures as a fiber that must be arclength-parameterized.
-
-    Unit tangents and tangent-curvature orthogonality are checked at 13
-    arclengths; a curve failing either check raises ValueError.
-    """
-    curve = FiberCurve(
-        kind="custom",
-        length=float(length),
-        position=position,
-        tangent=tangent,
-        second_derivative=second_derivative,
-        parameters={},
-    )
-    s = np.linspace(0.05, 0.95, 13) * length
-    ts = curve.tangent(s)
-    xss = curve.second_derivative(s)
-    if np.max(np.abs(np.linalg.norm(ts, axis=-1) - 1.0)) > 1e-10:
-        raise ValueError("custom curve is not arclength-parameterized")
-    if np.max(np.abs(np.sum(ts * xss, axis=-1))) > 1e-10:
-        raise ValueError("custom curve has x_s . x_ss != 0")
-    return curve
 
 
 def discretize(curve: FiberCurve, panel_count: int, rule: QuadratureRule) -> PanelizedCurve:

@@ -221,8 +221,8 @@ def qkp_moments(z1: complex, count: int) -> np.ndarray:
     the interval, where it holds near machine accuracy; beyond that it sheds
     digits and the graded quadrature takes over.
     """
-    if not 1 <= count <= MAX_MOMENT_COUNT:
-        raise ValueError(f"count must be in [1, {MAX_MOMENT_COUNT}], got {count}")
+    if not isinstance(count, (int, np.integer)) or not 1 <= count <= MAX_MOMENT_COUNT:
+        raise ValueError(f"count must be an integer in [1, {MAX_MOMENT_COUNT}], got {count!r}")
     z1 = complex(z1)
     if not (z1.imag > 0 and math.isfinite(z1.real) and math.isfinite(z1.imag)):
         raise ValueError(f"z1 must be finite with positive imaginary part, got {z1}")

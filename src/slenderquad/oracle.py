@@ -199,6 +199,8 @@ def _certified(totals, errs, failed, tol: float, one: bool):
 
 def scaled_legendre(n: int, s, length: float = 1.0):
     """P_n mapped to [0, length]: P_n(-1 + 2 s / length). A bad n or length raises ValueError."""
+    if not isinstance(n, (int, np.integer)):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     if not 0.0 < length < math.inf:  # NaN fails too
@@ -216,8 +218,11 @@ def scaled_legendre(n: int, s, length: float = 1.0):
 def diagonal_eigenvalues(count: int) -> np.ndarray:
     """Eigenvalues lambda_n of the scalar operator on scaled Legendre modes.
 
-    lambda_0 = 0 and lambda_n = lambda_{n-1} + 2/n.
+    lambda_0 = 0 and lambda_n = lambda_{n-1} + 2/n. A count that is not a
+    non-negative integer raises ValueError.
     """
+    if not isinstance(count, (int, np.integer)) or count < 0:
+        raise ValueError(f"count must be a non-negative integer, got {count!r}")
     lam = np.zeros(count)
     for n in range(1, count):
         lam[n] = lam[n - 1] + 2.0 / n

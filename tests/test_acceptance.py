@@ -26,7 +26,7 @@ from slenderquad.finitepart import (
     eval_L,
     qk_signkernel,
 )
-from slenderquad.geometry import discretize, make_custom, make_helix, make_straight
+from slenderquad.geometry import FiberCurve, discretize, make_helix, make_straight
 from slenderquad.nearsing import eval_S, eval_S_regular, qkp_moments
 from slenderquad.oracle import (
     adaptive_integrate,
@@ -234,11 +234,11 @@ def test_criterion_7_structural_identities():
     )
     rot = rotation_matrix((0.2, 1.0, -0.4), 2.1)
     shift = np.array([1.0, -0.5, 2.0])
-    moved = make_custom(
+    moved = FiberCurve(
+        1.5,
         lambda s: HELIX.position(s) @ rot.T + shift,
         lambda s: HELIX.tangent(s) @ rot.T,
         lambda s: HELIX.second_derivative(s) @ rot.T,
-        1.5,
     )
     pc_moved = discretize(moved, 8, RULE)
     turned = eval_K_all(

@@ -23,7 +23,7 @@ from slenderquad.finitepart import (
 )
 from slenderquad import forces
 from slenderquad.forces import legendre_mixture, splitmix64_uniforms
-from slenderquad.geometry import discretize, make_custom, make_helix, make_straight
+from slenderquad.geometry import FiberCurve, discretize, make_helix, make_straight
 from slenderquad.oracle import diagonal_eigenvalues, g_pair, scaled_legendre
 from slenderquad.quadcore import gauss_legendre, legendre_transform_matrix, panelize
 
@@ -258,11 +258,11 @@ class TestEvalK:
 
         rot = rotation_matrix((1.0, 2.0, -0.5), 1.1)
         shift = np.array([0.4, -2.0, 0.7])
-        moved = make_custom(
+        moved = FiberCurve(
+            1.5,
             lambda s: helix.position(s) @ rot.T + shift,
             lambda s: helix.tangent(s) @ rot.T,
             lambda s: helix.second_derivative(s) @ rot.T,
-            1.5,
         )
         pc_m = discretize(moved, 8, RULE)
         dens_m = LineDensity.from_closure(

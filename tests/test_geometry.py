@@ -1,8 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from slenderquad.geometry import FiberCurve, discretize, make_custom, make_helix, make_straight
+from slenderquad.geometry import FiberCurve, discretize, make_helix, make_straight
 from slenderquad.quadcore import gauss_legendre, legendre_eval
+
+HELIX = make_helix(8.0, 3.0, 1.5)
 
 
 class TestFiberCurve:
@@ -17,6 +21,66 @@ class TestFiberCurve:
                 second_derivative=helix.second_derivative,
                 parameters={},
             )
+
+    @pytest.mark.parametrize("length", [np.inf, np.nan])
+    def test_nonfinite_length(self, length):
+        helix = make_helix(2.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="positive and finite"):
+            FiberCurve(length, helix.position, helix.tangent, helix.second_derivative)
+
+    def test_accepts_arclength_closures_as_custom(self):
+        helix = make_helix(2.0, 1.0, 1.0)
+        custom = FiberCurve(1.0, helix.position, helix.tangent, helix.second_derivative)
+        assert custom.kind == "custom"
+        assert custom.parameters == {}
+
+    def test_rejects_non_arclength(self):
+        def position(s):
+            s = np.asarray(s, dtype=float)
+            return np.stack([s**2, np.zeros_like(s), np.zeros_like(s)], axis=-1)
+
+        def tangent(s):
+            s = np.asarray(s, dtype=float)
+            return np.stack([2 * s, np.zeros_like(s), np.zeros_like(s)], axis=-1)
+
+        def second(s):
+            s = np.asarray(s, dtype=float)
+            return np.stack([2 * np.ones_like(s), np.zeros_like(s), np.zeros_like(s)], axis=-1)
+
+        with pytest.raises(ValueError, match="not arclength-parameterized"):
+            FiberCurve(1.0, position, tangent, second)
+
+    @pytest.mark.parametrize(
+        "length, position, tangent, second, match",
+        [
+            # the helix traced at twice the speed, |x_s| = 2: K would come back finite and wrong
+            (
+                0.75,
+                lambda s: HELIX.position(2.0 * np.asarray(s)),
+                lambda s: 2.0 * HELIX.tangent(2.0 * np.asarray(s)),
+                lambda s: 4.0 * HELIX.second_derivative(2.0 * np.asarray(s)),
+                "not arclength-parameterized",
+            ),
+            (1.5, HELIX.position, HELIX.tangent, HELIX.tangent, "x_s . x_ss"),
+            (1.5, HELIX.position, lambda s: np.nan * HELIX.tangent(s), HELIX.second_derivative,
+             "finite"),
+            (1.5, lambda s: HELIX.position(s).T, HELIX.tangent, HELIX.second_derivative,
+             r"\(n, 3\)"),
+        ],
+        ids=["double-speed", "x_ss-along-x_s", "nan-tangent", "coordinate-major-position"],
+    )  # fmt: skip
+    def test_rejects_bad_closures(self, length, position, tangent, second, match):
+        with pytest.raises(ValueError, match=match):
+            FiberCurve(length, position, tangent, second)
+
+    def test_orthogonality_bound_is_relative_to_curvature(self):
+        # x_s . x_ss reads ~1e-10 here in floating point, against |x_ss| = 2e6
+        helix = make_helix(2e6, 1.0, 1e-5)
+        assert helix.kind == "helix"
+
+    def test_replace_rechecks(self):
+        with pytest.raises(ValueError, match="not arclength-parameterized"):
+            dataclasses.replace(HELIX, tangent=lambda s: 2.0 * HELIX.tangent(s))
 
 
 class TestMakeHelix:
@@ -103,35 +167,6 @@ class TestMakeStraight:
     def test_nan_or_zero_direction(self, direction):
         with pytest.raises(ValueError, match="unit 3-vector"):
             make_straight(direction, 1.0)
-
-
-class TestMakeCustom:
-    def test_validation_accepts_arclength(self):
-        helix = make_helix(2.0, 1.0, 1.0)
-        custom = make_custom(helix.position, helix.tangent, helix.second_derivative, 1.0)
-        assert custom.kind == "custom"
-
-    def test_validation_rejects_non_arclength(self):
-        def position(s):
-            s = np.asarray(s, dtype=float)
-            return np.stack([s**2, np.zeros_like(s), np.zeros_like(s)], axis=-1)
-
-        def tangent(s):
-            s = np.asarray(s, dtype=float)
-            return np.stack([2 * s, np.zeros_like(s), np.zeros_like(s)], axis=-1)
-
-        def second(s):
-            s = np.asarray(s, dtype=float)
-            return np.stack([2 * np.ones_like(s), np.zeros_like(s), np.zeros_like(s)], axis=-1)
-
-        with pytest.raises(ValueError):
-            make_custom(position, tangent, second, 1.0)
-
-    @pytest.mark.parametrize("length", [np.inf, np.nan])
-    def test_nonfinite_length(self, length):
-        helix = make_helix(2.0, 1.0, 1.0)
-        with pytest.raises(ValueError, match="positive and finite"):
-            make_custom(helix.position, helix.tangent, helix.second_derivative, length)
 
 
 class TestDerivativeConsistency:

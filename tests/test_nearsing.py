@@ -333,6 +333,10 @@ class TestQkpMoments:
                    complex(-np.inf, 0.5), complex(0.1, np.inf)):
             with pytest.raises(ValueError, match="z1 must be finite"):
                 qkp_moments(z1, 3)
+        for count in (3.0, 2.5):
+            with pytest.raises(ValueError, match=rf"integer in \[1, 16\], got {count}"):
+                qkp_moments(0.1 + 0.2j, count)
+        assert qkp_moments(0.1 + 0.2j, np.int64(3)).shape == (3, 2)
 
 
 class TestEvalSSpecial:

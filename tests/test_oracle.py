@@ -10,7 +10,7 @@ import pytest
 from helpers import bisect_start_sums, rotation_matrix, segment_stokeslet
 from slenderquad import cli, forces, oracle
 from slenderquad.finitepart import LineDensity, build_weight_table, eval_K
-from slenderquad.geometry import discretize, make_custom, make_helix, make_straight
+from slenderquad.geometry import FiberCurve, discretize, make_helix, make_straight
 from slenderquad.oracle import (
     AccuracyError,
     adaptive_integrate,
@@ -281,6 +281,20 @@ class TestDiagonalization:
         with pytest.raises(ValueError, match="n must be non-negative, got -3"):
             scaled_legendre(-3, np.array([0.0, 0.25, 1.0]), 1.0)
 
+    @pytest.mark.parametrize("n", [2.0, 2.5])
+    def test_scaled_legendre_rejects_non_integer_order(self, n):
+        with pytest.raises(ValueError, match=f"n must be an integer, got {n}"):
+            scaled_legendre(n, np.array([0.0, 0.25, 1.0]), 1.0)
+
+    @pytest.mark.parametrize("count", [2.5, -1])
+    def test_diagonal_eigenvalues_rejects_count_not_a_non_negative_integer(self, count):
+        with pytest.raises(ValueError, match=f"count must be a non-negative integer, got {count}"):
+            diagonal_eigenvalues(count)
+
+    def test_numpy_integers_pass(self):
+        assert diagonal_eigenvalues(np.int64(3)).tolist() == [0.0, 2.0, 3.0]
+        assert scaled_legendre(np.int64(1), 0.75, 1.0) == 0.5
+
     @pytest.mark.parametrize("length", [-1.0, 0.0, np.inf, np.nan])
     def test_scaled_legendre_rejects_length_not_positive_and_finite(self, length):
         with pytest.raises(ValueError, match=f"length must be positive and finite, got {length}"):
@@ -309,11 +323,11 @@ class TestReferenceK:
         helix = make_helix(8.0, 3.0, 1.5)
         f, fp = forces.testf(1.5)
         rot = rotation_matrix((0.3, -1.0, 0.8), 0.9)
-        moved = make_custom(
+        moved = FiberCurve(
+            1.5,
             lambda s: helix.position(s) @ rot.T,
             lambda s: helix.tangent(s) @ rot.T,
             lambda s: helix.second_derivative(s) @ rot.T,
-            1.5,
         )
         s_bar = 0.8
         base = reference_K(helix, f, fp, s_bar, tol=1e-10)

@@ -13,8 +13,7 @@ EXPORTS = {
     "LineDensity", "SlenderParams", "build_weight_table", "centerline_velocity",
     "eval_K", "eval_K_all", "eval_L", "eval_Lambda",
     # geometry
-    "FiberCurve", "PanelizedCurve", "discretize", "make_custom", "make_helix",
-    "make_straight",
+    "FiberCurve", "PanelizedCurve", "discretize", "make_helix", "make_straight",
     # nearsing
     "RootNotFoundError", "eval_S", "eval_S_regular", "find_root", "qkp_moments",
     # oracle
@@ -32,7 +31,7 @@ def test_exports_exactly_the_public_names():
         for name, value in vars(slenderquad).items()
         if not name.startswith("_") and not isinstance(value, ModuleType)
     }
-    assert len(EXPORTS) == 33
+    assert len(EXPORTS) == 32
     assert exported == EXPORTS
 
 
