@@ -18,14 +18,20 @@ import numpy as np
 
 from .finitepart import LineDensity
 from .geometry import PanelizedCurve
-from .quadcore import _legendre_terms, gauss_legendre, solve_vandermonde_transpose
+from .quadcore import (
+    _legendre_terms,
+    _legendre_terms_split,
+    gauss_legendre,
+    solve_vandermonde_transpose,
+)
 
 _RECURSION_RANGE = 0.5  # root-to-interval distance where upward recursion stays accurate
 _GRADED_ORDER = 32
 MAX_MOMENT_COUNT = 16  # highest moment count q_k^p is computed to; caps eval_S's rule order
 _NEWTON_TOL = 1e-13
 _NEWTON_MAX_ITER = 30
-_CHUNK = 32  # field points per pass; bounds the (T, N, 3) offset array
+_ARRAY_PAIRS = 32  # live Newton pairs from which float-array tables beat per-pair Python ones
+_CHUNK = 128  # field points per pass, the oracle's _BLOCK; bounds the (T, N, 3) offset array
 
 
 class RootNotFoundError(RuntimeError):
@@ -70,12 +76,13 @@ def find_root(panel_coeffs: np.ndarray, x_bar: np.ndarray, guess: np.ndarray) ->
     block. Shapes that do not match and non-finite input raise ValueError
     before any Newton step. Newton runs on all pairs together: every
     iteration builds each live pair's (n, 2) Legendre table on its
-    Python-complex iterate and contracts all of them in one stacked
-    product, which with the row dots gives every pair the bits of its
-    one-row block. Step, damping and stopping tests stay per pair on Python
-    scalars, and a pair leaves the live set when it converges or fails. A
-    failed pair raises RootNotFoundError, after every other pair has run,
-    carrying every pair's outcome.
+    Python-complex iterate (from _ARRAY_PAIRS live pairs on, all of them at
+    once on float arrays, with the same bits) and contracts all of them in
+    one stacked product, which with the row dots gives every pair the bits
+    of its one-row block. Step, damping and stopping tests stay per pair on
+    Python scalars, and a pair leaves the live set when it converges or
+    fails. A failed pair raises RootNotFoundError, after every other pair
+    has run, carrying every pair's outcome.
     """
     coeffs = np.asarray(panel_coeffs, dtype=float)
     xb = np.asarray(x_bar, dtype=float)
@@ -102,8 +109,11 @@ def find_root(panel_coeffs: np.ndarray, x_bar: np.ndarray, guess: np.ndarray) ->
     for _ in range(_NEWTON_MAX_ITER):
         if not live:
             break
-        terms = itertools.chain.from_iterable(_legendre_terms(z[i], n) for i in live)
-        table = np.fromiter(terms, complex, 2 * n * len(live)).reshape(len(live), n, 2)
+        if len(live) >= _ARRAY_PAIRS:
+            table = _legendre_terms_split(np.array([z[i] for i in live]), n)
+        else:
+            terms = itertools.chain.from_iterable(_legendre_terms(z[i], n) for i in live)
+            table = np.fromiter(terms, complex, 2 * n * len(live)).reshape(len(live), n, 2)
         vals_ders = c_live @ table
         diff = x_live - vals_ders[:, :, 0]
         still = []

@@ -118,8 +118,11 @@ def _bisect(integrand: Callable, partitions: Sequence[np.ndarray], tol: float):
     Each problem keeps its own heap, sums and interval count, so it bisects
     exactly as it would alone; a round pops the worst interval of every
     unconverged problem and evaluates all halves in one integrand call. A
-    problem out of depth or intervals, or with a non-finite error sum, leaves
-    with its best estimate. Returns the totals, error sums and failure mask.
+    heap entry is (-error, left end, index), ties on error going to the left
+    end, and the index points into flat stores of every interval's right
+    end, depth and value, which grow by the halves of each round. A problem
+    out of depth or intervals, or with a non-finite error sum, leaves with
+    its best estimate. Returns the totals, error sums and failure mask.
     A tol that is not positive and finite raises ValueError before any call.
     """
     if not 0.0 < tol < math.inf:  # NaN fails too
@@ -132,9 +135,11 @@ def _bisect(integrand: Callable, partitions: Sequence[np.ndarray], tol: float):
     # add.at adds row after row in index order: each problem sums in its partition's order
     np.add.at(totals, owner, kron)
     np.add.at(errs, owner, err)
+    # the flat store: interval i's right end, depth and value; its heap entry holds the left end
+    right, depth, values, size = hi.tolist(), [0] * len(lo), kron, len(lo)
     heaps = [[] for _ in partitions]
-    for p, e, a, b, val in zip(owner.tolist(), err.tolist(), lo.tolist(), hi.tolist(), kron):
-        heapq.heappush(heaps[p], (-e, a, b, 0, val))
+    for i, (p, e, a) in enumerate(zip(owner.tolist(), err.tolist(), lo.tolist())):
+        heapq.heappush(heaps[p], (-e, a, i))
     failed = np.zeros(len(partitions), dtype=bool)
     rows = np.arange(len(partitions))  # the problems still looping
     while True:
@@ -143,26 +148,33 @@ def _bisect(integrand: Callable, partitions: Sequence[np.ndarray], tol: float):
         for p, e, big in zip(rows.tolist(), errs[rows].tolist(), bigs):
             if e <= tol * max(1.0, big):  # False for a NaN estimate, which stays to fail
                 continue
-            neg, a, b, depth, val = heapq.heappop(heaps[p])
-            failed[p] = depth >= MAX_DEPTH or counts[p] >= MAX_INTERVALS or not math.isfinite(e)
+            neg, a, i = heapq.heappop(heaps[p])
+            failed[p] = depth[i] >= MAX_DEPTH or counts[p] >= MAX_INTERVALS or not math.isfinite(e)
             if not failed[p]:
+                b = right[i]
                 mid = 0.5 * (a + b)
-                popped.append((p, a, mid, b, depth, neg, val))
+                popped.append((p, neg, i, a, mid, b))
                 centres += (0.5 * (a + mid), 0.5 * (mid + b))
                 halves += (0.5 * (mid - a), 0.5 * (b - mid))
                 counts[p] += 1
         if not popped:
             return totals.reshape((len(partitions),) + shape), errs, failed
-        rows, *_, neg, val = zip(*popped)
-        rows = np.array(rows)
+        rows, neg, index = (np.array(v) for v in list(zip(*popped))[:3])
         kron, err, _ = _gk15(integrand, *np.array([centres, halves]), rows.repeat(2))
-        totals[rows] = totals[rows] - np.array(val) + kron[0::2] + kron[1::2]
+        totals[rows] = totals[rows] - values[index] + kron[0::2] + kron[1::2]
         # neg drops the split interval's error
-        errs[rows] = errs[rows] + (err[0::2] + err[1::2] + np.array(neg))
+        errs[rows] = errs[rows] + (err[0::2] + err[1::2] + neg)
+        end = size + len(kron)
+        if end > len(values):  # the value store doubles when the halves do not fit
+            values = np.concatenate([values, np.empty((end,) + values.shape[1:])])
+        values[size:end] = kron
         e = err.tolist()
-        for j, (p, a, mid, b, depth, _, _) in enumerate(popped):
-            heapq.heappush(heaps[p], (-e[2 * j], a, mid, depth + 1, kron[2 * j]))
-            heapq.heappush(heaps[p], (-e[2 * j + 1], mid, b, depth + 1, kron[2 * j + 1]))
+        for j, (p, _, i, a, mid, b) in enumerate(popped):
+            right += (mid, b)
+            depth += (depth[i] + 1,) * 2
+            heapq.heappush(heaps[p], (-e[2 * j], a, size))
+            heapq.heappush(heaps[p], (-e[2 * j + 1], mid, size + 1))
+            size += 2
 
 
 def adaptive_integrate(integrand: Callable, a: float, b: float, tol: float = 1e-10):
@@ -353,30 +365,49 @@ def _closest_parameters(curve: FiberCurve, x_bar: np.ndarray) -> np.ndarray:
 def reference_S(curve: FiberCurve, f: Callable, x_bar, tol: float = 1e-12) -> np.ndarray:
     """Adaptive evaluation of the Stokeslet line integral at one point (3,) or a block (P, 3).
 
-    Other shapes and non-finite points raise ValueError. Each point's start
-    partition has breakpoints at its closest centerline parameter s* and at
-    s* -+ h 2^k, graded from h = the closest distance (floored at 1e-12 L) to
-    the ends, so the start intervals already resolve the near-singular peak.
-    Up to _BLOCK points bisect in one loop, each point as it would alone, and
-    no integrand call takes more than 2 * _BLOCK intervals. An
-    uncertified point does not stop the others, and a block call then raises
-    AccuracyError with (P, 3) best estimates and (P,) errors and mask `failed`.
+    Other shapes and non-finite points raise ValueError, and so does a point
+    on the centerline, where S diverges, naming its row; all before any
+    bisection. Each point's start partition has breakpoints at its closest
+    centerline parameter s* and at s* -+ h 2^k, graded from h = the closest
+    distance (floored at 1e-12 L) to the ends, so the start intervals
+    already resolve the near-singular peak. Up to _BLOCK points bisect in
+    one loop, each point as it would alone, and no integrand call takes more
+    than 2 * _BLOCK intervals. An uncertified point does not stop the
+    others, and a block call then raises AccuracyError with (P, 3) best
+    estimates and (P,) errors and mask `failed`.
     """
     xb = np.asarray(x_bar, dtype=float)
     if xb.ndim not in (1, 2) or xb.shape[-1] != 3 or not np.all(np.isfinite(xb)):
         raise ValueError(f"field points must be finite with shape (3,) or (P, 3), got {xb.shape}")
     block, length = xb.reshape(-1, 3), curve.length
+    s_star, dist = np.empty(len(block)), np.empty(len(block))
+    for start in range(0, len(block), _BLOCK):  # loop by loop, which bounds the memory
+        run = slice(start, start + _BLOCK)
+        s_star[run] = _closest_parameters(curve, block[run])
+        foot = curve.position(s_star[run]) - block[run]
+        dist[run] = np.sqrt(_rowdot(foot, foot))
+    on_line = np.flatnonzero(dist == 0.0)
+    if len(on_line):
+        raise ValueError(f"field point {on_line[0]} lies on the centerline, where S diverges")
+    h = np.maximum(dist, 1e-12 * length, out=dist)
     totals, errs, failed = np.empty(block.shape), np.empty(len(block)), np.empty(len(block), bool)
     for start in range(0, len(block), _BLOCK):
-        pts = block[start : start + _BLOCK]
-        s_star = _closest_parameters(curve, pts)
-        foot = curve.position(s_star) - pts
-        partitions = []
-        for s0, h in zip(s_star, np.maximum(np.sqrt(_rowdot(foot, foot)), 1e-12 * length)):
-            offsets = h * 2.0 ** np.arange(int(np.log2(length / h)) + 1)
-            inner = np.concatenate([s0 - offsets[::-1], [s0], s0 + offsets])
-            inner = inner[(inner > 0.0) & (inner < length)]
-            partitions.append(np.concatenate([[0.0], inner, [length]]))
+        run = slice(start, start + _BLOCK)
+        pts, s0 = block[run], s_star[run, None]
+        levels = np.log2(length / h[run, None]).astype(int) + 1
+        # row p: 0, s* - h 2^k from its top level down, s*, s* + h 2^k upward, L; NaN
+        # offsets past a point's own levels fail the (0, L) test like breakpoints outside
+        k = np.arange(levels.max())
+        offsets = np.where(k < levels, h[run, None] * 2.0**k, np.nan)
+        edges = np.concatenate(
+            [np.zeros_like(s0), s0 - offsets[:, ::-1], s0, s0 + offsets, np.full_like(s0, length)],
+            axis=1,
+        )
+        keep = (edges > 0.0) & (edges < length)
+        keep[:, [0, -1]] = True
+        sizes = keep.sum(axis=1)
+        ends, flat = np.cumsum(sizes), edges[keep]
+        partitions = [flat[i:j] for i, j in zip((ends - sizes).tolist(), ends.tolist())]
 
         def integrand(s, owner):
             r = pts[owner].repeat(15, axis=0) - np.asarray(curve.position(s), dtype=float)
@@ -384,6 +415,5 @@ def reference_S(curve: FiberCurve, f: Callable, x_bar, tol: float = 1e-12) -> np
             fv = np.broadcast_to(np.asarray(f(s), dtype=float), r.shape)
             return fv / rnorm + r * np.einsum("nc,nc->n", r, fv)[:, None] / rnorm**3
 
-        run = slice(start, start + _BLOCK)
         totals[run], errs[run], failed[run] = _bisect(integrand, partitions, tol)
     return _certified(totals, errs, failed, tol, one=xb.ndim == 1)

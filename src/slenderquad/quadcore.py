@@ -192,6 +192,40 @@ def _legendre_terms(z, n: int, zero=0.0, one=1.0) -> list:
     return terms[: 2 * n]
 
 
+def _legendre_terms_split(z: np.ndarray, n: int) -> np.ndarray:
+    """The (P, n, 2) complex table of P_k(z) and P_k'(z) at P complex points z.
+
+    Row i holds the bits of `_legendre_terms(complex(z[i]), n)`: the same
+    recurrences run on float arrays of the real and imaginary parts, with
+    CPython's complex operations spelled out, the product as
+    (ar br - ai bi, ar bi + ai br). Only the `0.0 *` terms of int x complex
+    and complex / int are left out. They can change nothing but a result
+    that is an exact zero, so a point with a zero or non-finite P_k part,
+    k >= 1, takes its row from `_legendre_terms` itself.
+    """
+    # [k, value or derivative, real or imaginary part, point]
+    w = np.zeros((n, 2, 2, len(z)))
+    w[0, 0, 0] = 1.0
+    if n > 1:
+        w[1, 0] = z.real, z.imag
+        w[1, 1, 0] = 1.0
+    prod, cross = np.empty((2, 2, len(z)))
+    for k in range(2, n):
+        a, p, v = (2 * k - 1) * w[1, 0], w[k - 1, 0], w[k, 0]
+        np.multiply(a, p, out=prod)
+        np.multiply(a, p[::-1], out=cross)
+        np.subtract(prod[0], prod[1], out=v[0])
+        np.add(cross[0], cross[1], out=v[1])
+        v -= (k - 1) * w[k - 2, 0]
+        v /= k
+        np.add(w[k - 2, 1], (2 * k - 1) * p, out=w[k, 1])
+    table = np.ascontiguousarray(w.transpose(3, 0, 1, 2)).view(complex).reshape(len(z), n, 2)
+    values = w[1:, 0]
+    for i in np.flatnonzero(~(np.isfinite(values) & (values != 0.0)).all(axis=(0, 1))):
+        table[i] = np.reshape(_legendre_terms(complex(z[i]), n), (n, 2))
+    return table
+
+
 def legendre_deriv_coeffs(coeffs: np.ndarray) -> np.ndarray:
     """Coefficients of the derivative of a Legendre series on [-1, 1]."""
     c = np.asarray(coeffs, dtype=float).tolist()  # loop on Python floats

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import segment_stokeslet
-from slenderquad import forces, nearsing
+from slenderquad import cli, forces, nearsing
 from slenderquad.finitepart import LineDensity
 from slenderquad.geometry import discretize, make_helix, make_straight
 from slenderquad.nearsing import (
@@ -163,7 +163,7 @@ class TestFindRootBlocks:
         self.pc = discretize(self.HELIX, 8, RULE)
         self.pairs = _newton_pairs(self.pc, _s_field_near_points(self.HELIX, 41))
 
-    @pytest.mark.parametrize("count", [1, 2, 33])
+    @pytest.mark.parametrize("count", [1, 2, 31, 32, 33])
     def test_block_equals_one_pair_calls_bitwise(self, count):
         coeffs, points, guesses = (a[:count] for a in self.pairs)
         block = find_root(coeffs, points, guesses)
@@ -508,7 +508,7 @@ def _block_points(helix, count, seed):
 
 class TestEvalSBlocks:
     HELIX = make_helix(8.0, 3.0, 1.5)
-    POINTS = _block_points(HELIX, 100, 5)
+    POINTS = _block_points(HELIX, 2 * nearsing._CHUNK + 1, 5)
 
     def setup_method(self):
         self.f, _ = forces.testf_simple(self.HELIX)
@@ -522,7 +522,7 @@ class TestEvalSBlocks:
         chunk = nearsing._CHUNK
         for evaluate in (eval_S, eval_S_regular):
             single = np.array([evaluate(pc, dens, pt) for pt in self.POINTS])
-            for count in (1, 2, chunk - 1, chunk, chunk + 1, 100):
+            for count in (1, 2, chunk - 1, chunk, chunk + 1, 100, len(self.POINTS)):
                 block = evaluate(pc, dens, self.POINTS[:count])
                 assert block.shape == (count, 3)
                 assert np.array_equal(block, single[:count])
@@ -554,6 +554,25 @@ class TestEvalSBlocks:
         assert not np.array_equal(got[first], good[first])
         others = np.arange(len(block)) != first
         assert np.array_equal(got[others], good[others])
+
+    def test_array_tables_run_for_the_field_test_block_only(self, monkeypatch):
+        sizes, blocks = [], []
+        split, root = nearsing._legendre_terms_split, nearsing.find_root
+        monkeypatch.setattr(
+            nearsing, "_legendre_terms_split", lambda z, n: sizes.append(len(z)) or split(z, n)
+        )
+        monkeypatch.setattr(
+            nearsing, "find_root", lambda c, x, g: blocks.append(len(g)) or root(c, x, g)
+        )
+        for pt in _s_field_near_points(self.HELIX, 41):
+            eval_S(self.pc, self.dens, pt)
+        assert sizes == [] and max(blocks) < nearsing._ARRAY_PAIRS
+        blocks.clear()
+        grid = cli.helix_field_grid(self.HELIX, radial_count=5, angular_count=5, z_count=4)
+        eval_S(self.pc, self.dens, grid)
+        # the field-test grid is one chunk: one Newton run, on array tables while 32 pairs live
+        assert len(blocks) == 1 and blocks[0] > 100
+        assert sizes and min(sizes) >= nearsing._ARRAY_PAIRS
 
     def test_on_node_point_in_block_raises(self):
         block = np.array([[1.2, 1.2, 0.3], self.pc.positions[7], [1.0, -0.7, 0.9]])

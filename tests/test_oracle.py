@@ -80,6 +80,21 @@ class TestAdaptiveIntegrate:
         assert bisections > 10
         assert len(sizes) == bisections + 1
 
+    def test_equal_errors_split_left_end_first(self, monkeypatch):
+        # the same 15 values on every interval: halves of one width get equal estimates
+        pattern = np.cos(np.arange(15.0))
+        centres = []
+
+        def integrand(x):
+            centres.append(x.mean())
+            return np.tile(pattern, x.size // 15)
+
+        monkeypatch.setattr(oracle, "MAX_INTERVALS", 6)
+        with pytest.raises(AccuracyError):
+            adaptive_integrate(integrand, 0.0, 1.0, 1e-12)
+        # the start interval, then the split ones: [0, 1], [0, .5], [.5, 1], [0, .25], [.25, .5]
+        assert centres == pytest.approx([0.5, 0.5, 0.25, 0.75, 0.125, 0.375], abs=1e-15)
+
     @pytest.mark.parametrize(
         "integrand, a, b, points",
         [
@@ -368,12 +383,14 @@ class TestReferenceS:
         tight = reference_S(helix, f, pt, tol=1e-14)
         assert np.max(np.abs(got - tight)) <= 1e-12 * max(1.0, np.max(np.abs(tight)))
 
-    def test_point_on_the_centerline_is_not_certified(self):
+    @pytest.mark.parametrize("s0", [0.37, 0.75, 0.0, 1.5])
+    def test_point_on_the_centerline_raises_before_any_bisection(self, s0, monkeypatch):
         helix = make_helix(8.0, 3.0, 1.5)
         f, _ = forces.testf_simple(helix)
-        # bisection toward s* reaches nodes at x_bar itself, where 0/0 warns
-        with np.errstate(invalid="ignore", divide="ignore"), pytest.raises(AccuracyError):
-            reference_S(helix, f, helix.position(0.75))
+        monkeypatch.setattr(oracle, "_bisect", None)  # never reached
+        # S diverges there; bisection would reach nodes at x_bar itself and divide 0 by 0
+        with pytest.raises(ValueError, match="field point 0 lies on the centerline"):
+            reference_S(helix, f, helix.position(s0))
 
     def test_one_graded_call(self, monkeypatch):
         calls = []
@@ -523,7 +540,7 @@ class TestReferenceSBlock:
         start = sum(len(e) - 1 for e in loops[0])
         assert start > cap and calls[: start // cap] == [cap] * (start // cap)
 
-    @pytest.mark.parametrize("offset", [0.0, 1e-9], ids=["on-centerline", "1e-9-off"])
+    @pytest.mark.parametrize("offset", [1e-15, 1e-9], ids=["1e-15-off", "1e-9-off"])
     def test_one_bad_point_does_not_stop_the_block(self, monkeypatch, offset):
         # 1e-9 off the centerline cannot be certified at tol 1e-12; a small
         # interval budget makes it run out in a fraction of the full budget's time
@@ -531,12 +548,10 @@ class TestReferenceSBlock:
         s0 = 0.75
         bad = self.HELIX.position(s0) + offset * self.HELIX.second_derivative(s0) / 8.0
         points = np.concatenate([_near_points(5), [bad], self.GRID[:4]])
-        # nodes at x_bar itself divide 0 by 0
-        with np.errstate(invalid="ignore", divide="ignore"):
-            with pytest.raises(AccuracyError) as info:
-                reference_S(self.HELIX, self.F, points, tol=1e-12)
-            with pytest.raises(AccuracyError) as alone:
-                reference_S(self.HELIX, self.F, bad, tol=1e-12)
+        with pytest.raises(AccuracyError) as info:
+            reference_S(self.HELIX, self.F, points, tol=1e-12)
+        with pytest.raises(AccuracyError) as alone:
+            reference_S(self.HELIX, self.F, bad, tol=1e-12)
         err = info.value
         assert err.failed.tolist() == [False] * 5 + [True] + [False] * 4
         assert err.best_estimate.shape == (10, 3) and err.error_estimate.shape == (10,)
@@ -544,6 +559,13 @@ class TestReferenceSBlock:
         for i in np.flatnonzero(~err.failed):
             assert np.array_equal(err.best_estimate[i], reference_S(self.HELIX, self.F, points[i]))
         assert alone.value.failed is None and np.ndim(alone.value.error_estimate) == 0
+
+    def test_point_on_the_centerline_fails_the_block_before_any_bisection(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_bisect", None)  # never reached
+        # past the first loop of 128 points, which does not bisect either
+        points = np.concatenate([self.GRID[:140], [self.HELIX.position(0.37)], self.GRID[140:]])
+        with pytest.raises(ValueError, match="field point 140 lies on the centerline"):
+            reference_S(self.HELIX, self.F, points)
 
     @pytest.mark.parametrize(
         "points",

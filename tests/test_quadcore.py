@@ -6,6 +6,7 @@ from slenderquad.quadcore import (
     MAX_ORDER,
     _legendre_table,
     _legendre_terms,
+    _legendre_terms_split,
     gauss_legendre,
     interpolate_to_uniform,
     legendre_deriv_coeffs,
@@ -313,6 +314,33 @@ class TestLegendreAndDerivative:
             scalar = np.reshape(_legendre_terms(point, n), (n, 2))
             tol = 64 * np.finfo(float).eps * np.maximum(1.0, np.abs(scalar))
             assert np.all(np.abs(table[:, :, i] - scalar) <= tol)
+
+
+class TestLegendreTermsSplit:
+    @staticmethod
+    def iterates():
+        """Newton's iterates: the disc |z| <= 20 that an iterate leaves by escaping, its
+        rim, real points and parts of +-0.0, where the 0.0 * terms of Python's complex
+        arithmetic decide a sign."""
+        rng = np.random.default_rng(21)
+        disc = 20.0 * np.sqrt(rng.uniform(size=3500)) * np.exp(2j * np.pi * rng.uniform(size=3500))
+        rim = 20.0 * np.exp(2j * np.pi * rng.uniform(size=100))
+        real = rng.uniform(-20.0, 20.0, 400)
+        parts = [0.0, -0.0, 0.7, -0.7, 20.0]
+        signed = [complex(a, b) for a in parts for b in parts]
+        minus_zero = [complex(x, -0.0) for x in real[:100]]
+        return np.concatenate([disc, rim, real + 0j, minus_zero, 1j * real[100:200], signed])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, MAX_ORDER])
+    def test_equals_python_complex_terms_bitwise(self, n):
+        z = self.iterates()
+        got = _legendre_terms_split(z, n)
+        want = np.array([np.reshape(_legendre_terms(point, n), (n, 2)) for point in z.tolist()])
+        assert got.shape == (len(z), n, 2) and got.dtype == complex
+        assert got.tobytes() == want.astype(complex).tobytes()
+
+    def test_empty_block(self):
+        assert _legendre_terms_split(np.zeros(0, dtype=complex), 16).shape == (0, 16, 2)
 
 
 class TestVandermondeTranspose:
