@@ -39,7 +39,6 @@ from .quadcore import (
     gauss_legendre,
     interpolate_to_uniform,
     legendre_eval,
-    panelize,
     solve_vandermonde_transpose,
 )
 

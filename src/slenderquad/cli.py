@@ -25,7 +25,7 @@ from .finitepart import LineDensity, build_weight_table, eval_K_all, eval_L
 from .geometry import FiberCurve, discretize, make_helix, make_straight
 from .nearsing import MAX_MOMENT_COUNT, eval_S, eval_S_regular
 from .oracle import AccuracyError, diagonal_eigenvalues, reference_S, scaled_legendre
-from .quadcore import gauss_legendre, interpolate_to_uniform, panelize
+from .quadcore import PanelGrid, gauss_legendre, interpolate_to_uniform
 
 EXIT_PASS = 0
 EXIT_CONFIG = 1
@@ -115,7 +115,7 @@ def run_eigen_test(args: argparse.Namespace) -> int:
     rows = []
     worst = 0.0
     for m in args.panels:
-        grid = panelize(fiber_length, m, rule)
+        grid = PanelGrid(fiber_length, m, rule)
         density = LineDensity.from_closure(f, grid, derivative=fprime)
         s = grid.global_nodes
         exact = -sum(alpha[n] * lam[n] * scaled_legendre(n, s, fiber_length) for n in range(p))
@@ -251,15 +251,8 @@ def run_field_test(args: argparse.Namespace) -> int:
     path = Path(args.out)
     _write_csv(path, ["mode", "M", "x", "y", "z", "error"], rows)
     _write_csv(path.with_name(path.stem + "_xy" + path.suffix), ["mode", "M", "x", "y", "max_error"], xy_rows)
-    _write_sidecar(
-        path,
-        args,
-        {
-            "global_max": max_by_run,
-            "flagged_points": int(flagged.sum()),
-            "point_count": len(points),
-        },
-    )
+    extra = {"flagged_points": int(flagged.sum()), "point_count": len(points)}
+    _write_sidecar(path, args, {"global_max": max_by_run, **extra})
     for run, e in max_by_run.items():
         print(f"field-test {run}: global max error {e:.3e}")
 

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 import numpy as np
 
-from .quadcore import PanelGrid, QuadratureRule, legendre_transform_matrix, panelize
+from .quadcore import PanelGrid, QuadratureRule, _store, legendre_transform_matrix
 
 Curve3 = Callable[[np.ndarray], np.ndarray]
 
@@ -23,6 +24,7 @@ class FiberCurve:
     return anything but finite (13, 3) arrays, a tangent off unit length by
     more than 1e-10, or x_s . x_ss off zero by more than 1e-10 * max(1, |x_ss|).
     A custom fiber is FiberCurve(length, position, tangent, second_derivative).
+    parameters is stored as a read-only copy of the mapping passed in.
     """
 
     length: float
@@ -30,9 +32,10 @@ class FiberCurve:
     tangent: Curve3
     second_derivative: Curve3
     kind: str = "custom"
-    parameters: dict = field(default_factory=dict)
+    parameters: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
+        _store(self, parameters=MappingProxyType(dict(self.parameters)))
         if not 0 < self.length < np.inf:  # NaN fails too
             raise ValueError(f"length must be positive and finite, got {self.length}")
         s = np.linspace(0.05, 0.95, 13) * self.length
@@ -48,21 +51,36 @@ class FiberCurve:
             raise ValueError("curve has x_s . x_ss != 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PanelizedCurve:
-    """A fiber sampled on a panel grid.
+    """A fiber sampled on a panel grid; curves compare by identity.
 
-    panel_coeffs[m, c] holds the Legendre coefficients of coordinate c of the
-    position over panel m, in the local variable eta in [-1, 1]. coords is a
-    contiguous (3, N) copy of positions, for the component-major K rows.
+    positions, tangents and second_derivs are the (N, 3) samples at the grid's
+    nodes. They are checked and copied where the curve is built, and the rest
+    is derived from them there. panel_coeffs[m, c] holds the Legendre
+    coefficients of coordinate c of the position over panel m, in the local
+    variable eta in [-1, 1]. coords is a contiguous (3, N) copy of positions,
+    for the component-major K rows. Every array is read-only.
     """
 
     grid: PanelGrid
-    positions: np.ndarray
-    tangents: np.ndarray
-    second_derivs: np.ndarray
-    panel_coeffs: np.ndarray
-    coords: np.ndarray
+    positions: np.ndarray = field(repr=False)
+    tangents: np.ndarray = field(repr=False)
+    second_derivs: np.ndarray = field(repr=False)
+    panel_coeffs: np.ndarray = field(init=False, repr=False)
+    coords: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        grid = self.grid
+        given = (self.positions, self.tangents, self.second_derivs)
+        positions, tangents, second = (np.array(x, dtype=float) for x in given)
+        if not positions.shape == tangents.shape == second.shape == (grid.node_count, 3):
+            got = ", ".join(str(np.shape(x)) for x in given)
+            raise ValueError(f"curve samples must have shape ({grid.node_count}, 3), got {got}")
+        per_panel = positions.reshape(grid.panel_count, grid.rule.order, 3)
+        coeffs = np.einsum("kl,mlc->mck", legendre_transform_matrix(grid.rule), per_panel)
+        _store(self, positions=positions, tangents=tangents, second_derivs=second)
+        _store(self, panel_coeffs=coeffs, coords=np.ascontiguousarray(positions.T))
 
 
 def make_helix(curvature: float, torsion: float, length: float) -> FiberCurve:
@@ -139,21 +157,6 @@ def make_straight(direction, length: float) -> FiberCurve:
 
 def discretize(curve: FiberCurve, panel_count: int, rule: QuadratureRule) -> PanelizedCurve:
     """Sample a fiber on a panel grid and fit per-panel position expansions."""
-    grid = panelize(curve.length, panel_count, rule)
+    grid = PanelGrid(curve.length, panel_count, rule)
     s = grid.global_nodes
-    positions = curve.position(s)
-    tangents = curve.tangent(s)
-    second = curve.second_derivative(s)
-
-    transform = legendre_transform_matrix(rule)
-    n = rule.order
-    per_panel = positions.reshape(panel_count, n, 3)
-    coeffs = np.einsum("kl,mlc->mck", transform, per_panel)
-    return PanelizedCurve(
-        grid=grid,
-        positions=positions,
-        tangents=tangents,
-        second_derivs=second,
-        panel_coeffs=coeffs,
-        coords=np.ascontiguousarray(positions.T),
-    )
+    return PanelizedCurve(grid, curve.position(s), curve.tangent(s), curve.second_derivative(s))

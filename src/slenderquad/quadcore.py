@@ -7,7 +7,7 @@ all functions are pure, so they can be shared freely across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -15,13 +15,54 @@ MAX_ORDER = 64
 ETA_BOUND = 10.0
 
 
+def _store(obj, **values) -> None:
+    """Set fields of a frozen dataclass where it is built, arrays made read-only first."""
+    for name, value in values.items():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        object.__setattr__(obj, name, value)
+
+
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Gauss-Legendre nodes and weights on [-1, 1]."""
+    """The Gauss-Legendre rule of an order in [1, MAX_ORDER] on [-1, 1].
+
+    The order defines the rule: rules of one order compare and hash equal.
+    Nodes, weights and the Legendre transform are computed where the rule is
+    built and stored read-only. The nodes come from Newton iteration on P_n
+    from the estimates cos(pi*(k - 1/4)/(n + 1/2)); only the positive half is
+    iterated and then mirrored, so the node set is exactly symmetric about 0.
+    P_n and P_n' are row n of an (n + 1)-row table. transform maps node
+    samples to the interpolant's Legendre coefficients, by the discrete
+    orthogonality of P_k at the nodes, exact for k below the order.
+    """
 
     order: int
-    nodes: np.ndarray
-    weights: np.ndarray
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
+    transform: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not isinstance(self.order, (int, np.integer)) or not 1 <= self.order <= MAX_ORDER:
+            raise ValueError(f"order must be an integer in [1, {MAX_ORDER}], got {self.order!r}")
+        n = int(self.order)
+        k = np.arange(1, n // 2 + 1)
+        x = np.cos(np.pi * (k - 0.25) / (n + 0.5))
+        for _ in range(100):
+            p, dp = _legendre_table(x, n + 1)[n]
+            dx = p / dp
+            x = x - dx
+            if x.size == 0 or np.max(np.abs(dx)) < 1e-15:
+                break
+        dp = _legendre_table(x, n + 1)[n, 1]
+        w = 2.0 / ((1.0 - x * x) * dp * dp)
+        mid = np.zeros(n % 2)  # the middle node of an odd rule
+        dp0 = _legendre_table(mid, n + 1)[n, 1]
+        nodes = np.concatenate([-x, mid, x[::-1]])
+        weights = np.concatenate([w, 2.0 / (dp0 * dp0), w[::-1]])
+        scale = (2.0 * np.arange(n) + 1.0) / 2.0  # transform[k, l] = scale[k] P_k(eta_l) w_l
+        transform = scale[:, None] * _legendre_table(nodes, n)[:, 0] * weights[None, :]
+        _store(self, order=n, nodes=nodes, weights=weights, transform=transform)
 
 
 @dataclass(frozen=True)
@@ -30,23 +71,38 @@ class PanelGrid:
 
     Global node ell of panel m sits at (m-1)*ds + ds/2*(eta_ell + 1); the
     stored global weights already carry the ds/2 panel scale, so a plain dot
-    product with sample values integrates over [0, fiber_length].
+    product with sample values integrates over [0, fiber_length]. The length,
+    count and rule define a grid and are checked where it is built; the width,
+    nodes and weights are derived there and stored read-only.
     """
 
     fiber_length: float
     panel_count: int
-    panel_width: float
-    global_nodes: np.ndarray
-    global_weights: np.ndarray
     rule: QuadratureRule
+    panel_width: float = field(init=False, compare=False)
+    global_nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    global_weights: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        length, count, rule = self.fiber_length, self.panel_count, self.rule
+        if not 0 < length < np.inf:  # NaN fails too
+            raise ValueError(f"fiber length must be positive and finite, got {length}")
+        if not isinstance(count, (int, np.integer)) or count < 1:
+            raise ValueError(f"panel count must be an integer >= 1, got {count!r}")
+        if not isinstance(rule, QuadratureRule):
+            raise ValueError(f"rule must be a QuadratureRule, got {rule!r}")
+        ds = length / count
+        nodes = ds * np.arange(count)[:, None] + 0.5 * ds * (rule.nodes[None, :] + 1.0)
+        weights = np.tile(0.5 * ds * rule.weights, count)
+        _store(self, fiber_length=float(length), panel_count=int(count), panel_width=ds)
+        _store(self, global_nodes=nodes.ravel(), global_weights=weights)
 
     @property
     def node_count(self) -> int:
         return self.panel_count * self.rule.order
 
     def panel_slice(self, m: int) -> slice:
-        n = self.rule.order
-        return slice(m * n, (m + 1) * n)
+        return slice(m * self.rule.order, (m + 1) * self.rule.order)
 
     def panel_of_target(self, target_index: int) -> tuple[int, int]:
         """Panel and local node index of a global node index, an integer in [0, N) or ValueError."""
@@ -59,72 +115,19 @@ class PanelGrid:
 
 
 def gauss_legendre(order: int) -> QuadratureRule:
-    """Gauss-Legendre rule computed by Newton iteration on P_n.
-
-    Initial guesses are the Chebyshev-like estimates cos(pi*(k - 1/4)/(n + 1/2));
-    only the positive half is iterated and then mirrored, so the node set is
-    exactly symmetric about 0. P_n and P_n' are row n of an (n + 1)-row table.
-    """
-    if not isinstance(order, (int, np.integer)) or not 1 <= order <= MAX_ORDER:
-        raise ValueError(f"order must be an integer in [1, {MAX_ORDER}], got {order!r}")
-    n = int(order)
-    m = n // 2
-    k = np.arange(1, m + 1)
-    x = np.cos(np.pi * (k - 0.25) / (n + 0.5))
-    for _ in range(100):
-        p, dp = _legendre_table(x, n + 1)[n]
-        dx = p / dp
-        x = x - dx
-        if x.size == 0 or np.max(np.abs(dx)) < 1e-15:
-            break
-    dp = _legendre_table(x, n + 1)[n, 1]
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
-
-    nodes = np.concatenate([-x, [0.0] if n % 2 else [], x[::-1]])
-    if n % 2:
-        dp0 = _legendre_table(np.zeros(1), n + 1)[n, 1]
-        weights = np.concatenate([w, 2.0 / (dp0 * dp0), w[::-1]])
-    else:
-        weights = np.concatenate([w, w[::-1]])
-    return QuadratureRule(order=n, nodes=nodes, weights=weights)
-
-
-def panelize(fiber_length: float, panel_count: int, rule: QuadratureRule) -> PanelGrid:
-    """Split [0, fiber_length] into equal panels carrying the given rule."""
-    if not 0 < fiber_length < np.inf:  # NaN fails too
-        raise ValueError(f"fiber length must be positive and finite, got {fiber_length}")
-    if not isinstance(panel_count, (int, np.integer)) or panel_count < 1:
-        raise ValueError(f"panel count must be an integer >= 1, got {panel_count!r}")
-    ds = fiber_length / panel_count
-    starts = ds * np.arange(panel_count)
-    nodes = (starts[:, None] + 0.5 * ds * (rule.nodes[None, :] + 1.0)).ravel()
-    weights = np.tile(0.5 * ds * rule.weights, panel_count)
-    return PanelGrid(
-        fiber_length=float(fiber_length),
-        panel_count=int(panel_count),
-        panel_width=ds,
-        global_nodes=nodes,
-        global_weights=weights,
-        rule=rule,
-    )
-
-
-_TRANSFORM_CACHE: dict[int, np.ndarray] = {}
+    """The Gauss-Legendre rule of the given order: QuadratureRule(order)."""
+    return QuadratureRule(order)
 
 
 def legendre_transform_matrix(rule: QuadratureRule) -> np.ndarray:
-    """Matrix mapping node samples to Legendre coefficients.
+    """The read-only matrix mapping a rule's node samples to Legendre coefficients.
 
-    Uses the discrete orthogonality of P_k at the Gauss-Legendre nodes, which
-    is exact for k below the rule order, so the result is the interpolating
-    polynomial's coefficient vector.
+    It is rule.transform. K's spectral f' calls this once per target node,
+    and the benchmark's trace self-test (bench/test_schema.py) pins exactly
+    N calls per K apply, so the per-target call stays until the benchmark
+    counts K's work at the operator instead of per node.
     """
-    if rule.order not in _TRANSFORM_CACHE:
-        table = _legendre_table(rule.nodes, rule.order)[:, 0]  # P_k(eta_ell)
-        scale = (2.0 * np.arange(rule.order) + 1.0) / 2.0
-        _TRANSFORM_CACHE[rule.order] = scale[:, None] * table * rule.weights[None, :]
-        _TRANSFORM_CACHE[rule.order].flags.writeable = False  # shared by every caller
-    return _TRANSFORM_CACHE[rule.order]
+    return rule.transform
 
 
 def legendre_eval(coeffs: np.ndarray, eta):
@@ -293,11 +296,10 @@ def interpolate_to_uniform(
     if not np.all((targets >= 0.0) & (targets <= grid.fiber_length)):
         raise ValueError("interpolation targets must be finite and lie in [0, L]")
     vector = samples.ndim > 1
-    cols = samples.shape[1] if vector else 1
-    samples = samples.reshape(grid.node_count, cols)
+    samples = samples.reshape(grid.node_count, -1)
 
     transform = legendre_transform_matrix(grid.rule)
-    out = np.empty((targets.size, cols))
+    out = np.empty((targets.size, samples.shape[1]))
     owners = _locate_panels(targets, grid)
     for m in np.unique(owners):
         pick = owners == m

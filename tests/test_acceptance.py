@@ -36,7 +36,7 @@ from slenderquad.oracle import (
     reference_S,
     scaled_legendre,
 )
-from slenderquad.quadcore import gauss_legendre, panelize
+from slenderquad.quadcore import PanelGrid, gauss_legendre
 
 RULE = gauss_legendre(16)
 TABLE = build_weight_table(RULE)
@@ -57,7 +57,7 @@ def test_criterion_1_eigenfunction_suite():
     lam = diagonal_eigenvalues(5)
     worst = 0.0
     for m in (1, 2, 4, 8):
-        grid = panelize(1.0, m, RULE)
+        grid = PanelGrid(1.0, m, RULE)
         density = LineDensity.from_closure(f, grid, derivative=fprime)
         s = grid.global_nodes
         exact = -sum(alpha[n] * lam[n] * scaled_legendre(n, s, 1.0) for n in range(5))

@@ -25,7 +25,7 @@ from slenderquad import forces
 from slenderquad.forces import legendre_mixture, splitmix64_uniforms
 from slenderquad.geometry import FiberCurve, discretize, make_helix, make_straight
 from slenderquad.oracle import diagonal_eigenvalues, g_pair, scaled_legendre
-from slenderquad.quadcore import gauss_legendre, legendre_transform_matrix, panelize
+from slenderquad.quadcore import PanelGrid, gauss_legendre, legendre_transform_matrix
 
 RULE = gauss_legendre(16)
 TABLE = build_weight_table(RULE)
@@ -160,7 +160,7 @@ class TestEvalL:
     def test_first_mode_any_panelization(self):
         lam1 = 2.0
         for m in (1, 2, 4, 8):
-            grid = panelize(1.0, m, RULE)
+            grid = PanelGrid(1.0, m, RULE)
             f, fp = legendre_mixture(np.array([0.0, 1.0]), 1.0)
             dens = LineDensity.from_closure(f, grid, derivative=fp)
             s = grid.global_nodes
@@ -169,7 +169,7 @@ class TestEvalL:
             assert np.max(np.abs(got - expected)) <= 1e-13
 
     def test_constant_density_vanishes(self):
-        grid = panelize(1.0, 4, RULE)
+        grid = PanelGrid(1.0, 4, RULE)
         dens = LineDensity(samples=np.full(grid.node_count, 2.5))
         got = np.array([eval_L(dens, grid, TABLE, t) for t in range(grid.node_count)])
         assert np.max(np.abs(got)) <= 1e-14
@@ -179,7 +179,7 @@ class TestEvalL:
         lam = diagonal_eigenvalues(5)
         f, fp = legendre_mixture(alpha, 1.0)
         for m in (1, 2, 4, 8):
-            grid = panelize(1.0, m, RULE)
+            grid = PanelGrid(1.0, m, RULE)
             dens = LineDensity.from_closure(f, grid, derivative=fp)
             s = grid.global_nodes
             expected = -sum(alpha[n] * lam[n] * scaled_legendre(n, s, 1.0) for n in range(5))
@@ -191,7 +191,7 @@ class TestEvalL:
         alpha = splitmix64_uniforms(5, 4)
         f, _ = legendre_mixture(alpha, 1.0)
         lam = diagonal_eigenvalues(4)
-        grid = panelize(1.0, 2, RULE)
+        grid = PanelGrid(1.0, 2, RULE)
         dens = LineDensity.from_closure(f, grid)
         s = grid.global_nodes
         expected = -sum(alpha[n] * lam[n] * scaled_legendre(n, s, 1.0) for n in range(4))
@@ -203,7 +203,7 @@ class TestEvalL:
         # commutes with reflection: L[f o reflect](L - sbar) = L[f](sbar)
         rng = np.random.default_rng(12)
         coeffs = rng.uniform(-1, 1, 6)
-        grid = panelize(1.0, 4, RULE)
+        grid = PanelGrid(1.0, 4, RULE)
         poly = np.polynomial.Polynomial(coeffs)
         dens = LineDensity(samples=poly(grid.global_nodes))
         reflected = LineDensity(samples=poly(1.0 - grid.global_nodes))
@@ -214,7 +214,7 @@ class TestEvalL:
             assert left == pytest.approx(eval_L(dens, grid, TABLE, t), abs=1e-12)
 
     def test_rejects_vector_density(self):
-        grid = panelize(1.0, 1, RULE)
+        grid = PanelGrid(1.0, 1, RULE)
         dens = _constant_density(grid, (1.0, 0.0, 0.0))
         with pytest.raises(ValueError):
             eval_L(dens, grid, TABLE, 0)
@@ -377,7 +377,7 @@ class TestCenterlineVelocity:
 class TestMomentExactness:
     def test_sign_kernel_quadrature_on_monomials(self):
         # product integration reproduces the analytic sign-kernel moments
-        grid = panelize(1.0, 3, RULE)
+        grid = PanelGrid(1.0, 3, RULE)
         for t in (5, 20, 40):
             m, ell = grid.panel_of_target(t)
             eta_bar = RULE.nodes[ell]
@@ -487,7 +487,7 @@ class TestSameNumbersAsNodeMajorRows:
 
     @pytest.mark.parametrize("panels", [1, 4, 64])
     def test_eval_L_and_weights_bitwise(self, panels):
-        grid = panelize(1.5, panels, RULE)
+        grid = PanelGrid(1.5, panels, RULE)
         f, fp = legendre_mixture(splitmix64_uniforms(3, 6), 1.5)
         for dens in (
             LineDensity(samples=f(grid.global_nodes)),

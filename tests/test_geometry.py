@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from slenderquad.geometry import FiberCurve, discretize, make_helix, make_straight
-from slenderquad.quadcore import gauss_legendre, legendre_eval
+from slenderquad.geometry import FiberCurve, PanelizedCurve, discretize, make_helix, make_straight
+from slenderquad.quadcore import PanelGrid, QuadratureRule, gauss_legendre, legendre_eval
 
 HELIX = make_helix(8.0, 3.0, 1.5)
 
@@ -81,6 +81,18 @@ class TestFiberCurve:
     def test_replace_rechecks(self):
         with pytest.raises(ValueError, match="not arclength-parameterized"):
             dataclasses.replace(HELIX, tangent=lambda s: 2.0 * HELIX.tangent(s))
+
+    def test_parameters_are_a_read_only_copy(self):
+        helix = make_helix(8.0, 3.0, 1.5)
+        with pytest.raises(TypeError):
+            helix.parameters["radius"] = 99.0  # would move every field-test point
+        assert dataclasses.replace(helix, position=helix.position).parameters == helix.parameters
+        given = {"label": 1}
+        custom = FiberCurve(
+            1.5, HELIX.position, HELIX.tangent, HELIX.second_derivative, parameters=given
+        )
+        given["label"] = 2
+        assert custom.parameters == {"label": 1}
 
 
 class TestMakeHelix:
@@ -224,3 +236,49 @@ class TestDiscretize:
         assert np.array_equal(a.positions, b.positions)
         assert np.array_equal(a.panel_coeffs, b.panel_coeffs)
         assert np.array_equal(a.grid.global_nodes, b.grid.global_nodes)
+
+
+class TestPanelizedCurve:
+    GRID = PanelGrid(1.5, 2, gauss_legendre(4))
+
+    def samples(self):
+        s = self.GRID.global_nodes
+        return [HELIX.position(s), HELIX.tangent(s), HELIX.second_derivative(s)]
+
+    def test_samples_are_copied(self):
+        samples = self.samples()
+        curve = PanelizedCurve(self.GRID, *samples)
+        for given, stored in zip(samples, (curve.positions, curve.tangents, curve.second_derivs)):
+            assert given.flags.writeable and stored is not given
+            given[:] = 0.0
+        assert np.array_equal(curve.positions, self.samples()[0])
+
+    @pytest.mark.parametrize("which", [0, 1, 2], ids=["positions", "tangents", "second_derivs"])
+    @pytest.mark.parametrize("cut", ["node-short", "coordinate-major"])
+    def test_rejects_samples_off_the_grid(self, which, cut):
+        samples = self.samples()
+        samples[which] = samples[which][:-1] if cut == "node-short" else samples[which].T
+        with pytest.raises(ValueError, match=r"shape \(8, 3\)"):
+            PanelizedCurve(self.GRID, *samples)
+
+    @pytest.mark.parametrize(
+        "name", ["positions", "tangents", "second_derivs", "panel_coeffs", "coords"]
+    )
+    def test_arrays_are_read_only(self, name):
+        array = getattr(discretize(HELIX, 2, gauss_legendre(4)), name)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+    def test_curves_compare_by_identity(self):
+        curve = discretize(HELIX, 2, gauss_legendre(4))
+        assert curve == curve and curve != discretize(HELIX, 2, gauss_legendre(4))
+        assert len({curve, curve}) == 1
+
+    def test_a_foreign_rule_leaves_discretize_unchanged(self):
+        # with the transform cached by order alone, this one foreign rule shifted
+        # every later order-16 discretization by up to 0.80
+        before = discretize(HELIX, 8, gauss_legendre(16))
+        with pytest.raises(TypeError):
+            QuadratureRule(16, np.linspace(-0.99, 0.99, 16), np.full(16, 0.125))
+        after = discretize(HELIX, 8, gauss_legendre(16))
+        assert after.panel_coeffs.tobytes() == before.panel_coeffs.tobytes()

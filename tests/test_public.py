@@ -21,7 +21,7 @@ EXPORTS = {
     "reference_K", "reference_S", "scaled_legendre",
     # quadcore
     "PanelGrid", "QuadratureRule", "gauss_legendre", "interpolate_to_uniform",
-    "legendre_eval", "panelize", "solve_vandermonde_transpose",
+    "legendre_eval", "solve_vandermonde_transpose",
 }  # fmt: skip
 
 
@@ -31,7 +31,7 @@ def test_exports_exactly_the_public_names():
         for name, value in vars(slenderquad).items()
         if not name.startswith("_") and not isinstance(value, ModuleType)
     }
-    assert len(EXPORTS) == 32
+    assert len(EXPORTS) == 31
     assert exported == EXPORTS
 
 

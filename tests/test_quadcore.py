@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from helpers import legendre_deriv_coeffs_numpy_scalars, legendre_eval_numpy_scalars
 from slenderquad.quadcore import (
     MAX_ORDER,
+    PanelGrid,
+    QuadratureRule,
     _legendre_table,
     _legendre_terms,
     _legendre_terms_split,
@@ -12,7 +16,6 @@ from slenderquad.quadcore import (
     legendre_deriv_coeffs,
     legendre_eval,
     legendre_transform_matrix,
-    panelize,
     solve_vandermonde_transpose,
 )
 from slenderquad.finitepart import build_weight_table, qk_signkernel
@@ -111,41 +114,79 @@ class TestGaussLegendre:
             assert np.array_equal(rule.nodes, nodes)
             assert np.array_equal(rule.weights, weights)
 
+    def test_the_order_defines_the_rule(self):
+        rule = gauss_legendre(16)
+        same = QuadratureRule(np.int64(16))
+        assert rule == same and hash(rule) == hash(same)
+        assert rule != gauss_legendre(15)
+        assert len({rule, same, gauss_legendre(15)}) == 2
+        assert same.order == 16 and type(same.order) is int
+        assert np.array_equal(rule.transform, same.transform)
 
-class TestPanelize:
+    def test_replace_cannot_set_derived_arrays(self):
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(gauss_legendre(16), nodes=np.linspace(-0.99, 0.99, 16))
+
+    @pytest.mark.parametrize("name", ["nodes", "weights", "transform"])
+    def test_arrays_are_read_only(self, name):
+        array = getattr(gauss_legendre(16), name)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
+class TestPanelGrid:
     def test_single_panel_affine_map(self):
         rule = gauss_legendre(16)
-        grid = panelize(1.0, 1, rule)
+        grid = PanelGrid(1.0, 1, rule)
         assert grid.global_nodes == pytest.approx((rule.nodes + 1.0) / 2.0, abs=1e-16)
 
     def test_helix_study_grid_shape(self):
-        grid = panelize(1.5, 8, gauss_legendre(16))
+        grid = PanelGrid(1.5, 8, gauss_legendre(16))
         assert grid.panel_width == pytest.approx(3.0 / 16.0, abs=0)
         assert grid.node_count == 128
         assert grid.global_nodes.min() > 0.0 and grid.global_nodes.max() < 1.5
 
     def test_composite_integral_polynomial(self):
-        grid = panelize(1.0, 2, gauss_legendre(16))
+        grid = PanelGrid(1.0, 2, gauss_legendre(16))
         assert grid.global_weights @ grid.global_nodes**2 == pytest.approx(1 / 3, abs=1e-15)
 
     @pytest.mark.parametrize("m", [2, 3, 5])
     def test_composite_exponential(self, m):
-        grid = panelize(1.0, m, gauss_legendre(16))
+        grid = PanelGrid(1.0, m, gauss_legendre(16))
         value = grid.global_weights @ np.exp(grid.global_nodes)
         assert abs(value - (np.e - 1.0)) < 1e-14
 
     def test_invalid_length(self):
         with pytest.raises(ValueError):
-            panelize(0.0, 2, gauss_legendre(4))
+            PanelGrid(0.0, 2, gauss_legendre(4))
         with pytest.raises(ValueError):
-            panelize(-1.0, 2, gauss_legendre(4))
+            PanelGrid(-1.0, 2, gauss_legendre(4))
         for length in (np.inf, np.nan):
             with pytest.raises(ValueError, match="positive and finite"):
-                panelize(length, 2, gauss_legendre(4))
+                PanelGrid(length, 2, gauss_legendre(4))
         for count in (2.5, 3.0, np.float64(3.0), 0, np.int64(-1)):
             with pytest.raises(ValueError, match="integer >= 1"):
-                panelize(1.5, count, gauss_legendre(4))
-        assert panelize(1.5, np.int64(3), gauss_legendre(4)).panel_count == 3
+                PanelGrid(1.5, count, gauss_legendre(4))
+        assert PanelGrid(1.5, np.int64(3), gauss_legendre(4)).panel_count == 3
+
+    @pytest.mark.parametrize("rule", [16, None, np.ones(16)], ids=["order", "none", "array"])
+    def test_rule_must_be_a_quadrature_rule(self, rule):
+        with pytest.raises(ValueError, match="QuadratureRule"):
+            PanelGrid(1.5, 2, rule)
+
+    def test_equal_definitions_compare_equal(self):
+        grid = PanelGrid(1.5, 8, gauss_legendre(16))
+        same = PanelGrid(np.float64(1.5), np.int64(8), QuadratureRule(16))
+        assert grid == same and hash(grid) == hash(same)
+        assert grid != PanelGrid(1.5, 4, gauss_legendre(16))
+        assert grid != PanelGrid(1.5, 8, gauss_legendre(15))
+        assert grid != PanelGrid(1.0, 8, gauss_legendre(16))
+
+    @pytest.mark.parametrize("name", ["global_nodes", "global_weights"])
+    def test_arrays_are_read_only(self, name):
+        array = getattr(PanelGrid(1.5, 8, gauss_legendre(16)), name)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
 
 
 class TestLegendreTransforms:
@@ -179,12 +220,12 @@ class TestLegendreTransforms:
         with pytest.raises(ValueError):
             legendre_transform_matrix(self.rule) @ np.ones(8)
 
-    def test_cached_matrix_is_read_only(self):
-        # every caller shares the cached matrix, so a write would reach them all
+    def test_matrix_is_the_rules_read_only_transform(self):
+        # every caller of one rule shares its matrix, so a write would reach them all
         transform = legendre_transform_matrix(self.rule)
         with pytest.raises(ValueError, match="read-only"):
             transform[0, 0] = 2.0
-        assert legendre_transform_matrix(self.rule) is transform
+        assert transform is self.rule.transform
 
 
 class TestLegendreEval:
@@ -423,7 +464,7 @@ class TestInterpolateToUniform:
         self.rule = gauss_legendre(16)
 
     def test_degree15_exact(self):
-        grid = panelize(2.0, 3, self.rule)
+        grid = PanelGrid(2.0, 3, self.rule)
         rng = np.random.default_rng(5)
         coeffs = rng.uniform(-1, 1, 16)
         poly = np.polynomial.Polynomial(coeffs)
@@ -434,34 +475,34 @@ class TestInterpolateToUniform:
         assert np.max(np.abs(got - poly(targets))) <= 1e-12 * np.max(np.abs(samples))
 
     def test_target_at_node(self):
-        grid = panelize(1.0, 4, self.rule)
+        grid = PanelGrid(1.0, 4, self.rule)
         samples = np.sin(grid.global_nodes)
         idx = 23
         got = interpolate_to_uniform(samples, grid, np.array([grid.global_nodes[idx]]))
         assert got[0] == pytest.approx(samples[idx], abs=1e-13)
 
     def test_resolved_sine(self):
-        grid = panelize(1.0, 8, self.rule)
+        grid = PanelGrid(1.0, 8, self.rule)
         samples = np.sin(2 * np.pi * grid.global_nodes)
         targets = np.linspace(0.0, 1.0, 400)
         got = interpolate_to_uniform(samples, grid, targets)
         assert np.max(np.abs(got - np.sin(2 * np.pi * targets))) <= 1e-10
 
     def test_panel_boundary_tiebreak(self):
-        grid = panelize(1.0, 4, self.rule)
+        grid = PanelGrid(1.0, 4, self.rule)
         samples = np.exp(grid.global_nodes)
         edge = 0.5  # shared edge of panels 1 and 2
         got = interpolate_to_uniform(samples, grid, np.array([edge]))
         assert got[0] == pytest.approx(np.exp(edge), abs=1e-11)
 
     def test_vector_samples(self):
-        grid = panelize(1.0, 2, self.rule)
+        grid = PanelGrid(1.0, 2, self.rule)
         samples = np.stack([grid.global_nodes, grid.global_nodes**2], axis=1)
         got = interpolate_to_uniform(samples, grid, np.array([0.25, 0.75]))
         assert got == pytest.approx(np.array([[0.25, 0.0625], [0.75, 0.5625]]), abs=1e-13)
 
     def test_out_of_range(self):
-        grid = panelize(1.0, 2, self.rule)
+        grid = PanelGrid(1.0, 2, self.rule)
         with pytest.raises(ValueError):
             interpolate_to_uniform(np.ones(32), grid, np.array([1.2]))
         with pytest.raises(ValueError):
