@@ -18,7 +18,6 @@ from .geometry import (
     make_straight,
 )
 from .nearsing import (
-    RootNotFoundError,
     eval_S,
     eval_S_regular,
     find_root,

@@ -50,6 +50,10 @@ class FiberCurve:
         if not np.max(np.abs(np.sum(ts * xss, axis=-1))) <= 1e-10 * scale:
             raise ValueError("curve has x_s . x_ss != 0")
 
+    def __reduce__(self):  # copies rebuild and re-check the curve; parameters stay read-only
+        fields = self.position, self.tangent, self.second_derivative, self.kind
+        return FiberCurve, (self.length, *fields, dict(self.parameters))
+
 
 @dataclass(frozen=True, eq=False)
 class PanelizedCurve:
@@ -81,6 +85,9 @@ class PanelizedCurve:
         coeffs = np.einsum("kl,mlc->mck", legendre_transform_matrix(grid.rule), per_panel)
         _store(self, positions=positions, tangents=tangents, second_derivs=second)
         _store(self, panel_coeffs=coeffs, coords=np.ascontiguousarray(positions.T))
+
+    def __reduce__(self):  # copies and pickles rebuild the curve from its samples
+        return PanelizedCurve, (self.grid, self.positions, self.tangents, self.second_derivs)
 
 
 def make_helix(curvature: float, torsion: float, length: float) -> FiberCurve:

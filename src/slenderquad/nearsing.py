@@ -34,19 +34,6 @@ _ARRAY_PAIRS = 32  # live Newton pairs from which float-array tables beat per-pa
 _CHUNK = 128  # field points per pass, the oracle's _BLOCK; bounds the (T, N, 3) offset array
 
 
-class RootNotFoundError(RuntimeError):
-    """Newton iteration on R^2(eta) failed to locate a complex root.
-
-    Carries every pair's outcome: the (P,) roots, NaN where Newton failed,
-    the (P,) boolean mask `failed` and the P `reasons`, empty strings for
-    the pairs that converged.
-    """
-
-    def __init__(self, message: str, roots: np.ndarray, failed: np.ndarray, reasons: list):
-        super().__init__(message)
-        self.roots, self.failed, self.reasons = roots, failed, reasons
-
-
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise dot products of two (P, 3) arrays, each with the bits of `a[i] @ b[i]`."""
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
@@ -68,21 +55,23 @@ def _chord_guesses(coeffs: np.ndarray, xb: np.ndarray) -> np.ndarray:
     return np.clip(2.0 * tpar - 1.0, -1.0, 1.0) + 1j * im
 
 
-def find_root(panel_coeffs: np.ndarray, x_bar: np.ndarray, guess: np.ndarray) -> np.ndarray:
+def find_root(
+    panel_coeffs: np.ndarray, x_bar: np.ndarray, guess: np.ndarray
+) -> tuple[np.ndarray, list]:
     """Newton iteration for the upper-half roots z1 of R^2(eta) = |x_bar - x(eta)|^2.
 
     Takes P pairs, (P, 3, n) panel coefficients, (P, 3) points and (P,)
-    guesses, and returns the (P,) complex roots; one pair is a one-row
-    block. Shapes that do not match and non-finite input raise ValueError
-    before any Newton step. Newton runs on all pairs together: every
-    iteration builds each live pair's (n, 2) Legendre table on its
-    Python-complex iterate (from _ARRAY_PAIRS live pairs on, all of them at
-    once on float arrays, with the same bits) and contracts all of them in
-    one stacked product, which with the row dots gives every pair the bits
-    of its one-row block. Step, damping and stopping tests stay per pair on
-    Python scalars, and a pair leaves the live set when it converges or
-    fails. A failed pair raises RootNotFoundError, after every other pair
-    has run, carrying every pair's outcome.
+    guesses, and returns (roots, reasons): the (P,) complex roots, NaN where
+    Newton failed, and the P reason strings, "" for a pair that converged;
+    one pair is a one-row block. Shapes that do not match and non-finite
+    input raise ValueError before any Newton step. Newton runs on all pairs
+    together: every iteration builds each live pair's (n, 2) Legendre table
+    on its Python-complex iterate (from _ARRAY_PAIRS live pairs on, all of
+    them at once on float arrays, with the same bits) and contracts all of
+    them in one stacked product, which with the row dots gives every pair
+    the bits of its one-row block. Step, damping and stopping tests stay per
+    pair on Python scalars, and a pair leaves the live set when it converges
+    or fails, so a failed pair does not stop the others.
     """
     coeffs = np.asarray(panel_coeffs, dtype=float)
     xb = np.asarray(x_bar, dtype=float)
@@ -145,13 +134,7 @@ def find_root(panel_coeffs: np.ndarray, x_bar: np.ndarray, guess: np.ndarray) ->
             c_live, x_live = c_live[still], x_live[still]
     for i in live:
         reasons[i] = f"no convergence in {_NEWTON_MAX_ITER} iterations"
-    roots = np.array(roots, dtype=complex)
-    failed = np.array([bool(r) for r in reasons], dtype=bool)
-    if failed.any():
-        raise RootNotFoundError(
-            f"Newton failed for {int(failed.sum())} of {count} pairs", roots, failed, reasons
-        )
-    return roots
+    return np.array(roots, dtype=complex), reasons
 
 
 def _moments_recursion(a: float, b: float, count: int) -> np.ndarray:
@@ -337,7 +320,7 @@ def eval_S(curve: PanelizedCurve, f: LineDensity, x_bar) -> np.ndarray:
     and every row equals the one-point call bit for bit. A panel is treated
     as near a point when its closest node lies within one panel arclength.
     The near pairs of each chunk of points share one find_root call.
-    Root-finding failures, each warned of, and roots with Im(z1) >= 1 fall
+    Pairs without a root, each warned of, and roots with Im(z1) >= 1 fall
     back to the regular rule for that (point, panel) pair only. All panels a
     point leaves to the regular rule are summed in one contraction, the same
     one eval_S_regular makes, so a point with no near panel gets
@@ -365,15 +348,12 @@ def eval_S(curve: PanelizedCurve, f: LineDensity, x_bar) -> np.ndarray:
             run = guess.imag < 1.0
             tt, mm, guess = tt[run], mm[run], guess[run]
         if len(tt):  # one Newton run for all of the chunk's pairs
-            try:
-                z1 = find_root(curve.panel_coeffs[mm], points[tt], guess)
-            except RootNotFoundError as err:
-                z1 = err.roots
-                for i in np.flatnonzero(err.failed):
-                    warnings.warn(
-                        f"point {start + tt[i]}, panel {mm[i]}: {err.reasons[i]}; "
-                        "falling back to regular quadrature"
-                    )
+            z1, reasons = find_root(curve.panel_coeffs[mm], points[tt], guess)
+            for i in np.flatnonzero(np.isnan(z1)):
+                warnings.warn(
+                    f"point {start + tt[i]}, panel {mm[i]}: {reasons[i]}; "
+                    "falling back to regular quadrature"
+                )
             near = z1.imag < 1.0  # False for the NaN roots of failed pairs
             tp, mp, z1 = tt[near], mm[near], z1[near].tolist()
         total = np.zeros((count, 3))

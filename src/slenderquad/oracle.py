@@ -380,12 +380,9 @@ def reference_S(curve: FiberCurve, f: Callable, x_bar, tol: float = 1e-12) -> np
     if xb.ndim not in (1, 2) or xb.shape[-1] != 3 or not np.all(np.isfinite(xb)):
         raise ValueError(f"field points must be finite with shape (3,) or (P, 3), got {xb.shape}")
     block, length = xb.reshape(-1, 3), curve.length
-    s_star, dist = np.empty(len(block)), np.empty(len(block))
-    for start in range(0, len(block), _BLOCK):  # loop by loop, which bounds the memory
-        run = slice(start, start + _BLOCK)
-        s_star[run] = _closest_parameters(curve, block[run])
-        foot = curve.position(s_star[run]) - block[run]
-        dist[run] = np.sqrt(_rowdot(foot, foot))
+    s_star = _closest_parameters(curve, block)
+    foot = curve.position(s_star) - block
+    dist = np.sqrt(_rowdot(foot, foot))
     on_line = np.flatnonzero(dist == 0.0)
     if len(on_line):
         raise ValueError(f"field point {on_line[0]} lies on the centerline, where S diverges")

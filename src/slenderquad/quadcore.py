@@ -64,6 +64,9 @@ class QuadratureRule:
         transform = scale[:, None] * _legendre_table(nodes, n)[:, 0] * weights[None, :]
         _store(self, order=n, nodes=nodes, weights=weights, transform=transform)
 
+    def __reduce__(self):  # copies and pickles rebuild the rule, read-only arrays and all
+        return QuadratureRule, (self.order,)
+
 
 @dataclass(frozen=True)
 class PanelGrid:
@@ -96,6 +99,9 @@ class PanelGrid:
         weights = np.tile(0.5 * ds * rule.weights, count)
         _store(self, fiber_length=float(length), panel_count=int(count), panel_width=ds)
         _store(self, global_nodes=nodes.ravel(), global_weights=weights)
+
+    def __reduce__(self):  # copies and pickles rebuild the grid from its defining fields
+        return PanelGrid, (self.fiber_length, self.panel_count, self.rule)
 
     @property
     def node_count(self) -> int:

@@ -1,6 +1,17 @@
 """Shared independent oracles for the test suite."""
 
+import copy
+import pickle
+
 import numpy as np
+
+# the ways a value type can be duplicated; each must rebuild it as it was first built
+COPIES = {
+    "original": lambda x: x,
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda x: pickle.loads(pickle.dumps(x)),
+}
 
 
 def qk_two_piece(k: int, eta_bar: float) -> float:

@@ -6,6 +6,7 @@ import pytest
 from slenderquad import cli
 from slenderquad.cli import (
     EXIT_CONFIG,
+    EXIT_ORACLE,
     EXIT_PASS,
     EXIT_THRESHOLD,
     ConfigError,
@@ -16,6 +17,7 @@ from slenderquad.cli import (
     run_field_test,
 )
 from slenderquad.geometry import make_helix
+from slenderquad.oracle import AccuracyError
 
 
 class TestParseFiber:
@@ -34,7 +36,7 @@ class TestParseFiber:
         assert curve.position(1.0) == pytest.approx([0.0, 0.0, 1.0], abs=1e-15)
 
     def test_bad_specs(self):
-        for spec in ("helix:1,2", "ellipse:1,2,3", "helix:a,b,c"):
+        for spec in ("helix:1,2", "ellipse:1,2,3", "helix:a,b,c", "straight:1,2"):
             with pytest.raises(ValueError):
                 parse_fiber(spec)
 
@@ -142,7 +144,9 @@ class TestEigenTestCommand:
         out = str(tmp_path / "x.csv")
         assert main(["eigen-test", "--force", "testf", "--out", out]) == EXIT_CONFIG
         assert main(["eigen-test", "--force", "legendre:40", "--out", out]) == EXIT_CONFIG
+        assert main(["eigen-test", "--force", "legendre:x", "--out", out]) == EXIT_CONFIG
         assert main(["eigen-test", "--panels", "0", "--out", out]) == EXIT_CONFIG
+        assert main(["eigen-test", "--panels", "1,x", "--out", out]) == EXIT_CONFIG
         assert main(["bogus-experiment"]) == EXIT_CONFIG
         # eigen-test's scalar operator has no curve
         assert main(["eigen-test", "--fiber", "straight:1.0", "--out", out]) == EXIT_CONFIG
@@ -270,6 +274,12 @@ class TestKConvergenceCommand:
         assert "finite and nonzero" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_force_must_be_testf_or_testf_simple(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["k-convergence", "--force", "legendre:3", "--out", str(out)]) == EXIT_CONFIG
+        assert "k-convergence supports --force testf or testf-simple" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_bad_uniform_count(self, tmp_path, capsys, count):
         out = tmp_path / "x.csv"
@@ -340,6 +350,34 @@ class TestFieldTestCommand:
         ]
         # the second point is the top of the first (x, y) column
         assert special == ["nan", "1.7320508075688772", "1.7320508075688772", "1.7320508075688772"]
+
+    @pytest.mark.parametrize("flagged", [[7], [3, 7], range(8)], ids=["last", "two", "all"])
+    def test_oracle_flags_exit_3_and_leave_the_global_max(self, tmp_path, monkeypatch, capsys,
+                                                          flagged):
+        failed = np.zeros(8, dtype=bool)
+        failed[list(flagged)] = True
+
+        def uncertified(curve, f, points, tol):
+            raise AccuracyError("tolerance not met", np.zeros(np.shape(points)), np.ones(8), failed)
+
+        # point i errs by i + 1 in both modes, so the global max is the last unflagged point's
+        errors = np.arange(1.0, 9.0)
+        monkeypatch.setattr(cli, "reference_S", uncertified)
+        for name in ("eval_S", "eval_S_regular"):
+            monkeypatch.setattr(cli, name, lambda curve, f, points: errors[:, None] * [1, 0, 0])
+        out = tmp_path / "field.csv"
+        argv = ["field-test", "--radial-count", "2", "--angular-count", "2", "--z-count", "2"]
+        assert main([*argv, "--out", str(out)]) == EXIT_ORACLE
+        sidecar = json.loads(out.with_suffix(".json").read_text())
+        assert sidecar["flagged_points"] == failed.sum() and sidecar["point_count"] == 8
+        expected = np.max(errors[~failed]) if not failed.all() else np.nan
+        runs = ["regular:M=8", "special:M=8"]
+        assert sidecar["global_max"] == pytest.approx(dict.fromkeys(runs, expected), nan_ok=True)
+        assert capsys.readouterr().out.splitlines() == [
+            f"field-test {run}: global max error {expected:.3e}" for run in runs
+        ]
+        # a flagged point keeps its rows in the CSV
+        assert len(out.read_text().splitlines()) == 1 + 2 * 8
 
     def test_requires_helix(self, tmp_path):
         code = main(

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from helpers import legendre_deriv_coeffs_numpy_scalars, legendre_table_sum
+from slenderquad import forces
 from slenderquad.forces import legendre_mixture
+from slenderquad.geometry import make_helix
 from slenderquad.quadcore import legendre_eval
 
 
@@ -48,3 +50,16 @@ class TestLegendreMixture:
         for point in (np.linspace(0.0, self.LENGTH, 7), 0.3):
             f(point), fprime(point)
         assert calls == []
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: forces.testf(1.5), lambda: forces.testf_simple(make_helix(8.0, 3.0, 1.5))],
+    ids=["testf", "testf_simple"],
+)
+def test_fprime_is_the_derivative_of_f(make):
+    f, fprime = make()
+    s, h = np.linspace(0.05, 1.45, 15), 1e-4
+    # fourth-order central difference: truncation and rounding both ~1e-11 here
+    slope = (8.0 * (f(s + h) - f(s - h)) - (f(s + 2 * h) - f(s - 2 * h))) / (12.0 * h)
+    assert fprime(s).shape == (15, 3)
+    assert np.max(np.abs(fprime(s) - slope)) <= 1e-8

@@ -1,8 +1,10 @@
+import copy
 import dataclasses
 
 import numpy as np
 import pytest
 
+from helpers import COPIES
 from slenderquad.geometry import FiberCurve, PanelizedCurve, discretize, make_helix, make_straight
 from slenderquad.quadcore import PanelGrid, QuadratureRule, gauss_legendre, legendre_eval
 
@@ -93,6 +95,11 @@ class TestFiberCurve:
         )
         given["label"] = 2
         assert custom.parameters == {"label": 1}
+        # a deep copy rebuilds the curve, so its parameters are read-only too
+        copied = copy.deepcopy(helix)
+        assert copied.kind == "helix" and copied.parameters == helix.parameters
+        with pytest.raises(TypeError):
+            copied.parameters["radius"] = 99.0
 
 
 class TestMakeHelix:
@@ -261,11 +268,16 @@ class TestPanelizedCurve:
         with pytest.raises(ValueError, match=r"shape \(8, 3\)"):
             PanelizedCurve(self.GRID, *samples)
 
+    @pytest.mark.parametrize("duplicate", COPIES.values(), ids=COPIES)
     @pytest.mark.parametrize(
         "name", ["positions", "tangents", "second_derivs", "panel_coeffs", "coords"]
     )
-    def test_arrays_are_read_only(self, name):
-        array = getattr(discretize(HELIX, 2, gauss_legendre(4)), name)
+    def test_arrays_are_read_only(self, name, duplicate):
+        curve = discretize(HELIX, 2, gauss_legendre(4))
+        same = duplicate(curve)
+        assert same.grid == curve.grid
+        array = getattr(same, name)
+        assert np.array_equal(array, getattr(curve, name))
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
 

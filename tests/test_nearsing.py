@@ -6,7 +6,6 @@ from slenderquad import cli, forces, nearsing
 from slenderquad.finitepart import LineDensity
 from slenderquad.geometry import discretize, make_helix, make_straight
 from slenderquad.nearsing import (
-    RootNotFoundError,
     eval_S,
     eval_S_regular,
     find_root,
@@ -19,8 +18,11 @@ RULE = gauss_legendre(16)
 
 
 def chord_root(coeffs, pt):
-    """One pair's root, from the chord guess as eval_S starts it, as a one-row block."""
-    return find_root(coeffs[None], pt[None], nearsing._chord_guesses(coeffs[None], pt[None]))[0]
+    """One pair's root and reason, from the chord guess as eval_S starts it, as a one-row block."""
+    roots, reasons = find_root(
+        coeffs[None], pt[None], nearsing._chord_guesses(coeffs[None], pt[None])
+    )
+    return roots[0], reasons[0]
 
 
 def constant_density(grid, value):
@@ -65,15 +67,17 @@ class TestFindRoot:
         pc = discretize(make_straight((1.0, 0.0, 0.0), 1.0), 1, RULE)
         d = 0.1
         # a guess off the root, so Newton does the work the exact chord guess would skip
-        z1 = find_root(pc.panel_coeffs[:1], np.array([[0.5, d, 0.0]]), np.array([0.3 + 0.5j]))
+        z1, reasons = find_root(
+            pc.panel_coeffs[:1], np.array([[0.5, d, 0.0]]), np.array([0.3 + 0.5j])
+        )
         # x(eta) = (eta+1)/2, so R^2 has roots at eta = 2 x_bar - 1 +- 2 i d
-        assert z1.shape == (1,) and z1.dtype == complex
+        assert z1.shape == (1,) and z1.dtype == complex and reasons == [""]
         assert z1[0] == pytest.approx(2j * d, abs=1e-12)
 
     def test_straight_panel_interior_offset(self):
         pc = discretize(make_straight((1.0, 0.0, 0.0), 1.0), 1, RULE)
         d = 0.07
-        z1 = find_root(pc.panel_coeffs[:1], np.array([[0.3, 0.0, d]]), np.array([0.2 + 0.5j]))
+        z1, _ = find_root(pc.panel_coeffs[:1], np.array([[0.3, 0.0, d]]), np.array([0.2 + 0.5j]))
         assert z1[0] == pytest.approx(complex(-0.4, 2 * d), abs=1e-12)
 
     def test_residual_scale(self):
@@ -82,7 +86,7 @@ class TestFindRoot:
         s0 = 0.7
         pt = helix.position(s0) + 0.01 * helix.second_derivative(s0) / 8.0
         m = int(s0 / pc.grid.panel_width)
-        z1 = chord_root(pc.panel_coeffs[m], pt)
+        z1, _ = chord_root(pc.panel_coeffs[m], pt)
         diff = pt - legendre_eval(pc.panel_coeffs[m], z1)
         sl = pc.grid.panel_slice(m)
         scale = np.max(np.sum((pt[None, :] - pc.positions[sl]) ** 2, axis=1))
@@ -93,7 +97,7 @@ class TestFindRoot:
         pc = discretize(make_helix(8.0, 3.0, 1.5), 8, RULE)
         coeffs = pc.panel_coeffs[3]
         pt = pc.positions[3 * 16 + 7] + np.array([0.0, 0.0, 5e-3])
-        z1 = chord_root(coeffs, pt)
+        z1, _ = chord_root(coeffs, pt)
         vals_up = legendre_eval(coeffs, z1)
         vals_dn = legendre_eval(coeffs, z1.conjugate())
         r2_up = np.sum((pt - vals_up) ** 2)
@@ -107,15 +111,15 @@ class TestFindRoot:
         s0 = 0.33
         pt = helix.position(s0) + 2e-3 * helix.second_derivative(s0) / 8.0
         m = int(s0 / pc.grid.panel_width)
-        z1 = chord_root(pc.panel_coeffs[m], pt)  # converges within 10 iterations
-        assert z1.imag > 0
+        z1, reason = chord_root(pc.panel_coeffs[m], pt)  # converges within 10 iterations
+        assert z1.imag > 0 and reason == ""
 
-    def test_failure_raises(self, monkeypatch):
+    def test_failure_returns_nan_and_reason(self, monkeypatch):
         monkeypatch.setattr(nearsing, "_NEWTON_MAX_ITER", 1)
         pc = discretize(make_helix(8.0, 3.0, 1.5), 8, RULE)
-        with pytest.raises(RootNotFoundError, match="Newton failed for 1 of 1 pairs") as info:
-            chord_root(pc.panel_coeffs[0], np.array([0.02, 0.01, 0.2]))
-        assert info.value.reasons == ["no convergence in 1 iterations"]
+        z1, reason = chord_root(pc.panel_coeffs[0], np.array([0.02, 0.01, 0.2]))
+        assert np.isnan(z1.real) and np.isnan(z1.imag)
+        assert reason == "no convergence in 1 iterations"
 
 
 def _s_field_near_points(helix, seed, count=128):
@@ -152,7 +156,7 @@ def _newton_pairs(pc, points):
 def _one_pair_roots(coeffs, points, guesses):
     """Each pair's root from its own one-row block."""
     pairs = zip(coeffs, points, guesses)
-    return np.concatenate([find_root(c[None], x[None], g[None]) for c, x, g in pairs])
+    return np.concatenate([find_root(c[None], x[None], g[None])[0] for c, x, g in pairs])
 
 
 class TestFindRootBlocks:
@@ -166,51 +170,40 @@ class TestFindRootBlocks:
     @pytest.mark.parametrize("count", [1, 2, 31, 32, 33])
     def test_block_equals_one_pair_calls_bitwise(self, count):
         coeffs, points, guesses = (a[:count] for a in self.pairs)
-        block = find_root(coeffs, points, guesses)
-        assert block.shape == (count,) and block.dtype == complex
+        block, reasons = find_root(coeffs, points, guesses)
+        assert block.shape == (count,) and block.dtype == complex and reasons == [""] * count
         assert block.tobytes() == _one_pair_roots(coeffs, points, guesses).tobytes()
 
     def test_all_s_field_near_pairs_bitwise(self):
         coeffs, points, guesses = self.pairs
         assert len(guesses) >= 250
-        block = find_root(coeffs, points, guesses)
+        block, reasons = find_root(coeffs, points, guesses)
         assert block.tobytes() == _one_pair_roots(coeffs, points, guesses).tobytes()
-        assert np.all(block.imag > 0)
+        assert np.all(block.imag > 0) and not any(reasons)
 
     def test_empty_block(self):
-        got = find_root(np.zeros((0, 3, 16)), np.zeros((0, 3)), np.zeros(0, dtype=complex))
-        assert got.shape == (0,)
+        got, reasons = find_root(np.zeros((0, 3, 16)), np.zeros((0, 3)), np.zeros(0, dtype=complex))
+        assert got.shape == (0,) and reasons == []
 
     def _assert_failures(self, coeffs, points, guesses, reasons):
-        """The block raises with every pair's outcome; good roots keep their one-row bits."""
-        with pytest.raises(RootNotFoundError) as info:
-            find_root(coeffs, points, guesses)
-        err = info.value
+        """The block returns every pair's outcome; good roots keep their one-row bits."""
+        roots, got = find_root(coeffs, points, guesses)
         bad = np.array([bool(r) for r in reasons])
-        assert str(err) == f"Newton failed for {bad.sum()} of {len(bad)} pairs"
-        assert err.reasons == reasons
-        assert np.array_equal(err.failed, bad)
-        assert np.isnan(err.roots[bad]).all()
+        assert got == reasons
+        assert np.array_equal(np.isnan(roots), bad)
+        assert np.isnan(roots[bad].real).all() and np.isnan(roots[bad].imag).all()
         good = _one_pair_roots(coeffs[~bad], points[~bad], guesses[~bad])
-        assert err.roots[~bad].tobytes() == good.tobytes()
+        assert roots[~bad].tobytes() == good.tobytes()
         for c, x, g, reason in zip(coeffs[bad], points[bad], guesses[bad], np.array(reasons)[bad]):
-            with pytest.raises(RootNotFoundError) as alone:
-                find_root(c[None], x[None], g[None])
-            assert str(alone.value) == "Newton failed for 1 of 1 pairs"
-            assert alone.value.reasons == [reason]
-            assert alone.value.failed.tolist() == [True] and np.isnan(alone.value.roots).all()
+            alone, alone_reasons = find_root(c[None], x[None], g[None])
+            assert alone_reasons == [reason] and np.isnan(alone).all()
 
     def test_no_convergence_fails_its_pairs_only(self, monkeypatch):
         coeffs, points, guesses = (a[:40] for a in self.pairs)
         # pairs whose chord guess is further off the root need more Newton steps than others
         monkeypatch.setattr(nearsing, "_NEWTON_MAX_ITER", 7)
-        reasons = []
-        for c, x, g in zip(coeffs, points, guesses):
-            try:
-                find_root(c[None], x[None], g[None])
-                reasons.append("")
-            except RootNotFoundError as err:
-                reasons.append(err.reasons[0])
+        pairs = zip(coeffs, points, guesses)
+        reasons = [find_root(c[None], x[None], g[None])[1][0] for c, x, g in pairs]
         assert "" in reasons and "no convergence in 7 iterations" in reasons
         self._assert_failures(coeffs, points, guesses, reasons)
 
@@ -349,7 +342,7 @@ class TestEvalSSpecial:
         sl = pc.grid.panel_slice(m)
         center = pc.positions[sl].mean(axis=0)
         pt = center + np.array([0.0, 0.0, 5.0]) * pc.grid.panel_width
-        z1 = chord_root(pc.panel_coeffs[m], pt)
+        z1, _ = chord_root(pc.panel_coeffs[m], pt)
         from slenderquad.nearsing import _offsets, _regular_sum, _special_sums
 
         r, r2 = _offsets(pc.positions[sl], pt)
@@ -444,7 +437,7 @@ class TestEvalSDispatch:
         # one find_root call per chunk with candidates, each returning its block of roots
         assert len(roots) == 1
         # a special pair is a root the Newton run accepts, Im(z1) < 1
-        specials = [z1 for z1 in np.concatenate(roots) if z1.imag < 1.0]
+        specials = [z1 for z1 in np.concatenate([z for z, _ in roots]) if z1.imag < 1.0]
         assert len(specials) > 0
         assert len(moments) == len(specials)
         assert len(solves) == 1
@@ -456,7 +449,7 @@ class TestEvalSDispatch:
         moments.clear(), solves.clear(), roots.clear()
         eval_S(self.pc, self.dens, block)
         assert len(roots) == 2
-        specials = [z1 for z1 in np.concatenate(roots) if z1.imag < 1.0]
+        specials = [z1 for z1 in np.concatenate([z for z, _ in roots]) if z1.imag < 1.0]
         assert len(specials) > 0
         assert len(moments) == len(specials)
         assert len(solves) == 2

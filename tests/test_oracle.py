@@ -351,6 +351,12 @@ class TestReferenceK:
         )
         assert np.linalg.norm(turned) == pytest.approx(np.linalg.norm(base), abs=1e-9)
 
+    @pytest.mark.parametrize("s_bar", [0.0, 1.5, -0.1, 2.0, np.nan])
+    def test_rejects_s_bar_outside_the_fiber(self, s_bar):
+        f, fp = forces.testf(1.5)
+        with pytest.raises(ValueError, match=r"s_bar must lie strictly inside \(0, length\)"):
+            reference_K(make_helix(8.0, 3.0, 1.5), f, fp, s_bar, tol=1e-10)
+
 
 class TestReferenceS:
     def test_zero_density(self):

@@ -15,7 +15,7 @@ EXPORTS = {
     # geometry
     "FiberCurve", "PanelizedCurve", "discretize", "make_helix", "make_straight",
     # nearsing
-    "RootNotFoundError", "eval_S", "eval_S_regular", "find_root", "qkp_moments",
+    "eval_S", "eval_S_regular", "find_root", "qkp_moments",
     # oracle
     "AccuracyError", "adaptive_integrate", "diagonal_eigenvalues", "g_pair",
     "reference_K", "reference_S", "scaled_legendre",
@@ -31,7 +31,7 @@ def test_exports_exactly_the_public_names():
         for name, value in vars(slenderquad).items()
         if not name.startswith("_") and not isinstance(value, ModuleType)
     }
-    assert len(EXPORTS) == 31
+    assert len(EXPORTS) == 30
     assert exported == EXPORTS
 
 

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import legendre_deriv_coeffs_numpy_scalars, legendre_eval_numpy_scalars
+from helpers import COPIES, legendre_deriv_coeffs_numpy_scalars, legendre_eval_numpy_scalars
 from slenderquad.quadcore import (
     MAX_ORDER,
     PanelGrid,
@@ -127,9 +127,13 @@ class TestGaussLegendre:
         with pytest.raises(ValueError, match="init=False"):
             dataclasses.replace(gauss_legendre(16), nodes=np.linspace(-0.99, 0.99, 16))
 
+    @pytest.mark.parametrize("duplicate", COPIES.values(), ids=COPIES)
     @pytest.mark.parametrize("name", ["nodes", "weights", "transform"])
-    def test_arrays_are_read_only(self, name):
-        array = getattr(gauss_legendre(16), name)
+    def test_arrays_are_read_only(self, name, duplicate):
+        rule = duplicate(gauss_legendre(16))
+        assert rule == gauss_legendre(16)
+        array = getattr(rule, name)
+        assert np.array_equal(array, getattr(gauss_legendre(16), name))
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
 
@@ -182,11 +186,14 @@ class TestPanelGrid:
         assert grid != PanelGrid(1.5, 8, gauss_legendre(15))
         assert grid != PanelGrid(1.0, 8, gauss_legendre(16))
 
+    @pytest.mark.parametrize("duplicate", COPIES.values(), ids=COPIES)
     @pytest.mark.parametrize("name", ["global_nodes", "global_weights"])
-    def test_arrays_are_read_only(self, name):
-        array = getattr(PanelGrid(1.5, 8, gauss_legendre(16)), name)
+    def test_arrays_are_read_only(self, name, duplicate):
+        grid = PanelGrid(1.5, 8, gauss_legendre(16))
+        same = duplicate(grid)
+        assert same == grid and np.array_equal(getattr(same, name), getattr(grid, name))
         with pytest.raises(ValueError, match="read-only"):
-            array[0] = 0.0
+            getattr(same, name)[0] = 0.0
 
 
 class TestLegendreTransforms:
@@ -458,6 +465,11 @@ class TestVandermondeTranspose:
         with pytest.raises(ValueError):
             solve_vandermonde_transpose(gauss_legendre(4).nodes, np.ones(shape))
 
+    def test_system_size_limit(self):
+        nodes = np.linspace(-1.0, 1.0, MAX_ORDER + 1)
+        with pytest.raises(ValueError, match=f"system size limited to {MAX_ORDER}"):
+            solve_vandermonde_transpose(nodes, np.ones(MAX_ORDER + 1))
+
 
 class TestInterpolateToUniform:
     def setup_method(self):
@@ -510,3 +522,8 @@ class TestInterpolateToUniform:
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="finite"):
                 interpolate_to_uniform(np.ones(32), grid, np.array([0.5, bad]))
+
+    @pytest.mark.parametrize("shape", [(31,), (33, 3), (16,)])
+    def test_sample_count_must_match_the_grid(self, shape):
+        with pytest.raises(ValueError, match="sample count does not match grid"):
+            interpolate_to_uniform(np.ones(shape), PanelGrid(1.0, 2, self.rule), np.array([0.5]))
