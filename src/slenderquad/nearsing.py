@@ -10,6 +10,8 @@ in monomials and contracted against the analytic moments of eta^k/|eta-z1|^p.
 
 from __future__ import annotations
 
+import cmath
+import functools
 import itertools
 import math
 import warnings
@@ -19,10 +21,11 @@ import numpy as np
 from .finitepart import LineDensity
 from .geometry import PanelizedCurve
 from .quadcore import (
+    _bjorck_pereyra,
     _legendre_terms,
     _legendre_terms_split,
     gauss_legendre,
-    solve_vandermonde_transpose,
+    legendre_deriv_coeffs,
 )
 
 _RECURSION_RANGE = 0.5  # root-to-interval distance where upward recursion stays accurate
@@ -31,6 +34,9 @@ MAX_MOMENT_COUNT = 16  # highest moment count q_k^p is computed to; caps eval_S'
 _NEWTON_TOL = 1e-13
 _NEWTON_MAX_ITER = 30
 _ARRAY_PAIRS = 32  # live Newton pairs from which float-array tables beat per-pair Python ones
+REAL_ROOT_FLOOR = 1e-10  # find_root calls a converged root with a smaller Im(z1) real
+_ON_CENTERLINE = "converged to a real root on the panel; point lies on the centerline"
+_ON_EXTENSION = "converged to a real root; point lies on the curve extension"
 _CHUNK = 128  # field points per pass, the oracle's _BLOCK; bounds the (T, N, 3) offset array
 
 
@@ -39,37 +45,58 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def _chord_guesses(coeffs: np.ndarray, xb: np.ndarray) -> np.ndarray:
-    """Initial root guesses for (P, 3, n) panel coefficients and (P, 3) points, pair by pair.
+def _chord_guesses(curve: PanelizedCurve, panels: np.ndarray, xb: np.ndarray) -> np.ndarray:
+    """Initial root guesses for P pairs of panel indices and (P, 3) points, pair by pair.
 
-    The real part comes from the projection parameter and the imaginary part
-    is 2d/h for point-to-chord distance d and chord length h; exact for
-    straight panels. Returns the (P,) complex guesses.
+    The real part comes from the projection parameter on the panel's chord
+    and the imaginary part is 2d/h for point-to-chord distance d and chord
+    length h; exact for straight panels. Returns the (P,) complex guesses.
     """
-    p_left = coeffs @ (-1.0) ** np.arange(coeffs.shape[2])
-    chord = coeffs.sum(axis=2) - p_left
-    h = np.sqrt(_rowdot(chord, chord))
-    tpar = _rowdot(xb - p_left, chord) / (h * h)
-    foot = xb - (p_left + tpar[:, None] * chord)
+    start, chord, h = curve.chord_starts[panels], curve.chords[panels], curve.chord_lengths[panels]
+    tpar = _rowdot(xb - start, chord) / (h * h)
+    foot = xb - (start + tpar[:, None] * chord)
     im = np.maximum(2.0 * np.sqrt(_rowdot(foot, foot)) / h, 1e-8)
     return np.clip(2.0 * tpar - 1.0, -1.0, 1.0) + 1j * im
+
+
+@functools.lru_cache(maxsize=None)
+def _second_derivative_matrix(n: int) -> np.ndarray:
+    """The (n, n) matrix taking n Legendre coefficients to those of the series' second derivative.
+
+    Its entries are integers, exact in floating point.
+    """
+    first = np.column_stack([legendre_deriv_coeffs(unit) for unit in np.eye(n)])
+    second = first @ first
+    second.flags.writeable = False  # one cached array serves every call
+    return second
 
 
 def find_root(
     panel_coeffs: np.ndarray, x_bar: np.ndarray, guess: np.ndarray
 ) -> tuple[np.ndarray, list]:
-    """Newton iteration for the upper-half roots z1 of R^2(eta) = |x_bar - x(eta)|^2.
+    """Cauchy's method for the upper-half roots z1 of f(eta) = R^2(eta) = |x_bar - x(eta)|^2.
 
     Takes P pairs, (P, 3, n) panel coefficients, (P, 3) points and (P,)
     guesses, and returns (roots, reasons): the (P,) complex roots, NaN where
-    Newton failed, and the P reason strings, "" for a pair that converged;
-    one pair is a one-row block. Shapes that do not match and non-finite
-    input raise ValueError before any Newton step. Newton runs on all pairs
-    together: every iteration builds each live pair's (n, 2) Legendre table
-    on its Python-complex iterate (from _ARRAY_PAIRS live pairs on, all of
-    them at once on float arrays, with the same bits) and contracts all of
-    them in one stacked product, which with the row dots gives every pair
-    the bits of its one-row block. Step, damping and stopping tests stay per
+    the iteration failed, and the P reason strings, "" for a pair that
+    converged; one pair is a one-row block. Shapes that do not match and
+    non-finite input raise ValueError before any step. A converged root with
+    Im(z1) < REAL_ROOT_FLOOR is real and fails its pair: on the centerline
+    when |Re(z1)| <= 1 + REAL_ROOT_FLOOR, on the curve extension otherwise.
+
+    Each step moves to the nearer root of the local quadratic model
+    f + f' delta + f'' delta^2 / 2 = 0 (Cauchy's method), with
+    f' = -2 (x_bar - x) . x' and f'' = 2 (x' . x' - (x_bar - x) . x''). Seen
+    from the chord guess the conjugate root pair looks like a double root,
+    where Newton's steps only halve; the quadratic model holds both roots and
+    lands on one in a few steps. x'' comes from the second-derivative
+    coefficients, and x_bar leaves each pair's constant coefficient, both
+    once per call, so one product gives x - x_bar, x' and x''. Every
+    iteration builds each live pair's (n, 2) Legendre table on its
+    Python-complex iterate (from _ARRAY_PAIRS live pairs on, all of them at
+    once on float arrays, with the same bits) and contracts all of them in
+    one stacked product, which with the Gram product gives every pair the
+    bits of its one-row block. Step, damping and stopping tests stay per
     pair on Python scalars, and a pair leaves the live set when it converges
     or fails, so a failed pair does not stop the others.
     """
@@ -94,7 +121,16 @@ def find_root(
     roots = [complex(math.nan, math.nan)] * count
     reasons = [""] * count
     live = list(range(count))
-    c_live, x_live = coeffs.astype(complex), xb
+    # row 2c gives x_c - x_bar_c (P_0 = 1 carries the shift) and x_c', row 2c + 1 gives x_c''
+    # and an unused third derivative: each pair's product reads as the (3, 4) rows of
+    # x - x_bar, x', x'' and x''' by coordinate
+    c_live = np.empty((count, 3, 2, n), dtype=complex)
+    c_live[:, :, 0] = coeffs
+    c_live[:, :, 0, 0] -= xb
+    # the second derivative drops the shifted constant; a complex product here and a contiguous
+    # Gram factor below keep every product on one BLAS kernel, so no other kernel's code pages in
+    c_live[:, :, 1] = c_live[:, :, 0] @ _second_derivative_matrix(n).T
+    c_live = c_live.reshape(count, 6, n)
     for _ in range(_NEWTON_MAX_ITER):
         if not live:
             break
@@ -103,25 +139,31 @@ def find_root(
         else:
             terms = itertools.chain.from_iterable(_legendre_terms(z[i], n) for i in live)
             table = np.fromiter(terms, complex, 2 * n * len(live)).reshape(len(live), n, 2)
-        vals_ders = c_live @ table
-        diff = x_live - vals_ders[:, :, 0]
+        vecs = (c_live @ table).reshape(len(live), 3, 4)
+        # the Gram matrix of u = x - x_bar, x', x'' and x''' holds u.u, u.x', u.x'' and x'.x'
+        gram = (np.ascontiguousarray(vecs.transpose(0, 2, 1)) @ vecs).reshape(len(live), 16)
         still = []
-        for j, (i, r2, d) in enumerate(
-            zip(live, _rowdot(diff, diff).tolist(), _rowdot(diff, vals_ders[:, :, 1]).tolist())
-        ):
-            dr2 = -2.0 * d
-            if dr2 == 0:
-                reasons[i] = "stationary R^2, Newton step undefined"
-                continue
-            step = r2 / dr2
+        for j, (i, (f, d, e, a)) in enumerate(zip(live, gram[:, [0, 1, 2, 5]].tolist())):
+            # f = R^2, f' = 2d and f'' = 2g; the model's roots are z - f / (d -+ sqrt(d^2 - f g))
+            g = a + e
+            if f == 0:
+                step = 0.0
+            else:
+                sq = cmath.sqrt(d * d - f * g)
+                den = d + sq if abs(d + sq) >= abs(d - sq) else d - sq
+                if den == 0:
+                    reasons[i] = "stationary R^2, Newton step undefined"
+                    continue
+                step = f / den
             # overshoots past unit length leave the panel's basin; damp them
             if abs(step) > 1.0:
                 step /= abs(step)
             z[i] = z[i] - step
             if abs(step) <= _NEWTON_TOL:
                 root = z[i].conjugate() if z[i].imag < 0 else z[i]
-                if root.imag == 0:
-                    reasons[i] = "converged to a real root; point lies on the curve extension"
+                if root.imag < REAL_ROOT_FLOOR:
+                    on_panel = abs(root.real) - 1.0 <= REAL_ROOT_FLOOR
+                    reasons[i] = _ON_CENTERLINE if on_panel else _ON_EXTENSION
                 else:
                     roots[i] = root
                 continue
@@ -131,7 +173,7 @@ def find_root(
             still.append(j)
         if len(still) < len(live):
             live = [live[j] for j in still]
-            c_live, x_live = c_live[still], x_live[still]
+            c_live = c_live[still]
     for i in live:
         reasons[i] = f"no convergence in {_NEWTON_MAX_ITER} iterations"
     return np.array(roots, dtype=complex), reasons
@@ -238,15 +280,16 @@ def _offsets(positions: np.ndarray, x_bar) -> tuple[np.ndarray, np.ndarray]:
     return r, r2
 
 
-def _regular_sum(curve: PanelizedCurve, fv, r, r2, keep=slice(None)) -> np.ndarray:
-    """Plain Gauss-Legendre Stokeslet sum of samples fv over the nodes that keep selects.
+def _regular_sum(curve: PanelizedCurve, fv, r, r2, w=None) -> np.ndarray:
+    """Plain Gauss-Legendre Stokeslet sum of samples fv over all nodes.
 
     r and r2 are one point's offsets, (N, 3) and (N,), or a block's, (T, N, 3)
     and (T, N); a block gets one sum per row, each with its one-point bits.
+    w replaces the grid's weights, (N,) or one row per point; a zero weight
+    leaves its node out.
     """
-    r, rnorm = r[..., keep, :], np.sqrt(r2[..., keep])
-    fv = fv[keep]
-    w = curve.grid.global_weights[keep]
+    w = curve.grid.global_weights if w is None else w
+    rnorm = np.sqrt(r2)
     rdotf = np.einsum("...jc,jc->...j", r, fv)
     return ((w / rnorm)[..., None, :] @ fv + (w * rdotf / rnorm**3)[..., None, :] @ r)[..., 0, :]
 
@@ -300,7 +343,7 @@ def _special_sums(curve: PanelizedCurve, fv, panels, z1, r, r2) -> np.ndarray:
     eta = grid.rule.nodes
     n = grid.rule.order
     moments = np.concatenate([qkp_moments(z, n) for z in z1], axis=1)
-    w = solve_vandermonde_transpose(eta, moments).reshape(n, len(z1), 2)
+    w = _bjorck_pereyra(eta, grid.rule.node_gaps, moments).reshape(n, len(z1), 2)
     a = np.array([z.real for z in z1])[:, None]
     b = np.array([z.imag for z in z1])[:, None]
     ratio = ((eta - a) ** 2 + b * b) / r2
@@ -321,11 +364,17 @@ def eval_S(curve: PanelizedCurve, f: LineDensity, x_bar) -> np.ndarray:
     as near a point when its closest node lies within one panel arclength.
     The near pairs of each chunk of points share one find_root call.
     Pairs without a root, each warned of, and roots with Im(z1) >= 1 fall
-    back to the regular rule for that (point, panel) pair only. All panels a
-    point leaves to the regular rule are summed in one contraction, the same
-    one eval_S_regular makes, so a point with no near panel gets
-    eval_S_regular's value exactly. Rule orders above MAX_MOMENT_COUNT are
-    rejected, since the moments stop there.
+    back to the regular rule for that (point, panel) pair only. A real root
+    on a panel (find_root's REAL_ROOT_FLOOR) puts the point on the
+    centerline, where S diverges, and raises ValueError that names the
+    point's row and the panel, before its chunk sums or warns anything;
+    points 1e-9 off the centerline give Im(z1) of 1e-8 and more at order
+    16. A real root on a panel's extension fails its pair like any other
+    failed root. The regular rule runs as one contraction over all nodes,
+    the one eval_S_regular makes, with zero weights on a point's special
+    panels, so a point with no near panel gets eval_S_regular's value
+    exactly. Rule orders above MAX_MOMENT_COUNT are rejected, since the
+    moments stop there.
     """
     grid = curve.grid
     n = grid.rule.order
@@ -341,33 +390,38 @@ def eval_S(curve: PanelizedCurve, f: LineDensity, x_bar) -> np.ndarray:
         dist = np.sqrt(r2.reshape(count, grid.panel_count, n).min(axis=2))
         # a one-node panel is a point: R^2(eta) is constant and has no root
         tt, mm = np.nonzero(dist <= grid.panel_width) if n > 1 else ((), ())
-        tp = mp = ()
         if len(tt):
-            guess = _chord_guesses(curve.panel_coeffs[mm], points[tt])
-            # a chord-estimated root with Im >= 1 is not near; skip the Newton run
+            guess = _chord_guesses(curve, mm, points[tt])
+            # a chord-estimated root with Im >= 1 is not near; skip the root find
             run = guess.imag < 1.0
             tt, mm, guess = tt[run], mm[run], guess[run]
-        if len(tt):  # one Newton run for all of the chunk's pairs
-            z1, reasons = find_root(curve.panel_coeffs[mm], points[tt], guess)
-            for i in np.flatnonzero(np.isnan(z1)):
-                warnings.warn(
-                    f"point {start + tt[i]}, panel {mm[i]}: {reasons[i]}; "
-                    "falling back to regular quadrature"
-                )
-            near = z1.imag < 1.0  # False for the NaN roots of failed pairs
-            tp, mp, z1 = tt[near], mm[near], z1[near].tolist()
+        if not len(tt):
+            return _regular_sum(curve, fv, r, r2)
+        z1, reasons = find_root(curve.panel_coeffs[mm], points[tt], guess)  # one run per chunk
+        if _ON_CENTERLINE in reasons:
+            i = reasons.index(_ON_CENTERLINE)
+            raise ValueError(
+                f"point {start + tt[i]}, panel {mm[i]}: {reasons[i]}, where S diverges"
+            )
+        for i in np.flatnonzero(np.isnan(z1)):
+            warnings.warn(
+                f"point {start + tt[i]}, panel {mm[i]}: {reasons[i]}; "
+                "falling back to regular quadrature"
+            )
+        near = z1.imag < 1.0  # False for the NaN roots of failed pairs
+        tp, mp, z1 = tt[near], mm[near], z1[near].tolist()
+        if not len(tp):
+            return _regular_sum(curve, fv, r, r2)
+        # one sum for the chunk; zero weights leave out each point's special panels, and a
+        # point without any keeps the grid's weights and eval_S_regular's bits
+        weights = np.tile(grid.global_weights, (count, 1))
+        weights.reshape(count, grid.panel_count, n)[tp, mp] = 0.0
+        out = _regular_sum(curve, fv, r, r2, weights)
+        rp = r.reshape(count, grid.panel_count, n, 3)[tp, mp]
+        r2p = r2.reshape(count, grid.panel_count, n)[tp, mp]
         total = np.zeros((count, 3))
-        out = _regular_sum(curve, fv, r, r2)
-        if len(tp):
-            rp = r.reshape(count, grid.panel_count, n, 3)[tp, mp]
-            r2p = r2.reshape(count, grid.panel_count, n)[tp, mp]
-            for t, value in zip(tp, _special_sums(curve, fv, mp, z1, rp, r2p)):
-                total[t] += value
-            special = np.zeros((count, grid.panel_count), dtype=bool)
-            special[tp, mp] = True
-            # a point with special panels sums the rest of its nodes on its own
-            for t in set(tp):
-                out[t] = _regular_sum(curve, fv, r[t], r2[t], np.repeat(~special[t], n))
+        for t, value in zip(tp, _special_sums(curve, fv, mp, z1, rp, r2p)):
+            total[t] += value
         return out + total
 
     return _blockwise(curve, x_bar, chunk_sums)

@@ -8,6 +8,7 @@ all functions are pure, so they can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -66,6 +67,14 @@ class QuadratureRule:
 
     def __reduce__(self):  # copies and pickles rebuild the rule, read-only arrays and all
         return QuadratureRule, (self.order,)
+
+    @cached_property
+    def node_gaps(self) -> tuple:
+        """The nodes' read-only Bjorck-Pereyra differences, `_node_gaps`, derived on first use."""
+        gaps = _node_gaps(self.nodes)
+        for gap in gaps:
+            gap.flags.writeable = False
+        return gaps
 
 
 @dataclass(frozen=True)
@@ -271,13 +280,28 @@ def solve_vandermonde_transpose(nodes: np.ndarray, rhs: np.ndarray) -> np.ndarra
         raise ValueError("nodes must be finite")
     if len(set(x.tolist())) != n:
         raise ValueError("duplicate nodes make the system singular")
-    block = b[:, None] if b.ndim == 1 else b
+    _bjorck_pereyra(x, _node_gaps(x), b[:, None] if b.ndim == 1 else b)
+    return b
+
+
+def _node_gaps(x: np.ndarray) -> tuple:
+    """The (n - k - 1, 1) differences x[k+1:] - x[:n-k-1], k = 0..n-2."""
+    n = len(x)
+    return tuple((x[k + 1 :] - x[: n - k - 1])[:, None] for k in range(n - 1))
+
+
+def _bjorck_pereyra(x: np.ndarray, gaps: tuple, block: np.ndarray) -> np.ndarray:
+    """solve_vandermonde_transpose's sweeps on an (n, k) block, in place, unchecked.
+
+    gaps is `_node_gaps(x)`; a rule's are precomputed as rule.node_gaps.
+    """
+    n = len(x)
     for k in range(n - 1):
         block[k + 1 :] -= x[k] * block[k : n - 1]
     for k in range(n - 2, -1, -1):
-        block[k + 1 :] /= (x[k + 1 :] - x[: n - k - 1])[:, None]
+        block[k + 1 :] /= gaps[k]
         block[k : n - 1] -= block[k + 1 :]
-    return b
+    return block
 
 
 def _locate_panels(targets: np.ndarray, grid: PanelGrid) -> np.ndarray:

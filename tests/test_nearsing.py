@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,11 +19,10 @@ from slenderquad.quadcore import gauss_legendre, legendre_eval
 RULE = gauss_legendre(16)
 
 
-def chord_root(coeffs, pt):
-    """One pair's root and reason, from the chord guess as eval_S starts it, as a one-row block."""
-    roots, reasons = find_root(
-        coeffs[None], pt[None], nearsing._chord_guesses(coeffs[None], pt[None])
-    )
+def chord_root(pc, m, pt):
+    """Panel m's root and reason, from the chord guess as eval_S starts it, as a one-row block."""
+    guess = nearsing._chord_guesses(pc, np.array([m]), pt[None])
+    roots, reasons = find_root(pc.panel_coeffs[m][None], pt[None], guess)
     return roots[0], reasons[0]
 
 
@@ -86,7 +87,7 @@ class TestFindRoot:
         s0 = 0.7
         pt = helix.position(s0) + 0.01 * helix.second_derivative(s0) / 8.0
         m = int(s0 / pc.grid.panel_width)
-        z1, _ = chord_root(pc.panel_coeffs[m], pt)
+        z1, _ = chord_root(pc, m, pt)
         diff = pt - legendre_eval(pc.panel_coeffs[m], z1)
         sl = pc.grid.panel_slice(m)
         scale = np.max(np.sum((pt[None, :] - pc.positions[sl]) ** 2, axis=1))
@@ -97,7 +98,7 @@ class TestFindRoot:
         pc = discretize(make_helix(8.0, 3.0, 1.5), 8, RULE)
         coeffs = pc.panel_coeffs[3]
         pt = pc.positions[3 * 16 + 7] + np.array([0.0, 0.0, 5e-3])
-        z1, _ = chord_root(coeffs, pt)
+        z1, _ = chord_root(pc, 3, pt)
         vals_up = legendre_eval(coeffs, z1)
         vals_dn = legendre_eval(coeffs, z1.conjugate())
         r2_up = np.sum((pt - vals_up) ** 2)
@@ -105,19 +106,31 @@ class TestFindRoot:
         assert r2_dn == pytest.approx(r2_up.conjugate(), abs=1e-14)
 
     def test_newton_iteration_budget(self, monkeypatch):
-        monkeypatch.setattr(nearsing, "_NEWTON_MAX_ITER", 10)
+        monkeypatch.setattr(nearsing, "_NEWTON_MAX_ITER", 5)
         helix = make_helix(8.0, 3.0, 1.5)
         pc = discretize(helix, 8, RULE)
         s0 = 0.33
         pt = helix.position(s0) + 2e-3 * helix.second_derivative(s0) / 8.0
         m = int(s0 / pc.grid.panel_width)
-        z1, reason = chord_root(pc.panel_coeffs[m], pt)  # converges within 10 iterations
+        z1, reason = chord_root(pc, m, pt)  # converges within 5 iterations
         assert z1.imag > 0 and reason == ""
+
+    def test_straight_panel_converges_in_two_steps(self, monkeypatch):
+        # R^2 of a straight panel is quadratic in eta, so the first step's model root is the
+        # root, and the second step confirms it
+        line = np.zeros((1, 3, 16))
+        line[0, 0, :2] = 0.5  # x(eta) = ((eta + 1)/2, 0, 0) exactly
+        pair = line, np.array([[0.5, 0.1, 0.0]]), np.array([0.3 + 0.5j])
+        monkeypatch.setattr(nearsing, "_NEWTON_MAX_ITER", 2)
+        z1, reasons = find_root(*pair)
+        assert reasons == [""] and z1[0] == pytest.approx(0.2j, abs=1e-15)
+        monkeypatch.setattr(nearsing, "_NEWTON_MAX_ITER", 1)
+        assert find_root(*pair)[1] == ["no convergence in 1 iterations"]
 
     def test_failure_returns_nan_and_reason(self, monkeypatch):
         monkeypatch.setattr(nearsing, "_NEWTON_MAX_ITER", 1)
         pc = discretize(make_helix(8.0, 3.0, 1.5), 8, RULE)
-        z1, reason = chord_root(pc.panel_coeffs[0], np.array([0.02, 0.01, 0.2]))
+        z1, reason = chord_root(pc, 0, np.array([0.02, 0.01, 0.2]))
         assert np.isnan(z1.real) and np.isnan(z1.imag)
         assert reason == "no convergence in 1 iterations"
 
@@ -148,7 +161,7 @@ def _newton_pairs(pc, points):
     r2 = np.sum((points[:, None, :] - pc.positions[None]) ** 2, axis=2)
     dist = np.sqrt(r2.reshape(len(points), pc.grid.panel_count, n).min(axis=2))
     tt, mm = np.nonzero(dist <= pc.grid.panel_width)
-    guess = nearsing._chord_guesses(pc.panel_coeffs[mm], points[tt])
+    guess = nearsing._chord_guesses(pc, mm, points[tt])
     run = guess.imag < 1.0
     return pc.panel_coeffs[mm[run]], points[tt[run]], guess[run]
 
@@ -181,6 +194,18 @@ class TestFindRootBlocks:
         assert block.tobytes() == _one_pair_roots(coeffs, points, guesses).tobytes()
         assert np.all(block.imag > 0) and not any(reasons)
 
+    def test_table_builds_per_pair(self, monkeypatch):
+        # seen from the chord guess the root pair looks double, where Newton's steps only
+        # halve (8.0 tables per pair on these pairs); the quadratic model holds both roots
+        builds = []
+        terms = nearsing._legendre_terms
+        monkeypatch.setattr(
+            nearsing, "_legendre_terms", lambda z, n: builds.append(z) or terms(z, n)
+        )
+        roots = _one_pair_roots(*self.pairs)
+        assert np.all(roots.imag > 0)
+        assert len(builds) <= 5 * len(roots)
+
     def test_empty_block(self):
         got, reasons = find_root(np.zeros((0, 3, 16)), np.zeros((0, 3)), np.zeros(0, dtype=complex))
         assert got.shape == (0,) and reasons == []
@@ -200,31 +225,44 @@ class TestFindRootBlocks:
 
     def test_no_convergence_fails_its_pairs_only(self, monkeypatch):
         coeffs, points, guesses = (a[:40] for a in self.pairs)
-        # pairs whose chord guess is further off the root need more Newton steps than others
-        monkeypatch.setattr(nearsing, "_NEWTON_MAX_ITER", 7)
+        # pairs whose chord guess is further off the root need more steps than others
+        monkeypatch.setattr(nearsing, "_NEWTON_MAX_ITER", 4)
         pairs = zip(coeffs, points, guesses)
         reasons = [find_root(c[None], x[None], g[None])[1][0] for c, x, g in pairs]
-        assert "" in reasons and "no convergence in 7 iterations" in reasons
+        assert "" in reasons and "no convergence in 4 iterations" in reasons
         self._assert_failures(coeffs, points, guesses, reasons)
 
     def test_escape_and_real_roots_fail_their_pairs_only(self):
         straight = discretize(make_straight((1.0, 0.0, 0.0), 1.0), 1, RULE).panel_coeffs[0]
         line = np.zeros((3, 16))
         line[:, :2] = self.LINE
+        constant = np.zeros((3, 16))
+        constant[:, 0] = self.LINE[:, 0]  # x(eta) = (0.5, 0, 0): R^2 is flat everywhere
         coeffs, points, guesses = (a[:3] for a in self.pairs)
-        coeffs = np.concatenate([coeffs[:1], [line, straight], coeffs[1:], [line]])
+        coeffs = np.concatenate(
+            [coeffs[:1], [line, straight], coeffs[1:], [line, constant, straight, line]]
+        )
         points = np.concatenate([points[:1], [[0.5, 50.0, 0.0], [1.5, 0.0, 0.0]], points[1:],
-                                 [[1.5, 0.0, 0.0]]])
+                                 [[1.5, 0.0, 0.0], [1.5, 0.0, 0.0], [0.25, 0.0, 0.0],
+                                  [1.0, 0.0, 0.0]]])
         # the roots +-100i lie beyond the escape radius; the extension point has a real
-        # double root at eta = 2, which a real start reaches, or stalls on exactly
-        guesses = np.concatenate([guesses[:1], [0.1j, 2.0 + 1e-12], guesses[1:], [2.0]])
+        # double root at eta = 2, which a real start reaches, also on the order-16 panel whose
+        # coefficient noise leaves the last step an imaginary part of rounding size, and which
+        # a start on it has already reached; the points on the panels have theirs at
+        # eta = -0.5 and at the panel's end, eta = 1
+        guesses = np.concatenate(
+            [guesses[:1], [0.1j, 2.0 + 1e-12], guesses[1:], [2.0, 0.5j, 0.3j, 0.9 + 0.2j]]
+        )
         reasons = [
             "",
             "Newton iterate escaped the panel neighborhood",
             "converged to a real root; point lies on the curve extension",
             "",
             "",
+            "converged to a real root; point lies on the curve extension",
             "stationary R^2, Newton step undefined",
+            "converged to a real root on the panel; point lies on the centerline",
+            "converged to a real root on the panel; point lies on the centerline",
         ]
         self._assert_failures(coeffs, points, guesses, reasons)
 
@@ -342,12 +380,14 @@ class TestEvalSSpecial:
         sl = pc.grid.panel_slice(m)
         center = pc.positions[sl].mean(axis=0)
         pt = center + np.array([0.0, 0.0, 5.0]) * pc.grid.panel_width
-        z1, _ = chord_root(pc.panel_coeffs[m], pt)
+        z1, _ = chord_root(pc, m, pt)
         from slenderquad.nearsing import _offsets, _regular_sum, _special_sums
 
         r, r2 = _offsets(pc.positions[sl], pt)
         special = _special_sums(pc, dens.samples, [m], [z1], r[None], r2[None])[0]
-        regular = _regular_sum(pc, dens.samples, *_offsets(pc.positions, pt), sl)
+        weights = np.zeros(pc.grid.node_count)
+        weights[sl] = pc.grid.global_weights[sl]
+        regular = _regular_sum(pc, dens.samples, *_offsets(pc.positions, pt), weights)
         assert special == pytest.approx(regular, abs=1e-12)
 
     def test_near_straight_panel_beats_regular(self):
@@ -428,8 +468,7 @@ class TestEvalSDispatch:
             return wrapper
 
         monkeypatch.setattr(nearsing, "qkp_moments", counted(moments, nearsing.qkp_moments))
-        solve = nearsing.solve_vandermonde_transpose
-        monkeypatch.setattr(nearsing, "solve_vandermonde_transpose", counted(solves, solve))
+        monkeypatch.setattr(nearsing, "_bjorck_pereyra", counted(solves, nearsing._bjorck_pereyra))
         monkeypatch.setattr(nearsing, "find_root", counted(roots, nearsing.find_root))
         s0 = 0.62
         pt = self.helix.position(s0) + 2.2e-3 * self.helix.second_derivative(s0) / 8.0
@@ -490,6 +529,86 @@ class TestEvalSDispatch:
         assert worst <= 1e-8
 
 
+class TestEvalSCenterline:
+    HELIX = make_helix(8.0, 3.0, 1.5)
+    FAR = np.array([1.2, 1.2, 0.3]) + 0.01 * np.arange(nearsing._CHUNK + 2)[:, None]
+
+    def density(self, pc):
+        return LineDensity.from_closure(forces.testf_simple(self.HELIX)[0], pc.grid)
+
+    @pytest.mark.parametrize("panels", [8, 16])
+    @pytest.mark.parametrize("s0", [0.37, 0.75])  # inside a panel, and on a panel break
+    def test_point_on_the_centerline_raises_before_its_chunk_sums(self, s0, panels):
+        pc = discretize(self.HELIX, panels, RULE)
+        dens = self.density(pc)
+
+        def no_sum(*args):
+            raise AssertionError("summed for a point on the centerline")
+
+        panel = int(np.ceil(s0 / pc.grid.panel_width)) - 1  # the first panel holding s0
+        point = self.HELIX.position(s0)
+        chunk = nearsing._CHUNK
+        for x_bar, row in (
+            (point, 0),
+            (np.concatenate([self.FAR[:2], [point], self.FAR[2:chunk]]), 2),
+            # the second chunk's second row; the first chunk has been summed by then
+            (np.concatenate([self.FAR[: chunk + 1], [point], self.FAR[chunk + 1 :]]), chunk + 1),
+        ):
+            with pytest.MonkeyPatch.context() as patch:
+                if row < chunk:
+                    patch.setattr(nearsing, "_regular_sum", no_sum)
+                    patch.setattr(nearsing, "_special_sums", no_sum)
+                with pytest.raises(
+                    ValueError,
+                    match=rf"point {row}, panel {panel}: converged to a real root on the panel; "
+                    "point lies on the centerline, where S diverges",
+                ):
+                    eval_S(pc, dens, x_bar)
+
+    @pytest.mark.parametrize("panels", [8, 16])
+    @pytest.mark.parametrize("s0", [0.37, 0.75])
+    def test_points_1e_9_off_the_centerline_are_accepted(self, s0, panels):
+        pc = discretize(self.HELIX, panels, RULE)
+        dens = self.density(pc)
+        normal = self.HELIX.second_derivative(s0) / 8.0
+        near = self.HELIX.position(s0) + 1e-9 * np.array([normal, -normal])
+        roots = []
+        find = nearsing.find_root
+
+        def recorded(*args):
+            out = find(*args)
+            roots.append(out[0])
+            return out
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(nearsing, "find_root", recorded)
+            block = eval_S(pc, dens, near)
+        low = np.concatenate(roots).imag.min()
+        assert nearsing.REAL_ROOT_FLOOR < low < 1e-7
+        assert np.all(np.isfinite(block))
+        assert np.array_equal(block, [eval_S(pc, dens, x) for x in near])
+
+    def test_points_on_the_extension_fall_back(self):
+        # past the end of a straight fiber S is finite; the last panel's real root lies beyond
+        # eta = 1, so that pair warns and takes the regular rule, which the closed form checks
+        pc = discretize(make_straight((1.0, 0.0, 0.0), 1.0), 2, RULE)
+        dens = constant_density(pc.grid, (1.0, 0.0, 1.0))
+        points = np.array([[1.01, 0.0, 0.0], [1.1, 0.0, 0.0], [1.3, 0.0, 0.0]])
+        with pytest.warns(UserWarning) as caught:
+            block = eval_S(pc, dens, points)
+        assert [str(w.message) for w in caught] == [
+            f"point {row}, panel 1: converged to a real root; point lies on the curve "
+            "extension; falling back to regular quadrature"
+            for row in range(3)
+        ]
+        assert np.array_equal(block, eval_S_regular(pc, dens, points))
+        log = np.log(points[:, 0] / (points[:, 0] - 1.0))  # int_0^1 ds / (x - s)
+        assert block == pytest.approx(np.column_stack([2 * log, 0 * log, log]), rel=1e-3)
+        for row, point in enumerate(points):
+            with pytest.warns(UserWarning, match="point 0, panel 1: converged to a real root"):
+                assert np.array_equal(eval_S(pc, dens, point), block[row])
+
+
 def _block_points(helix, count, seed):
     """Seeded field points 1e-4 to 1 off the centerline, near and far panels mixed."""
     rng = np.random.default_rng(seed)
@@ -527,18 +646,18 @@ class TestEvalSBlocks:
     def test_root_failure_falls_back_for_its_pair_only(self, monkeypatch):
         helix = self.HELIX
         normal = helix.second_derivative(np.array([0.7, 0.45])) / 8.0
-        near = helix.position(np.array([0.7, 0.45])) + np.array([1e-2, 5e-2])[:, None] * normal
+        near = helix.position(np.array([0.7, 0.45])) + np.array([5e-3, 5e-2])[:, None] * normal
         # the failing point opens the second chunk, so the warning names its row in the block
         first = nearsing._CHUNK
         far = np.array([1.2, 1.2, 0.3]) + 0.01 * np.arange(first + 1)[:, None]
         block = np.concatenate([far[:first], near, far[first:]])
         good = np.array([eval_S(self.pc, self.dens, pt) for pt in block])
-        # 8 Newton steps are too few for one of that point's two special panels only
-        monkeypatch.setattr(nearsing, "_NEWTON_MAX_ITER", 8)
+        # 4 steps are too few for one of that point's two special panels only
+        monkeypatch.setattr(nearsing, "_NEWTON_MAX_ITER", 4)
         with pytest.warns(UserWarning) as caught:
             got = eval_S(self.pc, self.dens, block)
         assert [str(w.message) for w in caught] == [
-            f"point {first}, panel 4: no convergence in 8 iterations; "
+            f"point {first}, panel 4: no convergence in 4 iterations; "
             "falling back to regular quadrature"
         ]
         with pytest.warns(UserWarning, match="point 0, panel 4"):
@@ -566,6 +685,18 @@ class TestEvalSBlocks:
         # the field-test grid is one chunk: one Newton run, on array tables while 32 pairs live
         assert len(blocks) == 1 and blocks[0] > 100
         assert sizes and min(sizes) >= nearsing._ARRAY_PAIRS
+
+    @pytest.mark.parametrize("panels", [2, 4])
+    def test_default_field_grid_finds_every_root(self, panels):
+        # Newton's halving steps left 7 (M = 2) and 50 (M = 4) of these pairs unconverged
+        # after 30 iterations, each a fallback warning
+        pc = discretize(self.HELIX, panels, RULE)
+        dens = LineDensity.from_closure(self.f, pc.grid)
+        grid = cli.helix_field_grid(self.HELIX, radial_count=20, angular_count=20, z_count=16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = eval_S(pc, dens, grid)
+        assert values.shape == (6400, 3) and np.all(np.isfinite(values))
 
     def test_on_node_point_in_block_raises(self):
         block = np.array([[1.2, 1.2, 0.3], self.pc.positions[7], [1.0, -0.7, 0.9]])
