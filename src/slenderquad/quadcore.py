@@ -8,7 +8,6 @@ all functions are pure, so they can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -67,14 +66,6 @@ class QuadratureRule:
 
     def __reduce__(self):  # copies and pickles rebuild the rule, read-only arrays and all
         return QuadratureRule, (self.order,)
-
-    @cached_property
-    def node_gaps(self) -> tuple:
-        """The nodes' read-only Bjorck-Pereyra differences, `_node_gaps`, derived on first use."""
-        gaps = _node_gaps(self.nodes)
-        for gap in gaps:
-            gap.flags.writeable = False
-        return gaps
 
 
 @dataclass(frozen=True)
@@ -293,7 +284,7 @@ def _node_gaps(x: np.ndarray) -> tuple:
 def _bjorck_pereyra(x: np.ndarray, gaps: tuple, block: np.ndarray) -> np.ndarray:
     """solve_vandermonde_transpose's sweeps on an (n, k) block, in place, unchecked.
 
-    gaps is `_node_gaps(x)`; a rule's are precomputed as rule.node_gaps.
+    gaps is `_node_gaps(x)`.
     """
     n = len(x)
     for k in range(n - 1):

@@ -1,4 +1,5 @@
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -353,6 +354,47 @@ class TestQkpMoments:
                 ref = adaptive_integrate(integrand, -1.0, 1.0, 1e-13)
                 assert got[k] == pytest.approx(ref, rel=1e-12)
 
+    def test_route_map(self):
+        # the recursion over the interval up to Im z1 = 1, the graded rule everywhere else
+        for a in (0.0, 0.3, -0.7, 0.999, 1.0, -1.0):
+            for b in (1e-10, 1e-6, 1e-2, 0.5, 1.0):
+                got = qkp_moments(complex(a, b), 16)
+                assert got.tobytes() == nearsing._moments_recursion(a, b, 16).tobytes()
+        for a, b in ((1.0 + 1e-12, 1e-8), (-1.01, 1e-5), (1.4, 1e-6), (0.2, 1.01), (-3.0, 0.7)):
+            got = qkp_moments(complex(a, b), 16)
+            assert got.tobytes() == nearsing._moments_graded(a, b, 16).tobytes()
+
+    def test_both_routes_agree_over_the_interval(self):
+        # graded panels keep eta - a as offsets, so even Im z1 = 1e-10 leaves them their digits
+        for a in (0.0, 0.3, -0.7, 0.999, -1.0):
+            for b in 10.0 ** np.arange(-10.0, 0.5, 1.0):
+                rec = nearsing._moments_recursion(a, b, 16)
+                graded = nearsing._moments_graded(a, b, 16)
+                scale = np.abs(graded).max(axis=0)
+                assert np.all(np.abs(rec - graded).max(axis=0) <= 2e-13 * scale), (a, b)
+
+    @pytest.mark.parametrize(
+        "past, b",
+        [(0.01, 1e-5), (0.1, 1e-5), (0.2, 1e-6), (0.4, 1e-6), (0.4, 2e-2), (0.49, 1e-4)],
+    )
+    def test_roots_past_a_panel_end(self, past, b):
+        # the worst cases of the recursion past a panel end, where the map sends them to the
+        # graded rule; checked against adaptive Gauss-Kronrod on the smooth integrand
+        for a in (1.0 + past, -1.0 - past):
+            got = qkp_moments(complex(a, b), 16)
+            ref = np.column_stack([
+                adaptive_integrate(
+                    lambda e, p=p: e[:, None] ** np.arange(16) / ((e - a) ** 2 + b * b)[:, None]
+                    ** (p / 2.0),
+                    -1.0, 1.0, 1e-14,
+                )
+                for p in (1, 3)
+            ])
+            scale = np.abs(ref).max(axis=0)
+            assert np.all(np.abs(got - ref).max(axis=0) <= 1e-13 * scale)
+            rec = nearsing._moments_recursion(a, b, 16)
+            assert np.abs(rec - ref).max() > 1e3 * np.abs(got - ref).max()
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             qkp_moments(0.5 - 0.1j, 4)
@@ -368,6 +410,54 @@ class TestQkpMoments:
             with pytest.raises(ValueError, match=rf"integer in \[1, 16\], got {count}"):
                 qkp_moments(0.1 + 0.2j, count)
         assert qkp_moments(0.1 + 0.2j, np.int64(3)).shape == (3, 2)
+
+
+def _legendre_monomials_exact(n):
+    """Monomial coefficients of P_0..P_{n-1} by Bonnet's recurrence in exact rationals."""
+    zero, one = Fraction(0), Fraction(1)
+    rows = [[one] + [zero] * (n - 1), [zero, one] + [zero] * (n - 2)]
+    for d in range(1, n - 1):
+        shifted = [zero] + rows[d][:-1]
+        rows.append([((2 * d + 1) * x - d * y) / (d + 1) for x, y in zip(shifted, rows[d - 1])])
+    return rows[:n]
+
+
+class TestMomentWeights:
+    def test_legendre_monomials_are_exact(self):
+        for n in range(1, nearsing.MAX_MOMENT_COUNT + 1):
+            c = nearsing._legendre_monomials(n)
+            assert c.shape == (n, n) and c is nearsing._legendre_monomials(n)
+            with pytest.raises(ValueError, match="read-only"):
+                c[0, 0] = 2.0
+            scaled = c * 2.0 ** (n - 1)
+            assert np.array_equal(scaled, np.round(scaled))
+            exact = _legendre_monomials_exact(n)
+            assert all(c[d, m] == exact[d][m] for d in range(n) for m in range(n))
+        assert np.abs(nearsing._legendre_monomials(16)).max() == pytest.approx(2.4757e4, rel=1e-4)
+
+    def test_legendre_monomials_give_p_k_at_the_nodes(self):
+        for n in range(1, nearsing.MAX_MOMENT_COUNT + 1):
+            nodes = gauss_legendre(n).nodes
+            c = nearsing._legendre_monomials(n)
+            powers = np.vander(nodes, n, increasing=True)
+            p_k = np.array([legendre_eval(np.eye(n)[k], nodes) for k in range(n)]).T
+            # rounding of the sum over terms as large as |C| |eta|^m
+            bound = 4 * n * np.finfo(float).eps * (np.abs(powers) @ np.abs(c).T)
+            assert np.all(np.abs(powers @ c.T - p_k) <= bound + 1e-15)
+
+    @pytest.mark.parametrize("n", [2, 5, 8, 16])
+    def test_weights_integrate_monomials_to_the_moments(self, n):
+        rule = gauss_legendre(n)
+        powers = np.vander(rule.nodes, n, increasing=True)
+        # roots over the interval take the recursion, the others the graded rule
+        recursion = (0.3 + 1e-8j, -0.7 + 1e-3j, 0.999 + 0.2j, 0.1 + 0.9j, 1.0 + 1e-6j)
+        graded = (1.4 + 1e-6j, -1.2 + 0.05j, 1.01 + 1e-5j, 0.2 + 2.0j, -3.0 + 0.7j)
+        for z in recursion + graded:
+            q = qkp_moments(z, n)
+            w = nearsing._moment_weights(rule, q[None])
+            assert w.shape == (1, n, 2)
+            err = np.abs(powers.T @ w[0] - q).max(axis=0)
+            assert np.all(err <= 1e-13 * np.abs(q).max(axis=0)), z
 
 
 class TestEvalSSpecial:
@@ -457,7 +547,7 @@ class TestEvalSDispatch:
         assert np.all(np.isfinite(eval_S_regular(pc, dens, far)))
 
     def test_one_moment_call_per_special_panel(self, monkeypatch):
-        moments, solves, roots = [], [], []
+        moments, products, roots = [], [], []
 
         def counted(record, fn):
             def wrapper(*args):
@@ -468,7 +558,8 @@ class TestEvalSDispatch:
             return wrapper
 
         monkeypatch.setattr(nearsing, "qkp_moments", counted(moments, nearsing.qkp_moments))
-        monkeypatch.setattr(nearsing, "_bjorck_pereyra", counted(solves, nearsing._bjorck_pereyra))
+        weights = counted(products, nearsing._moment_weights)
+        monkeypatch.setattr(nearsing, "_moment_weights", weights)
         monkeypatch.setattr(nearsing, "find_root", counted(roots, nearsing.find_root))
         s0 = 0.62
         pt = self.helix.position(s0) + 2.2e-3 * self.helix.second_derivative(s0) / 8.0
@@ -479,19 +570,20 @@ class TestEvalSDispatch:
         specials = [z1 for z1 in np.concatenate([z for z, _ in roots]) if z1.imag < 1.0]
         assert len(specials) > 0
         assert len(moments) == len(specials)
-        assert len(solves) == 1
+        assert len(products) == 1 and len(products[0]) == len(specials)
 
-        # three chunks, the middle one far from the fiber: one solve per chunk with a special pair
+        # three chunks, the middle one far from the fiber: one weight product per chunk with a
+        # special pair
         chunk = nearsing._CHUNK
         far = np.array([1.2, 1.2, 0.3])
         block = np.array([pt] * chunk + [far] * chunk + [pt])
-        moments.clear(), solves.clear(), roots.clear()
+        moments.clear(), products.clear(), roots.clear()
         eval_S(self.pc, self.dens, block)
         assert len(roots) == 2
         specials = [z1 for z1 in np.concatenate([z for z, _ in roots]) if z1.imag < 1.0]
         assert len(specials) > 0
         assert len(moments) == len(specials)
-        assert len(solves) == 2
+        assert len(products) == 2 and sum(map(len, products)) == len(specials)
 
     def test_near_point_matches_oracle(self):
         s0 = 0.62
@@ -642,6 +734,29 @@ class TestEvalSBlocks:
         regular = eval_S_regular(pc, dens, self.POINTS)
         same = np.all(eval_S(pc, dens, self.POINTS) == regular, axis=1)
         assert same.any() and not same.all()
+
+    @pytest.mark.parametrize("pairs", [1, 2, 33])
+    def test_rows_equal_point_calls_bitwise_at_special_pair_counts(self, pairs, monkeypatch):
+        counts, weights = [], nearsing._moment_weights
+        monkeypatch.setattr(
+            nearsing, "_moment_weights", lambda rule, q: counts.append(len(q)) or weights(rule, q)
+        )
+        single, per_point = [], []
+        for pt in self.POINTS:
+            counts.clear()
+            single.append(eval_S(self.pc, self.dens, pt))
+            per_point.append(sum(counts))
+        # points until the block holds `pairs` special pairs, with four that have none
+        chosen, total, plain = [], 0, 0
+        for i, c in enumerate(per_point):
+            if (c == 0 and plain < 4) or 0 < c <= pairs - total:
+                chosen.append(i)
+                total, plain = total + c, plain + (c == 0)
+        assert total == pairs and plain == 4
+        counts.clear()
+        block = eval_S(self.pc, self.dens, self.POINTS[chosen])
+        assert counts == [pairs]
+        assert block.tobytes() == np.array(single)[chosen].tobytes()
 
     def test_root_failure_falls_back_for_its_pair_only(self, monkeypatch):
         helix = self.HELIX
