@@ -5,9 +5,8 @@ it. Close to a panel the kernel is nearly singular: the squared distance
 R^2(eta), continued to complex eta through the panel's Legendre expansion, has
 a conjugate root pair z1, conj(z1) hugging the interval. Dividing out
 omega(eta) = (eta - z1)(eta - conj z1) leaves a smooth factor whose node
-samples are contracted with weights from the analytic moments of
-eta^k/|eta-z1|^p: an exact integer matrix turns them into Legendre moments, and
-the rule's transform turns those into node weights.
+samples are contracted with node weights from the analytic moments of
+eta^k/|eta-z1|^p, through Legendre moments.
 """
 
 from __future__ import annotations
@@ -22,15 +21,11 @@ import numpy as np
 
 from .finitepart import LineDensity
 from .geometry import PanelizedCurve
-from .quadcore import (
-    QuadratureRule,
-    _legendre_terms,
-    _legendre_terms_split,
-    gauss_legendre,
-    legendre_deriv_coeffs,
-)
+from .quadcore import (QuadratureRule, _legendre_terms, _legendre_terms_split, gauss_legendre,
+                       legendre_deriv_coeffs)
 
 _GRADED_ORDER = 32
+_PANEL_RHO = 2.05  # Bernstein radius from which one 32-point panel gives the moments
 MAX_MOMENT_COUNT = 16  # highest moment count q_k^p is computed to; caps eval_S's rule order
 _NEWTON_TOL = 1e-13
 _NEWTON_MAX_ITER = 30
@@ -46,26 +41,58 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def _chord_guesses(curve: PanelizedCurve, panels: np.ndarray, xb: np.ndarray) -> np.ndarray:
-    """Initial root guesses for P pairs of panel indices and (P, 3) points, pair by pair.
+def _osculating_guesses(curve: PanelizedCurve, nodes: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Root guesses for P pairs from global node indices and (P, 3) offsets x_bar - x_j to them.
 
-    The real part comes from the projection parameter on the panel's chord
-    and the imaginary part is 2d/h for point-to-chord distance d and chord
-    length h; exact for straight panels. Returns the (P,) complex guesses.
+    With the node's tangent and second derivative scaled to x' and x'' on
+    its panel's [-1, 1], R^2(eta_j + delta) is close to f + 2 d delta +
+    g delta^2, f = |r|^2, d = -r . x' and g = x' . x' - r . x''. The guess
+    is this quadratic's root, reached as find_root's first step from eta_j,
+    with Im made positive and at least 1e-8; on a straight panel it is the
+    root. Python scalars, as in find_root's steps, beat arrays at few pairs.
     """
-    start, chord, h = curve.chord_starts[panels], curve.chords[panels], curve.chord_lengths[panels]
-    tpar = _rowdot(xb - start, chord) / (h * h)
-    foot = xb - (start + tpar[:, None] * chord)
-    im = np.maximum(2.0 * np.sqrt(_rowdot(foot, foot)) / h, 1e-8)
-    return np.clip(2.0 * tpar - 1.0, -1.0, 1.0) + 1j * im
+    half = 0.5 * curve.grid.panel_width
+    eta = curve.grid.rule.nodes[nodes % curve.grid.rule.order].tolist()
+    rows = zip(r.tolist(), curve.tangents[nodes].tolist(), curve.second_derivs[nodes].tolist(), eta)
+    guesses = []
+    for (x, y, z), (tx, ty, tz), (kx, ky, kz), e in rows:
+        f, d = x * x + y * y + z * z, -half * (x * tx + y * ty + z * tz)
+        g = half * half * (tx * tx + ty * ty + tz * tz - (x * kx + y * ky + z * kz))
+        sq = cmath.sqrt(d * d - f * g)
+        den = d + sq if abs(d + sq) >= abs(d - sq) else d - sq
+        step = f / den if den else 0.0  # a stationary model stays at the node
+        w = e - step / max(abs(step), 1.0)
+        guesses.append(complex(w.real, max(abs(w.imag), 1e-8)))
+    return np.array(guesses, dtype=complex)
+
+
+def _near_pairs(curve: PanelizedCurve, points: np.ndarray, r: np.ndarray, r2: np.ndarray):
+    """The rows, panels and `_osculating_guesses` of a chunk's pairs that start a root find.
+
+    points (T, 3) come with offsets r (T, N, 3) and squared distances r2
+    (T, N) to every node. A panel is near a point when its closest node, the
+    one the guess starts from, lies within one panel arclength, unless the
+    point lies half a chord or more off the chord's line.
+    """
+    grid, n = curve.grid, curve.grid.rule.order
+    per_panel = r2.reshape(len(points), grid.panel_count, n)
+    # a one-node panel is a point: R^2(eta) is constant and has no root
+    tt, mm = np.nonzero(np.sqrt(per_panel.min(axis=2)) <= grid.panel_width) if n > 1 else ((), ())
+    if not len(tt):  # far points leave here, at the cost of the distance test alone
+        return tt, mm, ()
+    start, chord, h = curve.chord_starts[mm], curve.chords[mm], curve.chord_lengths[mm]
+    xb = points[tt]
+    foot = xb - (start + (_rowdot(xb - start, chord) / (h * h))[:, None] * chord)
+    # such a point's root sits an imaginary unit or more off the panel: skip the root find
+    run = 2.0 * np.sqrt(_rowdot(foot, foot)) / h < 1.0
+    tt, mm = tt[run], mm[run]
+    nodes = mm * n + per_panel[tt, mm].argmin(axis=1)
+    return tt, mm, _osculating_guesses(curve, nodes, r[tt, nodes])
 
 
 @functools.lru_cache(maxsize=None)
 def _second_derivative_matrix(n: int) -> np.ndarray:
-    """The (n, n) matrix taking n Legendre coefficients to those of the series' second derivative.
-
-    Its entries are integers, exact in floating point.
-    """
+    """The exact integer (n, n) matrix from n Legendre coefficients to the second derivative's."""
     first = np.column_stack([legendre_deriv_coeffs(unit) for unit in np.eye(n)])
     second = first @ first
     second.flags.writeable = False  # one cached array serves every call
@@ -87,34 +114,25 @@ def find_root(
 
     Each step moves to the nearer root of the local quadratic model
     f + f' delta + f'' delta^2 / 2 = 0 (Cauchy's method), with
-    f' = -2 (x_bar - x) . x' and f'' = 2 (x' . x' - (x_bar - x) . x''). Seen
-    from the chord guess the conjugate root pair looks like a double root,
-    where Newton's steps only halve; the quadratic model holds both roots and
-    lands on one in a few steps. x'' comes from the second-derivative
-    coefficients, and x_bar leaves each pair's constant coefficient, both
-    once per call, so one product gives x - x_bar, x' and x''. Every
-    iteration builds each live pair's (n, 2) Legendre table on its
-    Python-complex iterate (from _ARRAY_PAIRS live pairs on, all of them at
-    once on float arrays, with the same bits) and contracts all of them in
+    f' = -2 (x_bar - x) . x' and f'' = 2 (x' . x' - (x_bar - x) . x''), which
+    holds both roots of the conjugate pair where Newton's steps only halve.
+    x'' comes from the second-derivative coefficients and x_bar leaves each
+    pair's constant coefficient, once per call, so one product gives
+    x - x_bar, x' and x''. Every iteration builds each live pair's (n, 2)
+    Legendre table on its Python-complex iterate (from _ARRAY_PAIRS live
+    pairs on, on float arrays with the same bits) and contracts them all in
     one stacked product, which with the Gram product gives every pair the
-    bits of its one-row block. Step, damping and stopping tests stay per
-    pair on Python scalars, and a pair leaves the live set when it converges
-    or fails, so a failed pair does not stop the others.
+    bits of its one-row block. Step, damping and stopping tests stay per pair
+    on Python scalars; a pair leaves the live set when it converges or
+    fails, so a failed pair does not stop the others.
     """
     coeffs = np.asarray(panel_coeffs, dtype=float)
     xb = np.asarray(x_bar, dtype=float)
     z0 = np.asarray(guess, dtype=complex)
-    if not (
-        coeffs.ndim == 3
-        and coeffs.shape[1] == 3
-        and coeffs.shape[2] >= 1
-        and xb.shape == coeffs.shape[:2]
-        and z0.shape == coeffs.shape[:1]
-    ):
-        raise ValueError(
-            "find_root takes (P, 3, n) coefficients, (P, 3) points and (P,) guesses; "
-            f"got {coeffs.shape}, {xb.shape} and {z0.shape}"
-        )
+    if not (coeffs.ndim == 3 and coeffs.shape[1] == 3 and coeffs.shape[2] >= 1
+            and xb.shape == coeffs.shape[:2] and z0.shape == coeffs.shape[:1]):
+        raise ValueError("find_root takes (P, 3, n) coefficients, (P, 3) points and (P,) guesses; "
+                         f"got {coeffs.shape}, {xb.shape} and {z0.shape}")
     if not (np.isfinite(coeffs).all() and np.isfinite(xb).all() and np.isfinite(z0).all()):
         raise ValueError("panel coefficients, points and guesses must be finite")
     count, n = len(z0), coeffs.shape[2]
@@ -187,8 +205,7 @@ def _moments_recursion(a: float, b: float, count: int) -> np.ndarray:
     w(1)^2 - w(-1)^2 = -4a so that small |a| does not trigger cancellation.
     Column 0 holds p = 1, column 1 holds p = 3, which recurs on column 0.
     """
-    w1 = np.hypot(1.0 - a, b)
-    wm1 = np.hypot(1.0 + a, b)
+    w1, wm1 = np.hypot(1.0 - a, b), np.hypot(1.0 + a, b)
     w_diff = -4.0 * a / (w1 + wm1)  # w(1) - w(-1)
     w_sum = w1 + wm1
     winv_diff = w_diff / (w1 * wm1)  # 1/w(-1) - 1/w(1)
@@ -219,11 +236,10 @@ _GRADED_RULE = gauss_legendre(_GRADED_ORDER)
 def _moments_graded(a: float, b: float, count: int) -> np.ndarray:
     """Composite Gauss-Legendre with panels halving toward the root's projection c.
 
-    Refinement stops once the panel length drops below the root distance, after
-    which the integrand is analytic well clear of each panel. The panel breaks
-    are offsets u from c, so eta - a = (c - a) + u keeps its digits however
-    close the root sits. Returns the p = 1 and p = 3 moments as columns 0
-    and 1, one matrix-vector product each.
+    Refinement stops once the panel length drops below the root distance, where
+    the integrand is analytic well clear of each panel. The breaks are offsets
+    u from c, so eta - a = (c - a) + u keeps its digits however close the root
+    sits. Columns 0 and 1 hold p = 1 and 3, one matrix-vector product each.
     """
     c = min(max(a, -1.0), 1.0)
     delta = math.hypot(a - c, b)
@@ -247,19 +263,37 @@ def _moments_graded(a: float, b: float, count: int) -> np.ndarray:
     return np.stack([powers @ (wts / np.sqrt(w2)), powers @ (wts / w2**1.5)], axis=1)
 
 
+@functools.lru_cache(maxsize=None)
+def _panel_powers() -> np.ndarray:
+    """The read-only (MAX_MOMENT_COUNT, 32) powers eta_j^k of the 32-point rule's nodes."""
+    powers = np.vander(_GRADED_RULE.nodes, MAX_MOMENT_COUNT, increasing=True).T.copy()
+    powers.flags.writeable = False  # one cached array serves every call
+    return powers
+
+
+def _moments_panel(a: float, b: float, count: int) -> np.ndarray:
+    """One 32-point Gauss-Legendre panel on [-1, 1]: both columns in one product."""
+    t = _GRADED_RULE.nodes - a
+    kernels = (t * t + b * b)[:, None] ** np.array([-0.5, -1.5])
+    return _panel_powers()[:count] @ (_GRADED_RULE.weights[:, None] * kernels)
+
+
 def qkp_moments(z1: complex, count: int) -> np.ndarray:
     """Moments q_k^p = int_{-1}^{1} eta^k / |eta - z1|^p deta, k = 0..count-1.
 
     Returns a (count, 2) array with p = 1 in column 0 and p = 3 in column 1.
-    The route follows an accuracy map, measured at count 16 against the
-    recursion run in 120-digit arithmetic, as errors relative to each
-    column's largest moment. The upward recursion serves roots over the
-    interval, |Re z1| <= 1 with Im z1 <= 1: 1.8e-14 or better up to
-    Im z1 = 0.5 and 1.8e-13 up to 1. Every other root takes the graded
-    quadrature: 2.2e-15 or better at |Re z1| - 1 from 1e-15 to 1 and Im z1
-    from 1e-10 to 2. Past a panel end the recursion cancels, 3.5e-3 at
-    (|Re z1| - 1, Im z1) = (0.4, 1e-6), and above Im z1 = 1 it drifts,
-    1.1e-11 at Im z1 = 1.8.
+    The route follows an accuracy map measured at count 16 against the
+    recursion in 60- to 120-digit arithmetic, as errors relative to each
+    column's largest moment. Roots over the interval, |Re z1| <= 1 and
+    Im z1 <= 1, take the upward recursion: 1.8e-14 up to Im z1 = 0.5 and
+    1.8e-13 up to 1. Other roots of Bernstein radius rho(z1) =
+    |z1 + sqrt(z1 - 1) sqrt(z1 + 1)| >= _PANEL_RHO take one 32-point panel:
+    1.1e-15 past either end at Im z1 from 1e-10 to 1 (2.4e-15 from rho = 2,
+    5.0e-13 from 1.8, 1.1e-11 from 1.7) and 7.6e-16 over the interval at
+    Im z1 from 1 to 2.5. The rest, within 0.27 past an end, take the graded
+    rule: 2.2e-15 at |Re z1| - 1 from 1e-15 to 1 and Im z1 from 1e-10 to 2.
+    Past an end the recursion cancels, 3.5e-3 at (|Re z1| - 1, Im z1) =
+    (0.4, 1e-6), and above Im z1 = 1 it drifts, 1.1e-11 at Im z1 = 1.8.
     """
     if not isinstance(count, (int, np.integer)) or not 1 <= count <= MAX_MOMENT_COUNT:
         raise ValueError(f"count must be an integer in [1, {MAX_MOMENT_COUNT}], got {count!r}")
@@ -269,6 +303,8 @@ def qkp_moments(z1: complex, count: int) -> np.ndarray:
     a, b = z1.real, z1.imag
     if abs(a) <= 1.0 and b <= 1.0:
         return _moments_recursion(a, b, count)
+    if abs(z1 + cmath.sqrt(z1 - 1.0) * cmath.sqrt(z1 + 1.0)) >= _PANEL_RHO:
+        return _moments_panel(a, b, count)
     return _moments_graded(a, b, count)
 
 
@@ -288,9 +324,8 @@ def _regular_sum(curve: PanelizedCurve, fv, r, r2, w=None) -> np.ndarray:
     """Plain Gauss-Legendre Stokeslet sum of samples fv over all nodes.
 
     r and r2 are one point's offsets, (N, 3) and (N,), or a block's, (T, N, 3)
-    and (T, N); a block gets one sum per row, each with its one-point bits.
-    w replaces the grid's weights, (N,) or one row per point; a zero weight
-    leaves its node out.
+    and (T, N), one sum per row with its one-point bits. w replaces the grid's
+    weights, (N,) or one row per point; a zero weight leaves its node out.
     """
     w = curve.grid.global_weights if w is None else w
     rnorm = np.sqrt(r2)
@@ -322,10 +357,7 @@ def _blockwise(curve: PanelizedCurve, x_bar, sums) -> np.ndarray:
 
 
 def eval_S_regular(curve: PanelizedCurve, f: LineDensity, x_bar) -> np.ndarray:
-    """Stokeslet integral by composite Gauss-Legendre over all panels.
-
-    x_bar is one point (3,) or a block (T, 3); the result has the same shape.
-    """
+    """Stokeslet integral by composite Gauss-Legendre over all panels, at x_bar (3,) or (T, 3)."""
     fv = f.checked_samples((curve.grid.node_count, 3))
     return _blockwise(curve, x_bar, lambda points, r, r2, start: _regular_sum(curve, fv, r, r2))
 
@@ -334,9 +366,8 @@ def eval_S_regular(curve: PanelizedCurve, f: LineDensity, x_bar) -> np.ndarray:
 def _legendre_monomials(n: int) -> np.ndarray:
     """The read-only (n, n) matrix C of P_d(eta) = sum_m C[d, m] eta^m, d < n.
 
-    C[d, d - 2k] = (-1)^k comb(d, k) comb(2d - 2k, d) / 2^d, an integer over
-    2^d, exact in floating point up to n = 26. C maps monomial moments to
-    Legendre moments.
+    C[d, d - 2k] = (-1)^k comb(d, k) comb(2d - 2k, d) / 2^d, exact in floating
+    point up to n = 26, maps monomial moments to Legendre moments.
     """
     c = np.zeros((n, n))
     for d in range(n):
@@ -349,11 +380,10 @@ def _legendre_monomials(n: int) -> np.ndarray:
 def _moment_weights(rule: QuadratureRule, moments: np.ndarray) -> np.ndarray:
     """Node weights of S pairs from their (S, n, 2) monomial moments, pair by pair.
 
-    C q gives each pair's Legendre moments and rule.transform^T turns them
-    into weights w, so w . g integrates the degree < n interpolant of node
-    samples g against the kernel whose moments q are. Both are stacked
-    per-pair products, so every pair gets the bits of its one-pair call; the
-    product T^T C formed once loses 3-4 digits to its cancellation.
+    C q gives each pair's Legendre moments and rule.transform^T turns them into
+    weights w: w . g integrates the degree < n interpolant of node samples g
+    against the kernel. Stacked per pair, every pair gets its one-pair bits;
+    the product T^T C formed once loses 3-4 digits to its cancellation.
     """
     return rule.transform.T @ (_legendre_monomials(rule.order) @ moments)
 
@@ -363,18 +393,15 @@ def _special_sums(curve: PanelizedCurve, fv, panels, z1, r, r2) -> np.ndarray:
 
     panels and z1 hold each pair's panel index and root; r (S, n, 3) and
     r2 (S, n) its point's offsets to that panel's nodes. The smooth factors
-    g_p * (omega/R^2)^{p/2} are known at the panel nodes; contracting them
-    with the `_moment_weights` of the exact kernel moments integrates their
-    interpolants against the kernel. At real nodes omega/R^2 is a positive
-    real number, so the principal square root is the right branch
-    automatically.
+    g_p * (omega/R^2)^{p/2} at the nodes, contracted with the
+    `_moment_weights` of the kernel moments, integrate their interpolants
+    against the kernel. At real nodes omega/R^2 > 0: the principal root.
     """
     grid = curve.grid
     eta = grid.rule.nodes
     n = grid.rule.order
     w = _moment_weights(grid.rule, np.stack([qkp_moments(z, n) for z in z1]))
-    a = np.array([z.real for z in z1])[:, None]
-    b = np.array([z.imag for z in z1])[:, None]
+    a, b = np.array([(z.real, z.imag) for z in z1]).T[:, :, None]
     ratio = ((eta - a) ** 2 + b * b) / r2
 
     fv = fv.reshape(grid.panel_count, n, 3)[panels]
@@ -389,68 +416,51 @@ def eval_S(curve: PanelizedCurve, f: LineDensity, x_bar) -> np.ndarray:
     """Stokeslet integral with per-panel dispatch between regular and special quadrature.
 
     x_bar is one point (3,) or a block (T, 3); the result has the same shape,
-    and every row equals the one-point call bit for bit. A panel is treated
-    as near a point when its closest node lies within one panel arclength.
-    The near pairs of each chunk of points share one find_root call.
-    Pairs without a root, each warned of, and roots with Im(z1) >= 1 fall
-    back to the regular rule for that (point, panel) pair only. A real root
-    on a panel (find_root's REAL_ROOT_FLOOR) puts the point on the
-    centerline, where S diverges, and raises ValueError that names the
-    point's row and the panel, before its chunk sums or warns anything;
-    points 1e-9 off the centerline give Im(z1) of 1e-8 and more at order
-    16. A real root on a panel's extension fails its pair like any other
-    failed root. The regular rule runs as one contraction over all nodes,
-    the one eval_S_regular makes, with zero weights on a point's special
-    panels, so a point with no near panel gets eval_S_regular's value
-    exactly. Rule orders above MAX_MOMENT_COUNT are rejected, since the
-    moments stop there.
+    and every row equals the one-point call bit for bit. The near pairs of
+    each chunk (`_near_pairs`) share one find_root call. Pairs without a
+    root, each warned of, and roots with Im(z1) >= 1 fall back to the regular
+    rule for that pair only. A real root on a panel (find_root's
+    REAL_ROOT_FLOOR) puts the point on the centerline, where S diverges, and
+    raises ValueError naming the point's row and the panel before its chunk
+    sums or warns; points 1e-9 off the centerline give Im(z1) >= 1e-8 at
+    order 16. A real root on a panel's extension fails its pair like any
+    other failed root. The regular rule is eval_S_regular's one contraction
+    over all nodes, with zero weights on a point's special panels, so a
+    point with no near panel gets eval_S_regular's value exactly. Rule
+    orders above MAX_MOMENT_COUNT, where the moments stop, are rejected.
     """
-    grid = curve.grid
-    n = grid.rule.order
+    grid, n = curve.grid, curve.grid.rule.order
     if n > MAX_MOMENT_COUNT:
-        raise ValueError(
-            f"eval_S supports rule orders up to {MAX_MOMENT_COUNT}, the q_k^p moment limit; "
-            f"got rule order {n}"
-        )
+        raise ValueError(f"eval_S supports rule orders up to {MAX_MOMENT_COUNT}, the q_k^p "
+                         f"moment limit; got rule order {n}")
     fv = f.checked_samples((grid.node_count, 3))
 
     def chunk_sums(points, r, r2, start):
-        count = len(points)
-        dist = np.sqrt(r2.reshape(count, grid.panel_count, n).min(axis=2))
-        # a one-node panel is a point: R^2(eta) is constant and has no root
-        tt, mm = np.nonzero(dist <= grid.panel_width) if n > 1 else ((), ())
-        if len(tt):
-            guess = _chord_guesses(curve, mm, points[tt])
-            # a chord-estimated root with Im >= 1 is not near; skip the root find
-            run = guess.imag < 1.0
-            tt, mm, guess = tt[run], mm[run], guess[run]
+        tt, mm, guess = _near_pairs(curve, points, r, r2)
         if not len(tt):
             return _regular_sum(curve, fv, r, r2)
         z1, reasons = find_root(curve.panel_coeffs[mm], points[tt], guess)  # one run per chunk
         if _ON_CENTERLINE in reasons:
             i = reasons.index(_ON_CENTERLINE)
-            raise ValueError(
-                f"point {start + tt[i]}, panel {mm[i]}: {reasons[i]}, where S diverges"
-            )
+            raise ValueError(f"point {start + tt[i]}, panel {mm[i]}: {reasons[i]}, where S diverges")
         for i in np.flatnonzero(np.isnan(z1)):
-            warnings.warn(
-                f"point {start + tt[i]}, panel {mm[i]}: {reasons[i]}; "
-                "falling back to regular quadrature"
-            )
+            warnings.warn(f"point {start + tt[i]}, panel {mm[i]}: {reasons[i]}; "
+                          "falling back to regular quadrature")
         near = z1.imag < 1.0  # False for the NaN roots of failed pairs
         tp, mp, z1 = tt[near], mm[near], z1[near].tolist()
         if not len(tp):
             return _regular_sum(curve, fv, r, r2)
         # one sum for the chunk; zero weights leave out each point's special panels, and a
         # point without any keeps the grid's weights and eval_S_regular's bits
+        count = len(points)
         weights = np.tile(grid.global_weights, (count, 1))
         weights.reshape(count, grid.panel_count, n)[tp, mp] = 0.0
         out = _regular_sum(curve, fv, r, r2, weights)
         rp = r.reshape(count, grid.panel_count, n, 3)[tp, mp]
         r2p = r2.reshape(count, grid.panel_count, n)[tp, mp]
         total = np.zeros((count, 3))
-        for t, value in zip(tp, _special_sums(curve, fv, mp, z1, rp, r2p)):
-            total[t] += value
+        # in pair order, the bits of adding each point's special rows one by one
+        np.add.at(total, tp, _special_sums(curve, fv, mp, z1, rp, r2p))
         return out + total
 
     return _blockwise(curve, x_bar, chunk_sums)

@@ -20,9 +20,12 @@ from slenderquad.quadcore import gauss_legendre, legendre_eval
 RULE = gauss_legendre(16)
 
 
-def chord_root(pc, m, pt):
-    """Panel m's root and reason, from the chord guess as eval_S starts it, as a one-row block."""
-    guess = nearsing._chord_guesses(pc, np.array([m]), pt[None])
+def guessed_root(pc, m, pt):
+    """Panel m's root and reason, from the guess at its closest node as eval_S starts it."""
+    n = pc.grid.rule.order
+    r = pt - pc.positions
+    node = m * n + np.argmin(np.sum(r[m * n : (m + 1) * n] ** 2, axis=1))
+    guess = nearsing._osculating_guesses(pc, np.array([node]), r[node][None])
     roots, reasons = find_root(pc.panel_coeffs[m][None], pt[None], guess)
     return roots[0], reasons[0]
 
@@ -68,7 +71,7 @@ class TestFindRoot:
     def test_straight_panel_center(self):
         pc = discretize(make_straight((1.0, 0.0, 0.0), 1.0), 1, RULE)
         d = 0.1
-        # a guess off the root, so Newton does the work the exact chord guess would skip
+        # a guess off the root, so the steps do the work the exact osculating guess would skip
         z1, reasons = find_root(
             pc.panel_coeffs[:1], np.array([[0.5, d, 0.0]]), np.array([0.3 + 0.5j])
         )
@@ -88,7 +91,7 @@ class TestFindRoot:
         s0 = 0.7
         pt = helix.position(s0) + 0.01 * helix.second_derivative(s0) / 8.0
         m = int(s0 / pc.grid.panel_width)
-        z1, _ = chord_root(pc, m, pt)
+        z1, _ = guessed_root(pc, m, pt)
         diff = pt - legendre_eval(pc.panel_coeffs[m], z1)
         sl = pc.grid.panel_slice(m)
         scale = np.max(np.sum((pt[None, :] - pc.positions[sl]) ** 2, axis=1))
@@ -99,7 +102,7 @@ class TestFindRoot:
         pc = discretize(make_helix(8.0, 3.0, 1.5), 8, RULE)
         coeffs = pc.panel_coeffs[3]
         pt = pc.positions[3 * 16 + 7] + np.array([0.0, 0.0, 5e-3])
-        z1, _ = chord_root(pc, 3, pt)
+        z1, _ = guessed_root(pc, 3, pt)
         vals_up = legendre_eval(coeffs, z1)
         vals_dn = legendre_eval(coeffs, z1.conjugate())
         r2_up = np.sum((pt - vals_up) ** 2)
@@ -113,7 +116,7 @@ class TestFindRoot:
         s0 = 0.33
         pt = helix.position(s0) + 2e-3 * helix.second_derivative(s0) / 8.0
         m = int(s0 / pc.grid.panel_width)
-        z1, reason = chord_root(pc, m, pt)  # converges within 5 iterations
+        z1, reason = guessed_root(pc, m, pt)  # converges within 5 iterations
         assert z1.imag > 0 and reason == ""
 
     def test_straight_panel_converges_in_two_steps(self, monkeypatch):
@@ -131,7 +134,7 @@ class TestFindRoot:
     def test_failure_returns_nan_and_reason(self, monkeypatch):
         monkeypatch.setattr(nearsing, "_NEWTON_MAX_ITER", 1)
         pc = discretize(make_helix(8.0, 3.0, 1.5), 8, RULE)
-        z1, reason = chord_root(pc, 0, np.array([0.02, 0.01, 0.2]))
+        z1, reason = guessed_root(pc, 0, np.array([0.02, 0.01, 0.2]))
         assert np.isnan(z1.real) and np.isnan(z1.imag)
         assert reason == "no convergence in 1 iterations"
 
@@ -157,14 +160,9 @@ def _s_field_near_points(helix, seed, count=128):
 
 
 def _newton_pairs(pc, points):
-    """The (point, panel) pairs eval_S starts Newton on: coefficients, points and chord guesses."""
-    n = pc.grid.rule.order
-    r2 = np.sum((points[:, None, :] - pc.positions[None]) ** 2, axis=2)
-    dist = np.sqrt(r2.reshape(len(points), pc.grid.panel_count, n).min(axis=2))
-    tt, mm = np.nonzero(dist <= pc.grid.panel_width)
-    guess = nearsing._chord_guesses(pc, mm, points[tt])
-    run = guess.imag < 1.0
-    return pc.panel_coeffs[mm[run]], points[tt[run]], guess[run]
+    """The (point, panel) pairs eval_S starts Newton on: coefficients, points and guesses."""
+    tt, mm, guess = nearsing._near_pairs(pc, points, *nearsing._offsets(pc.positions, points))
+    return pc.panel_coeffs[mm], points[tt], guess
 
 
 def _one_pair_roots(coeffs, points, guesses):
@@ -195,17 +193,45 @@ class TestFindRootBlocks:
         assert block.tobytes() == _one_pair_roots(coeffs, points, guesses).tobytes()
         assert np.all(block.imag > 0) and not any(reasons)
 
-    def test_table_builds_per_pair(self, monkeypatch):
-        # seen from the chord guess the root pair looks double, where Newton's steps only
-        # halve (8.0 tables per pair on these pairs); the quadratic model holds both roots
+    def _table_builds(self, monkeypatch, coeffs, points, guesses):
+        """Each pair's root from its own one-row block, and the Legendre tables built."""
         builds = []
         terms = nearsing._legendre_terms
         monkeypatch.setattr(
             nearsing, "_legendre_terms", lambda z, n: builds.append(z) or terms(z, n)
         )
-        roots = _one_pair_roots(*self.pairs)
-        assert np.all(roots.imag > 0)
-        assert len(builds) <= 5 * len(roots)
+        return _one_pair_roots(coeffs, points, guesses), len(builds)
+
+    def test_table_builds_per_pair(self, monkeypatch):
+        # Newton's halving steps took 8.0 tables per pair on these 257 pairs and Cauchy's steps
+        # from the chord guess 4.10; from the osculating guesses they take 2.83
+        roots, builds = self._table_builds(monkeypatch, *self.pairs)
+        assert len(roots) == 257 and np.all(roots.imag > 0)
+        assert builds <= 3.0 * len(roots)
+
+    def test_guess_is_the_root_on_a_straight_panel(self, monkeypatch):
+        # R^2 of a straight panel is the osculating quadratic: the first step only confirms
+        pc = discretize(make_straight((0.6, 0.0, 0.8), 1.0), 4, RULE)
+        rng = np.random.default_rng(7)
+        direction = rng.standard_normal((64, 3))
+        direction /= np.linalg.norm(direction, axis=1)[:, None]
+        points = (rng.uniform(0.05, 0.95, 64)[:, None] * np.array([0.6, 0.0, 0.8])
+                  + 10.0 ** rng.uniform(-4, -1.5, 64)[:, None] * direction)
+        coeffs, points, guesses = _newton_pairs(pc, points)
+        roots, builds = self._table_builds(monkeypatch, coeffs, points, guesses)
+        assert len(roots) >= 64 and np.all(roots.imag > 0)
+        assert builds <= 2 * len(roots)
+        # past the panel ends the expansion's rounding noise moves the roots off the line's
+        inside = np.abs(roots.real) <= 1.0
+        assert inside.sum() >= 32 and np.abs(guesses - roots)[inside].max() <= 1e-12
+
+    def test_roots_are_their_own_polished_roots(self):
+        # roots started from the guesses and from themselves agree to rounding
+        coeffs, points, guesses = self.pairs
+        roots, _ = find_root(coeffs, points, guesses)
+        polished, reasons = find_root(coeffs, points, roots)
+        assert not any(reasons)
+        assert np.all(np.abs(polished - roots) <= 2e-15 * np.abs(roots))
 
     def test_empty_block(self):
         got, reasons = find_root(np.zeros((0, 3, 16)), np.zeros((0, 3)), np.zeros(0, dtype=complex))
@@ -226,11 +252,11 @@ class TestFindRootBlocks:
 
     def test_no_convergence_fails_its_pairs_only(self, monkeypatch):
         coeffs, points, guesses = (a[:40] for a in self.pairs)
-        # pairs whose chord guess is further off the root need more steps than others
-        monkeypatch.setattr(nearsing, "_NEWTON_MAX_ITER", 4)
+        # pairs whose guess is further off the root need more steps than others
+        monkeypatch.setattr(nearsing, "_NEWTON_MAX_ITER", 2)
         pairs = zip(coeffs, points, guesses)
         reasons = [find_root(c[None], x[None], g[None])[1][0] for c, x, g in pairs]
-        assert "" in reasons and "no convergence in 4 iterations" in reasons
+        assert "" in reasons and "no convergence in 2 iterations" in reasons
         self._assert_failures(coeffs, points, guesses, reasons)
 
     def test_escape_and_real_roots_fail_their_pairs_only(self):
@@ -345,7 +371,7 @@ class TestQkpMoments:
                 assert got[k] == pytest.approx(ref, rel=1e-11)
 
     def test_far_root_branch(self):
-        # far roots exercise the graded-quadrature path
+        # far roots exercise the one-panel path
         for z in (0.2 + 2.0j, 1.8 + 0.05j, -3.0 + 0.7j):
             got = qkp_moments(z, 16)[:, 0]
             a, b = z.real, z.imag
@@ -355,14 +381,55 @@ class TestQkpMoments:
                 assert got[k] == pytest.approx(ref, rel=1e-12)
 
     def test_route_map(self):
-        # the recursion over the interval up to Im z1 = 1, the graded rule everywhere else
+        # the recursion over the interval up to Im z1 = 1, one 32-point panel for the other
+        # roots from Bernstein radius 2.05 on, and the graded rule for the rest, which lie
+        # within 0.27 past a panel end
         for a in (0.0, 0.3, -0.7, 0.999, 1.0, -1.0):
             for b in (1e-10, 1e-6, 1e-2, 0.5, 1.0):
                 got = qkp_moments(complex(a, b), 16)
                 assert got.tobytes() == nearsing._moments_recursion(a, b, 16).tobytes()
-        for a, b in ((1.0 + 1e-12, 1e-8), (-1.01, 1e-5), (1.4, 1e-6), (0.2, 1.01), (-3.0, 0.7)):
-            got = qkp_moments(complex(a, b), 16)
-            assert got.tobytes() == nearsing._moments_graded(a, b, 16).tobytes()
+        assert nearsing._PANEL_RHO == 2.05
+        routes = {
+            nearsing._moments_panel: ((-1.27, 1e-8), (1.4, 1e-6), (1.1, 1.0), (0.2, 1.01),
+                                      (0.5, 1.5), (-3.0, 0.7)),
+            nearsing._moments_graded: ((1.0 + 1e-12, 1e-8), (-1.01, 1e-5), (1.2, 1e-6),
+                                       (-1.26, 1e-3), (1.1, 0.3)),
+        }
+        for route, roots in routes.items():
+            for a, b in roots:
+                got = qkp_moments(complex(a, b), 16)
+                assert got.tobytes() == route(a, b, 16).tobytes(), (a, b)
+
+    def test_one_panel_route(self):
+        # roots past either end on Bernstein ellipses rho = 2.05 to 4, Im z1 from 1e-10 to 1,
+        # against adaptive Gauss-Kronrod and the graded rule
+        powers = nearsing._panel_powers()
+        assert powers.shape == (16, 32) and powers is nearsing._panel_powers()
+        with pytest.raises(ValueError, match="read-only"):
+            powers[0, 0] = 2.0
+        checked = 0
+        for rho in (2.05 * (1 + 1e-9), 2.5, 3.0, 4.0):
+            major, minor = (rho + 1 / rho) / 2, (rho - 1 / rho) / 2
+            for b in (1e-10, 1e-6, 1e-3, 0.1, 0.5, 1.0):
+                a = major * np.sqrt(1 - (b / minor) ** 2) if b < minor else 0.0
+                if a <= 1.0:
+                    continue
+                for z in (complex(a, b), complex(-a, b)):
+                    got = qkp_moments(z, 16)
+                    assert got.tobytes() == nearsing._moments_panel(z.real, b, 16).tobytes()
+                    ref = np.column_stack([
+                        adaptive_integrate(
+                            lambda e, p=p: e[:, None] ** np.arange(16)
+                            / ((e - z.real) ** 2 + b * b)[:, None] ** (p / 2.0),
+                            -1.0, 1.0, 1e-15,
+                        )
+                        for p in (1, 3)
+                    ])
+                    for other in (ref, nearsing._moments_graded(z.real, b, 16)):
+                        scale = np.abs(other).max(axis=0)
+                        assert np.all(np.abs(got - other).max(axis=0) <= 2.2e-15 * scale), z
+                    checked += 1
+        assert checked == 42
 
     def test_both_routes_agree_over_the_interval(self):
         # graded panels keep eta - a as offsets, so even Im z1 = 1e-10 leaves them their digits
@@ -379,7 +446,8 @@ class TestQkpMoments:
     )
     def test_roots_past_a_panel_end(self, past, b):
         # the worst cases of the recursion past a panel end, where the map sends them to the
-        # graded rule; checked against adaptive Gauss-Kronrod on the smooth integrand
+        # graded rule (up to 0.2 past) or the one panel; checked against adaptive Gauss-Kronrod
+        # on the smooth integrand
         for a in (1.0 + past, -1.0 - past):
             got = qkp_moments(complex(a, b), 16)
             ref = np.column_stack([
@@ -449,10 +517,10 @@ class TestMomentWeights:
     def test_weights_integrate_monomials_to_the_moments(self, n):
         rule = gauss_legendre(n)
         powers = np.vander(rule.nodes, n, increasing=True)
-        # roots over the interval take the recursion, the others the graded rule
+        # roots over the interval take the recursion, the others one panel or the graded rule
         recursion = (0.3 + 1e-8j, -0.7 + 1e-3j, 0.999 + 0.2j, 0.1 + 0.9j, 1.0 + 1e-6j)
-        graded = (1.4 + 1e-6j, -1.2 + 0.05j, 1.01 + 1e-5j, 0.2 + 2.0j, -3.0 + 0.7j)
-        for z in recursion + graded:
+        others = (1.4 + 1e-6j, -1.2 + 0.05j, 1.01 + 1e-5j, 0.2 + 2.0j, -3.0 + 0.7j)
+        for z in recursion + others:
             q = qkp_moments(z, n)
             w = nearsing._moment_weights(rule, q[None])
             assert w.shape == (1, n, 2)
@@ -470,7 +538,7 @@ class TestEvalSSpecial:
         sl = pc.grid.panel_slice(m)
         center = pc.positions[sl].mean(axis=0)
         pt = center + np.array([0.0, 0.0, 5.0]) * pc.grid.panel_width
-        z1, _ = chord_root(pc, m, pt)
+        z1, _ = guessed_root(pc, m, pt)
         from slenderquad.nearsing import _offsets, _regular_sum, _special_sums
 
         r, r2 = _offsets(pc.positions[sl], pt)
@@ -760,19 +828,21 @@ class TestEvalSBlocks:
 
     def test_root_failure_falls_back_for_its_pair_only(self, monkeypatch):
         helix = self.HELIX
-        normal = helix.second_derivative(np.array([0.7, 0.45])) / 8.0
-        near = helix.position(np.array([0.7, 0.45])) + np.array([5e-3, 5e-2])[:, None] * normal
+        # the second point sits over the end shared by its two special panels, where the guesses
+        # from their end nodes land on the roots
+        s = np.array([0.7, 0.75])
+        near = helix.position(s) + 5e-3 * helix.second_derivative(s) / 8.0
         # the failing point opens the second chunk, so the warning names its row in the block
         first = nearsing._CHUNK
         far = np.array([1.2, 1.2, 0.3]) + 0.01 * np.arange(first + 1)[:, None]
         block = np.concatenate([far[:first], near, far[first:]])
         good = np.array([eval_S(self.pc, self.dens, pt) for pt in block])
-        # 4 steps are too few for one of that point's two special panels only
-        monkeypatch.setattr(nearsing, "_NEWTON_MAX_ITER", 4)
+        # 2 steps are too few for one of the first point's two special panels only
+        monkeypatch.setattr(nearsing, "_NEWTON_MAX_ITER", 2)
         with pytest.warns(UserWarning) as caught:
             got = eval_S(self.pc, self.dens, block)
         assert [str(w.message) for w in caught] == [
-            f"point {first}, panel 4: no convergence in 4 iterations; "
+            f"point {first}, panel 4: no convergence in 2 iterations; "
             "falling back to regular quadrature"
         ]
         with pytest.warns(UserWarning, match="point 0, panel 4"):
