@@ -5,8 +5,10 @@ it. Close to a panel the kernel is nearly singular: the squared distance
 R^2(eta), continued to complex eta through the panel's Legendre expansion, has
 a conjugate root pair z1, conj(z1) hugging the interval. Dividing out
 omega(eta) = (eta - z1)(eta - conj z1) leaves a smooth factor whose node
-samples are contracted with node weights from the analytic moments of
-eta^k/|eta-z1|^p, through Legendre moments.
+samples are contracted with node weights from the moments of
+eta^k/|eta-z1|^p, through Legendre moments. The moments take one of two
+routes: an upward recursion for roots over the interval, and a graded
+Gauss-Legendre rule, refined toward the nearer end, for every other root.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .quadcore import (QuadratureRule, _legendre_terms, _legendre_terms_split, g
                        legendre_deriv_coeffs)
 
 _GRADED_ORDER = 32
-_PANEL_RHO = 2.05  # Bernstein radius from which one 32-point panel gives the moments
+_PANEL_RHO = 2.05  # Bernstein radius of the root over the graded rule's finest panel
 MAX_MOMENT_COUNT = 16  # highest moment count q_k^p is computed to; caps eval_S's rule order
 _NEWTON_TOL = 1e-13
 _NEWTON_MAX_ITER = 30
@@ -83,7 +85,8 @@ def _near_pairs(curve: PanelizedCurve, points: np.ndarray, r: np.ndarray, r2: np
     start, chord, h = curve.chord_starts[mm], curve.chords[mm], curve.chord_lengths[mm]
     xb = points[tt]
     foot = xb - (start + (_rowdot(xb - start, chord) / (h * h))[:, None] * chord)
-    # such a point's root sits an imaginary unit or more off the panel: skip the root find
+    # a cost filter, not an accuracy bound: such a point skips the root find and takes the
+    # regular rule, though on a curved panel its root can still have Im z1 < 1
     run = 2.0 * np.sqrt(_rowdot(foot, foot)) / h < 1.0
     tt, mm = tt[run], mm[run]
     nodes = mm * n + per_panel[tt, mm].argmin(axis=1)
@@ -233,49 +236,55 @@ def _moments_recursion(a: float, b: float, count: int) -> np.ndarray:
 _GRADED_RULE = gauss_legendre(_GRADED_ORDER)
 
 
-def _moments_graded(a: float, b: float, count: int) -> np.ndarray:
-    """Composite Gauss-Legendre with panels halving toward the root's projection c.
-
-    Refinement stops once the panel length drops below the root distance, where
-    the integrand is analytic well clear of each panel. The breaks are offsets
-    u from c, so eta - a = (c - a) + u keeps its digits however close the root
-    sits. Columns 0 and 1 hold p = 1 and 3, one matrix-vector product each.
-    """
-    c = min(max(a, -1.0), 1.0)
-    delta = math.hypot(a - c, b)
-    breaks = [-1.0 - c, 1.0 - c]
-    for dist, side in ((1.0 + c, -1.0), (1.0 - c, 1.0)):
-        if dist > 0.0:
-            levels = math.ceil(math.log2(dist / delta)) if dist > delta else 0
-            breaks.extend(side * dist * 0.5**j for j in range(1, levels + 1))
-    if -1.0 < c < 1.0:
-        breaks.append(0.0)
-    u = np.array(sorted(set(breaks)))  # np.unique's points at a fraction of its cost
-
-    mids = 0.5 * (u[1:] + u[:-1])
-    halves = 0.5 * (u[1:] - u[:-1])
-    offsets = (mids[:, None] + halves[:, None] * _GRADED_RULE.nodes[None, :]).ravel()
-    wts = (halves[:, None] * _GRADED_RULE.weights[None, :]).ravel()
-    t = (c - a) + offsets
-    w2 = t * t + b * b
-    powers = np.vander(c + offsets, count, increasing=True).T
-    # a single (N, 2) block product would change the bits; keep two products
-    return np.stack([powers @ (wts / np.sqrt(w2)), powers @ (wts / w2**1.5)], axis=1)
-
-
 @functools.lru_cache(maxsize=None)
-def _panel_powers() -> np.ndarray:
-    """The read-only (MAX_MOMENT_COUNT, 32) powers eta_j^k of the 32-point rule's nodes."""
-    powers = np.vander(_GRADED_RULE.nodes, MAX_MOMENT_COUNT, increasing=True).T.copy()
-    powers.flags.writeable = False  # one cached array serves every call
-    return powers
+def _graded_table(level: int) -> np.ndarray:
+    """The graded rule's read-only (level + 1, 2 + MAX_MOMENT_COUNT, 32) table, panel by panel.
+
+    Level L splits [-1, 1] at 0, 1/2, ..., 1 - 2^(1-L), so the panel next to
+    eta = 1 has length 2^(1-L), and puts the 32-point rule on every panel.
+    Each panel's row 0 holds its nodes as offsets u = eta - 1, row 1 the
+    weights and rows 2.. the powers eta^k = (1 + u)^k, k < MAX_MOMENT_COUNT.
+    Level 0 is the 32-point rule on [-1, 1].
+    """
+    ends = np.append(-(0.5 ** np.arange(-1.0, level)), 0.0)  # -2, -1, ..., -2^(1-L), 0 in u
+    mids, halves = 0.5 * (ends[1:] + ends[:-1]), 0.5 * (ends[1:] - ends[:-1])
+    scaled = halves[:, None] * _GRADED_RULE.nodes
+    eta = (1.0 + mids)[:, None] + scaled  # 1 + mids is exact: level 0 keeps the nodes' bits
+    table = np.concatenate([(mids[:, None] + scaled)[:, None],
+                            (halves[:, None] * _GRADED_RULE.weights)[:, None],
+                            eta[:, None] ** np.arange(MAX_MOMENT_COUNT)[:, None]], axis=1)
+    table.flags.writeable = False  # one cached array serves every call
+    return table
 
 
-def _moments_panel(a: float, b: float, count: int) -> np.ndarray:
-    """One 32-point Gauss-Legendre panel on [-1, 1]: both columns in one product."""
-    t = _GRADED_RULE.nodes - a
-    kernels = (t * t + b * b)[:, None] ** np.array([-0.5, -1.5])
-    return _panel_powers()[:count] @ (_GRADED_RULE.weights[:, None] * kernels)
+def _moments_graded(a: float, b: float, count: int) -> np.ndarray:
+    """Composite 32-point Gauss-Legendre on panels halving toward eta = 1, for roots off [-1, 1].
+
+    A root with a < 0 is mirrored onto -a + ib: eta -> -eta takes q_k to
+    (-1)^k q_k, an exact sign flip of the odd rows. The panel next to 1
+    halves until the root's Bernstein radius over it reaches _PANEL_RHO;
+    the coarser panels then see it at radius 3 + sqrt(8) or more. The nodes
+    are offsets u from 1, so eta - a = (1 - a) + u keeps its digits however
+    close the root sits to the end. Each panel takes one product for both
+    columns, and the panels' sums add up: one product over all nodes rounds
+    the deepest roots' moments to 2.2e-15 where these reach 1.1e-15.
+    """
+    mirror, a = a < 0.0, abs(a)
+    level, w = 0, complex(a, b)  # the root over the finest panel, mapped to [-1, 1]
+    while abs(w + cmath.sqrt(w - 1.0) * cmath.sqrt(w + 1.0)) < _PANEL_RHO:
+        level += 1
+        w = complex((a - 1.0) * 2.0**level + 1.0, b * 2.0**level)
+    table = _graded_table(level)
+    t = (1.0 - a) + table[:, 0]
+    w2 = t * t + b * b
+    k1 = table[:, 1] / np.sqrt(w2)
+    kernels = np.concatenate((k1, k1 / w2), axis=1).reshape(level + 1, 2, _GRADED_ORDER)
+    sums = table[:, 2 : 2 + count] @ kernels.transpose(0, 2, 1)
+    q = sums.sum(axis=0) if level else sums[0]
+    if mirror:
+        odd = q[1::2]
+        np.negative(odd, out=odd)
+    return q
 
 
 def qkp_moments(z1: complex, count: int) -> np.ndarray:
@@ -286,25 +295,24 @@ def qkp_moments(z1: complex, count: int) -> np.ndarray:
     recursion in 60- to 120-digit arithmetic, as errors relative to each
     column's largest moment. Roots over the interval, |Re z1| <= 1 and
     Im z1 <= 1, take the upward recursion: 1.8e-14 up to Im z1 = 0.5 and
-    1.8e-13 up to 1. Other roots of Bernstein radius rho(z1) =
-    |z1 + sqrt(z1 - 1) sqrt(z1 + 1)| >= _PANEL_RHO take one 32-point panel:
-    1.1e-15 past either end at Im z1 from 1e-10 to 1 (2.4e-15 from rho = 2,
-    5.0e-13 from 1.8, 1.1e-11 from 1.7) and 7.6e-16 over the interval at
-    Im z1 from 1 to 2.5. The rest, within 0.27 past an end, take the graded
-    rule: 2.2e-15 at |Re z1| - 1 from 1e-15 to 1 and Im z1 from 1e-10 to 2.
-    Past an end the recursion cancels, 3.5e-3 at (|Re z1| - 1, Im z1) =
-    (0.4, 1e-6), and above Im z1 = 1 it drifts, 1.1e-11 at Im z1 = 1.8.
+    1.8e-13 up to 1. Every other root takes the graded rule: 1.1e-15 over
+    687 roots past either end at |Re z1| - 1 from 1e-15 to 2 and Im z1 from
+    1e-10 to 2.5 and over the interval at Im z1 from 1 to 2.5, and 6.4e-16
+    out to |Re z1| = 100 and Im z1 = 10. Past an end the recursion cancels,
+    3.5e-3 at (|Re z1| - 1, Im z1) = (0.4, 1e-6), and above Im z1 = 1 it
+    drifts, 1.1e-11 at Im z1 = 1.8. Roots below REAL_ROOT_FLOOR, which
+    find_root calls real, raise ValueError: q_0^3 ~ 2 / Im(z1)^2 overflows
+    from Im z1 ~ 1e-154 on, and the floor bounds the graded rule at level 33.
     """
     if not isinstance(count, (int, np.integer)) or not 1 <= count <= MAX_MOMENT_COUNT:
         raise ValueError(f"count must be an integer in [1, {MAX_MOMENT_COUNT}], got {count!r}")
     z1 = complex(z1)
-    if not (z1.imag > 0 and math.isfinite(z1.real) and math.isfinite(z1.imag)):
-        raise ValueError(f"z1 must be finite with positive imaginary part, got {z1}")
+    if not (z1.imag >= REAL_ROOT_FLOOR and math.isfinite(z1.real) and math.isfinite(z1.imag)):
+        raise ValueError(f"z1 must be finite with Im(z1) >= REAL_ROOT_FLOOR = {REAL_ROOT_FLOOR}, "
+                         f"got {z1}")
     a, b = z1.real, z1.imag
     if abs(a) <= 1.0 and b <= 1.0:
         return _moments_recursion(a, b, count)
-    if abs(z1 + cmath.sqrt(z1 - 1.0) * cmath.sqrt(z1 + 1.0)) >= _PANEL_RHO:
-        return _moments_panel(a, b, count)
     return _moments_graded(a, b, count)
 
 

@@ -271,28 +271,13 @@ def solve_vandermonde_transpose(nodes: np.ndarray, rhs: np.ndarray) -> np.ndarra
         raise ValueError("nodes must be finite")
     if len(set(x.tolist())) != n:
         raise ValueError("duplicate nodes make the system singular")
-    _bjorck_pereyra(x, _node_gaps(x), b[:, None] if b.ndim == 1 else b)
-    return b
-
-
-def _node_gaps(x: np.ndarray) -> tuple:
-    """The (n - k - 1, 1) differences x[k+1:] - x[:n-k-1], k = 0..n-2."""
-    n = len(x)
-    return tuple((x[k + 1 :] - x[: n - k - 1])[:, None] for k in range(n - 1))
-
-
-def _bjorck_pereyra(x: np.ndarray, gaps: tuple, block: np.ndarray) -> np.ndarray:
-    """solve_vandermonde_transpose's sweeps on an (n, k) block, in place, unchecked.
-
-    gaps is `_node_gaps(x)`.
-    """
-    n = len(x)
+    block = b[:, None] if b.ndim == 1 else b  # the sweeps run in place on b
     for k in range(n - 1):
         block[k + 1 :] -= x[k] * block[k : n - 1]
     for k in range(n - 2, -1, -1):
-        block[k + 1 :] /= gaps[k]
+        block[k + 1 :] /= (x[k + 1 :] - x[: n - k - 1])[:, None]
         block[k : n - 1] -= block[k + 1 :]
-    return block
+    return b
 
 
 def _locate_panels(targets: np.ndarray, grid: PanelGrid) -> np.ndarray:

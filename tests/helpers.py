@@ -1,9 +1,12 @@
 """Shared independent oracles for the test suite."""
 
 import copy
+import math
 import pickle
 
 import numpy as np
+
+from slenderquad.quadcore import gauss_legendre
 
 # the ways a value type can be duplicated; each must rebuild it as it was first built
 COPIES = {
@@ -128,3 +131,38 @@ def bisect_start_sums(owner, kron, err, count):
         sums[p] = [t + v for t, v in zip(sums[p], val.tolist())]  # in the partition's order
         err_sums[p] += e
     return np.array(sums), np.array(err_sums)
+
+
+def graded_moments_two_sided(a: float, b: float, count: int) -> np.ndarray:
+    """q_k^p = int_{-1}^{1} eta^k / |eta - (a+ib)|^p deta by a graded rule around the root.
+
+    Composite 32-point Gauss-Legendre on panels halving from both ends toward
+    the root's projection c onto [-1, 1], until a panel is shorter than the
+    root distance. The breaks are offsets u from c, so eta - a = (c - a) + u
+    keeps its digits however close the root. Columns 0 and 1 hold p = 1 and
+    3, each moment one exact math.fsum of its terms. The rule
+    nearsing.qkp_moments ran for roots near a panel end before its graded
+    rule refined toward eta = 1 alone, with its sums made exact; kept as a
+    reference for the roots of both routes, since adaptive Gauss-Kronrod
+    cannot certify 1e-14 at Im z1 = 1e-10.
+    """
+    rule = gauss_legendre(32)
+    c = min(max(a, -1.0), 1.0)
+    delta = math.hypot(a - c, b)
+    breaks = [-1.0 - c, 1.0 - c]
+    for dist, side in ((1.0 + c, -1.0), (1.0 - c, 1.0)):
+        if dist > 0.0:
+            levels = math.ceil(math.log2(dist / delta)) if dist > delta else 0
+            breaks.extend(side * dist * 0.5**j for j in range(1, levels + 1))
+    if -1.0 < c < 1.0:
+        breaks.append(0.0)
+    u = np.array(sorted(set(breaks)))
+    mids = 0.5 * (u[1:] + u[:-1])
+    halves = 0.5 * (u[1:] - u[:-1])
+    offsets = (mids[:, None] + halves[:, None] * rule.nodes[None, :]).ravel()
+    wts = (halves[:, None] * rule.weights[None, :]).ravel()
+    t = (c - a) + offsets
+    w2 = t * t + b * b
+    powers = np.vander(c + offsets, count, increasing=True).T
+    k1, k3 = wts / np.sqrt(w2), wts / w2**1.5
+    return np.array([[math.fsum(row * k1), math.fsum(row * k3)] for row in powers])

@@ -1,10 +1,14 @@
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import segment_stokeslet
+from helpers import graded_moments_two_sided, segment_stokeslet
 from slenderquad import cli, forces, nearsing
 from slenderquad.finitepart import LineDensity
 from slenderquad.geometry import discretize, make_helix, make_straight
@@ -371,7 +375,7 @@ class TestQkpMoments:
                 assert got[k] == pytest.approx(ref, rel=1e-11)
 
     def test_far_root_branch(self):
-        # far roots exercise the one-panel path
+        # far roots take the graded rule's level 0, one 32-point panel
         for z in (0.2 + 2.0j, 1.8 + 0.05j, -3.0 + 0.7j):
             got = qkp_moments(z, 16)[:, 0]
             a, b = z.real, z.imag
@@ -381,32 +385,29 @@ class TestQkpMoments:
                 assert got[k] == pytest.approx(ref, rel=1e-12)
 
     def test_route_map(self):
-        # the recursion over the interval up to Im z1 = 1, one 32-point panel for the other
-        # roots from Bernstein radius 2.05 on, and the graded rule for the rest, which lie
-        # within 0.27 past a panel end
+        # the recursion over the interval up to Im z1 = 1, the graded rule for every other root
         for a in (0.0, 0.3, -0.7, 0.999, 1.0, -1.0):
             for b in (1e-10, 1e-6, 1e-2, 0.5, 1.0):
                 got = qkp_moments(complex(a, b), 16)
                 assert got.tobytes() == nearsing._moments_recursion(a, b, 16).tobytes()
-        assert nearsing._PANEL_RHO == 2.05
-        routes = {
-            nearsing._moments_panel: ((-1.27, 1e-8), (1.4, 1e-6), (1.1, 1.0), (0.2, 1.01),
-                                      (0.5, 1.5), (-3.0, 0.7)),
-            nearsing._moments_graded: ((1.0 + 1e-12, 1e-8), (-1.01, 1e-5), (1.2, 1e-6),
-                                       (-1.26, 1e-3), (1.1, 0.3)),
-        }
-        for route, roots in routes.items():
-            for a, b in roots:
-                got = qkp_moments(complex(a, b), 16)
-                assert got.tobytes() == route(a, b, 16).tobytes(), (a, b)
+        for a, b in ((-1.27, 1e-8), (1.4, 1e-6), (1.1, 1.0), (0.2, 1.01), (0.5, 1.5), (-3.0, 0.7),
+                     (1.0 + 1e-12, 1e-8), (-1.01, 1e-5), (1.2, 1e-6), (-1.26, 1e-3), (1.1, 0.3),
+                     (0.0, 1.0 + 1e-15), (-1.0 - 1e-15, 1e-10), (1e3, 1e-10)):
+            got = qkp_moments(complex(a, b), 16)
+            assert got.tobytes() == nearsing._moments_graded(a, b, 16).tobytes(), (a, b)
 
     def test_one_panel_route(self):
         # roots past either end on Bernstein ellipses rho = 2.05 to 4, Im z1 from 1e-10 to 1,
-        # against adaptive Gauss-Kronrod and the graded rule
-        powers = nearsing._panel_powers()
-        assert powers.shape == (16, 32) and powers is nearsing._panel_powers()
+        # which the graded rule's level 0, the 32-point rule on [-1, 1], takes; against
+        # adaptive Gauss-Kronrod and the two-sided graded reference
+        rule = gauss_legendre(32)
+        table = nearsing._graded_table(0)
+        assert table.shape == (1, 18, 32) and table is nearsing._graded_table(0)
+        assert np.array_equal(table[0, 0], rule.nodes - 1.0)
+        assert np.array_equal(table[0, 1], rule.weights)
+        assert np.array_equal(table[0, 3], rule.nodes) and np.all(table[0, 2] == 1.0)
         with pytest.raises(ValueError, match="read-only"):
-            powers[0, 0] = 2.0
+            table[0, 0, 0] = 2.0
         checked = 0
         for rho in (2.05 * (1 + 1e-9), 2.5, 3.0, 4.0):
             major, minor = (rho + 1 / rho) / 2, (rho - 1 / rho) / 2
@@ -416,7 +417,6 @@ class TestQkpMoments:
                     continue
                 for z in (complex(a, b), complex(-a, b)):
                     got = qkp_moments(z, 16)
-                    assert got.tobytes() == nearsing._moments_panel(z.real, b, 16).tobytes()
                     ref = np.column_stack([
                         adaptive_integrate(
                             lambda e, p=p: e[:, None] ** np.arange(16)
@@ -425,18 +425,53 @@ class TestQkpMoments:
                         )
                         for p in (1, 3)
                     ])
-                    for other in (ref, nearsing._moments_graded(z.real, b, 16)):
+                    for other in (ref, graded_moments_two_sided(z.real, b, 16)):
                         scale = np.abs(other).max(axis=0)
                         assert np.all(np.abs(got - other).max(axis=0) <= 2.2e-15 * scale), z
                     checked += 1
         assert checked == 42
 
+    def test_graded_rule_against_the_reference(self):
+        # seeded roots past either end, |Re z1| - 1 from 1e-15 to 2 and Im z1 from 1e-10 to
+        # 2.5, and over the interval above Im z1 = 1
+        rng = np.random.default_rng(2026)
+        past = np.concatenate([10.0 ** rng.uniform(-15, np.log10(2.0), 400),
+                               rng.uniform(0, 2, 100)])
+        imag = 10.0 ** rng.uniform(-10, np.log10(2.5), 500)
+        roots = [(s * (1.0 + d), b) for s, d, b in zip(rng.choice([-1.0, 1.0], 500), past, imag)]
+        roots += [(a, b) for a, b in zip(rng.uniform(-1, 1, 40), rng.uniform(1.0 + 1e-9, 2.5, 40))]
+        # the deepest root the real-root floor allows
+        roots += [(1.0 + 1e-15, 1e-10), (-1.0 - 1e-15, 1e-10)]
+        for a, b in roots:
+            got = qkp_moments(complex(a, b), 16)
+            ref = graded_moments_two_sided(a, b, 16)
+            scale = np.abs(ref).max(axis=0)
+            assert np.all(np.abs(got - ref).max(axis=0) <= 2.2e-15 * scale), (a, b)
+
+    def test_mirrored_roots_flip_the_odd_moments_bitwise(self):
+        rng = np.random.default_rng(8)
+        past = 10.0 ** rng.uniform(-15, 1, 60)
+        for a, b in zip(1.0 + past, 10.0 ** rng.uniform(-10, 1, 60)):
+            right, left = qkp_moments(complex(a, b), 16), qkp_moments(complex(-a, b), 16)
+            assert left.tobytes() == (right * ((-1.0) ** np.arange(16))[:, None]).tobytes(), (a, b)
+
+    def test_import_builds_no_graded_table(self):
+        code = ("import slenderquad; from slenderquad import nearsing; "
+                "print(nearsing._graded_table.cache_info().currsize)")
+        src = str(Path(nearsing.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                             check=True)
+        assert out.stdout.strip() == "0"
+
     def test_both_routes_agree_over_the_interval(self):
-        # graded panels keep eta - a as offsets, so even Im z1 = 1e-10 leaves them their digits
+        # the two-sided graded reference keeps eta - a as offsets, so even Im z1 = 1e-10 leaves
+        # it its digits, where adaptive Gauss-Kronrod cannot certify 1e-14
         for a in (0.0, 0.3, -0.7, 0.999, -1.0):
             for b in 10.0 ** np.arange(-10.0, 0.5, 1.0):
                 rec = nearsing._moments_recursion(a, b, 16)
-                graded = nearsing._moments_graded(a, b, 16)
+                graded = graded_moments_two_sided(a, b, 16)
                 scale = np.abs(graded).max(axis=0)
                 assert np.all(np.abs(rec - graded).max(axis=0) <= 2e-13 * scale), (a, b)
 
@@ -446,8 +481,7 @@ class TestQkpMoments:
     )
     def test_roots_past_a_panel_end(self, past, b):
         # the worst cases of the recursion past a panel end, where the map sends them to the
-        # graded rule (up to 0.2 past) or the one panel; checked against adaptive Gauss-Kronrod
-        # on the smooth integrand
+        # graded rule; checked against adaptive Gauss-Kronrod on the smooth integrand
         for a in (1.0 + past, -1.0 - past):
             got = qkp_moments(complex(a, b), 16)
             ref = np.column_stack([
@@ -478,6 +512,11 @@ class TestQkpMoments:
             with pytest.raises(ValueError, match=rf"integer in \[1, 16\], got {count}"):
                 qkp_moments(0.1 + 0.2j, count)
         assert qkp_moments(0.1 + 0.2j, np.int64(3)).shape == (3, 2)
+        # below the real-root floor q_0^3 ~ 2 / Im(z1)^2 overflows; such roots are real
+        for z1 in (0.3 + 1e-160j, 0.3 + 0.99e-10j, 1.5 + 5e-324j, -2.0 + 1e-11j):
+            with pytest.raises(ValueError, match=r"Im\(z1\) >= REAL_ROOT_FLOOR"):
+                qkp_moments(z1, 16)
+        assert np.isfinite(qkp_moments(0.3 + nearsing.REAL_ROOT_FLOOR * 1j, 16)).all()
 
 
 def _legendre_monomials_exact(n):
@@ -517,7 +556,7 @@ class TestMomentWeights:
     def test_weights_integrate_monomials_to_the_moments(self, n):
         rule = gauss_legendre(n)
         powers = np.vander(rule.nodes, n, increasing=True)
-        # roots over the interval take the recursion, the others one panel or the graded rule
+        # roots over the interval take the recursion, the others the graded rule
         recursion = (0.3 + 1e-8j, -0.7 + 1e-3j, 0.999 + 0.2j, 0.1 + 0.9j, 1.0 + 1e-6j)
         others = (1.4 + 1e-6j, -1.2 + 0.05j, 1.01 + 1e-5j, 0.2 + 2.0j, -3.0 + 0.7j)
         for z in recursion + others:

@@ -8,11 +8,9 @@ from slenderquad.quadcore import (
     MAX_ORDER,
     PanelGrid,
     QuadratureRule,
-    _bjorck_pereyra,
     _legendre_table,
     _legendre_terms,
     _legendre_terms_split,
-    _node_gaps,
     gauss_legendre,
     interpolate_to_uniform,
     legendre_deriv_coeffs,
@@ -461,24 +459,6 @@ class TestVandermondeTranspose:
             for ell in (0, n // 2, n - 1):
                 reference = _bjorck_pereyra_loops(rule.nodes, moments[:, ell])
                 assert np.array_equal(table[ell], reference)
-
-    def test_core_on_the_rules_gaps_equals_the_public_solve_bitwise(self):
-        rng = np.random.default_rng(9)
-        for n in range(1, MAX_ORDER + 1):
-            rule = gauss_legendre(n)
-            rhs = rng.standard_normal((n, 4)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
-            block = rhs.copy()
-            assert _bjorck_pereyra(rule.nodes, _node_gaps(rule.nodes), block) is block
-            assert np.array_equal(block, solve_vandermonde_transpose(rule.nodes, rhs))
-
-    def test_node_gaps_are_the_differences(self):
-        x = gauss_legendre(6).nodes
-        gaps = _node_gaps(x)
-        assert len(gaps) == 5
-        for k, gap in enumerate(gaps):
-            assert gap.shape == (5 - k, 1)
-            assert np.array_equal(gap[:, 0], x[k + 1 :] - x[: 5 - k])
-        assert _node_gaps(gauss_legendre(1).nodes) == ()
 
     @pytest.mark.parametrize("shape", [(3,), (4, 2, 1), (5, 2)])
     def test_rhs_shape_mismatch(self, shape):
