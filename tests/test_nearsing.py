@@ -390,6 +390,7 @@ class TestQkpMoments:
             for b in (1e-10, 1e-6, 1e-2, 0.5, 1.0):
                 got = qkp_moments(complex(a, b), 16)
                 assert got.tobytes() == nearsing._moments_recursion(a, b, 16).tobytes()
+        assert nearsing._PANEL_RHO == 2.05
         for a, b in ((-1.27, 1e-8), (1.4, 1e-6), (1.1, 1.0), (0.2, 1.01), (0.5, 1.5), (-3.0, 0.7),
                      (1.0 + 1e-12, 1e-8), (-1.01, 1e-5), (1.2, 1e-6), (-1.26, 1e-3), (1.1, 0.3),
                      (0.0, 1.0 + 1e-15), (-1.0 - 1e-15, 1e-10), (1e3, 1e-10)):
@@ -401,6 +402,7 @@ class TestQkpMoments:
         # which the graded rule's level 0, the 32-point rule on [-1, 1], takes; against
         # adaptive Gauss-Kronrod and the two-sided graded reference
         rule = gauss_legendre(32)
+        nearsing._graded_table.cache_clear()
         table = nearsing._graded_table(0)
         assert table.shape == (1, 18, 32) and table is nearsing._graded_table(0)
         assert np.array_equal(table[0, 0], rule.nodes - 1.0)
@@ -430,6 +432,12 @@ class TestQkpMoments:
                         assert np.all(np.abs(got - other).max(axis=0) <= 2.2e-15 * scale), z
                     checked += 1
         assert checked == 42
+        # every one of these roots stays at level 0: no finer table is built
+        assert nearsing._graded_table.cache_info().currsize == 1
+        # just inside rho = 2.05 a root takes level 1
+        rho = 2.05 * (1 - 1e-9)
+        qkp_moments(complex((rho + 1 / rho) / 2, 1e-10), 16)
+        assert nearsing._graded_table.cache_info().currsize == 2
 
     def test_graded_rule_against_the_reference(self):
         # seeded roots past either end, |Re z1| - 1 from 1e-15 to 2 and Im z1 from 1e-10 to
