@@ -20,7 +20,7 @@ from .geometry import PanelizedCurve
 from .quadcore import (
     PanelGrid,
     QuadratureRule,
-    legendre_deriv_coeffs,
+    _derivative_matrix,
     legendre_eval,
     legendre_transform_matrix,
     solve_vandermonde_transpose,
@@ -103,45 +103,48 @@ def build_weight_table(rule: QuadratureRule) -> np.ndarray:
 
 def g_limit(tangent, second_deriv, f_value, f_deriv) -> np.ndarray:
     """Limit of the regularized K integrand factor as s -> sbar."""
-    xs, xss, fv, fd = np.asarray([tangent, second_deriv, f_value, f_deriv], dtype=float)
+    vecs = (tangent, second_deriv, f_value, f_deriv)
+    xs, xss, fv, fd = [np.asarray(v, dtype=float).tolist() for v in vecs]  # Python floats
     # sym(xs xss^T) fv without forming the two outer products
-    return 0.5 * (xs * (xss @ fv) + xss * (xs @ fv)) + fd + xs * (xs @ fd)
+    a, b, c = [u[0] * v[0] + u[1] * v[1] + u[2] * v[2] for u, v in ((xss, fv), (xs, fv), (xs, fd))]
+    return np.array([0.5 * (x * a + y * b) + d + x * c for x, y, d in zip(xs, xss, fd)])
 
 
-def _density_derivative_at(grid: PanelGrid, f: LineDensity, target_index: int):
-    """f'(sbar) at a node, scalar or (3,): the analytic closure if attached,
-    else the spectral derivative of the self-panel Legendre interpolant."""
+def _density_derivative_at(grid: PanelGrid, f: LineDensity, samples: np.ndarray, t: int):
+    """f'(sbar) at a checked node, scalar or (3,): the analytic closure if attached, else
+    the spectral derivative of the self-panel Legendre interpolant of the checked samples."""
     if f.derivative is not None:
-        return np.asarray(f.derivative(grid.global_nodes[target_index]), dtype=float)
-    m, ell = grid.panel_of_target(target_index)
-    samples = np.asarray(f.samples, dtype=float).reshape(grid.node_count, -1)
-    coeffs = legendre_transform_matrix(grid.rule) @ samples[grid.panel_slice(m)]
+        return np.asarray(f.derivative(grid.global_nodes[t]), dtype=float)
+    m, ell = divmod(t, grid.rule.order)
+    values = samples.reshape(grid.node_count, -1)[grid.panel_slice(m)]
+    coeffs = _derivative_matrix(grid.rule.order) @ (legendre_transform_matrix(grid.rule) @ values)
     eta = grid.rule.nodes[ell]
-    vals = np.array(
-        [legendre_eval(legendre_deriv_coeffs(coeffs[:, c]), eta) for c in range(samples.shape[1])]
-    )
+    vals = np.array([legendre_eval(coeffs[:, c], eta) for c in range(coeffs.shape[1])])
     out = vals * (2.0 / grid.panel_width)  # d/ds from d/deta
-    return out if np.ndim(f.samples) > 1 else out[0]
+    return out if samples.ndim > 1 else out[0]
 
 
-def _g_row(curve: PanelizedCurve, f: LineDensity, target_index: int) -> np.ndarray:
-    """g(s_j, sbar) for all source nodes j against one collocation node, shape (N, 3).
+def _g_row(curve: PanelizedCurve, f: LineDensity, samples: np.ndarray, t: int) -> np.ndarray:
+    """g(s_j, sbar) for all source nodes j against one checked collocation node, shape (N, 3).
 
-    Computed component-major, so every step is one contiguous pass over the N
-    nodes; only the last step writes the node-major result.
+    Computed component-major and in place, so every step is one contiguous pass
+    over the N nodes; only the last step writes the node-major result.
     """
     grid = curve.grid
-    t = target_index
-    fv = np.ascontiguousarray(np.asarray(f.samples, dtype=float).T)
+    fv = np.ascontiguousarray(samples.T)
     r = curve.coords - curve.coords[:, t : t + 1]
-    rnorm = np.sqrt(np.einsum("cj,cj->j", r, r))
+    rnorm = r[0] * r[0]  # |R|^2 as (x^2 + y^2) + z^2: einsum("cj,cj->j")'s order and bits
+    rnorm += r[1] * r[1]
+    rnorm += r[2] * r[2]
+    np.sqrt(rnorm, out=rnorm)
     rnorm[t] = 1.0
     ds = grid.global_nodes - grid.global_nodes[t]
-    ratio = np.abs(ds) / rnorm  # |s - sbar|/|R| as one ratio, to limit cancellation
+    ratio = np.abs(ds)
+    ratio /= rnorm  # |s - sbar|/|R| as one ratio, to limit cancellation
     r /= rnorm
     # rhat . f summed (0 + 2) + 1, the order numpy's einsum takes over an (N, 3) row,
     # so K keeps the bits of the node-major formula
-    near = r * ((r[0] * fv[0] + r[2] * fv[2]) + r[1] * fv[1])
+    near = np.multiply(r, (r[0] * fv[0] + r[2] * fv[2]) + r[1] * fv[1], out=r)
     near += fv
     near *= ratio
     xs, ft = curve.tangents[t], fv[:, t]
@@ -149,9 +152,7 @@ def _g_row(curve: PanelizedCurve, f: LineDensity, target_index: int) -> np.ndarr
     ds[t] = 1.0
     rows = np.empty((grid.node_count, 3))
     np.divide(near, ds, out=rows.T)
-    rows[t] = g_limit(
-        xs, curve.second_derivs[t], ft, _density_derivative_at(grid, f, target_index)
-    )
+    rows[t] = g_limit(xs, curve.second_derivs[t], ft, _density_derivative_at(grid, f, samples, t))
     return rows
 
 
@@ -176,32 +177,29 @@ def _effective_weights(grid: PanelGrid, table: np.ndarray, target_index: int) ->
 
 def eval_L(f: LineDensity, grid: PanelGrid, table: np.ndarray, target_index: int) -> float:
     """Scalar finite-part operator at one collocation node."""
-    grid.panel_of_target(target_index)  # rejects indices that are not integers in [0, N)
+    w = _effective_weights(grid, table, target_index)  # rejects a bad index or table
     fv = f.checked_samples((grid.node_count,))
-    s = grid.global_nodes
     t = target_index
-    ds = s - s[t]
+    ds = grid.global_nodes - grid.global_nodes[t]
     ds[t] = 1.0
     phi = (fv - fv[t]) / ds
-    phi[t] = _density_derivative_at(grid, f, t)
-    return float(_effective_weights(grid, table, t) @ phi)
+    phi[t] = _density_derivative_at(grid, f, fv, t)
+    return float(w @ phi)
 
 
 def eval_K(
     curve: PanelizedCurve, f: LineDensity, table: np.ndarray, target_index: int
 ) -> np.ndarray:
     """Non-local operator K at one collocation node."""
-    f.checked_samples((curve.grid.node_count, 3))
+    fv = f.checked_samples((curve.grid.node_count, 3))
     w = _effective_weights(curve.grid, table, target_index)
-    return w @ _g_row(curve, f, target_index)
+    return w @ _g_row(curve, f, fv, target_index)
 
 
 def eval_K_all(curve: PanelizedCurve, f: LineDensity, table: np.ndarray) -> np.ndarray:
     """K at every collocation node, shape (N, 3)."""
-    out = np.empty((curve.grid.node_count, 3))
-    for t in range(curve.grid.node_count):
-        out[t] = eval_K(curve, f, table, t)
-    return out
+    n = curve.grid.node_count
+    return np.fromiter((eval_K(curve, f, table, t) for t in range(n)), (float, 3), count=n)
 
 
 def eval_Lambda(

@@ -60,8 +60,8 @@ class PanelizedCurve:
     """A fiber sampled on a panel grid; curves compare by identity.
 
     positions, tangents and second_derivs are the (N, 3) samples at the grid's
-    nodes. They are checked and copied where the curve is built, and the rest
-    is derived from them there. panel_coeffs[m, c] holds the Legendre
+    nodes. They are checked (shape, finite values) and copied where the curve is
+    built, and the rest is derived from them there. panel_coeffs[m, c] holds the Legendre
     coefficients of coordinate c of the position over panel m, in the local
     variable eta in [-1, 1]. coords is a contiguous (3, N) copy of positions,
     for the component-major K rows. chord_starts (M, 3) and chords (M, 3)
@@ -87,6 +87,8 @@ class PanelizedCurve:
         if not positions.shape == tangents.shape == second.shape == (grid.node_count, 3):
             got = ", ".join(str(np.shape(x)) for x in given)
             raise ValueError(f"curve samples must have shape ({grid.node_count}, 3), got {got}")
+        if not all(np.isfinite(x).all() for x in (positions, tangents, second)):
+            raise ValueError("curve positions, tangents and second derivatives must be finite")
         per_panel = positions.reshape(grid.panel_count, grid.rule.order, 3)
         coeffs = np.einsum("kl,mlc->mck", legendre_transform_matrix(grid.rule), per_panel)
         _store(self, positions=positions, tangents=tangents, second_derivs=second)

@@ -23,8 +23,8 @@ import numpy as np
 
 from .finitepart import LineDensity
 from .geometry import PanelizedCurve
-from .quadcore import (QuadratureRule, _legendre_terms, _legendre_terms_split, gauss_legendre,
-                       legendre_deriv_coeffs)
+from .quadcore import (QuadratureRule, _derivative_matrix, _legendre_terms, _legendre_terms_split,
+                       gauss_legendre)
 
 _GRADED_ORDER = 32
 _PANEL_RHO = 2.05  # Bernstein radius of the root over the graded rule's finest panel
@@ -96,8 +96,7 @@ def _near_pairs(curve: PanelizedCurve, points: np.ndarray, r: np.ndarray, r2: np
 @functools.lru_cache(maxsize=None)
 def _second_derivative_matrix(n: int) -> np.ndarray:
     """The exact integer (n, n) matrix from n Legendre coefficients to the second derivative's."""
-    first = np.column_stack([legendre_deriv_coeffs(unit) for unit in np.eye(n)])
-    second = first @ first
+    second = _derivative_matrix(n) @ _derivative_matrix(n)
     second.flags.writeable = False  # one cached array serves every call
     return second
 

@@ -7,6 +7,7 @@ all functions are pure, so they can be shared freely across threads.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -247,6 +248,16 @@ def legendre_deriv_coeffs(coeffs: np.ndarray) -> np.ndarray:
         s, s_next = c[k + 1] + s_next, s
         d[k] = (2 * k + 1) * s
     return np.array(d)
+
+
+@functools.lru_cache(maxsize=None)
+def _derivative_matrix(n: int) -> np.ndarray:
+    """The read-only exact integer (n, n) map from Legendre coefficients to the derivative's:
+    column j is legendre_deriv_coeffs of unit vector j, [k, j] = 2k + 1 for odd j - k > 0."""
+    gap = np.arange(n) - np.arange(n)[:, None]
+    first = np.where((gap > 0) & (gap % 2 == 1), 2.0 * np.arange(n)[:, None] + 1.0, 0.0)
+    first.flags.writeable = False
+    return first
 
 
 def solve_vandermonde_transpose(nodes: np.ndarray, rhs: np.ndarray) -> np.ndarray:

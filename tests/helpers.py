@@ -6,7 +6,12 @@ import pickle
 
 import numpy as np
 
-from slenderquad.quadcore import gauss_legendre
+from slenderquad.quadcore import (
+    gauss_legendre,
+    legendre_deriv_coeffs,
+    legendre_eval,
+    legendre_transform_matrix,
+)
 
 # the ways a value type can be duplicated; each must rebuild it as it was first built
 COPIES = {
@@ -166,3 +171,55 @@ def graded_moments_two_sided(a: float, b: float, count: int) -> np.ndarray:
     powers = np.vander(c + offsets, count, increasing=True).T
     k1, k3 = wts / np.sqrt(w2), wts / w2**1.5
     return np.array([[math.fsum(row * k1), math.fsum(row * k3)] for row in powers])
+
+
+# The K row of finitepart before f' came from one cached derivative matrix: three
+# legendre_deriv_coeffs loops per node, the samples re-read per call, the limit on
+# stacked numpy 3-vectors and |R| through einsum. Kept as the bit-for-bit reference for
+# K and L at rule orders up to 32, where f' and the limit reach them only through the
+# weight table's small diagonal entry.
+
+
+def g_limit_stacked(tangent, second_deriv, f_value, f_deriv):
+    xs, xss, fv, fd = np.asarray([tangent, second_deriv, f_value, f_deriv], dtype=float)
+    return 0.5 * (xs * (xss @ fv) + xss * (xs @ fv)) + fd + xs * (xs @ fd)
+
+
+def density_derivative_per_column(grid, f, target_index):
+    """f'(sbar) at a node: the closure if attached, else three derivative-coefficient loops."""
+    if f.derivative is not None:
+        return np.asarray(f.derivative(grid.global_nodes[target_index]), dtype=float)
+    m, ell = grid.panel_of_target(target_index)
+    samples = np.asarray(f.samples, dtype=float).reshape(grid.node_count, -1)
+    coeffs = legendre_transform_matrix(grid.rule) @ samples[grid.panel_slice(m)]
+    eta = grid.rule.nodes[ell]
+    vals = np.array(
+        [legendre_eval(legendre_deriv_coeffs(coeffs[:, c]), eta) for c in range(samples.shape[1])]
+    )
+    out = vals * (2.0 / grid.panel_width)
+    return out if np.ndim(f.samples) > 1 else out[0]
+
+
+def g_row_per_column(curve, f, target_index):
+    """g(s_j, sbar) against one collocation node, shape (N, 3), component-major."""
+    grid = curve.grid
+    t = target_index
+    fv = np.ascontiguousarray(np.asarray(f.samples, dtype=float).T)
+    r = curve.coords - curve.coords[:, t : t + 1]
+    rnorm = np.sqrt(np.einsum("cj,cj->j", r, r))
+    rnorm[t] = 1.0
+    ds = grid.global_nodes - grid.global_nodes[t]
+    ratio = np.abs(ds) / rnorm
+    r /= rnorm
+    near = r * ((r[0] * fv[0] + r[2] * fv[2]) + r[1] * fv[1])
+    near += fv
+    near *= ratio
+    xs, ft = curve.tangents[t], fv[:, t]
+    near -= (ft + xs * (xs @ ft))[:, None]
+    ds[t] = 1.0
+    rows = np.empty((grid.node_count, 3))
+    np.divide(near, ds, out=rows.T)
+    rows[t] = g_limit_stacked(
+        xs, curve.second_derivs[t], ft, density_derivative_per_column(grid, f, target_index)
+    )
+    return rows

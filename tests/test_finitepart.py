@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from helpers import (
+    density_derivative_per_column,
+    g_row_per_column,
     legendre_deriv_coeffs_numpy_scalars,
     legendre_eval_numpy_scalars,
     qk_two_piece,
@@ -87,6 +89,11 @@ def _constant_density(grid, value):
     return LineDensity(samples=np.tile(vec, (grid.node_count, 1)))
 
 
+def _row(pc, dens, t):
+    """finitepart._g_row on the density's checked samples, as eval_K passes them."""
+    return _g_row(pc, dens, dens.checked_samples((pc.grid.node_count, 3)), t)
+
+
 class TestGVector:
     def test_straight_constant_vanishes(self):
         fiber = make_straight((1.0, 0.0, 0.0), 1.0)
@@ -94,7 +101,7 @@ class TestGVector:
         dens = _constant_density(pc.grid, (0.4, -1.1, 0.9))
         t = 13
         for j in (0, 5, 13, 27):
-            assert np.max(np.abs(_g_row(pc, dens, t)[j])) <= 1e-13
+            assert np.max(np.abs(_row(pc, dens, t)[j])) <= 1e-13
 
     def test_straight_linear_diagonal(self):
         fiber = make_straight((1.0, 0.0, 0.0), 1.0)
@@ -105,7 +112,7 @@ class TestGVector:
         )
         dens = LineDensity.from_closure(f, pc.grid)
         t = 9
-        assert _g_row(pc, dens, t)[t] == pytest.approx([2.0, 0.0, 0.0], abs=1e-11)
+        assert _row(pc, dens, t)[t] == pytest.approx([2.0, 0.0, 0.0], abs=1e-11)
 
     def test_limit_linear_in_h(self):
         helix = make_helix(8.0, 3.0, 1.5)
@@ -139,7 +146,7 @@ class TestGVector:
         t = 37
         for j in (2, 30, 37, 60):
             expected = g_pair(helix, f, fp, s[j], s[t])
-            assert _g_row(pc, dens, t)[j] == pytest.approx(expected, abs=1e-11)
+            assert _row(pc, dens, t)[j] == pytest.approx(expected, abs=1e-11)
 
     def test_independent_limits_agree(self):
         # finitepart.g_limit on the row's diagonal against the oracle's own limit expression
@@ -151,7 +158,7 @@ class TestGVector:
         worst = 0.0
         for t in range(pc.grid.node_count):
             ref = g_pair(helix, f, fp, s[t], s[t])
-            diff = np.max(np.abs(_g_row(pc, dens, t)[t] - ref))
+            diff = np.max(np.abs(_row(pc, dens, t)[t] - ref))
             worst = max(worst, diff / max(1.0, np.max(np.abs(ref))))
         assert worst <= 1e-14
 
@@ -508,6 +515,36 @@ class TestSameNumbersAsNodeMajorRows:
             norm = np.linalg.norm
             scale = norm(xs) * norm(xss) * norm(fv) + (1.0 + xs @ xs) * norm(fd)
             assert np.max(np.abs(got - ref)) <= 1e-15 * scale
+
+
+class TestSameBitsAsPerColumnDerivatives:
+    # f' from one derivative-matrix product and the limit on Python floats move only the
+    # diagonal entry of a row, which the weight table scales by at most 3e-11 at order 16
+    # and 2.6e-3 at order 32, so K and L keep every bit. At orders 48 and 64 the diagonal
+    # reaches 1.5e5 and 6.6e12, and the same cases move by up to 1.1e-10 and 1.6e-3 relative.
+    @pytest.mark.parametrize("panels", [1, 4, 64])
+    @pytest.mark.parametrize("fiber", sorted(FIBERS))
+    @pytest.mark.parametrize("order", [8, 16, 24, 32])
+    def test_eval_K_all_and_eval_L(self, order, fiber, panels):
+        rule = gauss_legendre(order)
+        table = build_weight_table(rule)
+        pc = discretize(FIBERS[fiber], panels, rule)
+        grid, s = pc.grid, pc.grid.global_nodes
+        f, fp = forces.testf(1.5)
+        g, gp = legendre_mixture(splitmix64_uniforms(3, 6), 1.5)
+        for closure in (False, True):
+            dens = LineDensity.from_closure(f, grid, derivative=fp if closure else None)
+            ref = [_effective_weights(grid, table, t) @ g_row_per_column(pc, dens, t)
+                   for t in range(grid.node_count)]
+            assert np.array_equal(eval_K_all(pc, dens, table), ref)
+            dens = LineDensity.from_closure(g, grid, derivative=gp if closure else None)
+            for t in range(grid.node_count):
+                ds = s - s[t]
+                ds[t] = 1.0
+                phi = (dens.samples - dens.samples[t]) / ds
+                phi[t] = density_derivative_per_column(grid, dens, t)
+                ref = float(_effective_weights(grid, table, t) @ phi)
+                assert eval_L(dens, grid, table, t) == ref
 
 
 class TestInputChecks:

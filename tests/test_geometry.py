@@ -268,6 +268,14 @@ class TestPanelizedCurve:
         with pytest.raises(ValueError, match=r"shape \(8, 3\)"):
             PanelizedCurve(self.GRID, *samples)
 
+    @pytest.mark.parametrize("which", [0, 1, 2], ids=["positions", "tangents", "second_derivs"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_samples(self, which, value):
+        samples = self.samples()
+        samples[which][5, which] = value  # unchecked, such a node gave NaN K rows and eval_S values
+        with pytest.raises(ValueError, match="must be finite"):
+            PanelizedCurve(self.GRID, *samples)
+
     @pytest.mark.parametrize("duplicate", COPIES.values(), ids=COPIES)
     @pytest.mark.parametrize(
         "name",

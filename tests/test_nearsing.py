@@ -19,7 +19,7 @@ from slenderquad.nearsing import (
     qkp_moments,
 )
 from slenderquad.oracle import adaptive_integrate, reference_S
-from slenderquad.quadcore import gauss_legendre, legendre_eval
+from slenderquad.quadcore import gauss_legendre, legendre_deriv_coeffs, legendre_eval
 
 RULE = gauss_legendre(16)
 
@@ -134,6 +134,14 @@ class TestFindRoot:
         assert reasons == [""] and z1[0] == pytest.approx(0.2j, abs=1e-15)
         monkeypatch.setattr(nearsing, "_NEWTON_MAX_ITER", 1)
         assert find_root(*pair)[1] == ["no convergence in 1 iterations"]
+
+    def test_second_derivative_matrix_is_the_square_of_the_unit_columns(self):
+        # the product of legendre_deriv_coeffs columns, bit for bit
+        for n in range(1, 65):
+            first = np.column_stack([legendre_deriv_coeffs(unit) for unit in np.eye(n)])
+            second = nearsing._second_derivative_matrix(n)
+            assert np.array_equal(second, first @ first) and second.dtype == np.float64
+            assert not second.flags.writeable and nearsing._second_derivative_matrix(n) is second
 
     def test_failure_returns_nan_and_reason(self, monkeypatch):
         monkeypatch.setattr(nearsing, "_NEWTON_MAX_ITER", 1)
@@ -464,14 +472,17 @@ class TestQkpMoments:
             assert left.tobytes() == (right * ((-1.0) ** np.arange(16))[:, None]).tobytes(), (a, b)
 
     def test_import_builds_no_graded_table(self):
-        code = ("import slenderquad; from slenderquad import nearsing; "
-                "print(nearsing._graded_table.cache_info().currsize)")
+        # nor a derivative matrix: each is built on first use
+        code = ("import slenderquad; from slenderquad import nearsing, quadcore; "
+                "print(nearsing._graded_table.cache_info().currsize, "
+                "nearsing._second_derivative_matrix.cache_info().currsize, "
+                "quadcore._derivative_matrix.cache_info().currsize)")
         src = str(Path(nearsing.__file__).parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         env = {**os.environ, "PYTHONPATH": path}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                              check=True)
-        assert out.stdout.strip() == "0"
+        assert out.stdout.split() == ["0", "0", "0"]
 
     def test_both_routes_agree_over_the_interval(self):
         # the two-sided graded reference keeps eta - a as offsets, so even Im z1 = 1e-10 leaves

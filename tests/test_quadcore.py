@@ -8,6 +8,7 @@ from slenderquad.quadcore import (
     MAX_ORDER,
     PanelGrid,
     QuadratureRule,
+    _derivative_matrix,
     _legendre_table,
     _legendre_terms,
     _legendre_terms_split,
@@ -314,6 +315,23 @@ class TestLegendreEval:
             got = legendre_deriv_coeffs(coeffs)
             assert got.dtype == np.float64 and got.shape == (n,)
             assert np.array_equal(got, legendre_deriv_coeffs_numpy_scalars(coeffs))
+
+
+class TestDerivativeMatrix:
+    def test_columns_are_the_derivative_coefficients_of_unit_vectors(self):
+        for n in range(1, MAX_ORDER + 1):
+            first = _derivative_matrix(n)
+            assert first.shape == (n, n) and first.dtype == np.float64
+            units = np.column_stack([legendre_deriv_coeffs(unit) for unit in np.eye(n)])
+            assert np.array_equal(first, units)
+            assert np.array_equal(first, np.round(first))  # exact integers
+
+    def test_one_read_only_array_per_order(self):
+        for n in (1, 2, 16, MAX_ORDER):
+            first = _derivative_matrix(n)
+            assert _derivative_matrix(n) is first
+            with pytest.raises(ValueError, match="read-only"):
+                first[0, -1] = 0.0
 
 
 class TestLegendreAndDerivative:
