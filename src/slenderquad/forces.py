@@ -11,7 +11,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import FiberCurve
-from .quadcore import _legendre_series, legendre_deriv_coeffs
+from .quadcore import _derivative_matrix, _legendre_series
 
 _MASK = (1 << 64) - 1
 
@@ -35,7 +35,7 @@ def legendre_mixture(alpha: np.ndarray, length: float) -> tuple[Callable, Callab
     alpha = np.asarray(alpha, dtype=float)
     if alpha.ndim != 1 or not alpha.size:
         raise ValueError(f"alpha must be a non-empty 1-D array, got shape {alpha.shape}")
-    dalpha = legendre_deriv_coeffs(alpha)
+    dalpha = _derivative_matrix(alpha.size) @ alpha
 
     def series(coeffs, s):
         return _legendre_series(coeffs, -1.0 + 2.0 * np.asarray(s, dtype=float) / length)

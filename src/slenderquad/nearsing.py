@@ -43,6 +43,16 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
+def _model_step(f, d, g):
+    """On Python scalars, the step z - w to the nearer root w of f + 2 d delta + g delta^2:
+    f over the larger of d -+ sqrt(d^2 - f g), 0.0 at f = 0, None for a stationary model."""
+    if f == 0:
+        return 0.0
+    sq = cmath.sqrt(d * d - f * g)
+    den = d + sq if abs(d + sq) >= abs(d - sq) else d - sq
+    return f / den if den else None
+
+
 def _osculating_guesses(curve: PanelizedCurve, nodes: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Root guesses for P pairs from global node indices and (P, 3) offsets x_bar - x_j to them.
 
@@ -60,10 +70,8 @@ def _osculating_guesses(curve: PanelizedCurve, nodes: np.ndarray, r: np.ndarray)
     for (x, y, z), (tx, ty, tz), (kx, ky, kz), e in rows:
         f, d = x * x + y * y + z * z, -half * (x * tx + y * ty + z * tz)
         g = half * half * (tx * tx + ty * ty + tz * tz - (x * kx + y * ky + z * kz))
-        sq = cmath.sqrt(d * d - f * g)
-        den = d + sq if abs(d + sq) >= abs(d - sq) else d - sq
-        step = f / den if den else 0.0  # a stationary model stays at the node
-        w = e - step / max(abs(step), 1.0)
+        step = _model_step(f, d, g)
+        w = e if step is None else e - step / max(abs(step), 1.0)  # stationary: stay at the node
         guesses.append(complex(w.real, max(abs(w.imag), 1e-8)))
     return np.array(guesses, dtype=complex)
 
@@ -165,17 +173,11 @@ def find_root(
         gram = (np.ascontiguousarray(vecs.transpose(0, 2, 1)) @ vecs).reshape(len(live), 16)
         still = []
         for j, (i, (f, d, e, a)) in enumerate(zip(live, gram[:, [0, 1, 2, 5]].tolist())):
-            # f = R^2, f' = 2d and f'' = 2g; the model's roots are z - f / (d -+ sqrt(d^2 - f g))
-            g = a + e
-            if f == 0:
-                step = 0.0
-            else:
-                sq = cmath.sqrt(d * d - f * g)
-                den = d + sq if abs(d + sq) >= abs(d - sq) else d - sq
-                if den == 0:
-                    reasons[i] = "stationary R^2, Newton step undefined"
-                    continue
-                step = f / den
+            # f = R^2, f' = 2d and f'' = 2g = 2(a + e)
+            step = _model_step(f, d, a + e)
+            if step is None:
+                reasons[i] = "stationary R^2, Newton step undefined"
+                continue
             # overshoots past unit length leave the panel's basin; damp them
             if abs(step) > 1.0:
                 step /= abs(step)
@@ -302,14 +304,15 @@ def qkp_moments(z1: complex, count: int) -> np.ndarray:
     drifts, 1.1e-11 at Im z1 = 1.8. Roots below REAL_ROOT_FLOOR, which
     find_root calls real, raise ValueError: q_0^3 ~ 2 / Im(z1)^2 overflows
     from Im z1 ~ 1e-154 on, and the floor bounds the graded rule at level 33.
+    So do roots from |z1| ~ 1.3e154 on, whose |eta - z1|^2 overflows and zeros the moments.
     """
     if not isinstance(count, (int, np.integer)) or not 1 <= count <= MAX_MOMENT_COUNT:
         raise ValueError(f"count must be an integer in [1, {MAX_MOMENT_COUNT}], got {count!r}")
     z1 = complex(z1)
-    if not (z1.imag >= REAL_ROOT_FLOOR and math.isfinite(z1.real) and math.isfinite(z1.imag)):
-        raise ValueError(f"z1 must be finite with Im(z1) >= REAL_ROOT_FLOOR = {REAL_ROOT_FLOOR}, "
-                         f"got {z1}")
     a, b = z1.real, z1.imag
+    if not (b >= REAL_ROOT_FLOOR and math.isfinite((abs(a) + 1.0) * (abs(a) + 1.0) + b * b)):
+        raise ValueError(f"z1 must be finite with Im(z1) >= REAL_ROOT_FLOOR = {REAL_ROOT_FLOOR} "
+                         f"and |eta - z1|^2 finite on [-1, 1], got {z1}")
     if abs(a) <= 1.0 and b <= 1.0:
         return _moments_recursion(a, b, count)
     return _moments_graded(a, b, count)

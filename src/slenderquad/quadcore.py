@@ -236,24 +236,10 @@ def _legendre_terms_split(z: np.ndarray, n: int) -> np.ndarray:
     return table
 
 
-def legendre_deriv_coeffs(coeffs: np.ndarray) -> np.ndarray:
-    """Coefficients of the derivative of a Legendre series on [-1, 1]."""
-    c = np.asarray(coeffs, dtype=float).tolist()  # loop on Python floats
-    n = len(c)
-    d = [0.0] * n
-    # d_k = (2k+1) * (c_{k+1} + c_{k+3} + ...)
-    s = 0.0
-    s_next = 0.0
-    for k in range(n - 2, -1, -1):
-        s, s_next = c[k + 1] + s_next, s
-        d[k] = (2 * k + 1) * s
-    return np.array(d)
-
-
 @functools.lru_cache(maxsize=None)
 def _derivative_matrix(n: int) -> np.ndarray:
     """The read-only exact integer (n, n) map from Legendre coefficients to the derivative's:
-    column j is legendre_deriv_coeffs of unit vector j, [k, j] = 2k + 1 for odd j - k > 0."""
+    P_j' sums (2k + 1) P_k over k < j with j - k odd, so [k, j] = 2k + 1 there."""
     gap = np.arange(n) - np.arange(n)[:, None]
     first = np.where((gap > 0) & (gap % 2 == 1), 2.0 * np.arange(n)[:, None] + 1.0, 0.0)
     first.flags.writeable = False
@@ -263,31 +249,27 @@ def _derivative_matrix(n: int) -> np.ndarray:
 def solve_vandermonde_transpose(nodes: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve A^T b = rhs with A[l, k] = nodes[l]**k by the Bjorck-Pereyra scheme.
 
-    rhs is one right-hand side of shape (n,) or a block of shape (n, k); the
-    result has the same shape. Every sweep is one slice operation over all
-    columns, and each entry gets the same floating-point operations as in the
-    scalar recurrence, so a block solve equals its column-by-column solves
-    bit for bit. The progressive O(n^2) elimination keeps near machine
-    accuracy on the ill-conditioned monomial Vandermonde at Gauss-Legendre
-    nodes, where a dense LU factorization loses several digits.
+    rhs is one right-hand side of shape (n,), and so is the result. The
+    progressive O(n^2) elimination keeps near machine accuracy on the
+    ill-conditioned monomial Vandermonde at Gauss-Legendre nodes, where a
+    dense LU factorization loses several digits.
     """
     x = np.asarray(nodes, dtype=float)
     b = np.array(rhs, dtype=float)
     n = len(x)
-    if b.ndim not in (1, 2) or b.shape[0] != n:
-        raise ValueError("rhs must have shape (n,) or (n, k) for n nodes")
+    if b.shape != (n,):
+        raise ValueError("rhs must have shape (n,) for n nodes")
     if n > MAX_ORDER:
         raise ValueError(f"system size limited to {MAX_ORDER}")
     if not np.isfinite(x).all():
         raise ValueError("nodes must be finite")
     if len(set(x.tolist())) != n:
         raise ValueError("duplicate nodes make the system singular")
-    block = b[:, None] if b.ndim == 1 else b  # the sweeps run in place on b
-    for k in range(n - 1):
-        block[k + 1 :] -= x[k] * block[k : n - 1]
+    for k in range(n - 1):  # the sweeps run in place on b
+        b[k + 1 :] -= x[k] * b[k : n - 1]
     for k in range(n - 2, -1, -1):
-        block[k + 1 :] /= (x[k + 1 :] - x[: n - k - 1])[:, None]
-        block[k : n - 1] -= block[k + 1 :]
+        b[k + 1 :] /= x[k + 1 :] - x[: n - k - 1]
+        b[k : n - 1] -= b[k + 1 :]
     return b
 
 

@@ -3,15 +3,11 @@
 import copy
 import math
 import pickle
+from fractions import Fraction
 
 import numpy as np
 
-from slenderquad.quadcore import (
-    gauss_legendre,
-    legendre_deriv_coeffs,
-    legendre_eval,
-    legendre_transform_matrix,
-)
+from slenderquad.quadcore import gauss_legendre, legendre_eval, legendre_transform_matrix
 
 # the ways a value type can be duplicated; each must rebuild it as it was first built
 COPIES = {
@@ -94,7 +90,12 @@ def legendre_eval_numpy_scalars(coeffs, eta):
 
 
 def legendre_deriv_coeffs_numpy_scalars(coeffs):
-    """Derivative-series coefficients, accumulated on numpy scalars (reference loop)."""
+    """Derivative-series coefficients, accumulated on numpy scalars (reference loop).
+
+    d_k = (2k + 1)(c_{k+1} + c_{k+3} + ...), summed from the top: the bits of
+    the Python-float loop that spectral f' and the densities' f' ran on before
+    they took one product with the derivative matrix.
+    """
     c = np.asarray(coeffs)
     n = len(c)
     d = np.zeros(n)
@@ -104,6 +105,16 @@ def legendre_deriv_coeffs_numpy_scalars(coeffs):
         s, s_next = c[k + 1] + s_next, s
         d[k] = (2 * k + 1) * s
     return d
+
+
+def legendre_monomials_exact(n):
+    """Monomial coefficients of P_0..P_{n-1} by Bonnet's recurrence in exact rationals."""
+    zero, one = Fraction(0), Fraction(1)
+    rows = [[one] + [zero] * (n - 1), [zero, one] + [zero] * (n - 2)]
+    for d in range(1, n - 1):
+        shifted = [zero] + rows[d][:-1]
+        rows.append([((2 * d + 1) * x - d * y) / (d + 1) for x, y in zip(shifted, rows[d - 1])])
+    return rows[:n]
 
 
 def legendre_table_sum(coeffs, x):
@@ -174,7 +185,7 @@ def graded_moments_two_sided(a: float, b: float, count: int) -> np.ndarray:
 
 
 # The K row of finitepart before f' came from one cached derivative matrix: three
-# legendre_deriv_coeffs loops per node, the samples re-read per call, the limit on
+# derivative-coefficient loops per node, the samples re-read per call, the limit on
 # stacked numpy 3-vectors and |R| through einsum. Kept as the bit-for-bit reference for
 # K and L at rule orders up to 32, where f' and the limit reach them only through the
 # weight table's small diagonal entry.
@@ -194,7 +205,8 @@ def density_derivative_per_column(grid, f, target_index):
     coeffs = legendre_transform_matrix(grid.rule) @ samples[grid.panel_slice(m)]
     eta = grid.rule.nodes[ell]
     vals = np.array(
-        [legendre_eval(legendre_deriv_coeffs(coeffs[:, c]), eta) for c in range(samples.shape[1])]
+        [legendre_eval(legendre_deriv_coeffs_numpy_scalars(coeffs[:, c]), eta)
+         for c in range(samples.shape[1])]
     )
     out = vals * (2.0 / grid.panel_width)
     return out if np.ndim(f.samples) > 1 else out[0]

@@ -2,13 +2,13 @@ import os
 import subprocess
 import sys
 import warnings
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import graded_moments_two_sided, segment_stokeslet
+from helpers import (graded_moments_two_sided, legendre_deriv_coeffs_numpy_scalars,
+                     legendre_monomials_exact, segment_stokeslet)
 from slenderquad import cli, forces, nearsing
 from slenderquad.finitepart import LineDensity
 from slenderquad.geometry import discretize, make_helix, make_straight
@@ -19,7 +19,7 @@ from slenderquad.nearsing import (
     qkp_moments,
 )
 from slenderquad.oracle import adaptive_integrate, reference_S
-from slenderquad.quadcore import gauss_legendre, legendre_deriv_coeffs, legendre_eval
+from slenderquad.quadcore import gauss_legendre, legendre_eval
 
 RULE = gauss_legendre(16)
 
@@ -136,9 +136,9 @@ class TestFindRoot:
         assert find_root(*pair)[1] == ["no convergence in 1 iterations"]
 
     def test_second_derivative_matrix_is_the_square_of_the_unit_columns(self):
-        # the product of legendre_deriv_coeffs columns, bit for bit
+        # the product of the reference loop's columns, bit for bit
         for n in range(1, 65):
-            first = np.column_stack([legendre_deriv_coeffs(unit) for unit in np.eye(n)])
+            first = np.column_stack([legendre_deriv_coeffs_numpy_scalars(u) for u in np.eye(n)])
             second = nearsing._second_derivative_matrix(n)
             assert np.array_equal(second, first @ first) and second.dtype == np.float64
             assert not second.flags.writeable and nearsing._second_derivative_matrix(n) is second
@@ -537,15 +537,20 @@ class TestQkpMoments:
                 qkp_moments(z1, 16)
         assert np.isfinite(qkp_moments(0.3 + nearsing.REAL_ROOT_FLOOR * 1j, 16)).all()
 
+    def test_rejects_roots_whose_distance_overflows(self, monkeypatch):
+        # from |z1| ~ 1.3e154 on, |eta - z1|^2 overflows and the graded rule returned zeros
+        # with a RuntimeWarning, though q_0^1 ~ 2 / |z1| is representable
+        def no_work(*args):
+            raise AssertionError("moments computed for a rejected root")
 
-def _legendre_monomials_exact(n):
-    """Monomial coefficients of P_0..P_{n-1} by Bonnet's recurrence in exact rationals."""
-    zero, one = Fraction(0), Fraction(1)
-    rows = [[one] + [zero] * (n - 1), [zero, one] + [zero] * (n - 2)]
-    for d in range(1, n - 1):
-        shifted = [zero] + rows[d][:-1]
-        rows.append([((2 * d + 1) * x - d * y) / (d + 1) for x, y in zip(shifted, rows[d - 1])])
-    return rows[:n]
+        monkeypatch.setattr(nearsing, "_moments_graded", no_work)
+        monkeypatch.setattr(nearsing, "_moments_recursion", no_work)
+        for z1 in (1e160 + 1j, 1e160j, 2.0 + 1e160j):
+            with pytest.raises(ValueError, match=r"\|eta - z1\|\^2 finite"):
+                qkp_moments(z1, 16)
+        monkeypatch.undo()
+        q = qkp_moments(1e150 + 1j, 16)
+        assert abs(q[0, 0] - 2e-150) <= 1e-15 * 2e-150
 
 
 class TestMomentWeights:
@@ -557,7 +562,7 @@ class TestMomentWeights:
                 c[0, 0] = 2.0
             scaled = c * 2.0 ** (n - 1)
             assert np.array_equal(scaled, np.round(scaled))
-            exact = _legendre_monomials_exact(n)
+            exact = legendre_monomials_exact(n)
             assert all(c[d, m] == exact[d][m] for d in range(n) for m in range(n))
         assert np.abs(nearsing._legendre_monomials(16)).max() == pytest.approx(2.4757e4, rel=1e-4)
 

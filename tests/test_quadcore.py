@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import COPIES, legendre_deriv_coeffs_numpy_scalars, legendre_eval_numpy_scalars
+from helpers import COPIES, legendre_eval_numpy_scalars, legendre_monomials_exact
 from slenderquad.quadcore import (
     MAX_ORDER,
     PanelGrid,
@@ -14,7 +14,6 @@ from slenderquad.quadcore import (
     _legendre_terms_split,
     gauss_legendre,
     interpolate_to_uniform,
-    legendre_deriv_coeffs,
     legendre_eval,
     legendre_transform_matrix,
     solve_vandermonde_transpose,
@@ -55,6 +54,25 @@ def _gauss_legendre_newton(n):
         _, dp0 = _legendre_value_and_derivative(n, np.array([0.0]))
         return nodes, np.concatenate([w, [2.0 / (dp0[0] * dp0[0])], w[::-1]])
     return nodes, np.concatenate([w, w[::-1]])
+
+
+def _legendre_derivatives_exact(n):
+    """Column j: the Legendre coefficients of P_j', j < n, in exact rationals.
+
+    P_j's monomials from Bonnet's recurrence are differentiated term by term
+    and expanded back in P_k from the top degree down.
+    """
+    polys = legendre_monomials_exact(n)
+    columns = []
+    for j in range(n):
+        rest = [k * polys[j][k] for k in range(1, n)]  # P_j' in monomials, degree j - 1
+        column = [0] * n
+        for k in range(j - 1, -1, -1):
+            column[k] = rest[k] / polys[k][k]
+            rest = [r - column[k] * q for r, q in zip(rest, polys[k])]
+        assert not any(rest)
+        columns.append(column)
+    return [list(row) for row in zip(*columns)]
 
 
 def _bjorck_pereyra_loops(nodes, rhs):
@@ -280,7 +298,7 @@ class TestLegendreEval:
 
     def test_derivative_coefficients(self):
         # P_3' = 5 P_2 + P_0
-        d = legendre_deriv_coeffs(np.array([0.0, 0.0, 0.0, 1.0]))
+        d = _derivative_matrix(4) @ np.array([0.0, 0.0, 0.0, 1.0])
         assert d == pytest.approx([1.0, 0.0, 5.0, 0.0], abs=0)
 
     @pytest.mark.parametrize("n", [1, 2, 16])
@@ -308,23 +326,16 @@ class TestLegendreEval:
                 ref = legendre_eval_numpy_scalars(coeffs, z)
                 assert np.array_equal(legendre_eval(coeffs, z), ref)
 
-    def test_derivative_coefficients_equal_numpy_scalar_loop_bitwise(self):
-        rng = np.random.default_rng(19)
-        for n in range(1, MAX_ORDER + 1):
-            coeffs = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3, n)
-            got = legendre_deriv_coeffs(coeffs)
-            assert got.dtype == np.float64 and got.shape == (n,)
-            assert np.array_equal(got, legendre_deriv_coeffs_numpy_scalars(coeffs))
-
 
 class TestDerivativeMatrix:
-    def test_columns_are_the_derivative_coefficients_of_unit_vectors(self):
+    def test_columns_are_the_exact_derivatives_of_p_j(self):
+        exact = _legendre_derivatives_exact(MAX_ORDER)
+        assert all(x.denominator == 1 for row in exact for x in row)  # integers, all below 2^53
         for n in range(1, MAX_ORDER + 1):
             first = _derivative_matrix(n)
             assert first.shape == (n, n) and first.dtype == np.float64
-            units = np.column_stack([legendre_deriv_coeffs(unit) for unit in np.eye(n)])
-            assert np.array_equal(first, units)
-            assert np.array_equal(first, np.round(first))  # exact integers
+            want = np.array([[float(x) for x in row[:n]] for row in exact[:n]])
+            assert np.array_equal(first, want)
 
     def test_one_read_only_array_per_order(self):
         for n in (1, 2, 16, MAX_ORDER):
@@ -446,7 +457,7 @@ class TestVandermondeTranspose:
         with pytest.raises(ValueError, match="duplicate"):
             solve_vandermonde_transpose(np.array([0.5, 0.5, -0.5]), np.ones(3))
         with pytest.raises(ValueError, match="duplicate"):
-            solve_vandermonde_transpose(np.array([0.0, -0.0]), np.ones((2, 2)))
+            solve_vandermonde_transpose(np.array([0.0, -0.0]), np.ones(2))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_nodes(self, bad):
@@ -456,29 +467,29 @@ class TestVandermondeTranspose:
             solve_vandermonde_transpose(nodes, np.ones(16))
         assert "duplicate" not in str(err.value)
 
-    def test_block_equals_columns_and_scalar_loops_bitwise(self):
+    def test_equals_scalar_loops_bitwise(self):
         rng = np.random.default_rng(5)
         for n in range(1, MAX_ORDER + 1):
             nodes = gauss_legendre(n).nodes
             rhs = rng.standard_normal((n, 3)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
-            block = solve_vandermonde_transpose(nodes, rhs)
-            assert block.shape == (n, 3)
             for j in range(3):
                 column = solve_vandermonde_transpose(nodes, rhs[:, j])
-                assert np.array_equal(block[:, j], column)
+                assert column.shape == (n,)
                 assert np.array_equal(column, _bjorck_pereyra_loops(nodes, rhs[:, j]))
 
-    def test_weight_table_equals_one_block_solve(self):
+    def test_weight_table_rows_equal_one_column_solves(self):
         for n in range(1, MAX_ORDER + 1):
             rule = gauss_legendre(n)
             moments = np.array([[qk_signkernel(k, e) for e in rule.nodes] for k in range(n)])
             table = build_weight_table(rule)
-            assert np.array_equal(solve_vandermonde_transpose(rule.nodes, moments).T, table)
+            for ell in range(n):
+                column = solve_vandermonde_transpose(rule.nodes, moments[:, ell])
+                assert np.array_equal(table[ell], column)
             for ell in (0, n // 2, n - 1):
                 reference = _bjorck_pereyra_loops(rule.nodes, moments[:, ell])
                 assert np.array_equal(table[ell], reference)
 
-    @pytest.mark.parametrize("shape", [(3,), (4, 2, 1), (5, 2)])
+    @pytest.mark.parametrize("shape", [(3,), (4, 2, 1), (5, 2), (4, 3)])
     def test_rhs_shape_mismatch(self, shape):
         with pytest.raises(ValueError):
             solve_vandermonde_transpose(gauss_legendre(4).nodes, np.ones(shape))
