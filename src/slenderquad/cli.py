@@ -106,19 +106,18 @@ def run_eigen_test(args: argparse.Namespace) -> int:
     if not 1 <= p <= rule.order:
         raise ConfigError(f"mode count must be in [1, {rule.order}]")
 
-    fiber_length = 1.0
     alpha = forces.splitmix64_uniforms(args.seed, p)
-    f, fprime = forces.legendre_mixture(alpha, fiber_length)
+    f = forces.legendre_mixture(alpha, 1.0)[0]
     lam = diagonal_eigenvalues(p)
     table = build_weight_table(rule)
 
     rows = []
     worst = 0.0
     for m in args.panels:
-        grid = PanelGrid(fiber_length, m, rule)
-        density = LineDensity.from_closure(f, grid, derivative=fprime)
+        grid = PanelGrid(1.0, m, rule)
         s = grid.global_nodes
-        exact = -sum(alpha[n] * lam[n] * scaled_legendre(n, s, fiber_length) for n in range(p))
+        density = LineDensity(f(s))
+        exact = -sum(alpha[n] * lam[n] * scaled_legendre(n, s) for n in range(p))
         got = np.array([eval_L(density, grid, table, t) for t in range(grid.node_count)])
         err = float(np.max(np.abs(got - exact)))
         worst = max(worst, err)
@@ -135,10 +134,12 @@ def run_k_convergence(args: argparse.Namespace) -> int:
     """Self-convergence e_M of K on a uniform comparison grid.
 
     K on each panel count and on the --reference-panels discretization is
-    interpolated to the uniform arclengths l*L/N_u, l = 0..N_u; e_M is the
-    largest pointwise 2-norm of the difference.
+    interpolated to the uniform arclengths l*L/N_u, l = 0..N_u, the last one
+    exactly L; e_M is the largest pointwise 2-norm of the difference.
     """
     curve, f = _fiber_and_force(args)
+    if any(b <= a for a, b in zip(args.panels, args.panels[1:])):
+        raise ConfigError(f"--panels must increase strictly, got {args.panels}")
     if args.reference_panels < max(args.panels):
         raise ConfigError("--reference-panels must not be below any tested panel count")
     if args.uniform_count < 1:
@@ -147,10 +148,11 @@ def run_k_convergence(args: argparse.Namespace) -> int:
     rule = gauss_legendre(args.rule_order)
     table = build_weight_table(rule)
     targets = np.arange(args.uniform_count + 1) * curve.length / args.uniform_count
+    targets[-1] = curve.length  # l*L/N_u can round above L at l = N_u
 
     def k_on_uniform(m: int) -> np.ndarray:
         pcurve = discretize(curve, m, rule)
-        values = eval_K_all(pcurve, LineDensity.from_closure(f, pcurve.grid), table)
+        values = eval_K_all(pcurve, LineDensity(f(pcurve.grid.global_nodes)), table)
         return interpolate_to_uniform(values, pcurve.grid, targets)
 
     reference = k_on_uniform(args.reference_panels)
@@ -236,7 +238,7 @@ def run_field_test(args: argparse.Namespace) -> int:
     max_by_run: dict[str, float] = {}
     for m in args.panels:
         pcurve = discretize(curve, m, rule)
-        density = LineDensity.from_closure(f, pcurve.grid)
+        density = LineDensity(f(pcurve.grid.global_nodes))
         for mode, evaluate in (("regular", eval_S_regular), ("special", eval_S)):
             d = evaluate(pcurve, density, points) - reference
             # row norms with the bits of np.linalg.norm on each row, in one stacked product

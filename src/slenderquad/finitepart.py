@@ -53,17 +53,14 @@ class SlenderParams:
 class LineDensity:
     """Force-per-length samples at all grid nodes, optionally with a derivative closure.
 
-    samples has shape (N,) for scalar densities or (N, 3) for vector ones.
-    An attached analytic derivative is preferred over spectral
-    differentiation of the node samples.
+    samples has shape (N,) for scalar densities or (N, 3) for vector ones; a
+    closure f gives LineDensity(f(grid.global_nodes)). K and L read f' only at
+    the collocation node, whose exact weight is zero, so an attached derivative
+    replaces the samples' spectral one there without gaining accuracy.
     """
 
     samples: np.ndarray
     derivative: Callable | None = None
-
-    @classmethod
-    def from_closure(cls, f: Callable, grid: PanelGrid, derivative: Callable | None = None):
-        return cls(samples=np.asarray(f(grid.global_nodes)), derivative=derivative)
 
     def checked_samples(self, shape: tuple) -> np.ndarray:
         """The samples as floats, after checking that they have the given shape."""

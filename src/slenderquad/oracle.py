@@ -209,15 +209,13 @@ def _certified(totals, errs, failed, tol: float, one: bool):
     return totals
 
 
-def scaled_legendre(n: int, s, length: float = 1.0):
-    """P_n mapped to [0, length]: P_n(-1 + 2 s / length). A bad n or length raises ValueError."""
+def scaled_legendre(n: int, s):
+    """P_n mapped to [0, 1]: P_n(-1 + 2 s). A bad n raises ValueError."""
     if not isinstance(n, (int, np.integer)):
         raise ValueError(f"n must be an integer, got {n!r}")
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    if not 0.0 < length < math.inf:  # NaN fails too
-        raise ValueError(f"length must be positive and finite, got {length}")
-    x = -1.0 + 2.0 * np.asarray(s, dtype=float) / length
+    x = -1.0 + 2.0 * np.asarray(s, dtype=float)
     p_prev = np.ones_like(x)
     if n == 0:
         return p_prev

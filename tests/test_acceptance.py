@@ -53,14 +53,14 @@ def _report(number: int, label: str, ok: bool, elapsed: float, budget: float, de
 def test_criterion_1_eigenfunction_suite():
     start = time.perf_counter()
     alpha = forces.splitmix64_uniforms(42, 5)
-    f, fprime = forces.legendre_mixture(alpha, 1.0)
+    f, _ = forces.legendre_mixture(alpha, 1.0)
     lam = diagonal_eigenvalues(5)
     worst = 0.0
     for m in (1, 2, 4, 8):
         grid = PanelGrid(1.0, m, RULE)
-        density = LineDensity.from_closure(f, grid, derivative=fprime)
+        density = LineDensity(f(grid.global_nodes))
         s = grid.global_nodes
-        exact = -sum(alpha[n] * lam[n] * scaled_legendre(n, s, 1.0) for n in range(5))
+        exact = -sum(alpha[n] * lam[n] * scaled_legendre(n, s) for n in range(5))
         got = np.array([eval_L(density, grid, TABLE, t) for t in range(grid.node_count)])
         worst = max(worst, float(np.max(np.abs(got - exact))))
     elapsed = time.perf_counter() - start
@@ -98,7 +98,7 @@ def test_criterion_4_k_oracle_equivalence():
     start = time.perf_counter()
     f, fprime = forces.testf(1.5)
     pcurve = discretize(HELIX, 16, RULE)
-    density = LineDensity.from_closure(f, pcurve.grid, derivative=fprime)
+    density = LineDensity(f(pcurve.grid.global_nodes))
     targets = np.linspace(0, pcurve.grid.node_count - 1, 40).astype(int)
     worst = 0.0
     for t in targets:
@@ -152,7 +152,7 @@ def test_criterion_5_near_singular_stokeslet():
 
     def run(m, mode):
         pcurve = discretize(HELIX, m, RULE)
-        density = LineDensity.from_closure(f, pcurve.grid)
+        density = LineDensity(f(pcurve.grid.global_nodes))
         evaluate = eval_S if mode == "special" else eval_S_regular
         values = evaluate(pcurve, density, points)
         return np.array([np.linalg.norm(v - ref) for v, ref in zip(values, reference)])
@@ -211,7 +211,7 @@ def test_criterion_7_structural_identities():
         s = np.asarray(s, dtype=float)
         return np.stack([np.sin(2 * np.pi * s), np.cos(s), s**2], axis=-1)
 
-    density = LineDensity.from_closure(f, pcurve.grid)
+    density = LineDensity(f(pcurve.grid.global_nodes))
     projector = np.array([2.0, 1.0, 1.0])
     identity_worst = 0.0
     for t in range(pcurve.grid.node_count):
@@ -227,10 +227,10 @@ def test_criterion_7_structural_identities():
     constant = LineDensity(samples=np.tile([0.3, -0.8, 0.5], (pcurve.grid.node_count, 1)))
     constant_worst = float(np.max(np.abs(eval_K_all(pcurve, constant, TABLE))))
 
-    ftest, fptest = forces.testf(1.5)
+    ftest, _ = forces.testf(1.5)
     pc_helix = discretize(HELIX, 8, RULE)
     base = eval_K_all(
-        pc_helix, LineDensity.from_closure(ftest, pc_helix.grid, derivative=fptest), TABLE
+        pc_helix, LineDensity(ftest(pc_helix.grid.global_nodes)), TABLE
     )
     rot = rotation_matrix((0.2, 1.0, -0.4), 2.1)
     shift = np.array([1.0, -0.5, 2.0])
@@ -243,9 +243,7 @@ def test_criterion_7_structural_identities():
     pc_moved = discretize(moved, 8, RULE)
     turned = eval_K_all(
         pc_moved,
-        LineDensity.from_closure(
-            lambda s: ftest(s) @ rot.T, pc_moved.grid, derivative=lambda s: fptest(s) @ rot.T
-        ),
+        LineDensity(ftest(pc_moved.grid.global_nodes) @ rot.T),
         TABLE,
     )
     rigid_worst = float(

@@ -18,6 +18,7 @@ from slenderquad.cli import (
 )
 from slenderquad.geometry import make_helix
 from slenderquad.oracle import AccuracyError
+from slenderquad.quadcore import interpolate_to_uniform
 
 
 class TestParseFiber:
@@ -287,6 +288,32 @@ class TestKConvergenceCommand:
         assert main([*argv, "--uniform-count", count, "--out", str(out)]) == EXIT_CONFIG
         assert "--uniform-count must be >= 1" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("panels", ["8,8", "16,8", "4,16,8"])
+    def test_panels_must_increase_strictly(self, tmp_path, capsys, panels):
+        # equal or unsorted counts would make the monotonic check compare the wrong pairs
+        out = tmp_path / "x.csv"
+        argv = ["k-convergence", "--panels", panels, "--reference-panels", "16"]
+        assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
+        assert f"--panels must increase strictly, got [{panels.replace(',', ', ')}]" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    def test_last_uniform_target_is_the_fiber_length(self, tmp_path, monkeypatch):
+        # 3 * 0.1 / 3 rounds to 0.10000000000000002, past the end of a fiber of length 0.1
+        seen = []
+
+        def recording(values, grid, targets):
+            seen.append(targets)
+            return interpolate_to_uniform(values, grid, targets)
+
+        monkeypatch.setattr(cli, "interpolate_to_uniform", recording)
+        out = tmp_path / "short.csv"
+        argv = ["k-convergence", "--fiber", "helix:8,3,0.1", "--force", "testf-simple"]
+        argv += ["--panels", "4,8", "--reference-panels", "16", "--uniform-count", "3"]
+        assert main([*argv, "--out", str(out)]) == EXIT_PASS
+        assert all(t[-1] == 0.1 and np.all(np.diff(t) > 0) for t in seen)
 
 
 class TestFieldTestCommand:

@@ -110,7 +110,7 @@ class TestGVector:
             [np.asarray(s), np.zeros_like(np.asarray(s)), np.zeros_like(np.asarray(s))],
             axis=-1,
         )
-        dens = LineDensity.from_closure(f, pc.grid)
+        dens = LineDensity(f(pc.grid.global_nodes))
         t = 9
         assert _row(pc, dens, t)[t] == pytest.approx([2.0, 0.0, 0.0], abs=1e-11)
 
@@ -141,7 +141,7 @@ class TestGVector:
         helix = make_helix(8.0, 3.0, 1.5)
         pc = discretize(helix, 4, RULE)
         f, fp = forces.testf(1.5)
-        dens = LineDensity.from_closure(f, pc.grid, derivative=fp)
+        dens = LineDensity(f(pc.grid.global_nodes), derivative=fp)  # the limit g_pair takes
         s = pc.grid.global_nodes
         t = 37
         for j in (2, 30, 37, 60):
@@ -153,7 +153,7 @@ class TestGVector:
         helix = make_helix(8.0, 3.0, 1.5)
         pc = discretize(helix, 8, RULE)
         f, fp = forces.testf(1.5)
-        dens = LineDensity.from_closure(f, pc.grid, derivative=fp)
+        dens = LineDensity(f(pc.grid.global_nodes), derivative=fp)  # the limit g_pair takes
         s = pc.grid.global_nodes
         worst = 0.0
         for t in range(pc.grid.node_count):
@@ -168,10 +168,10 @@ class TestEvalL:
         lam1 = 2.0
         for m in (1, 2, 4, 8):
             grid = PanelGrid(1.0, m, RULE)
-            f, fp = legendre_mixture(np.array([0.0, 1.0]), 1.0)
-            dens = LineDensity.from_closure(f, grid, derivative=fp)
+            f, _ = legendre_mixture(np.array([0.0, 1.0]), 1.0)
+            dens = LineDensity(f(grid.global_nodes))
             s = grid.global_nodes
-            expected = -lam1 * scaled_legendre(1, s, 1.0)
+            expected = -lam1 * scaled_legendre(1, s)
             got = np.array([eval_L(dens, grid, TABLE, t) for t in range(grid.node_count)])
             assert np.max(np.abs(got - expected)) <= 1e-13
 
@@ -184,12 +184,12 @@ class TestEvalL:
     def test_random_mixture_diagonalization(self):
         alpha = splitmix64_uniforms(99, 5)
         lam = diagonal_eigenvalues(5)
-        f, fp = legendre_mixture(alpha, 1.0)
+        f, _ = legendre_mixture(alpha, 1.0)
         for m in (1, 2, 4, 8):
             grid = PanelGrid(1.0, m, RULE)
-            dens = LineDensity.from_closure(f, grid, derivative=fp)
+            dens = LineDensity(f(grid.global_nodes))
             s = grid.global_nodes
-            expected = -sum(alpha[n] * lam[n] * scaled_legendre(n, s, 1.0) for n in range(5))
+            expected = -sum(alpha[n] * lam[n] * scaled_legendre(n, s) for n in range(5))
             got = np.array([eval_L(dens, grid, TABLE, t) for t in range(grid.node_count)])
             assert np.max(np.abs(got - expected)) <= 1e-13
 
@@ -199,9 +199,9 @@ class TestEvalL:
         f, _ = legendre_mixture(alpha, 1.0)
         lam = diagonal_eigenvalues(4)
         grid = PanelGrid(1.0, 2, RULE)
-        dens = LineDensity.from_closure(f, grid)
+        dens = LineDensity(f(grid.global_nodes))
         s = grid.global_nodes
-        expected = -sum(alpha[n] * lam[n] * scaled_legendre(n, s, 1.0) for n in range(4))
+        expected = -sum(alpha[n] * lam[n] * scaled_legendre(n, s) for n in range(4))
         got = np.array([eval_L(dens, grid, TABLE, t) for t in range(grid.node_count)])
         assert np.max(np.abs(got - expected)) <= 1e-13
 
@@ -243,7 +243,7 @@ class TestEvalK:
             s = np.asarray(s, dtype=float)
             return np.stack([np.sin(2 * np.pi * s), np.cos(s), s**2], axis=-1)
 
-        dens = LineDensity.from_closure(f, pc.grid)
+        dens = LineDensity(f(pc.grid.global_nodes))
         projector = np.array([2.0, 1.0, 1.0])  # I + ss for the x tangent
         for t in range(0, pc.grid.node_count, 9):
             per_component = np.array(
@@ -258,9 +258,9 @@ class TestEvalK:
 
     def test_rigid_motion_invariance(self):
         helix = make_helix(8.0, 3.0, 1.5)
-        f, fp = forces.testf(1.5)
+        f, _ = forces.testf(1.5)
         pc = discretize(helix, 8, RULE)
-        dens = LineDensity.from_closure(f, pc.grid, derivative=fp)
+        dens = LineDensity(f(pc.grid.global_nodes))
         base = eval_K_all(pc, dens, TABLE)
 
         rot = rotation_matrix((1.0, 2.0, -0.5), 1.1)
@@ -272,9 +272,7 @@ class TestEvalK:
             lambda s: helix.second_derivative(s) @ rot.T,
         )
         pc_m = discretize(moved, 8, RULE)
-        dens_m = LineDensity.from_closure(
-            lambda s: f(s) @ rot.T, pc_m.grid, derivative=lambda s: fp(s) @ rot.T
-        )
+        dens_m = LineDensity(f(pc_m.grid.global_nodes) @ rot.T)
         rotated = eval_K_all(pc_m, dens_m, TABLE)
         assert np.max(
             np.abs(np.linalg.norm(rotated, axis=1) - np.linalg.norm(base, axis=1))
@@ -357,8 +355,8 @@ class TestCenterlineVelocity:
         assert np.max(np.abs(vel - np.array([1.0, -2.0, 0.5]))) <= 1e-14
 
     def test_linearity_of_force_response(self):
-        f, fp = forces.testf(1.5)
-        d1 = LineDensity.from_closure(f, self.pc.grid, derivative=fp)
+        f, _ = forces.testf(1.5)
+        d1 = LineDensity(f(self.pc.grid.global_nodes))
         d2 = _constant_density(self.pc.grid, (0.3, -0.2, 0.1))
         dsum = LineDensity(samples=d1.samples + d2.samples)
         background = lambda x: np.zeros(3)
@@ -369,8 +367,8 @@ class TestCenterlineVelocity:
 
     def test_composition_identity(self):
         # one eval_K_all call gives the same bits as K applied node by node
-        f, fp = forces.testf(1.5)
-        dens = LineDensity.from_closure(f, self.pc.grid, derivative=fp)
+        f, _ = forces.testf(1.5)
+        dens = LineDensity(f(self.pc.grid.global_nodes))
         background = lambda x: np.array([x[0], -x[2], 0.5])
         vel = centerline_velocity(self.pc, dens, self.params, background, TABLE)
         scale = 1.0 / (8.0 * np.pi * self.params.mu)
@@ -481,7 +479,7 @@ class TestSameNumbersAsNodeMajorRows:
         f, fp = forces.testf(1.5)
         for dens in (
             LineDensity(samples=f(pc.grid.global_nodes)),
-            LineDensity.from_closure(f, pc.grid, derivative=fp),
+            LineDensity(f(pc.grid.global_nodes), derivative=fp),
         ):
             ref = np.array(
                 [
@@ -498,7 +496,7 @@ class TestSameNumbersAsNodeMajorRows:
         f, fp = legendre_mixture(splitmix64_uniforms(3, 6), 1.5)
         for dens in (
             LineDensity(samples=f(grid.global_nodes)),
-            LineDensity.from_closure(f, grid, derivative=fp),
+            LineDensity(f(grid.global_nodes), derivative=fp),
         ):
             for t in range(grid.node_count):
                 assert np.array_equal(
@@ -533,11 +531,11 @@ class TestSameBitsAsPerColumnDerivatives:
         f, fp = forces.testf(1.5)
         g, gp = legendre_mixture(splitmix64_uniforms(3, 6), 1.5)
         for closure in (False, True):
-            dens = LineDensity.from_closure(f, grid, derivative=fp if closure else None)
+            dens = LineDensity(f(grid.global_nodes), derivative=fp if closure else None)
             ref = [_effective_weights(grid, table, t) @ g_row_per_column(pc, dens, t)
                    for t in range(grid.node_count)]
             assert np.array_equal(eval_K_all(pc, dens, table), ref)
-            dens = LineDensity.from_closure(g, grid, derivative=gp if closure else None)
+            dens = LineDensity(g(grid.global_nodes), derivative=gp if closure else None)
             for t in range(grid.node_count):
                 ds = s - s[t]
                 ds[t] = 1.0
@@ -545,6 +543,36 @@ class TestSameBitsAsPerColumnDerivatives:
                 phi[t] = density_derivative_per_column(grid, dens, t)
                 ref = float(_effective_weights(grid, table, t) @ phi)
                 assert eval_L(dens, grid, table, t) == ref
+
+
+class TestSamplesGiveTheClosureBits:
+    # f' reaches K and L only through the weight table's diagonal entry, at most 3e-11 at
+    # order 16 where the exact weight is 0, so a density's samples alone give the bits of
+    # the same samples with the analytic f' attached
+    @pytest.mark.parametrize("seed", [1, 3, 7])
+    def test_eval_K_all_on_the_benchmark_helix(self, seed):
+        # the benchmark's k_operator pool: 8-mode vector mixtures, helix(8, 3, 1.5), M = 64
+        pc = discretize(make_helix(8.0, 3.0, 1.5), 64, RULE)
+        for d in range(4):
+            parts = [legendre_mixture(splitmix64_uniforms(seed * 1000 + 3 * d + c, 8), 1.5)
+                     for c in range(3)]
+            samples = np.stack([f(pc.grid.global_nodes) for f, _ in parts], axis=-1)
+            fprime = lambda s, parts=parts: np.stack([fp(s) for _, fp in parts], axis=-1)
+            closure = eval_K_all(pc, LineDensity(samples, derivative=fprime), TABLE)
+            assert np.array_equal(eval_K_all(pc, LineDensity(samples), TABLE), closure)
+
+    @pytest.mark.parametrize("order", [8, 16])
+    @pytest.mark.parametrize("seed, modes", [(42, 5), (7, 8), (3, 8)])
+    def test_eval_L_on_eigen_test_mixtures(self, order, seed, modes):
+        rule = gauss_legendre(order)
+        table = build_weight_table(rule)
+        f, fp = legendre_mixture(splitmix64_uniforms(seed, modes), 1.0)
+        for m in (1, 2, 4, 8):
+            grid = PanelGrid(1.0, m, rule)
+            samples = f(grid.global_nodes)
+            for t in range(grid.node_count):
+                closure = eval_L(LineDensity(samples, derivative=fp), grid, table, t)
+                assert eval_L(LineDensity(samples), grid, table, t) == closure
 
 
 class TestInputChecks:

@@ -59,7 +59,7 @@ class TestEvalSRegular:
         helix = make_helix(8.0, 3.0, 1.5)
         f, _ = forces.testf_simple(helix)
         pc = discretize(helix, 8, RULE)
-        dens = LineDensity.from_closure(f, pc.grid)
+        dens = LineDensity(f(pc.grid.global_nodes))
         x_bar = np.array([1.0, -0.7, 0.9])
         ref = reference_S(helix, f, x_bar, tol=1e-13)
         assert eval_S_regular(pc, dens, x_bar) == pytest.approx(ref, abs=1e-12)
@@ -596,7 +596,7 @@ class TestEvalSSpecial:
         helix = make_helix(8.0, 3.0, 1.5)
         f, _ = forces.testf_simple(helix)
         pc = discretize(helix, 8, RULE)
-        dens = LineDensity.from_closure(f, pc.grid)
+        dens = LineDensity(f(pc.grid.global_nodes))
         m = 4
         sl = pc.grid.panel_slice(m)
         center = pc.positions[sl].mean(axis=0)
@@ -645,7 +645,7 @@ class TestEvalSDispatch:
         self.helix = make_helix(8.0, 3.0, 1.5)
         self.f, _ = forces.testf_simple(self.helix)
         self.pc = discretize(self.helix, 8, RULE)
-        self.dens = LineDensity.from_closure(self.f, self.pc.grid)
+        self.dens = LineDensity(self.f(self.pc.grid.global_nodes))
 
     def test_far_point_bit_identical_to_regular(self):
         pt = np.array([1.2, 1.2, 0.3])
@@ -665,13 +665,13 @@ class TestEvalSDispatch:
     def test_rule_order_1_is_the_regular_rule(self):
         # a one-node panel is a point, so R^2(eta) is constant and has no root to find
         pc = discretize(self.helix, 8, gauss_legendre(1))
-        dens = LineDensity.from_closure(self.f, pc.grid)
+        dens = LineDensity(self.f(pc.grid.global_nodes))
         pt = self.helix.position(0.75) + 1e-3 * self.helix.second_derivative(0.75) / 8.0
         assert np.array_equal(eval_S(pc, dens, pt), eval_S_regular(pc, dens, pt))
 
     def test_rejects_rule_order_above_moment_limit(self):
         pc = discretize(self.helix, 8, gauss_legendre(20))
-        dens = LineDensity.from_closure(self.f, pc.grid)
+        dens = LineDensity(self.f(pc.grid.global_nodes))
         far = np.array([1.2, 1.2, 0.3])
         with pytest.raises(ValueError, match=r"up to 16.*rule order 20"):
             eval_S(pc, dens, far)
@@ -757,7 +757,7 @@ class TestEvalSCenterline:
     FAR = np.array([1.2, 1.2, 0.3]) + 0.01 * np.arange(nearsing._CHUNK + 2)[:, None]
 
     def density(self, pc):
-        return LineDensity.from_closure(forces.testf_simple(self.HELIX)[0], pc.grid)
+        return LineDensity(forces.testf_simple(self.HELIX)[0](pc.grid.global_nodes))
 
     @pytest.mark.parametrize("panels", [8, 16])
     @pytest.mark.parametrize("s0", [0.37, 0.75])  # inside a panel, and on a panel break
@@ -848,12 +848,12 @@ class TestEvalSBlocks:
     def setup_method(self):
         self.f, _ = forces.testf_simple(self.HELIX)
         self.pc = discretize(self.HELIX, 8, RULE)
-        self.dens = LineDensity.from_closure(self.f, self.pc.grid)
+        self.dens = LineDensity(self.f(self.pc.grid.global_nodes))
 
     @pytest.mark.parametrize("panels", [4, 8, 16])
     def test_block_equals_point_calls_bitwise(self, panels):
         pc = discretize(self.HELIX, panels, RULE)
-        dens = LineDensity.from_closure(self.f, pc.grid)
+        dens = LineDensity(self.f(pc.grid.global_nodes))
         chunk = nearsing._CHUNK
         for evaluate in (eval_S, eval_S_regular):
             single = np.array([evaluate(pc, dens, pt) for pt in self.POINTS])
@@ -939,7 +939,7 @@ class TestEvalSBlocks:
         # Newton's halving steps left 7 (M = 2) and 50 (M = 4) of these pairs unconverged
         # after 30 iterations, each a fallback warning
         pc = discretize(self.HELIX, panels, RULE)
-        dens = LineDensity.from_closure(self.f, pc.grid)
+        dens = LineDensity(self.f(pc.grid.global_nodes))
         grid = cli.helix_field_grid(self.HELIX, radial_count=20, angular_count=20, z_count=16)
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -287,19 +287,19 @@ class TestDiagonalization:
 
     def test_scaled_legendre_values(self):
         s = np.array([0.0, 0.5, 1.0])
-        assert scaled_legendre(1, s, 1.0) == pytest.approx([-1.0, 0.0, 1.0], abs=0)
-        assert scaled_legendre(2, 0.37, 1.0) == pytest.approx(
+        assert scaled_legendre(1, s) == pytest.approx([-1.0, 0.0, 1.0], abs=0)
+        assert scaled_legendre(2, 0.37) == pytest.approx(
             (3 * (-0.26) ** 2 - 1) / 2, abs=1e-15
         )
 
     def test_scaled_legendre_rejects_negative_order(self):
         with pytest.raises(ValueError, match="n must be non-negative, got -3"):
-            scaled_legendre(-3, np.array([0.0, 0.25, 1.0]), 1.0)
+            scaled_legendre(-3, np.array([0.0, 0.25, 1.0]))
 
     @pytest.mark.parametrize("n", [2.0, 2.5])
     def test_scaled_legendre_rejects_non_integer_order(self, n):
         with pytest.raises(ValueError, match=f"n must be an integer, got {n}"):
-            scaled_legendre(n, np.array([0.0, 0.25, 1.0]), 1.0)
+            scaled_legendre(n, np.array([0.0, 0.25, 1.0]))
 
     @pytest.mark.parametrize("count", [2.5, -1])
     def test_diagonal_eigenvalues_rejects_count_not_a_non_negative_integer(self, count):
@@ -308,12 +308,7 @@ class TestDiagonalization:
 
     def test_numpy_integers_pass(self):
         assert diagonal_eigenvalues(np.int64(3)).tolist() == [0.0, 2.0, 3.0]
-        assert scaled_legendre(np.int64(1), 0.75, 1.0) == 0.5
-
-    @pytest.mark.parametrize("length", [-1.0, 0.0, np.inf, np.nan])
-    def test_scaled_legendre_rejects_length_not_positive_and_finite(self, length):
-        with pytest.raises(ValueError, match=f"length must be positive and finite, got {length}"):
-            scaled_legendre(2, [0.2], length)
+        assert scaled_legendre(np.int64(1), 0.75) == 0.5
 
 
 class TestReferenceK:
@@ -328,7 +323,7 @@ class TestReferenceK:
         helix = make_helix(8.0, 3.0, 1.5)
         f, fp = forces.testf(1.5)
         pc = discretize(helix, 16, RULE)
-        dens = LineDensity.from_closure(f, pc.grid, derivative=fp)
+        dens = LineDensity(f(pc.grid.global_nodes))
         for t in (20, 130, 220):
             s_bar = pc.grid.global_nodes[t]
             ref = reference_K(helix, f, fp, s_bar, tol=1e-10)
