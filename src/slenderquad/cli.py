@@ -133,15 +133,16 @@ def run_eigen_test(args: argparse.Namespace) -> int:
 def run_k_convergence(args: argparse.Namespace) -> int:
     """Self-convergence e_M of K on a uniform comparison grid.
 
-    K on each panel count and on the --reference-panels discretization is
+    K on each panel count and on the finer --reference-panels discretization is
     interpolated to the uniform arclengths l*L/N_u, l = 0..N_u, the last one
     exactly L; e_M is the largest pointwise 2-norm of the difference.
     """
     curve, f = _fiber_and_force(args)
     if any(b <= a for a, b in zip(args.panels, args.panels[1:])):
         raise ConfigError(f"--panels must increase strictly, got {args.panels}")
-    if args.reference_panels < max(args.panels):
-        raise ConfigError("--reference-panels must not be below any tested panel count")
+    if args.reference_panels <= max(args.panels):  # an equal count would compare K with itself
+        raise ConfigError("--reference-panels must exceed every tested panel count, got "
+                          f"{args.reference_panels} for --panels {args.panels}")
     if args.uniform_count < 1:
         raise ConfigError(f"--uniform-count must be >= 1, got {args.uniform_count}")
 

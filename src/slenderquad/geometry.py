@@ -66,8 +66,8 @@ class PanelizedCurve:
     variable eta in [-1, 1]. coords is a contiguous (3, N) copy of positions,
     for the component-major K rows. chord_starts (M, 3) and chords (M, 3)
     hold each panel's expansion at eta = -1 and its change up to eta = 1,
-    and chord_lengths (M,) the chords' lengths, for the near field's root
-    guesses. Every array is read-only.
+    and chord_lengths (M,) the chords' lengths, for the near field's
+    half-chord filter. Every array is read-only.
     """
 
     grid: PanelGrid

@@ -65,7 +65,9 @@ def _osculating_guesses(curve: PanelizedCurve, nodes: np.ndarray, r: np.ndarray)
     """
     half = 0.5 * curve.grid.panel_width
     eta = curve.grid.rule.nodes[nodes % curve.grid.rule.order].tolist()
-    rows = zip(r.tolist(), curve.tangents[nodes].tolist(), curve.second_derivs[nodes].tolist(), eta)
+    # take() gathers rows at a third of the cost of fancy indexing
+    tangents, second = (x.take(nodes, 0).tolist() for x in (curve.tangents, curve.second_derivs))
+    rows = zip(r.tolist(), tangents, second, eta)
     guesses = []
     for (x, y, z), (tx, ty, tz), (kx, ky, kz), e in rows:
         f, d = x * x + y * y + z * z, -half * (x * tx + y * ty + z * tz)
@@ -87,11 +89,11 @@ def _near_pairs(curve: PanelizedCurve, points: np.ndarray, r: np.ndarray, r2: np
     grid, n = curve.grid, curve.grid.rule.order
     per_panel = r2.reshape(len(points), grid.panel_count, n)
     # a one-node panel is a point: R^2(eta) is constant and has no root
-    tt, mm = np.nonzero(np.sqrt(per_panel.min(axis=2)) <= grid.panel_width) if n > 1 else ((), ())
+    tt, mm = (np.sqrt(per_panel.min(axis=2)) <= grid.panel_width).nonzero() if n > 1 else ((), ())
     if not len(tt):  # far points leave here, at the cost of the distance test alone
         return tt, mm, ()
-    start, chord, h = curve.chord_starts[mm], curve.chords[mm], curve.chord_lengths[mm]
-    xb = points[tt]
+    start, chord = curve.chord_starts.take(mm, 0), curve.chords.take(mm, 0)
+    h, xb = curve.chord_lengths[mm], points.take(tt, 0)
     foot = xb - (start + (_rowdot(xb - start, chord) / (h * h))[:, None] * chord)
     # a cost filter, not an accuracy bound: such a point skips the root find and takes the
     # regular rule, though on a curved panel its root can still have Im z1 < 1
@@ -143,22 +145,24 @@ def find_root(
             and xb.shape == coeffs.shape[:2] and z0.shape == coeffs.shape[:1]):
         raise ValueError("find_root takes (P, 3, n) coefficients, (P, 3) points and (P,) guesses; "
                          f"got {coeffs.shape}, {xb.shape} and {z0.shape}")
-    if not (np.isfinite(coeffs).all() and np.isfinite(xb).all() and np.isfinite(z0).all()):
+    z = z0.tolist()
+    # math.isfinite and cmath.isfinite on the few points and guesses cost less than numpy's
+    finite = all(map(math.isfinite, xb.ravel().tolist())) and all(map(cmath.isfinite, z))
+    if not (np.isfinite(coeffs).all() and finite):
         raise ValueError("panel coefficients, points and guesses must be finite")
     count, n = len(z0), coeffs.shape[2]
-    z = z0.tolist()
     roots = [complex(math.nan, math.nan)] * count
     reasons = [""] * count
     live = list(range(count))
     # row 2c gives x_c - x_bar_c (P_0 = 1 carries the shift) and x_c', row 2c + 1 gives x_c''
     # and an unused third derivative: each pair's product reads as the (3, 4) rows of
     # x - x_bar, x', x'' and x''' by coordinate
+    shifted = coeffs.copy()
+    shifted[:, :, 0] -= xb
     c_live = np.empty((count, 3, 2, n), dtype=complex)
-    c_live[:, :, 0] = coeffs
-    c_live[:, :, 0, 0] -= xb
-    # the second derivative drops the shifted constant; a complex product here and a contiguous
-    # Gram factor below keep every product on one BLAS kernel, so no other kernel's code pages in
-    c_live[:, :, 1] = c_live[:, :, 0] @ _second_derivative_matrix(n).T
+    c_live[:, :, 0] = shifted
+    # the second derivative drops the shifted constant; the real product has the complex one's bits
+    c_live[:, :, 1] = shifted @ _second_derivative_matrix(n).T
     c_live = c_live.reshape(count, 6, n)
     for _ in range(_NEWTON_MAX_ITER):
         if not live:
@@ -169,20 +173,22 @@ def find_root(
             terms = itertools.chain.from_iterable(_legendre_terms(z[i], n) for i in live)
             table = np.fromiter(terms, complex, 2 * n * len(live)).reshape(len(live), n, 2)
         vecs = (c_live @ table).reshape(len(live), 3, 4)
-        # the Gram matrix of u = x - x_bar, x', x'' and x''' holds u.u, u.x', u.x'' and x'.x'
+        # the Gram matrix of u = x - x_bar, x', x'' and x''' holds u.u, u.x', u.x'' and x'.x';
+        # a contiguous left factor keeps it on the table product's BLAS kernel
         gram = (np.ascontiguousarray(vecs.transpose(0, 2, 1)) @ vecs).reshape(len(live), 16)
         still = []
-        for j, (i, (f, d, e, a)) in enumerate(zip(live, gram[:, [0, 1, 2, 5]].tolist())):
-            # f = R^2, f' = 2d and f'' = 2g = 2(a + e)
-            step = _model_step(f, d, a + e)
+        for j, (i, g) in enumerate(zip(live, gram.tolist())):
+            # f = R^2 = u.u, f' = 2 u.x' and f'' = 2(x'.x' + u.x'')
+            step = _model_step(g[0], g[1], g[5] + g[2])
             if step is None:
                 reasons[i] = "stationary R^2, Newton step undefined"
                 continue
             # overshoots past unit length leave the panel's basin; damp them
-            if abs(step) > 1.0:
-                step /= abs(step)
+            size = abs(step)
+            if size > 1.0:
+                step /= size
             z[i] = z[i] - step
-            if abs(step) <= _NEWTON_TOL:
+            if size <= _NEWTON_TOL:
                 root = z[i].conjugate() if z[i].imag < 0 else z[i]
                 if root.imag < REAL_ROOT_FLOOR:
                     on_panel = abs(root.real) - 1.0 <= REAL_ROOT_FLOOR
@@ -196,7 +202,7 @@ def find_root(
             still.append(j)
         if len(still) < len(live):
             live = [live[j] for j in still]
-            c_live = c_live[still]
+            c_live = c_live.take(still, axis=0)
     for i in live:
         reasons[i] = f"no convergence in {_NEWTON_MAX_ITER} iterations"
     return np.array(roots, dtype=complex), reasons
@@ -209,29 +215,28 @@ def _moments_recursion(a: float, b: float, count: int) -> np.ndarray:
     w(1)^2 - w(-1)^2 = -4a so that small |a| does not trigger cancellation.
     Column 0 holds p = 1, column 1 holds p = 3, which recurs on column 0.
     """
-    w1, wm1 = np.hypot(1.0 - a, b), np.hypot(1.0 + a, b)
-    w_diff = -4.0 * a / (w1 + wm1)  # w(1) - w(-1)
+    # numpy's hypot and arcsinh, one call each on both arguments, then Python floats, whose
+    # arithmetic rounds as numpy's does; math.hypot and math.asinh may round differently
+    w1, wm1 = np.hypot((1.0 - a, 1.0 + a), b).tolist()
+    s1, sm1 = np.arcsinh(((1.0 - a) / b, (-1.0 - a) / b)).tolist()
     w_sum = w1 + wm1
+    w_diff = -4.0 * a / w_sum  # w(1) - w(-1)
     winv_diff = w_diff / (w1 * wm1)  # 1/w(-1) - 1/w(1)
-    winv_sum = 1.0 / w1 + 1.0 / wm1
-
-    first0 = np.arcsinh((1.0 - a) / b) - np.arcsinh((-1.0 - a) / b)
-    third0 = ((1.0 - a) / w1 + (1.0 + a) / wm1) / (b * b)
-    # the upward recursions run on Python floats: the bits of numpy scalars at half the cost
-    first, third = [float(first0)], [float(third0)]
-    w_diff, w_sum, winv_diff, winv_sum = map(float, (w_diff, w_sum, winv_diff, winv_sum))
+    # the boundary terms of each recursion at even and at odd k
+    bounds = ((w_sum, -(1.0 / w1 + 1.0 / wm1)), (w_diff, winv_diff))
+    first, third = s1 - sm1, ((1.0 - a) / w1 + (1.0 + a) / wm1) / (b * b)
+    q = [first, third]  # (q_k^1, q_k^3) pairs, flat
     if count > 1:
-        first.append(w_diff + a * first[0])
-        third.append(a * third[0] + winv_diff)
+        prev, first, third = first, w_diff + a * first, a * third + winv_diff
+        q += (first, third)
     ab2 = a * a + b * b
     for k in range(2, count):
-        odd = k % 2
-        boundary = w_diff if odd else w_sum
-        first.append((boundary + a * (2 * k - 1) * first[k - 1] - (k - 1) * ab2 * first[k - 2]) / k)
-        boundary = -winv_diff if odd else winv_sum
-        third.append(a * third[k - 1] + (k - 1) * first[k - 2] - boundary)
-    # C order, as np.stack gave: the special sums' products round by layout
-    return np.column_stack((first, third))
+        b1, b3 = bounds[k % 2]
+        prev, first, third = (first, (b1 + a * (2 * k - 1) * first - (k - 1) * ab2 * prev) / k,
+                              a * third + (k - 1) * prev + b3)
+        q += (first, third)
+    # one C-order (count, 2) array: the special sums' products round by layout
+    return np.array(q).reshape(count, 2)
 
 
 _GRADED_RULE = gauss_legendre(_GRADED_ORDER)
@@ -278,8 +283,10 @@ def _moments_graded(a: float, b: float, count: int) -> np.ndarray:
     table = _graded_table(level)
     t = (1.0 - a) + table[:, 0]
     w2 = t * t + b * b
-    k1 = table[:, 1] / np.sqrt(w2)
-    kernels = np.concatenate((k1, k1 / w2), axis=1).reshape(level + 1, 2, _GRADED_ORDER)
+    # both columns' kernels in one (level + 1, 2, 32) array, filled in place
+    kernels = np.empty((level + 1, 2, _GRADED_ORDER))
+    k1 = np.divide(table[:, 1], np.sqrt(w2), out=kernels[:, 0])
+    np.divide(k1, w2, out=kernels[:, 1])
     sums = table[:, 2 : 2 + count] @ kernels.transpose(0, 2, 1)
     q = sums.sum(axis=0) if level else sums[0]
     if mirror:
@@ -325,7 +332,7 @@ def _offsets(positions: np.ndarray, x_bar) -> tuple[np.ndarray, np.ndarray]:
     """
     r = np.asarray(x_bar, dtype=float)[..., None, :] - positions
     r2 = np.einsum("...c,...c->...", r, r)
-    if (r2 == 0.0).any():
+    if np.count_nonzero(r2) < r2.size:  # a third of the cost of (r2 == 0.0).any()
         raise ZeroDivisionError("field point coincides with a quadrature node")
     return r, r2
 
@@ -410,11 +417,11 @@ def _special_sums(curve: PanelizedCurve, fv, panels, z1, r, r2) -> np.ndarray:
     grid = curve.grid
     eta = grid.rule.nodes
     n = grid.rule.order
-    w = _moment_weights(grid.rule, np.stack([qkp_moments(z, n) for z in z1]))
-    a, b = np.array([(z.real, z.imag) for z in z1]).T[:, :, None]
-    ratio = ((eta - a) ** 2 + b * b) / r2
+    w = _moment_weights(grid.rule, np.array([qkp_moments(z, n) for z in z1]))
+    roots = np.array(z1)[:, None]
+    ratio = ((eta - roots.real) ** 2 + roots.imag * roots.imag) / r2
 
-    fv = fv.reshape(grid.panel_count, n, 3)[panels]
+    fv = fv.reshape(grid.panel_count, n, 3).take(panels, axis=0)
     smooth1 = fv * np.sqrt(ratio)[..., None]
     rdotf = np.einsum("sjc,sjc->sj", r, fv)
     smooth3 = r * (rdotf * ratio**1.5)[..., None]
@@ -449,11 +456,13 @@ def eval_S(curve: PanelizedCurve, f: LineDensity, x_bar) -> np.ndarray:
         tt, mm, guess = _near_pairs(curve, points, r, r2)
         if not len(tt):
             return _regular_sum(curve, fv, r, r2)
-        z1, reasons = find_root(curve.panel_coeffs[mm], points[tt], guess)  # one run per chunk
+        # one run per chunk
+        z1, reasons = find_root(curve.panel_coeffs.take(mm, 0), points.take(tt, 0), guess)
         if _ON_CENTERLINE in reasons:
             i = reasons.index(_ON_CENTERLINE)
             raise ValueError(f"point {start + tt[i]}, panel {mm[i]}: {reasons[i]}, where S diverges")
-        for i in np.flatnonzero(np.isnan(z1)):
+        # a failed pair has a reason and a NaN root
+        for i in np.flatnonzero(np.isnan(z1)) if any(reasons) else ():
             warnings.warn(f"point {start + tt[i]}, panel {mm[i]}: {reasons[i]}; "
                           "falling back to regular quadrature")
         near = z1.imag < 1.0  # False for the NaN roots of failed pairs

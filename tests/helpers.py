@@ -1,6 +1,8 @@
 """Shared independent oracles for the test suite."""
 
+import cmath
 import copy
+import functools
 import math
 import pickle
 from fractions import Fraction
@@ -182,6 +184,102 @@ def graded_moments_two_sided(a: float, b: float, count: int) -> np.ndarray:
     powers = np.vander(c + offsets, count, increasing=True).T
     k1, k3 = wts / np.sqrt(w2), wts / w2**1.5
     return np.array([[math.fsum(row * k1), math.fsum(row * k3)] for row in powers])
+
+
+# qkp_moments' two routes as first written, verbatim but for their names: the recursion's
+# preamble on numpy scalars and its columns through np.column_stack, the graded rule's
+# kernels through np.concatenate, with their own constants and table cache. Kept as the
+# byte-for-byte reference for the moments, which the tolerance tests against 120-digit
+# values would let drift by a rounding.
+_GRADED_ORDER = 32
+_PANEL_RHO = 2.05
+MAX_MOMENT_COUNT = 16
+
+
+def moments_recursion_numpy_scalars(a: float, b: float, count: int) -> np.ndarray:
+    """Upward recursions for int eta^k / |eta - (a+ib)|^p, p = 1 and 3, stable for near roots.
+
+    Boundary terms with opposite-sign endpoint weights are rewritten through
+    w(1)^2 - w(-1)^2 = -4a so that small |a| does not trigger cancellation.
+    Column 0 holds p = 1, column 1 holds p = 3, which recurs on column 0.
+    """
+    w1, wm1 = np.hypot(1.0 - a, b), np.hypot(1.0 + a, b)
+    w_diff = -4.0 * a / (w1 + wm1)  # w(1) - w(-1)
+    w_sum = w1 + wm1
+    winv_diff = w_diff / (w1 * wm1)  # 1/w(-1) - 1/w(1)
+    winv_sum = 1.0 / w1 + 1.0 / wm1
+
+    first0 = np.arcsinh((1.0 - a) / b) - np.arcsinh((-1.0 - a) / b)
+    third0 = ((1.0 - a) / w1 + (1.0 + a) / wm1) / (b * b)
+    # the upward recursions run on Python floats: the bits of numpy scalars at half the cost
+    first, third = [float(first0)], [float(third0)]
+    w_diff, w_sum, winv_diff, winv_sum = map(float, (w_diff, w_sum, winv_diff, winv_sum))
+    if count > 1:
+        first.append(w_diff + a * first[0])
+        third.append(a * third[0] + winv_diff)
+    ab2 = a * a + b * b
+    for k in range(2, count):
+        odd = k % 2
+        boundary = w_diff if odd else w_sum
+        first.append((boundary + a * (2 * k - 1) * first[k - 1] - (k - 1) * ab2 * first[k - 2]) / k)
+        boundary = -winv_diff if odd else winv_sum
+        third.append(a * third[k - 1] + (k - 1) * first[k - 2] - boundary)
+    # C order, as np.stack gave: the special sums' products round by layout
+    return np.column_stack((first, third))
+
+
+_GRADED_RULE = gauss_legendre(_GRADED_ORDER)
+
+
+@functools.lru_cache(maxsize=None)
+def _graded_table(level: int) -> np.ndarray:
+    """The graded rule's read-only (level + 1, 2 + MAX_MOMENT_COUNT, 32) table, panel by panel.
+
+    Level L splits [-1, 1] at 0, 1/2, ..., 1 - 2^(1-L), so the panel next to
+    eta = 1 has length 2^(1-L), and puts the 32-point rule on every panel.
+    Each panel's row 0 holds its nodes as offsets u = eta - 1, row 1 the
+    weights and rows 2.. the powers eta^k = (1 + u)^k, k < MAX_MOMENT_COUNT.
+    Level 0 is the 32-point rule on [-1, 1].
+    """
+    ends = np.append(-(0.5 ** np.arange(-1.0, level)), 0.0)  # -2, -1, ..., -2^(1-L), 0 in u
+    mids, halves = 0.5 * (ends[1:] + ends[:-1]), 0.5 * (ends[1:] - ends[:-1])
+    scaled = halves[:, None] * _GRADED_RULE.nodes
+    eta = (1.0 + mids)[:, None] + scaled  # 1 + mids is exact: level 0 keeps the nodes' bits
+    table = np.concatenate([(mids[:, None] + scaled)[:, None],
+                            (halves[:, None] * _GRADED_RULE.weights)[:, None],
+                            eta[:, None] ** np.arange(MAX_MOMENT_COUNT)[:, None]], axis=1)
+    table.flags.writeable = False  # one cached array serves every call
+    return table
+
+
+def moments_graded_concatenate(a: float, b: float, count: int) -> np.ndarray:
+    """Composite 32-point Gauss-Legendre on panels halving toward eta = 1, for roots off [-1, 1].
+
+    A root with a < 0 is mirrored onto -a + ib: eta -> -eta takes q_k to
+    (-1)^k q_k, an exact sign flip of the odd rows. The panel next to 1
+    halves until the root's Bernstein radius over it reaches _PANEL_RHO;
+    the coarser panels then see it at radius 3 + sqrt(8) or more. The nodes
+    are offsets u from 1, so eta - a = (1 - a) + u keeps its digits however
+    close the root sits to the end. Each panel takes one product for both
+    columns, and the panels' sums add up: one product over all nodes rounds
+    the deepest roots' moments to 2.2e-15 where these reach 1.1e-15.
+    """
+    mirror, a = a < 0.0, abs(a)
+    level, w = 0, complex(a, b)  # the root over the finest panel, mapped to [-1, 1]
+    while abs(w + cmath.sqrt(w - 1.0) * cmath.sqrt(w + 1.0)) < _PANEL_RHO:
+        level += 1
+        w = complex((a - 1.0) * 2.0**level + 1.0, b * 2.0**level)
+    table = _graded_table(level)
+    t = (1.0 - a) + table[:, 0]
+    w2 = t * t + b * b
+    k1 = table[:, 1] / np.sqrt(w2)
+    kernels = np.concatenate((k1, k1 / w2), axis=1).reshape(level + 1, 2, _GRADED_ORDER)
+    sums = table[:, 2 : 2 + count] @ kernels.transpose(0, 2, 1)
+    q = sums.sum(axis=0) if level else sums[0]
+    if mirror:
+        odd = q[1::2]
+        np.negative(odd, out=odd)
+    return q
 
 
 # The K row of finitepart before f' came from one cached derivative matrix: three

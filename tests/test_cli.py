@@ -186,25 +186,6 @@ class TestKConvergenceCommand:
         assert errors[0] / errors[1] >= 10.0
         assert json.loads(out.with_suffix(".json").read_text())["errors"] == errors
 
-    def test_self_reference_entry(self, tmp_path):
-        out = tmp_path / "selfref.csv"
-        code = main(
-            [
-                "k-convergence",
-                "--panels",
-                "4,16",
-                "--reference-panels",
-                "16",
-                "--uniform-count",
-                "60",
-                "--out",
-                str(out),
-            ]
-        )
-        assert code == EXIT_PASS
-        errors = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
-        assert errors[-1] <= 1e-12
-
     def test_threshold_failure_exit(self, tmp_path):
         # a 2-panel study against a barely finer reference cannot reach the plateau
         out = tmp_path / "fail.csv"
@@ -244,21 +225,17 @@ class TestKConvergenceCommand:
         errors = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
         assert errors[0] > errors[1]
 
-    def test_bad_reference(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "panels, reference", [("4,8", "6"), ("4,8", "8"), ("4,16", "16")], ids=["below", "equal", "equal-last"]
+    )
+    def test_bad_reference(self, tmp_path, capsys, panels, reference):
+        # a reference equal to a tested count compares that count's K with itself: e_M = 0
         out = tmp_path / "x.csv"
-        code = main(
-            [
-                "k-convergence",
-                "--panels",
-                "4,8",
-                "--reference-panels",
-                "6",
-                "--out",
-                str(out),
-            ]
-        )
+        argv = ["k-convergence", "--force", "testf-simple", "--panels", panels]
+        code = main([*argv, "--reference-panels", reference, "--uniform-count", "40", "--out", str(out)])
         assert code == EXIT_CONFIG
-        assert "--reference-panels must not be below" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"--reference-panels must exceed every tested panel count, got {reference}" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("spec", ["helix:8,nan,1.5", "helix:8,3,inf", "straight:inf"])

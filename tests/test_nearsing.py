@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from helpers import (graded_moments_two_sided, legendre_deriv_coeffs_numpy_scalars,
-                     legendre_monomials_exact, segment_stokeslet)
+                     legendre_monomials_exact, moments_graded_concatenate,
+                     moments_recursion_numpy_scalars, segment_stokeslet)
 from slenderquad import cli, forces, nearsing
 from slenderquad.finitepart import LineDensity
 from slenderquad.geometry import discretize, make_helix, make_straight
@@ -463,6 +464,39 @@ class TestQkpMoments:
             ref = graded_moments_two_sided(a, b, 16)
             scale = np.abs(ref).max(axis=0)
             assert np.all(np.abs(got - ref).max(axis=0) <= 2.2e-15 * scale), (a, b)
+
+    def test_bytes_of_the_routes_as_first_written(self, monkeypatch):
+        # a rounding drift would pass the tolerance tests against 120-digit moments: every
+        # count of 2105 seeded roots keeps the bytes and C order of the routes as first written
+        rng = np.random.default_rng(32)
+        uniform = rng.uniform
+
+        def complexes(re, im):
+            return [complex(a, b) for a, b in zip(re, im)]
+
+        over = complexes(uniform(-1, 1, 800), 10.0 ** uniform(-10, 0, 800))
+        high = complexes(uniform(-1, 1, 300), uniform(1, 2.5, 300))
+        # past either end, down to 2^-15 from it, so the graded rule runs at levels 0-12
+        past = rng.choice([-1.0, 1.0], 900) * (1.0 + 2.0 ** uniform(-15, 1, 900))
+        ends = complexes(past, 10.0 ** uniform(-10, -1, 900))
+        far = complexes(uniform(-100, 100, 100), 10.0 ** uniform(-10, 1, 100))
+        edges = [1.0 + 1e-10j, -1.0 + 1j, 1j, 1.0 + 1e-15 + 1e-10j, -1.0 - 1e-15 + 1e-10j]
+        roots = over + high + ends + far + edges
+        assert sum(z.real < 0 for z in roots) > 900  # mirrored roots
+        levels, table = set(), nearsing._graded_table
+        monkeypatch.setattr(nearsing, "_graded_table", lambda lev: levels.add(lev) or table(lev))
+        drift = []
+        for z in roots:
+            over_interval = abs(z.real) <= 1.0 and z.imag <= 1.0
+            route = moments_recursion_numpy_scalars if over_interval else moments_graded_concatenate
+            for count in range(1, 17):
+                got, ref = qkp_moments(z, count), route(z.real, z.imag, count)
+                assert got.shape == (count, 2) and got.dtype == np.float64
+                assert got.flags.c_contiguous
+                if got.tobytes() != ref.tobytes():
+                    drift.append((z, count))
+        assert not drift, drift[:5]
+        assert levels >= set(range(13))
 
     def test_mirrored_roots_flip_the_odd_moments_bitwise(self):
         rng = np.random.default_rng(8)

@@ -589,24 +589,25 @@ class TestConvergenceStudy:
         argv += ["--uniform-count", str(uniform), "--out", str(out)]
         return cli.main(argv), out
 
-    def test_self_comparison_and_decrease(self, tmp_path):
-        code, out = self._study(tmp_path, "4,8,16,32", 32, 100)
+    def test_decrease_against_a_finer_reference(self, tmp_path):
+        code, out = self._study(tmp_path, "4,8,16,32", 64, 100)
         assert code == cli.EXIT_PASS
         errs = json.loads(out.with_suffix(".json").read_text())["errors"]
-        assert errs[-1] <= 1e-12  # reference compared with itself
         assert errs[0] > errs[1] > errs[2]
         # doubling panels in the pre-asymptotic range gains at least 10x
         assert errs[0] / errs[1] >= 10.0
 
-    def test_requires_reference_at_least_as_fine(self, tmp_path, capsys):
-        code, out = self._study(tmp_path, "4,8", 6, 50)
+    @pytest.mark.parametrize("reference", [6, 8])
+    def test_requires_a_strictly_finer_reference(self, tmp_path, capsys, reference):
+        # at 8, M = 8 would be compared with itself and read e_M = 0 whatever K does
+        code, out = self._study(tmp_path, "4,8", reference, 50)
         assert code == cli.EXIT_CONFIG
         assert "--reference-panels" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("count", [0, -3])
     def test_requires_a_uniform_point(self, tmp_path, capsys, count):
-        code, out = self._study(tmp_path, "4", 4, count)
+        code, out = self._study(tmp_path, "4", 8, count)
         assert code == cli.EXIT_CONFIG
         assert "--uniform-count" in capsys.readouterr().err
         assert not out.exists()
