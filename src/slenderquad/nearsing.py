@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
 import warnings
 
@@ -31,10 +30,11 @@ _PANEL_RHO = 2.05  # Bernstein radius of the root over the graded rule's finest 
 MAX_MOMENT_COUNT = 16  # highest moment count q_k^p is computed to; caps eval_S's rule order
 _NEWTON_TOL = 1e-13
 _NEWTON_MAX_ITER = 30
-_ARRAY_PAIRS = 32  # live Newton pairs from which float-array tables beat per-pair Python ones
+_ARRAY_PAIRS = 32  # pairs from which a near-field stage runs on float arrays, not per pair
 REAL_ROOT_FLOOR = 1e-10  # find_root calls a converged root with a smaller Im(z1) real
 _ON_CENTERLINE = "converged to a real root on the panel; point lies on the centerline"
 _ON_EXTENSION = "converged to a real root; point lies on the curve extension"
+_STATIONARY = "stationary R^2, Newton step undefined"
 _CHUNK = 128  # field points per pass, the oracle's _BLOCK; bounds the (T, N, 3) offset array
 
 
@@ -53,6 +53,82 @@ def _model_step(f, d, g):
     return f / den if den else None
 
 
+# The array twins below spell out CPython 3.11's complex arithmetic on (2, P) float arrays of
+# real and imaginary parts, so that each element keeps the bits of the Python-scalar code it
+# replaces. They run under np.errstate(all="ignore"): NaN and inf follow IEEE rules
+# silently, as on Python floats.
+
+
+def _quot(a, b):
+    """a / b as CPython 3.11's _Py_c_quot forms it: both branches computed and each element's
+    picked by the larger part of b, which must not be 0."""
+    size = np.abs(b)
+    first = size[0] >= size[1]
+    flip = b / b[::-1]
+    ratio = np.where(first, flip[1], flip[0])
+    br = b * ratio
+    denom = np.where(first, b[0], br[0]) + np.where(first, br[1], b[1])
+    # (a0 + a1 r, a1 - a0 r) and (a0 r + a1, a1 r - a0) are (x0 + y1, x1 - y0) with x = a,
+    # y = a r and with the two swapped
+    ar = a * ratio
+    x, y = np.where(first, a, ar), np.where(first, ar, a)
+    return np.array((x[0] + y[1], x[1] - y[0])) / denom
+
+
+def _over_real(a, m):
+    """_quot(a, (m, 0.0)) for (P,) m > 0 or NaN, where its ratio is 0.0 and its denominator m."""
+    zero = a * 0.0
+    return np.array((a[0] + zero[1], a[1] - zero[0])) / m
+
+
+def _sqrt(x):
+    """cmath.sqrt, and the mask of the elements it takes another path for: a non-finite part
+    (its special-value table) or both parts below DBL_MIN (a rescaled sqrt), zero included."""
+    ax, ay = np.abs(x)
+    ax = ax / 8.0
+    s = 2.0 * np.sqrt(ax + np.hypot(ax, ay / 8.0))
+    sd = np.array((s, ay / (2.0 * s)))
+    root = np.where(x[0] >= 0.0, sd, sd[::-1])
+    np.copysign(root[1], x[1], out=root[1])
+    # s < 1.7e-154 where both parts are below DBL_MIN and s >= 1.05e-154 where one is not;
+    # NaN and inf fail both tests
+    return root, ~((s > 1e-153) & (s < np.inf))
+
+
+def _model_steps(f, d, g, real):
+    """_model_step on P pairs, (2, P) parts each: the steps' parts and the stationary mask.
+
+    real says whether f, d and g stand for Python floats, with zero
+    imaginary rows, or for Python complexes. A float's sqrt runs on
+    (x, 0.0), d + sq on (d, 0.0) and f / den on (f, 0.0), as CPython 3.11
+    mixes them. Pairs with f = 0 or a discriminant that `_sqrt` leaves out
+    take _model_step itself; a stationary pair's step is 0.
+    """
+    if real:
+        disc = np.array((d[0] * d[0] - f[0] * g[0], f[1]))
+    else:  # d d - f g by _Py_c_prod
+        dd, ddx, fg, fgx = d * d, d * d[::-1], f * g, f * g[::-1]
+        disc = np.array(((dd[0] - dd[1]) - (fg[0] - fg[1]), (ddx[0] + ddx[1]) - (fgx[0] + fgx[1])))
+    sq, odd = _sqrt(disc)
+    plus, minus = d + sq, d - sq
+    # the larger of the two is not 0 where the discriminant is not
+    step = _quot(f, np.where(np.hypot(*plus) >= np.hypot(*minus), plus, minus))
+    stationary = np.zeros(f.shape[1], dtype=bool)
+    for i in (odd | ((f[0] == 0.0) & (f[1] == 0.0))).nonzero()[0].tolist():
+        one = _model_step(*(x[0, i].item() if real else complex(*x[:, i]) for x in (f, d, g)))
+        stationary[i] = one is None
+        step[:, i] = (0.0, 0.0) if one is None else (one.real, one.imag)
+    return step, stationary
+
+
+def _osculating_model(r, t, k, half):
+    """f, d and g of a pair's osculating quadratic from its offset r, tangent t and second
+    derivative k: Python floats for one pair, or (P,) arrays from (3, P) columns."""
+    (x, y, z), (tx, ty, tz), (kx, ky, kz) = r, t, k
+    f, d = x * x + y * y + z * z, -half * (x * tx + y * ty + z * tz)
+    return f, d, half * half * (tx * tx + ty * ty + tz * tz - (x * kx + y * ky + z * kz))
+
+
 def _osculating_guesses(curve: PanelizedCurve, nodes: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Root guesses for P pairs from global node indices and (P, 3) offsets x_bar - x_j to them.
 
@@ -61,18 +137,29 @@ def _osculating_guesses(curve: PanelizedCurve, nodes: np.ndarray, r: np.ndarray)
     g delta^2, f = |r|^2, d = -r . x' and g = x' . x' - r . x''. The guess
     is this quadratic's root, reached as find_root's first step from eta_j,
     with Im made positive and at least 1e-8; on a straight panel it is the
-    root. Python scalars, as in find_root's steps, beat arrays at few pairs.
+    root. Below _ARRAY_PAIRS pairs, as at a point's about 2, the steps run
+    on Python scalars; from there on float arrays with the same bits.
     """
     half = 0.5 * curve.grid.panel_width
-    eta = curve.grid.rule.nodes[nodes % curve.grid.rule.order].tolist()
+    eta = curve.grid.rule.nodes[nodes % curve.grid.rule.order]
     # take() gathers rows at a third of the cost of fancy indexing
-    tangents, second = (x.take(nodes, 0).tolist() for x in (curve.tangents, curve.second_derivs))
-    rows = zip(r.tolist(), tangents, second, eta)
+    tangents, second = (x.take(nodes, 0) for x in (curve.tangents, curve.second_derivs))
+    if len(nodes) >= _ARRAY_PAIRS:
+        zero = np.zeros(len(nodes))
+        with np.errstate(all="ignore"):
+            model = _osculating_model(r.T, tangents.T, second.T, half)
+            # a stationary pair's zero step leaves it at the node, as the scalar loop does
+            step, _ = _model_steps(*(np.array((x, zero)) for x in model), real=True)
+            size = np.hypot(*step)
+            # as Python's max(size, 1.0) and max(w, 1e-8), np.maximum keeps a NaN first argument
+            step = _over_real(step, np.maximum(size, 1.0))
+        guesses = (eta - step[0]).astype(complex)
+        guesses.imag = np.maximum(np.abs(0.0 - step[1]), 1e-8)  # float - complex, as in 3.11
+        return guesses
+    rows = zip(r.tolist(), tangents.tolist(), second.tolist(), eta.tolist())
     guesses = []
-    for (x, y, z), (tx, ty, tz), (kx, ky, kz), e in rows:
-        f, d = x * x + y * y + z * z, -half * (x * tx + y * ty + z * tz)
-        g = half * half * (tx * tx + ty * ty + tz * tz - (x * kx + y * ky + z * kz))
-        step = _model_step(f, d, g)
+    for rj, tj, kj, e in rows:
+        step = _model_step(*_osculating_model(rj, tj, kj, half))
         w = e if step is None else e - step / max(abs(step), 1.0)  # stationary: stay at the node
         guesses.append(complex(w.real, max(abs(w.imag), 1e-8)))
     return np.array(guesses, dtype=complex)
@@ -131,12 +218,13 @@ def find_root(
     x'' comes from the second-derivative coefficients and x_bar leaves each
     pair's constant coefficient, once per call, so one product gives
     x - x_bar, x' and x''. Every iteration builds each live pair's (n, 2)
-    Legendre table on its Python-complex iterate (from _ARRAY_PAIRS live
-    pairs on, on float arrays with the same bits) and contracts them all in
-    one stacked product, which with the Gram product gives every pair the
-    bits of its one-row block. Step, damping and stopping tests stay per pair
-    on Python scalars; a pair leaves the live set when it converges or
-    fails, so a failed pair does not stop the others.
+    Legendre table and contracts them all in one stacked product, which
+    with the Gram product gives every pair the bits of its one-row block.
+    Below _ARRAY_PAIRS live pairs the tables, steps, damping and stopping
+    tests run per pair on Python scalars; from there on they run on float
+    arrays of all live pairs with the same bits (`_legendre_terms_split`,
+    `_model_steps`). A pair leaves the live set when it converges or fails,
+    so a failed pair does not stop the others.
     """
     coeffs = np.asarray(panel_coeffs, dtype=float)
     xb = np.asarray(x_bar, dtype=float)
@@ -164,42 +252,79 @@ def find_root(
     # the second derivative drops the shifted constant; the real product has the complex one's bits
     c_live[:, :, 1] = shifted @ _second_derivative_matrix(n).T
     c_live = c_live.reshape(count, 6, n)
+
+    def settled(i, size) -> bool:
+        """Whether pair i leaves after a step of this size, its root or reason recorded."""
+        w = z[i]
+        if size <= _NEWTON_TOL:
+            root = w.conjugate() if w.imag < 0 else w
+            if root.imag < REAL_ROOT_FLOOR:
+                on_panel = abs(root.real) - 1.0 <= REAL_ROOT_FLOOR
+                reasons[i] = _ON_CENTERLINE if on_panel else _ON_EXTENSION
+            else:
+                roots[i] = root
+            return True
+        if abs(w) > 20.0:
+            reasons[i] = "Newton iterate escaped the panel neighborhood"
+            return True
+        return False
+
+    stack = None  # the live iterates as one array while the rounds run on arrays
     for _ in range(_NEWTON_MAX_ITER):
         if not live:
             break
         if len(live) >= _ARRAY_PAIRS:
-            table = _legendre_terms_split(np.array([z[i] for i in live]), n)
+            stack = np.array([z[i] for i in live]) if stack is None else stack
+            table = _legendre_terms_split(stack, n)
         else:
-            terms = itertools.chain.from_iterable(_legendre_terms(z[i], n) for i in live)
-            table = np.fromiter(terms, complex, 2 * n * len(live)).reshape(len(live), n, 2)
+            if stack is not None:
+                for i, w in zip(live, stack.tolist()):
+                    z[i] = w
+                stack = None
+            terms = []
+            for i in live:
+                terms += _legendre_terms(z[i], n)
+            table = np.array(terms, dtype=complex).reshape(len(live), n, 2)
         vecs = (c_live @ table).reshape(len(live), 3, 4)
         # the Gram matrix of u = x - x_bar, x', x'' and x''' holds u.u, u.x', u.x'' and x'.x';
         # a contiguous left factor keeps it on the table product's BLAS kernel
         gram = (np.ascontiguousarray(vecs.transpose(0, 2, 1)) @ vecs).reshape(len(live), 16)
-        still = []
-        for j, (i, g) in enumerate(zip(live, gram.tolist())):
-            # f = R^2 = u.u, f' = 2 u.x' and f'' = 2(x'.x' + u.x'')
-            step = _model_step(g[0], g[1], g[5] + g[2])
-            if step is None:
-                reasons[i] = "stationary R^2, Newton step undefined"
-                continue
-            # overshoots past unit length leave the panel's basin; damp them
-            size = abs(step)
-            if size > 1.0:
-                step /= size
-            z[i] = z[i] - step
-            if size <= _NEWTON_TOL:
-                root = z[i].conjugate() if z[i].imag < 0 else z[i]
-                if root.imag < REAL_ROOT_FLOOR:
-                    on_panel = abs(root.real) - 1.0 <= REAL_ROOT_FLOOR
-                    reasons[i] = _ON_CENTERLINE if on_panel else _ON_EXTENSION
+        # f = R^2 = u.u, f' = 2 u.x' and f'' = 2(x'.x' + u.x'')
+        if stack is not None:
+            # rows 0-1, 2-3, 4-5 and 6-7: the parts of f, d = u.x', u.x'' and x'.x'
+            parts = np.ascontiguousarray(gram.take([0, 1, 2, 5], 1).view(float).T)
+            with np.errstate(all="ignore"):
+                step, stationary = _model_steps(parts[:2], parts[2:4], parts[6:] + parts[4:6], False)
+                size = np.hypot(*step)
+                # overshoots past unit length leave the panel's basin; damp them
+                if (size > 1.0).any():
+                    step = np.where(size > 1.0, _over_real(step, size), step)
+                stack.real -= step[0]
+                stack.imag -= step[1]
+                left = stationary | (size <= _NEWTON_TOL) | (np.hypot(stack.real, stack.imag) > 20.0)
+            gone = left.nonzero()[0]
+            for j, w, size_j, halt in zip(gone.tolist(), stack[gone].tolist(), size[gone].tolist(),
+                                          stationary[gone].tolist()):
+                z[live[j]] = w
+                if halt:
+                    reasons[live[j]] = _STATIONARY
                 else:
-                    roots[i] = root
-                continue
-            if abs(z[i]) > 20.0:
-                reasons[i] = "Newton iterate escaped the panel neighborhood"
-                continue
-            still.append(j)
+                    settled(live[j], size_j)
+            still = (~left).nonzero()[0].tolist()
+            stack = stack[~left]
+        else:
+            still = []
+            for j, (i, g) in enumerate(zip(live, gram.tolist())):
+                step = _model_step(g[0], g[1], g[5] + g[2])
+                if step is None:
+                    reasons[i] = _STATIONARY
+                    continue
+                size = abs(step)
+                if size > 1.0:
+                    step /= size
+                z[i] = z[i] - step
+                if not settled(i, size):
+                    still.append(j)
         if len(still) < len(live):
             live = [live[j] for j in still]
             c_live = c_live.take(still, axis=0)
@@ -208,17 +333,21 @@ def find_root(
     return np.array(roots, dtype=complex), reasons
 
 
-def _moments_recursion(a: float, b: float, count: int) -> np.ndarray:
+def _moments_recursion(a, b, count: int) -> np.ndarray:
     """Upward recursions for int eta^k / |eta - (a+ib)|^p, p = 1 and 3, stable for near roots.
 
     Boundary terms with opposite-sign endpoint weights are rewritten through
     w(1)^2 - w(-1)^2 = -4a so that small |a| does not trigger cancellation.
     Column 0 holds p = 1, column 1 holds p = 3, which recurs on column 0.
+    a and b are Python floats, giving a (count, 2) array, or (S,) float
+    arrays of S roots, giving (S, count, 2) with each root's bits.
     """
-    # numpy's hypot and arcsinh, one call each on both arguments, then Python floats, whose
-    # arithmetic rounds as numpy's does; math.hypot and math.asinh may round differently
-    w1, wm1 = np.hypot((1.0 - a, 1.0 + a), b).tolist()
-    s1, sm1 = np.arcsinh(((1.0 - a) / b, (-1.0 - a) / b)).tolist()
+    # numpy's hypot and arcsinh, one call each on both arguments; one root's values then
+    # become Python floats, whose arithmetic rounds as numpy's does, where math.hypot and
+    # math.asinh may round differently
+    one = isinstance(a, float)
+    w, s = np.hypot((1.0 - a, 1.0 + a), b), np.arcsinh(((1.0 - a) / b, (-1.0 - a) / b))
+    (w1, wm1), (s1, sm1) = (w.tolist(), s.tolist()) if one else (w, s)
     w_sum = w1 + wm1
     w_diff = -4.0 * a / w_sum  # w(1) - w(-1)
     winv_diff = w_diff / (w1 * wm1)  # 1/w(-1) - 1/w(1)
@@ -235,8 +364,8 @@ def _moments_recursion(a: float, b: float, count: int) -> np.ndarray:
         prev, first, third = (first, (b1 + a * (2 * k - 1) * first - (k - 1) * ab2 * prev) / k,
                               a * third + (k - 1) * prev + b3)
         q += (first, third)
-    # one C-order (count, 2) array: the special sums' products round by layout
-    return np.array(q).reshape(count, 2)
+    # C order: the special sums' products round by layout
+    return np.array(q).reshape(count, 2) if one else np.array(q).T.reshape(-1, count, 2)
 
 
 _GRADED_RULE = gauss_legendre(_GRADED_ORDER)
@@ -263,6 +392,31 @@ def _graded_table(level: int) -> np.ndarray:
     return table
 
 
+def _graded_level(a: float, b: float) -> int:
+    """The graded rule's level for a root a + ib, a >= 0: the panel next to 1 halves until
+    the root's Bernstein radius over it reaches _PANEL_RHO."""
+    level, w = 0, complex(a, b)  # the root over the finest panel, mapped to [-1, 1]
+    while abs(w + cmath.sqrt(w - 1.0) * cmath.sqrt(w + 1.0)) < _PANEL_RHO:
+        level += 1
+        w = complex((a - 1.0) * 2.0**level + 1.0, b * 2.0**level)
+    return level
+
+
+def _graded_sums(a, b, level: int, count: int) -> np.ndarray:
+    """The graded rule at one level for roots a + ib with a >= 0: Python floats give a
+    (count, 2) array, (S, 1, 1) float arrays (S, count, 2) with each root's bits."""
+    table = _graded_table(level)
+    t = (1.0 - a) + table[:, 0]
+    w2 = t * t + b * b
+    # both columns' kernels in one (..., level + 1, 2, 32) array, filled in place
+    kernels = np.empty(w2.shape[:-1] + (2, _GRADED_ORDER))
+    k1 = np.divide(table[:, 1], np.sqrt(w2), out=kernels[..., 0, :])
+    np.divide(k1, w2, out=kernels[..., 1, :])
+    sums = table[:, 2 : 2 + count] @ kernels.swapaxes(-1, -2)
+    # the panels' sums add up one after the other
+    return sums.sum(axis=-3) if level else sums[..., 0, :, :]
+
+
 def _moments_graded(a: float, b: float, count: int) -> np.ndarray:
     """Composite 32-point Gauss-Legendre on panels halving toward eta = 1, for roots off [-1, 1].
 
@@ -276,19 +430,7 @@ def _moments_graded(a: float, b: float, count: int) -> np.ndarray:
     the deepest roots' moments to 2.2e-15 where these reach 1.1e-15.
     """
     mirror, a = a < 0.0, abs(a)
-    level, w = 0, complex(a, b)  # the root over the finest panel, mapped to [-1, 1]
-    while abs(w + cmath.sqrt(w - 1.0) * cmath.sqrt(w + 1.0)) < _PANEL_RHO:
-        level += 1
-        w = complex((a - 1.0) * 2.0**level + 1.0, b * 2.0**level)
-    table = _graded_table(level)
-    t = (1.0 - a) + table[:, 0]
-    w2 = t * t + b * b
-    # both columns' kernels in one (level + 1, 2, 32) array, filled in place
-    kernels = np.empty((level + 1, 2, _GRADED_ORDER))
-    k1 = np.divide(table[:, 1], np.sqrt(w2), out=kernels[:, 0])
-    np.divide(k1, w2, out=kernels[:, 1])
-    sums = table[:, 2 : 2 + count] @ kernels.transpose(0, 2, 1)
-    q = sums.sum(axis=0) if level else sums[0]
+    q = _graded_sums(a, b, _graded_level(a, b), count)
     if mirror:
         odd = q[1::2]
         np.negative(odd, out=odd)
@@ -312,6 +454,8 @@ def qkp_moments(z1: complex, count: int) -> np.ndarray:
     find_root calls real, raise ValueError: q_0^3 ~ 2 / Im(z1)^2 overflows
     from Im z1 ~ 1e-154 on, and the floor bounds the graded rule at level 33.
     So do roots from |z1| ~ 1.3e154 on, whose |eta - z1|^2 overflows and zeros the moments.
+    eval_S's chunks with _ARRAY_PAIRS or more special pairs take the same
+    routes for all their roots at once (`_stacked_moments`), bit for bit.
     """
     if not isinstance(count, (int, np.integer)) or not 1 <= count <= MAX_MOMENT_COUNT:
         raise ValueError(f"count must be an integer in [1, {MAX_MOMENT_COUNT}], got {count!r}")
@@ -323,6 +467,29 @@ def qkp_moments(z1: complex, count: int) -> np.ndarray:
     if abs(a) <= 1.0 and b <= 1.0:
         return _moments_recursion(a, b, count)
     return _moments_graded(a, b, count)
+
+
+def _stacked_moments(z1: np.ndarray, count: int) -> np.ndarray:
+    """qkp_moments of S roots from find_root, which pass its checks, as one (S, count, 2) array.
+
+    Each row has the bits of its root's call: the recursion runs once on
+    float arrays of all roots over the interval, the graded rule once per
+    level on that level's roots, mirrored ones flipped after.
+    """
+    a, b = z1.real, z1.imag
+    q = np.empty((len(z1), count, 2))
+    over = (np.abs(a) <= 1.0) & (b <= 1.0)
+    if over.any():
+        q[over] = _moments_recursion(a[over], b[over], count)
+    graded = np.flatnonzero(~over)
+    ag, bg = np.abs(a[graded]), b[graded]
+    levels = np.array([_graded_level(x, y) for x, y in zip(ag.tolist(), bg.tolist())], dtype=int)
+    for level in set(levels.tolist()):
+        at = levels == level
+        q[graded[at]] = _graded_sums(ag[at, None, None], bg[at, None, None], level, count)
+    mirrored = graded[a[graded] < 0.0]
+    q[mirrored, 1::2] = -q[mirrored, 1::2]
+    return q
 
 
 def _offsets(positions: np.ndarray, x_bar) -> tuple[np.ndarray, np.ndarray]:
@@ -413,12 +580,19 @@ def _special_sums(curve: PanelizedCurve, fv, panels, z1, r, r2) -> np.ndarray:
     g_p * (omega/R^2)^{p/2} at the nodes, contracted with the
     `_moment_weights` of the kernel moments, integrate their interpolants
     against the kernel. At real nodes omega/R^2 > 0: the principal root.
+    Below _ARRAY_PAIRS pairs each root takes one qkp_moments call; from
+    there on all take one `_stacked_moments` stack with the same bits.
     """
     grid = curve.grid
     eta = grid.rule.nodes
     n = grid.rule.order
-    w = _moment_weights(grid.rule, np.array([qkp_moments(z, n) for z in z1]))
-    roots = np.array(z1)[:, None]
+    roots = np.asarray(z1, dtype=complex)
+    if len(roots) >= _ARRAY_PAIRS:
+        moments = _stacked_moments(roots, n)
+    else:
+        moments = np.array([qkp_moments(z, n) for z in roots.tolist()])
+    w = _moment_weights(grid.rule, moments)
+    roots = roots[:, None]
     ratio = ((eta - roots.real) ** 2 + roots.imag * roots.imag) / r2
 
     fv = fv.reshape(grid.panel_count, n, 3).take(panels, axis=0)
@@ -466,20 +640,20 @@ def eval_S(curve: PanelizedCurve, f: LineDensity, x_bar) -> np.ndarray:
             warnings.warn(f"point {start + tt[i]}, panel {mm[i]}: {reasons[i]}; "
                           "falling back to regular quadrature")
         near = z1.imag < 1.0  # False for the NaN roots of failed pairs
-        tp, mp, z1 = tt[near], mm[near], z1[near].tolist()
+        tp, mp = tt[near], mm[near]
         if not len(tp):
             return _regular_sum(curve, fv, r, r2)
         # one sum for the chunk; zero weights leave out each point's special panels, and a
         # point without any keeps the grid's weights and eval_S_regular's bits
         count = len(points)
+        flat = tp * grid.panel_count + mp  # each pair's (point, panel) row of n nodes
         weights = np.tile(grid.global_weights, (count, 1))
-        weights.reshape(count, grid.panel_count, n)[tp, mp] = 0.0
+        weights.reshape(-1, n)[flat] = 0.0
         out = _regular_sum(curve, fv, r, r2, weights)
-        rp = r.reshape(count, grid.panel_count, n, 3)[tp, mp]
-        r2p = r2.reshape(count, grid.panel_count, n)[tp, mp]
+        rp, r2p = r.reshape(-1, n, 3).take(flat, 0), r2.reshape(-1, n).take(flat, 0)
         total = np.zeros((count, 3))
         # in pair order, the bits of adding each point's special rows one by one
-        np.add.at(total, tp, _special_sums(curve, fv, mp, z1, rp, r2p))
+        np.add.at(total, tp, _special_sums(curve, fv, mp, z1[near], rp, r2p))
         return out + total
 
     return _blockwise(curve, x_bar, chunk_sums)

@@ -184,6 +184,10 @@ def _legendre_table(z: np.ndarray, n: int) -> np.ndarray:
     return np.array(terms).reshape((n, 2) + z.shape)
 
 
+# Bonnet's recurrence coefficients (2k - 1, k - 1, k) as floats, indexed by k; rows 0 and 1 unused
+_BONNET = tuple((2.0 * k - 1.0, k - 1.0, float(k)) for k in range(MAX_ORDER + 1))
+
+
 def _legendre_terms(z, n: int, zero=0.0, one=1.0) -> list:
     """P_0(z), P_0'(z), P_1(z), P_1'(z), ..., P_{n-1}'(z) as one flat list of 2n terms.
 
@@ -191,14 +195,18 @@ def _legendre_terms(z, n: int, zero=0.0, one=1.0) -> list:
     with the default zero and one, or on an array with zero and one arrays
     of its shape. A flat list of scalars converts to an array several times
     faster than nested rows, which Newton's tables on many iterates need.
+    Float coefficients give the bits of integer ones, which z's arithmetic
+    converts to float or complex first.
     """
     terms = [one, zero, z, one]
+    append = terms.append
     p_prev, p = one, z
     dp_prev, dp = zero, one
-    for k in range(2, n):
-        p_prev, p = p, ((2 * k - 1) * z * p - (k - 1) * p_prev) / k
-        dp_prev, dp = dp, dp_prev + (2 * k - 1) * p_prev
-        terms += (p, dp)
+    for a, b, c in _BONNET[2:n]:
+        p_prev, p = p, (a * z * p - b * p_prev) / c
+        dp_prev, dp = dp, dp_prev + a * p_prev
+        append(p)
+        append(dp)
     return terms[: 2 * n]
 
 

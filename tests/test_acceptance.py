@@ -4,7 +4,9 @@ Each test pins one acceptance criterion at its stated tolerance and runtime
 budget and prints a single PASS/FAIL line (run with -s to see them inline).
 The near-singular field criterion runs a 5x5x4 subsample of the full
 evaluation grid by default; set SLENDERQUAD_FULL_GRID=1 to run all
-20x20x16 points within the 5-minute budget.
+20x20x16 points within the 5-minute budget, and the byte check of eval_S's
+block rows against its one-point calls, which prints no line, covers the
+field-test default grid.
 """
 
 import contextlib
@@ -181,6 +183,24 @@ def test_criterion_5_near_singular_stokeslet():
         budget,
         detail,
     )
+
+
+def test_field_grid_block_rows_equal_point_calls():
+    # a chunk with nearsing._ARRAY_PAIRS or more near pairs runs its stages on arrays and a
+    # one-point call runs them on Python scalars; every row keeps its one-point bytes. The
+    # field-test default 20x20x16 grid with SLENDERQUAD_FULL_GRID=1 (19 200 one-point
+    # calls), else the subsample above
+    if os.environ.get("SLENDERQUAD_FULL_GRID") == "1":
+        points = cli.helix_field_grid(HELIX, radial_count=20, angular_count=20, z_count=16)
+    else:
+        points = _field_points(False)
+    f, _ = forces.testf_simple(HELIX)
+    for m in (4, 8, 16):
+        pcurve = discretize(HELIX, m, RULE)
+        density = LineDensity(f(pcurve.grid.global_nodes))
+        block = eval_S(pcurve, density, points)
+        single = np.array([eval_S(pcurve, density, x) for x in points])
+        assert block.tobytes() == single.tobytes(), f"M = {m}"
 
 
 def test_criterion_6_moment_oracle():

@@ -1,8 +1,10 @@
+import cmath
 import os
 import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -712,7 +714,7 @@ class TestEvalSDispatch:
         assert np.all(np.isfinite(eval_S_regular(pc, dens, far)))
 
     def test_one_moment_call_per_special_panel(self, monkeypatch):
-        moments, products, roots = [], [], []
+        moments, products, roots, stacks = [], [], [], []
 
         def counted(record, fn):
             def wrapper(*args):
@@ -726,6 +728,8 @@ class TestEvalSDispatch:
         weights = counted(products, nearsing._moment_weights)
         monkeypatch.setattr(nearsing, "_moment_weights", weights)
         monkeypatch.setattr(nearsing, "find_root", counted(roots, nearsing.find_root))
+        monkeypatch.setattr(nearsing, "_stacked_moments",
+                            counted(stacks, nearsing._stacked_moments))
         s0 = 0.62
         pt = self.helix.position(s0) + 2.2e-3 * self.helix.second_derivative(s0) / 8.0
         eval_S(self.pc, self.dens, pt)
@@ -734,7 +738,7 @@ class TestEvalSDispatch:
         # a special pair is a root the Newton run accepts, Im(z1) < 1
         specials = [z1 for z1 in np.concatenate([z for z, _ in roots]) if z1.imag < 1.0]
         assert len(specials) > 0
-        assert len(moments) == len(specials)
+        assert len(moments) == len(specials) and not stacks
         assert len(products) == 1 and len(products[0]) == len(specials)
 
         # three chunks, the middle one far from the fiber: one weight product per chunk with a
@@ -745,10 +749,13 @@ class TestEvalSDispatch:
         moments.clear(), products.clear(), roots.clear()
         eval_S(self.pc, self.dens, block)
         assert len(roots) == 2
-        specials = [z1 for z1 in np.concatenate([z for z, _ in roots]) if z1.imag < 1.0]
-        assert len(specials) > 0
-        assert len(moments) == len(specials)
-        assert len(products) == 2 and sum(map(len, products)) == len(specials)
+        first, last = ([z1 for z1 in z if z1.imag < 1.0] for z, _ in roots)
+        assert len(first) == chunk * len(specials) and len(last) == len(specials)
+        # the first chunk's special pairs take the array route, one (pairs, n, 2) stack of
+        # moments; the last chunk's one point takes one qkp_moments call per special pair
+        assert len(stacks) == 1 and stacks[0].shape == (len(first), 16, 2)
+        assert len(moments) == len(last)
+        assert [len(w) for w in products] == [len(first), len(last)]
 
     def test_near_point_matches_oracle(self):
         s0 = 0.62
@@ -1007,3 +1014,183 @@ class TestEvalSBlocks:
         for evaluate in (eval_S, eval_S_regular):
             with pytest.raises(ValueError, match=message):
                 evaluate(self.pc, self.dens, x_bar)
+
+
+def _per_pair_and_arrays(monkeypatch, fn):
+    """fn() with every near-field stage per pair on Python scalars, then on arrays throughout."""
+    monkeypatch.setattr(nearsing, "_ARRAY_PAIRS", 10**9)
+    scalar = fn()
+    monkeypatch.setattr(nearsing, "_ARRAY_PAIRS", 0)
+    return scalar, fn()
+
+
+def _first_written_roots():
+    """The 2105 seeded roots of test_bytes_of_the_routes_as_first_written, as one array."""
+    rng = np.random.default_rng(32)
+    uniform = rng.uniform
+
+    def complexes(re, im):
+        return [complex(a, b) for a, b in zip(re, im)]
+
+    over = complexes(uniform(-1, 1, 800), 10.0 ** uniform(-10, 0, 800))
+    high = complexes(uniform(-1, 1, 300), uniform(1, 2.5, 300))
+    past = rng.choice([-1.0, 1.0], 900) * (1.0 + 2.0 ** uniform(-15, 1, 900))
+    ends = complexes(past, 10.0 ** uniform(-10, -1, 900))
+    far = complexes(uniform(-100, 100, 100), 10.0 ** uniform(-10, 1, 100))
+    edges = [1.0 + 1e-10j, -1.0 + 1j, 1j, 1.0 + 1e-15 + 1e-10j, -1.0 - 1e-15 + 1e-10j]
+    return np.array(over + high + ends + far + edges)
+
+
+class TestArrayTwins:
+    """Each near-field stage on arrays keeps the bytes of its per-pair Python twin."""
+
+    HELIX = make_helix(8.0, 3.0, 1.5)
+
+    def test_model_steps_equal_the_scalar_step(self):
+        rng = np.random.default_rng(34)
+
+        def draw(count):
+            scale = 10.0 ** rng.uniform(-20, 20, (2, count))
+            return rng.standard_normal((2, count)) * scale
+
+        f, d, g = draw(3000), draw(3000), draw(3000)
+        d[:, :1000] = rng.standard_normal((2, 1000))  # discriminants of both signs and sizes
+        # f = 0; a stationary model, d = g = 0 with f != 0; discriminants below DBL_MIN in
+        # both parts, zero, +inf and NaN, which cmath.sqrt scales or takes from its table
+        f[:, 0] = 0.0
+        d[:, 1], g[:, 1] = 0.0, 0.0
+        d[:, 2], f[:, 2], g[:, 2] = (1e-160, 1e-170), (1e-160, 0.0), (2e-160, 3e-170)
+        d[:, 3], f[:, 3], g[:, 3] = (0.0, 0.0), (1e-160, 0.0), (1e-160, 1e-162)
+        d[:, 4], f[:, 4], g[:, 4] = (0.0, 0.0), (1e-160, 0.0), (1e-155, 0.0)
+        d[:, 5], f[:, 5], g[:, 5] = (2.0, 0.0), (4.0, 0.0), (1.0, 0.0)
+        d[:, 6], f[:, 6], g[:, 6] = (1.0, 0.0), (1.0, 0.0), (-np.inf, 0.0)
+        d[:, 7] = np.nan
+        for real in (False, True):
+            if real:
+                f[1], d[1], g[1] = 0.0, 0.0, 0.0
+            with np.errstate(all="ignore"):
+                steps, stationary = nearsing._model_steps(f, d, g, real)
+            scalars = [(x, y, z) if real else (complex(*x), complex(*y), complex(*z))
+                       for x, y, z in zip(f[0].tolist() if real else f.T.tolist(),
+                                          d[0].tolist() if real else d.T.tolist(),
+                                          g[0].tolist() if real else g.T.tolist())]
+            want = [nearsing._model_step(*args) for args in scalars]
+            disc = [dj * dj - fj * gj for fj, dj, gj in scalars[:8]]
+            assert all(0 < abs(x) and abs(complex(x).real) < 2.2e-308 > abs(complex(x).imag)
+                       for x in disc[2:5])
+            assert disc[5] == 0 and complex(disc[6]).real == np.inf and np.isnan(disc[7])
+            assert stationary.tolist() == [w is None for w in want]
+            assert stationary[1] and (want[0] == 0.0) and not stationary.all()
+            parts = [(0.0, 0.0) if w is None else (complex(w).real, complex(w).imag) for w in want]
+            assert steps.T.tobytes() == np.array(parts).tobytes(), real
+
+    def test_complex_arithmetic_is_cpythons(self):
+        # the quotient, abs and sqrt of Python complexes, element by element; _model_steps'
+        # products are held to _Py_c_prod's by the test above
+        rng = np.random.default_rng(35)
+        a, b = (rng.standard_normal((2, 4000)) * 10.0 ** rng.uniform(-150, 150, (2, 4000))
+                for _ in range(2))
+        b[:, :1000] = np.round(b[:, :1000])  # parts of equal size and zero parts
+        b[:, 1000:1100] = b[::-1, 1000:1100]
+        a[:, :400] = np.round(a[:, :400])  # zero parts of either sign
+        a[:, :200] *= -1.0
+        za, zb = [complex(*x) for x in a.T.tolist()], [complex(*x) for x in b.T.tolist()]
+        keep = [z != 0 for z in zb]
+        with np.errstate(all="ignore"):
+            quot = nearsing._quot(a, b)
+            root, odd = nearsing._sqrt(a)
+        want = np.array([x / y if y else complex(0.0, 0.0) for x, y in zip(za, zb)])
+        assert quot[0][keep].tobytes() == want.real[keep].tobytes()
+        assert quot[1][keep].tobytes() == want.imag[keep].tobytes()
+        assert np.hypot(*a).tobytes() == np.array([abs(z) for z in za]).tobytes()
+        want = np.array([cmath.sqrt(z) for z in za])
+        # cmath.sqrt takes 0 on its own path, as it does parts below DBL_MIN and non-finite ones
+        assert np.array_equal(odd, (a[0] == 0.0) & (a[1] == 0.0)) and 0 < odd.sum() < 200
+        assert root[0][~odd].tobytes() == want.real[~odd].tobytes()
+        assert root[1][~odd].tobytes() == want.imag[~odd].tobytes()
+        m = np.abs(b[0]) + 1.0
+        with np.errstate(all="ignore"):
+            over = nearsing._over_real(a, m)
+        want = np.array([z / x for z, x in zip(za, m.tolist())])
+        assert over[0].tobytes() == want.real.tobytes() and over[1].tobytes() == want.imag.tobytes()
+
+    def _fake_curve(self, tangents, second):
+        """A curve as _osculating_guesses reads one: node i of every pair has these derivatives."""
+        grid = SimpleNamespace(panel_width=0.1875, rule=RULE)
+        return SimpleNamespace(grid=grid, tangents=tangents, second_derivs=second)
+
+    def test_guesses(self, monkeypatch):
+        rng = np.random.default_rng(36)
+        count = 600
+        r = rng.standard_normal((count, 3)) * 10.0 ** rng.uniform(-6, 0, (count, 1))
+        t = rng.standard_normal((count, 3))
+        k = rng.standard_normal((count, 3)) * 10.0 ** rng.uniform(-2, 2, (count, 1))
+        # f = 0; a zero denominator, d = 0 and g = 0 with f > 0; a discriminant below
+        # DBL_MIN; one of +inf, where r . x'' overflows
+        r[0] = 0.0
+        r[1], t[1], k[1] = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 0.0, 0.0)
+        r[2], t[2], k[2] = (1e-155, 1e-155, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 0.0)
+        r[3], t[3], k[3] = (10.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1e308, 0.0, 0.0)
+        curve = self._fake_curve(t, k)
+        nodes = np.arange(count)
+        disc = []
+        for rj, tj, kj in zip(r[:4].tolist(), t[:4].tolist(), k[:4].tolist()):
+            f, d, g = nearsing._osculating_model(rj, tj, kj, 0.09375)
+            disc.append(d * d - f * g)
+        assert disc[1] == 0.0 and 0.0 < abs(disc[2]) < 2.2e-308 and disc[3] == np.inf
+        scalar, arrays = _per_pair_and_arrays(
+            monkeypatch, lambda: nearsing._osculating_guesses(curve, nodes, r))
+        assert arrays.tobytes() == scalar.tobytes() and np.isfinite(scalar).all()
+        assert scalar[1] == complex(RULE.nodes[1], 1e-8)  # stationary: the node
+        # the guesses eval_S starts the field-test grid from
+        points = cli.helix_field_grid(self.HELIX, radial_count=5, angular_count=5, z_count=4)
+        for panels in (2, 4, 8, 16):
+            pc = discretize(self.HELIX, panels, RULE)
+            scalar, arrays = _per_pair_and_arrays(monkeypatch, lambda: nearsing._near_pairs(
+                pc, points, *nearsing._offsets(pc.positions, points))[2])
+            assert len(scalar) > 0 and arrays.tobytes() == scalar.tobytes()
+
+    def test_find_root_rounds(self, monkeypatch):
+        # damped, escaping and stationary steps and real roots on and off the panel among the
+        # s_field near pairs, each kind four times over so that the rounds run on arrays
+        coeffs, points, guesses = _newton_pairs(discretize(self.HELIX, 8, RULE),
+                                                _s_field_near_points(self.HELIX, 2))
+        line = np.zeros((3, 16))
+        line[:, :2] = TestFindRootBlocks.LINE
+        constant = np.zeros((3, 16))
+        constant[:, 0] = 0.5
+        odd = [(line, (0.5, 50.0, 0.0), 0.1j), (line, (1.5, 0.0, 0.0), 2.0),
+               (constant, (1.5, 0.0, 0.0), 0.5j), (line, (0.25, 0.0, 0.0), 0.3j),
+               (line, (0.5, 0.1, 0.0), 6.0 + 4.0j)] * 4
+        coeffs = np.concatenate([coeffs[:40], [c for c, _, _ in odd]])
+        points = np.concatenate([points[:40], [x for _, x, _ in odd]])
+        guesses = np.concatenate([guesses[:40], [z for _, _, z in odd]])
+        sizes = []
+        over = nearsing._over_real
+        monkeypatch.setattr(nearsing, "_over_real", lambda a, m: sizes.append(m) or over(a, m))
+        (r1, why1), (r2, why2) = _per_pair_and_arrays(
+            monkeypatch, lambda: find_root(coeffs, points, guesses))
+        assert r2.tobytes() == r1.tobytes() and why2 == why1
+        assert max(np.max(m) for m in sizes) > 1.0  # a damped step on arrays
+        assert {"Newton iterate escaped the panel neighborhood", nearsing._ON_EXTENSION,
+                "stationary R^2, Newton step undefined", nearsing._ON_CENTERLINE, ""} == set(why1)
+        assert not np.isnan(r1[-1]) and not any(why1[:40])
+
+    def test_moments(self):
+        roots = _first_written_roots()
+        assert len(roots) == 2105
+        for count in range(1, 17):
+            got = nearsing._stacked_moments(roots, count)
+            assert got.shape == (2105, count, 2) and got.flags.c_contiguous
+            want = np.array([qkp_moments(z, count) for z in roots.tolist()])
+            assert got.tobytes() == want.tobytes(), count
+
+    @pytest.mark.parametrize("order", [8, 15, 16])
+    @pytest.mark.parametrize("panels", [2, 4, 8, 16])
+    def test_field_grid_block_equals_point_calls(self, order, panels):
+        # the 5x5x4 field-test grid is one chunk: every stage runs on arrays
+        pc = discretize(self.HELIX, panels, gauss_legendre(order))
+        dens = LineDensity(forces.testf_simple(self.HELIX)[0](pc.grid.global_nodes))
+        points = cli.helix_field_grid(self.HELIX, radial_count=5, angular_count=5, z_count=4)
+        block = eval_S(pc, dens, points)
+        assert block.tobytes() == np.array([eval_S(pc, dens, x) for x in points]).tobytes()
