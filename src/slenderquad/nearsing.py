@@ -34,7 +34,6 @@ _ARRAY_PAIRS = 32  # pairs from which a near-field stage runs on float arrays, n
 REAL_ROOT_FLOOR = 1e-10  # find_root calls a converged root with a smaller Im(z1) real
 _ON_CENTERLINE = "converged to a real root on the panel; point lies on the centerline"
 _ON_EXTENSION = "converged to a real root; point lies on the curve extension"
-_STATIONARY = "stationary R^2, Newton step undefined"
 _CHUNK = 128  # field points per pass, the oracle's _BLOCK; bounds the (T, N, 3) offset array
 
 
@@ -95,30 +94,24 @@ def _sqrt(x):
     return root, ~((s > 1e-153) & (s < np.inf))
 
 
-def _model_steps(f, d, g, real):
-    """_model_step on P pairs, (2, P) parts each: the steps' parts and the stationary mask.
+def _model_steps(f, d, g):
+    """_model_step on P pairs of Python floats, given as (P,) arrays: the (2, P) steps' parts.
 
-    real says whether f, d and g stand for Python floats, with zero
-    imaginary rows, or for Python complexes. A float's sqrt runs on
-    (x, 0.0), d + sq on (d, 0.0) and f / den on (f, 0.0), as CPython 3.11
-    mixes them. Pairs with f = 0 or a discriminant that `_sqrt` leaves out
-    take _model_step itself; a stationary pair's step is 0.
+    The sqrt runs on (d d - f g, 0.0), d -+ sq on (d, 0.0) and f / den on
+    (f, 0.0), as CPython 3.11 mixes floats with complexes. Pairs with f = 0
+    or a discriminant that `_sqrt` leaves out take _model_step itself; a
+    stationary pair's step is 0.
     """
-    if real:
-        disc = np.array((d[0] * d[0] - f[0] * g[0], f[1]))
-    else:  # d d - f g by _Py_c_prod
-        dd, ddx, fg, fgx = d * d, d * d[::-1], f * g, f * g[::-1]
-        disc = np.array(((dd[0] - dd[1]) - (fg[0] - fg[1]), (ddx[0] + ddx[1]) - (fgx[0] + fgx[1])))
-    sq, odd = _sqrt(disc)
-    plus, minus = d + sq, d - sq
+    zero = np.zeros_like(f)
+    sq, odd = _sqrt(np.array((d * d - f * g, zero)))
+    dc = np.array((d, zero))
+    plus, minus = dc + sq, dc - sq
     # the larger of the two is not 0 where the discriminant is not
-    step = _quot(f, np.where(np.hypot(*plus) >= np.hypot(*minus), plus, minus))
-    stationary = np.zeros(f.shape[1], dtype=bool)
-    for i in (odd | ((f[0] == 0.0) & (f[1] == 0.0))).nonzero()[0].tolist():
-        one = _model_step(*(x[0, i].item() if real else complex(*x[:, i]) for x in (f, d, g)))
-        stationary[i] = one is None
+    step = _quot(np.array((f, zero)), np.where(np.hypot(*plus) >= np.hypot(*minus), plus, minus))
+    for i in (odd | (f == 0.0)).nonzero()[0].tolist():
+        one = _model_step(f[i].item(), d[i].item(), g[i].item())
         step[:, i] = (0.0, 0.0) if one is None else (one.real, one.imag)
-    return step, stationary
+    return step
 
 
 def _osculating_model(r, t, k, half):
@@ -145,11 +138,9 @@ def _osculating_guesses(curve: PanelizedCurve, nodes: np.ndarray, r: np.ndarray)
     # take() gathers rows at a third of the cost of fancy indexing
     tangents, second = (x.take(nodes, 0) for x in (curve.tangents, curve.second_derivs))
     if len(nodes) >= _ARRAY_PAIRS:
-        zero = np.zeros(len(nodes))
         with np.errstate(all="ignore"):
-            model = _osculating_model(r.T, tangents.T, second.T, half)
             # a stationary pair's zero step leaves it at the node, as the scalar loop does
-            step, _ = _model_steps(*(np.array((x, zero)) for x in model), real=True)
+            step = _model_steps(*_osculating_model(r.T, tangents.T, second.T, half))
             size = np.hypot(*step)
             # as Python's max(size, 1.0) and max(w, 1e-8), np.maximum keeps a NaN first argument
             step = _over_real(step, np.maximum(size, 1.0))
@@ -218,13 +209,12 @@ def find_root(
     x'' comes from the second-derivative coefficients and x_bar leaves each
     pair's constant coefficient, once per call, so one product gives
     x - x_bar, x' and x''. Every iteration builds each live pair's (n, 2)
-    Legendre table and contracts them all in one stacked product, which
-    with the Gram product gives every pair the bits of its one-row block.
-    Below _ARRAY_PAIRS live pairs the tables, steps, damping and stopping
-    tests run per pair on Python scalars; from there on they run on float
-    arrays of all live pairs with the same bits (`_legendre_terms_split`,
-    `_model_steps`). A pair leaves the live set when it converges or fails,
-    so a failed pair does not stop the others.
+    Legendre table on its Python-complex iterate (from _ARRAY_PAIRS live
+    pairs on, on float arrays with the same bits) and contracts them all in
+    one stacked product, which with the Gram product gives every pair the
+    bits of its one-row block. Step, damping and stopping tests stay per pair
+    on Python scalars; a pair leaves the live set when it converges or
+    fails, so a failed pair does not stop the others.
     """
     coeffs = np.asarray(panel_coeffs, dtype=float)
     xb = np.asarray(x_bar, dtype=float)
@@ -252,35 +242,12 @@ def find_root(
     # the second derivative drops the shifted constant; the real product has the complex one's bits
     c_live[:, :, 1] = shifted @ _second_derivative_matrix(n).T
     c_live = c_live.reshape(count, 6, n)
-
-    def settled(i, size) -> bool:
-        """Whether pair i leaves after a step of this size, its root or reason recorded."""
-        w = z[i]
-        if size <= _NEWTON_TOL:
-            root = w.conjugate() if w.imag < 0 else w
-            if root.imag < REAL_ROOT_FLOOR:
-                on_panel = abs(root.real) - 1.0 <= REAL_ROOT_FLOOR
-                reasons[i] = _ON_CENTERLINE if on_panel else _ON_EXTENSION
-            else:
-                roots[i] = root
-            return True
-        if abs(w) > 20.0:
-            reasons[i] = "Newton iterate escaped the panel neighborhood"
-            return True
-        return False
-
-    stack = None  # the live iterates as one array while the rounds run on arrays
     for _ in range(_NEWTON_MAX_ITER):
         if not live:
             break
         if len(live) >= _ARRAY_PAIRS:
-            stack = np.array([z[i] for i in live]) if stack is None else stack
-            table = _legendre_terms_split(stack, n)
+            table = _legendre_terms_split(np.array([z[i] for i in live]), n)
         else:
-            if stack is not None:
-                for i, w in zip(live, stack.tolist()):
-                    z[i] = w
-                stack = None
             terms = []
             for i in live:
                 terms += _legendre_terms(z[i], n)
@@ -289,42 +256,30 @@ def find_root(
         # the Gram matrix of u = x - x_bar, x', x'' and x''' holds u.u, u.x', u.x'' and x'.x';
         # a contiguous left factor keeps it on the table product's BLAS kernel
         gram = (np.ascontiguousarray(vecs.transpose(0, 2, 1)) @ vecs).reshape(len(live), 16)
-        # f = R^2 = u.u, f' = 2 u.x' and f'' = 2(x'.x' + u.x'')
-        if stack is not None:
-            # rows 0-1, 2-3, 4-5 and 6-7: the parts of f, d = u.x', u.x'' and x'.x'
-            parts = np.ascontiguousarray(gram.take([0, 1, 2, 5], 1).view(float).T)
-            with np.errstate(all="ignore"):
-                step, stationary = _model_steps(parts[:2], parts[2:4], parts[6:] + parts[4:6], False)
-                size = np.hypot(*step)
-                # overshoots past unit length leave the panel's basin; damp them
-                if (size > 1.0).any():
-                    step = np.where(size > 1.0, _over_real(step, size), step)
-                stack.real -= step[0]
-                stack.imag -= step[1]
-                left = stationary | (size <= _NEWTON_TOL) | (np.hypot(stack.real, stack.imag) > 20.0)
-            gone = left.nonzero()[0]
-            for j, w, size_j, halt in zip(gone.tolist(), stack[gone].tolist(), size[gone].tolist(),
-                                          stationary[gone].tolist()):
-                z[live[j]] = w
-                if halt:
-                    reasons[live[j]] = _STATIONARY
+        still = []
+        for j, (i, g) in enumerate(zip(live, gram.tolist())):
+            # f = R^2 = u.u, f' = 2 u.x' and f'' = 2(x'.x' + u.x'')
+            step = _model_step(g[0], g[1], g[5] + g[2])
+            if step is None:
+                reasons[i] = "stationary R^2, Newton step undefined"
+                continue
+            # overshoots past unit length leave the panel's basin; damp them
+            size = abs(step)
+            if size > 1.0:
+                step /= size
+            z[i] = z[i] - step
+            if size <= _NEWTON_TOL:
+                root = z[i].conjugate() if z[i].imag < 0 else z[i]
+                if root.imag < REAL_ROOT_FLOOR:
+                    on_panel = abs(root.real) - 1.0 <= REAL_ROOT_FLOOR
+                    reasons[i] = _ON_CENTERLINE if on_panel else _ON_EXTENSION
                 else:
-                    settled(live[j], size_j)
-            still = (~left).nonzero()[0].tolist()
-            stack = stack[~left]
-        else:
-            still = []
-            for j, (i, g) in enumerate(zip(live, gram.tolist())):
-                step = _model_step(g[0], g[1], g[5] + g[2])
-                if step is None:
-                    reasons[i] = _STATIONARY
-                    continue
-                size = abs(step)
-                if size > 1.0:
-                    step /= size
-                z[i] = z[i] - step
-                if not settled(i, size):
-                    still.append(j)
+                    roots[i] = root
+                continue
+            if abs(z[i]) > 20.0:
+                reasons[i] = "Newton iterate escaped the panel neighborhood"
+                continue
+            still.append(j)
         if len(still) < len(live):
             live = [live[j] for j in still]
             c_live = c_live.take(still, axis=0)

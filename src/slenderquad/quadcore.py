@@ -184,8 +184,10 @@ def _legendre_table(z: np.ndarray, n: int) -> np.ndarray:
     return np.array(terms).reshape((n, 2) + z.shape)
 
 
-# Bonnet's recurrence coefficients (2k - 1, k - 1, k) as floats, indexed by k; rows 0 and 1 unused
-_BONNET = tuple((2.0 * k - 1.0, k - 1.0, float(k)) for k in range(MAX_ORDER + 1))
+@functools.lru_cache(maxsize=None)
+def _bonnet(n: int) -> tuple:
+    """Bonnet's recurrence coefficients (2k - 1, k - 1, k) as floats for k = 2..n-1, any n."""
+    return tuple((2.0 * k - 1.0, k - 1.0, float(k)) for k in range(2, n))
 
 
 def _legendre_terms(z, n: int, zero=0.0, one=1.0) -> list:
@@ -202,7 +204,7 @@ def _legendre_terms(z, n: int, zero=0.0, one=1.0) -> list:
     append = terms.append
     p_prev, p = one, z
     dp_prev, dp = zero, one
-    for a, b, c in _BONNET[2:n]:
+    for a, b, c in _bonnet(n):
         p_prev, p = p, (a * z * p - b * p_prev) / c
         dp_prev, dp = dp, dp_prev + a * p_prev
         append(p)

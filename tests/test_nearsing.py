@@ -224,6 +224,17 @@ class TestFindRootBlocks:
         assert len(roots) == 257 and np.all(roots.imag > 0)
         assert builds <= 3.0 * len(roots)
 
+    @pytest.mark.parametrize("count", [3, 40])
+    def test_coefficient_counts_past_the_largest_rule(self, count):
+        # find_root takes any coefficient count, also past MAX_ORDER + 1 = 65: panels padded
+        # with zeros to n = 70 keep their roots, on scalar tables and on array tables
+        coeffs, points, guesses = (a[:count] for a in self.pairs)
+        padded = np.zeros(coeffs.shape[:2] + (70,))
+        padded[:, :, :16] = coeffs
+        roots, reasons = find_root(padded, points, guesses)
+        assert not any(reasons)
+        assert np.allclose(roots, find_root(coeffs, points, guesses)[0], rtol=1e-14, atol=0.0)
+
     def test_guess_is_the_root_on_a_straight_panel(self, monkeypatch):
         # R^2 of a straight panel is the osculating quadratic: the first step only confirms
         pc = discretize(make_straight((0.6, 0.0, 0.8), 1.0), 4, RULE)
@@ -885,27 +896,44 @@ def _block_points(helix, count, seed):
 class TestEvalSBlocks:
     HELIX = make_helix(8.0, 3.0, 1.5)
     POINTS = _block_points(HELIX, 2 * nearsing._CHUNK + 1, 5)
+    FIELD = cli.helix_field_grid(HELIX, radial_count=5, angular_count=5, z_count=4)
 
     def setup_method(self):
         self.f, _ = forces.testf_simple(self.HELIX)
         self.pc = discretize(self.HELIX, 8, RULE)
         self.dens = LineDensity(self.f(self.pc.grid.global_nodes))
 
-    @pytest.mark.parametrize("panels", [4, 8, 16])
-    def test_block_equals_point_calls_bitwise(self, panels):
-        pc = discretize(self.HELIX, panels, RULE)
+    @pytest.mark.parametrize(
+        "grid, panels, order",
+        [pytest.param(False, m, 16, id=f"{m}") for m in (4, 8, 16)]
+        + [pytest.param(True, m, order, id=f"field-{m}-{order}")
+           for order in (8, 15, 16) for m in (2, 4, 8, 16)],
+    )
+    def test_block_equals_point_calls_bitwise(self, grid, panels, order, monkeypatch):
+        # seeded points in three chunks, or the 5x5x4 field-test grid in one
+        points = self.FIELD if grid else self.POINTS
+        pc = discretize(self.HELIX, panels, gauss_legendre(order))
         dens = LineDensity(self.f(pc.grid.global_nodes))
         chunk = nearsing._CHUNK
+        counts = [c for c in (1, 2, chunk - 1, chunk, chunk + 1, 100) if c < len(points)]
         for evaluate in (eval_S, eval_S_regular):
-            single = np.array([evaluate(pc, dens, pt) for pt in self.POINTS])
-            for count in (1, 2, chunk - 1, chunk, chunk + 1, 100, len(self.POINTS)):
-                block = evaluate(pc, dens, self.POINTS[:count])
+            single = np.array([evaluate(pc, dens, pt) for pt in points])
+            for count in counts + [len(points)]:
+                block = evaluate(pc, dens, points[:count])
                 assert block.shape == (count, 3)
-                assert np.array_equal(block, single[:count])
+                assert block.tobytes() == single[:count].tobytes()
         # the points mix rows with special panels and rows without any
-        regular = eval_S_regular(pc, dens, self.POINTS)
-        same = np.all(eval_S(pc, dens, self.POINTS) == regular, axis=1)
+        regular = eval_S_regular(pc, dens, points)
+        stages = []
+        for name in ("_model_steps", "_stacked_moments"):
+            stage = getattr(nearsing, name)
+            monkeypatch.setattr(nearsing, name, lambda *a, s=stage: stages.append(s) or s(*a))
+        same = np.all(eval_S(pc, dens, points) == regular, axis=1)
         assert same.any() and not same.all()
+        if grid:
+            # the grid's guesses and moments run on arrays, but for its 23 near pairs at M = 16,
+            # below _ARRAY_PAIRS
+            assert len(stages) == (0 if panels == 16 else 2)
 
     @pytest.mark.parametrize("pairs", [1, 2, 33])
     def test_rows_equal_point_calls_bitwise_at_special_pair_counts(self, pairs, monkeypatch):
@@ -1048,45 +1076,32 @@ class TestArrayTwins:
 
     def test_model_steps_equal_the_scalar_step(self):
         rng = np.random.default_rng(34)
-
-        def draw(count):
-            scale = 10.0 ** rng.uniform(-20, 20, (2, count))
-            return rng.standard_normal((2, count)) * scale
-
-        f, d, g = draw(3000), draw(3000), draw(3000)
-        d[:, :1000] = rng.standard_normal((2, 1000))  # discriminants of both signs and sizes
-        # f = 0; a stationary model, d = g = 0 with f != 0; discriminants below DBL_MIN in
-        # both parts, zero, +inf and NaN, which cmath.sqrt scales or takes from its table
-        f[:, 0] = 0.0
-        d[:, 1], g[:, 1] = 0.0, 0.0
-        d[:, 2], f[:, 2], g[:, 2] = (1e-160, 1e-170), (1e-160, 0.0), (2e-160, 3e-170)
-        d[:, 3], f[:, 3], g[:, 3] = (0.0, 0.0), (1e-160, 0.0), (1e-160, 1e-162)
-        d[:, 4], f[:, 4], g[:, 4] = (0.0, 0.0), (1e-160, 0.0), (1e-155, 0.0)
-        d[:, 5], f[:, 5], g[:, 5] = (2.0, 0.0), (4.0, 0.0), (1.0, 0.0)
-        d[:, 6], f[:, 6], g[:, 6] = (1.0, 0.0), (1.0, 0.0), (-np.inf, 0.0)
-        d[:, 7] = np.nan
-        for real in (False, True):
-            if real:
-                f[1], d[1], g[1] = 0.0, 0.0, 0.0
-            with np.errstate(all="ignore"):
-                steps, stationary = nearsing._model_steps(f, d, g, real)
-            scalars = [(x, y, z) if real else (complex(*x), complex(*y), complex(*z))
-                       for x, y, z in zip(f[0].tolist() if real else f.T.tolist(),
-                                          d[0].tolist() if real else d.T.tolist(),
-                                          g[0].tolist() if real else g.T.tolist())]
-            want = [nearsing._model_step(*args) for args in scalars]
-            disc = [dj * dj - fj * gj for fj, dj, gj in scalars[:8]]
-            assert all(0 < abs(x) and abs(complex(x).real) < 2.2e-308 > abs(complex(x).imag)
-                       for x in disc[2:5])
-            assert disc[5] == 0 and complex(disc[6]).real == np.inf and np.isnan(disc[7])
-            assert stationary.tolist() == [w is None for w in want]
-            assert stationary[1] and (want[0] == 0.0) and not stationary.all()
-            parts = [(0.0, 0.0) if w is None else (complex(w).real, complex(w).imag) for w in want]
-            assert steps.T.tobytes() == np.array(parts).tobytes(), real
+        f, d, g = rng.standard_normal((3, 3000)) * 10.0 ** rng.uniform(-20, 20, (3, 3000))
+        d[:1000] = rng.standard_normal(1000)  # discriminants of both signs and sizes
+        # f = 0; a stationary model, d = g = 0 with f != 0; discriminants below DBL_MIN,
+        # zero, +inf and NaN, which cmath.sqrt scales or takes from its table
+        f[0] = 0.0
+        d[1], g[1] = 0.0, 0.0
+        d[2], f[2], g[2] = 1e-160, 1e-160, 2e-160
+        d[3], f[3], g[3] = 0.0, 1e-160, 1e-160
+        d[4], f[4], g[4] = 0.0, 1e-160, 1e-155
+        d[5], f[5], g[5] = 2.0, 4.0, 1.0
+        d[6], f[6], g[6] = 1.0, 1.0, -np.inf
+        d[7] = np.nan
+        with np.errstate(all="ignore"):
+            steps = nearsing._model_steps(f, d, g)
+        scalars = list(zip(f.tolist(), d.tolist(), g.tolist()))
+        want = [nearsing._model_step(*args) for args in scalars]
+        disc = [dj * dj - fj * gj for fj, dj, gj in scalars[:8]]
+        assert all(0.0 < abs(x) < 2.2e-308 for x in disc[2:5])
+        assert disc[5] == 0.0 and disc[6] == np.inf and np.isnan(disc[7])
+        assert want[0] == 0.0 and want[1] is None and want[2] is not None
+        # a stationary pair's step is 0
+        parts = [(0.0, 0.0) if w is None else (complex(w).real, complex(w).imag) for w in want]
+        assert steps.T.tobytes() == np.array(parts).tobytes()
 
     def test_complex_arithmetic_is_cpythons(self):
-        # the quotient, abs and sqrt of Python complexes, element by element; _model_steps'
-        # products are held to _Py_c_prod's by the test above
+        # the quotient, abs and sqrt of Python complexes, element by element
         rng = np.random.default_rng(35)
         a, b = (rng.standard_normal((2, 4000)) * 10.0 ** rng.uniform(-150, 150, (2, 4000))
                 for _ in range(2))
@@ -1150,32 +1165,6 @@ class TestArrayTwins:
                 pc, points, *nearsing._offsets(pc.positions, points))[2])
             assert len(scalar) > 0 and arrays.tobytes() == scalar.tobytes()
 
-    def test_find_root_rounds(self, monkeypatch):
-        # damped, escaping and stationary steps and real roots on and off the panel among the
-        # s_field near pairs, each kind four times over so that the rounds run on arrays
-        coeffs, points, guesses = _newton_pairs(discretize(self.HELIX, 8, RULE),
-                                                _s_field_near_points(self.HELIX, 2))
-        line = np.zeros((3, 16))
-        line[:, :2] = TestFindRootBlocks.LINE
-        constant = np.zeros((3, 16))
-        constant[:, 0] = 0.5
-        odd = [(line, (0.5, 50.0, 0.0), 0.1j), (line, (1.5, 0.0, 0.0), 2.0),
-               (constant, (1.5, 0.0, 0.0), 0.5j), (line, (0.25, 0.0, 0.0), 0.3j),
-               (line, (0.5, 0.1, 0.0), 6.0 + 4.0j)] * 4
-        coeffs = np.concatenate([coeffs[:40], [c for c, _, _ in odd]])
-        points = np.concatenate([points[:40], [x for _, x, _ in odd]])
-        guesses = np.concatenate([guesses[:40], [z for _, _, z in odd]])
-        sizes = []
-        over = nearsing._over_real
-        monkeypatch.setattr(nearsing, "_over_real", lambda a, m: sizes.append(m) or over(a, m))
-        (r1, why1), (r2, why2) = _per_pair_and_arrays(
-            monkeypatch, lambda: find_root(coeffs, points, guesses))
-        assert r2.tobytes() == r1.tobytes() and why2 == why1
-        assert max(np.max(m) for m in sizes) > 1.0  # a damped step on arrays
-        assert {"Newton iterate escaped the panel neighborhood", nearsing._ON_EXTENSION,
-                "stationary R^2, Newton step undefined", nearsing._ON_CENTERLINE, ""} == set(why1)
-        assert not np.isnan(r1[-1]) and not any(why1[:40])
-
     def test_moments(self):
         roots = _first_written_roots()
         assert len(roots) == 2105
@@ -1184,13 +1173,3 @@ class TestArrayTwins:
             assert got.shape == (2105, count, 2) and got.flags.c_contiguous
             want = np.array([qkp_moments(z, count) for z in roots.tolist()])
             assert got.tobytes() == want.tobytes(), count
-
-    @pytest.mark.parametrize("order", [8, 15, 16])
-    @pytest.mark.parametrize("panels", [2, 4, 8, 16])
-    def test_field_grid_block_equals_point_calls(self, order, panels):
-        # the 5x5x4 field-test grid is one chunk: every stage runs on arrays
-        pc = discretize(self.HELIX, panels, gauss_legendre(order))
-        dens = LineDensity(forces.testf_simple(self.HELIX)[0](pc.grid.global_nodes))
-        points = cli.helix_field_grid(self.HELIX, radial_count=5, angular_count=5, z_count=4)
-        block = eval_S(pc, dens, points)
-        assert block.tobytes() == np.array([eval_S(pc, dens, x) for x in points]).tobytes()
