@@ -329,6 +329,8 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 0 for --help, 2 for usage errors
         return EXIT_PASS if exc.code == 0 else EXIT_CONFIG
     try:
+        if not Path(args.out).parent.is_dir():  # checked before any computation
+            raise ConfigError(f"--out must name a file in an existing directory, got {args.out!r}")
         return _RUNNERS[args.experiment](args)
     except (ConfigError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -57,10 +57,15 @@ class LineDensity:
     closure f gives LineDensity(f(grid.global_nodes)). K and L read f' only at
     the collocation node, whose exact weight is zero, so an attached derivative
     replaces the samples' spectral one there without gaining accuracy.
+    Complex samples raise ValueError where the density is built, not per K row.
     """
 
     samples: np.ndarray
     derivative: Callable | None = None
+
+    def __post_init__(self):
+        if np.iscomplexobj(self.samples):
+            raise ValueError("density samples must be real, got a complex array")
 
     def checked_samples(self, shape: tuple) -> np.ndarray:
         """The samples as floats, after checking that they have the given shape."""

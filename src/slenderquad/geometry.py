@@ -60,7 +60,7 @@ class PanelizedCurve:
     """A fiber sampled on a panel grid; curves compare by identity.
 
     positions, tangents and second_derivs are the (N, 3) samples at the grid's
-    nodes. They are checked (shape, finite values) and copied where the curve is
+    nodes. They are checked (real, shape, finite values) and copied where the curve is
     built, and the rest is derived from them there. panel_coeffs[m, c] holds the Legendre
     coefficients of coordinate c of the position over panel m, in the local
     variable eta in [-1, 1]. coords is a contiguous (3, N) copy of positions,
@@ -83,6 +83,8 @@ class PanelizedCurve:
     def __post_init__(self):
         grid = self.grid
         given = (self.positions, self.tangents, self.second_derivs)
+        if any(np.iscomplexobj(x) for x in given):
+            raise ValueError("curve positions, tangents and second derivatives must be real")
         positions, tangents, second = (np.array(x, dtype=float) for x in given)
         if not positions.shape == tangents.shape == second.shape == (grid.node_count, 3):
             got = ", ".join(str(np.shape(x)) for x in given)

@@ -30,7 +30,7 @@ _PANEL_RHO = 2.05  # Bernstein radius of the root over the graded rule's finest 
 MAX_MOMENT_COUNT = 16  # highest moment count q_k^p is computed to; caps eval_S's rule order
 _NEWTON_TOL = 1e-13
 _NEWTON_MAX_ITER = 30
-_ARRAY_PAIRS = 32  # pairs from which a near-field stage runs on float arrays, not per pair
+_ARRAY_PAIRS = 32  # pairs from which the Newton tables and the moments run on float arrays
 REAL_ROOT_FLOOR = 1e-10  # find_root calls a converged root with a smaller Im(z1) real
 _ON_CENTERLINE = "converged to a real root on the panel; point lies on the centerline"
 _ON_EXTENSION = "converged to a real root; point lies on the curve extension"
@@ -52,71 +52,9 @@ def _model_step(f, d, g):
     return f / den if den else None
 
 
-# The array twins below spell out CPython 3.11's complex arithmetic on (2, P) float arrays of
-# real and imaginary parts, so that each element keeps the bits of the Python-scalar code it
-# replaces. They run under np.errstate(all="ignore"): NaN and inf follow IEEE rules
-# silently, as on Python floats.
-
-
-def _quot(a, b):
-    """a / b as CPython 3.11's _Py_c_quot forms it: both branches computed and each element's
-    picked by the larger part of b, which must not be 0."""
-    size = np.abs(b)
-    first = size[0] >= size[1]
-    flip = b / b[::-1]
-    ratio = np.where(first, flip[1], flip[0])
-    br = b * ratio
-    denom = np.where(first, b[0], br[0]) + np.where(first, br[1], b[1])
-    # (a0 + a1 r, a1 - a0 r) and (a0 r + a1, a1 r - a0) are (x0 + y1, x1 - y0) with x = a,
-    # y = a r and with the two swapped
-    ar = a * ratio
-    x, y = np.where(first, a, ar), np.where(first, ar, a)
-    return np.array((x[0] + y[1], x[1] - y[0])) / denom
-
-
-def _over_real(a, m):
-    """_quot(a, (m, 0.0)) for (P,) m > 0 or NaN, where its ratio is 0.0 and its denominator m."""
-    zero = a * 0.0
-    return np.array((a[0] + zero[1], a[1] - zero[0])) / m
-
-
-def _sqrt(x):
-    """cmath.sqrt, and the mask of the elements it takes another path for: a non-finite part
-    (its special-value table) or both parts below DBL_MIN (a rescaled sqrt), zero included."""
-    ax, ay = np.abs(x)
-    ax = ax / 8.0
-    s = 2.0 * np.sqrt(ax + np.hypot(ax, ay / 8.0))
-    sd = np.array((s, ay / (2.0 * s)))
-    root = np.where(x[0] >= 0.0, sd, sd[::-1])
-    np.copysign(root[1], x[1], out=root[1])
-    # s < 1.7e-154 where both parts are below DBL_MIN and s >= 1.05e-154 where one is not;
-    # NaN and inf fail both tests
-    return root, ~((s > 1e-153) & (s < np.inf))
-
-
-def _model_steps(f, d, g):
-    """_model_step on P pairs of Python floats, given as (P,) arrays: the (2, P) steps' parts.
-
-    The sqrt runs on (d d - f g, 0.0), d -+ sq on (d, 0.0) and f / den on
-    (f, 0.0), as CPython 3.11 mixes floats with complexes. Pairs with f = 0
-    or a discriminant that `_sqrt` leaves out take _model_step itself; a
-    stationary pair's step is 0.
-    """
-    zero = np.zeros_like(f)
-    sq, odd = _sqrt(np.array((d * d - f * g, zero)))
-    dc = np.array((d, zero))
-    plus, minus = dc + sq, dc - sq
-    # the larger of the two is not 0 where the discriminant is not
-    step = _quot(np.array((f, zero)), np.where(np.hypot(*plus) >= np.hypot(*minus), plus, minus))
-    for i in (odd | (f == 0.0)).nonzero()[0].tolist():
-        one = _model_step(f[i].item(), d[i].item(), g[i].item())
-        step[:, i] = (0.0, 0.0) if one is None else (one.real, one.imag)
-    return step
-
-
 def _osculating_model(r, t, k, half):
-    """f, d and g of a pair's osculating quadratic from its offset r, tangent t and second
-    derivative k: Python floats for one pair, or (P,) arrays from (3, P) columns."""
+    """f, d and g, Python floats, of a pair's osculating quadratic from its offset r, tangent t
+    and second derivative k."""
     (x, y, z), (tx, ty, tz), (kx, ky, kz) = r, t, k
     f, d = x * x + y * y + z * z, -half * (x * tx + y * ty + z * tz)
     return f, d, half * half * (tx * tx + ty * ty + tz * tz - (x * kx + y * ky + z * kz))
@@ -130,23 +68,12 @@ def _osculating_guesses(curve: PanelizedCurve, nodes: np.ndarray, r: np.ndarray)
     g delta^2, f = |r|^2, d = -r . x' and g = x' . x' - r . x''. The guess
     is this quadratic's root, reached as find_root's first step from eta_j,
     with Im made positive and at least 1e-8; on a straight panel it is the
-    root. Below _ARRAY_PAIRS pairs, as at a point's about 2, the steps run
-    on Python scalars; from there on float arrays with the same bits.
+    root. The steps run per pair on Python scalars.
     """
     half = 0.5 * curve.grid.panel_width
     eta = curve.grid.rule.nodes[nodes % curve.grid.rule.order]
     # take() gathers rows at a third of the cost of fancy indexing
     tangents, second = (x.take(nodes, 0) for x in (curve.tangents, curve.second_derivs))
-    if len(nodes) >= _ARRAY_PAIRS:
-        with np.errstate(all="ignore"):
-            # a stationary pair's zero step leaves it at the node, as the scalar loop does
-            step = _model_steps(*_osculating_model(r.T, tangents.T, second.T, half))
-            size = np.hypot(*step)
-            # as Python's max(size, 1.0) and max(w, 1e-8), np.maximum keeps a NaN first argument
-            step = _over_real(step, np.maximum(size, 1.0))
-        guesses = (eta - step[0]).astype(complex)
-        guesses.imag = np.maximum(np.abs(0.0 - step[1]), 1e-8)  # float - complex, as in 3.11
-        return guesses
     rows = zip(r.tolist(), tangents.tolist(), second.tolist(), eta.tolist())
     guesses = []
     for rj, tj, kj, e in rows:
@@ -477,8 +404,10 @@ def _blockwise(curve: PanelizedCurve, x_bar, sums) -> np.ndarray:
 
     sums(points, r, r2, start) gets a (t, 3) chunk, its offsets to every
     node and the index of its first row, and returns the chunk's (t, 3) sums.
-    Other shapes and non-finite points raise ValueError before any work.
+    Complex arrays, other shapes and non-finite points raise ValueError before any work.
     """
+    if np.iscomplexobj(x_bar):
+        raise ValueError("field points must be real, got a complex array")
     xb = np.asarray(x_bar, dtype=float)
     # math.isfinite on Python floats costs a one-point call a third of np.isfinite(xb).all()
     finite = all(map(math.isfinite, xb.ravel().tolist()))

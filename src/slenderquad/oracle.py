@@ -363,7 +363,7 @@ def _closest_parameters(curve: FiberCurve, x_bar: np.ndarray) -> np.ndarray:
 def reference_S(curve: FiberCurve, f: Callable, x_bar, tol: float = 1e-12) -> np.ndarray:
     """Adaptive evaluation of the Stokeslet line integral at one point (3,) or a block (P, 3).
 
-    Other shapes and non-finite points raise ValueError, and so does a point
+    Complex arrays, other shapes and non-finite points raise ValueError, and so does a point
     on the centerline, where S diverges, naming its row; all before any
     bisection. Each point's start partition has breakpoints at its closest
     centerline parameter s* and at s* -+ h 2^k, graded from h = the closest
@@ -374,6 +374,8 @@ def reference_S(curve: FiberCurve, f: Callable, x_bar, tol: float = 1e-12) -> np
     others, and a block call then raises AccuracyError with (P, 3) best
     estimates and (P,) errors and mask `failed`.
     """
+    if np.iscomplexobj(x_bar):
+        raise ValueError("field points must be real, got a complex array")
     xb = np.asarray(x_bar, dtype=float)
     if xb.ndim not in (1, 2) or xb.shape[-1] != 3 or not np.all(np.isfinite(xb)):
         raise ValueError(f"field points must be finite with shape (3,) or (P, 3), got {xb.shape}")

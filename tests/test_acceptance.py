@@ -186,8 +186,9 @@ def test_criterion_5_near_singular_stokeslet():
 
 
 def test_field_grid_block_rows_equal_point_calls():
-    # a chunk with nearsing._ARRAY_PAIRS or more near pairs runs its stages on arrays and a
-    # one-point call runs them on Python scalars; every row keeps its one-point bytes. The
+    # a chunk with nearsing._ARRAY_PAIRS or more live Newton pairs or special pairs builds its
+    # Newton tables or its moments on arrays, and a one-point call builds them on Python
+    # scalars; the guesses run per pair either way. Every row keeps its one-point bytes. The
     # field-test default 20x20x16 grid with SLENDERQUAD_FULL_GRID=1 (19 200 one-point
     # calls), else the subsample above
     if os.environ.get("SLENDERQUAD_FULL_GRID") == "1":

@@ -438,3 +438,17 @@ class TestFieldTestCommand:
         with pytest.raises(ConfigError, match=r"up to 16, got 20"):
             run_field_test(_build_parser().parse_args(argv))
         assert main(argv) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("experiment", ["eigen-test", "k-convergence", "field-test"])
+def test_out_in_missing_directory_exits_before_any_computation(tmp_path, monkeypatch, capsys,
+                                                                experiment):
+    def must_not_run(args):
+        raise AssertionError("experiment ran with an unwritable --out")
+
+    monkeypatch.setitem(cli._RUNNERS, experiment, must_not_run)
+    out = str(tmp_path / "missing" / "x.csv")
+    assert main([experiment, "--out", out]) == EXIT_CONFIG
+    want = f"error: --out must name a file in an existing directory, got {out!r}\n"
+    assert capsys.readouterr().err == want
+    assert not (tmp_path / "missing").exists()

@@ -227,6 +227,13 @@ class TestEvalL:
             eval_L(dens, grid, TABLE, 0)
 
 
+@pytest.mark.parametrize("samples", [np.full((64, 3), 1.0 + 1e-3j), [0.5j] * 64])
+def test_complex_density_samples_are_rejected(samples):
+    # eval_K_all, eval_L and eval_S dropped their imaginary parts with only a ComplexWarning
+    with pytest.raises(ValueError, match="density samples must be real"):
+        LineDensity(samples)
+
+
 class TestEvalK:
     def test_straight_constant_vanishes(self):
         fiber = make_straight((1.0, 0.0, 0.0), 1.0)

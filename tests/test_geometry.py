@@ -276,6 +276,14 @@ class TestPanelizedCurve:
         with pytest.raises(ValueError, match="must be finite"):
             PanelizedCurve(self.GRID, *samples)
 
+    @pytest.mark.parametrize("which", [0, 1, 2], ids=["positions", "tangents", "second_derivs"])
+    def test_rejects_complex_samples(self, which):
+        # cast to float, their imaginary parts were dropped with only a ComplexWarning
+        samples = self.samples()
+        samples[which] = samples[which] + 0j
+        with pytest.raises(ValueError, match="must be real"):
+            PanelizedCurve(self.GRID, *samples)
+
     @pytest.mark.parametrize("duplicate", COPIES.values(), ids=COPIES)
     @pytest.mark.parametrize(
         "name",

@@ -1,4 +1,3 @@
-import cmath
 import os
 import subprocess
 import sys
@@ -924,16 +923,14 @@ class TestEvalSBlocks:
                 assert block.tobytes() == single[:count].tobytes()
         # the points mix rows with special panels and rows without any
         regular = eval_S_regular(pc, dens, points)
-        stages = []
-        for name in ("_model_steps", "_stacked_moments"):
-            stage = getattr(nearsing, name)
-            monkeypatch.setattr(nearsing, name, lambda *a, s=stage: stages.append(s) or s(*a))
+        stages, stacked = [], nearsing._stacked_moments
+        monkeypatch.setattr(nearsing, "_stacked_moments", lambda *a: stages.append(a) or stacked(*a))
         same = np.all(eval_S(pc, dens, points) == regular, axis=1)
         assert same.any() and not same.all()
         if grid:
-            # the grid's guesses and moments run on arrays, but for its 23 near pairs at M = 16,
-            # below _ARRAY_PAIRS
-            assert len(stages) == (0 if panels == 16 else 2)
+            # the grid's moments run on arrays, but for its 23 near pairs at M = 16, below
+            # _ARRAY_PAIRS
+            assert len(stages) == (0 if panels == 16 else 1)
 
     @pytest.mark.parametrize("pairs", [1, 2, 33])
     def test_rows_equal_point_calls_bitwise_at_special_pair_counts(self, pairs, monkeypatch):
@@ -1043,13 +1040,16 @@ class TestEvalSBlocks:
             with pytest.raises(ValueError, match=message):
                 evaluate(self.pc, self.dens, x_bar)
 
+    @pytest.mark.parametrize("x_bar", [np.array([1.2, 1.2, 0.3 + 1e-3j]), np.ones((4, 3), complex)])
+    def test_rejects_complex_points_before_any_work(self, x_bar, monkeypatch):
+        # cast to float, their imaginary parts were dropped with only a ComplexWarning
+        def no_work(*args):
+            raise AssertionError("offsets computed for a rejected point")
 
-def _per_pair_and_arrays(monkeypatch, fn):
-    """fn() with every near-field stage per pair on Python scalars, then on arrays throughout."""
-    monkeypatch.setattr(nearsing, "_ARRAY_PAIRS", 10**9)
-    scalar = fn()
-    monkeypatch.setattr(nearsing, "_ARRAY_PAIRS", 0)
-    return scalar, fn()
+        monkeypatch.setattr(nearsing, "_offsets", no_work)
+        for evaluate in (eval_S, eval_S_regular):
+            with pytest.raises(ValueError, match="field points must be real"):
+                evaluate(self.pc, self.dens, x_bar)
 
 
 def _first_written_roots():
@@ -1069,72 +1069,17 @@ def _first_written_roots():
     return np.array(over + high + ends + far + edges)
 
 
-class TestArrayTwins:
-    """Each near-field stage on arrays keeps the bytes of its per-pair Python twin."""
+class TestOsculatingGuesses:
+    """The root guesses find_root starts from, per pair on Python scalars at every chunk size."""
 
     HELIX = make_helix(8.0, 3.0, 1.5)
-
-    def test_model_steps_equal_the_scalar_step(self):
-        rng = np.random.default_rng(34)
-        f, d, g = rng.standard_normal((3, 3000)) * 10.0 ** rng.uniform(-20, 20, (3, 3000))
-        d[:1000] = rng.standard_normal(1000)  # discriminants of both signs and sizes
-        # f = 0; a stationary model, d = g = 0 with f != 0; discriminants below DBL_MIN,
-        # zero, +inf and NaN, which cmath.sqrt scales or takes from its table
-        f[0] = 0.0
-        d[1], g[1] = 0.0, 0.0
-        d[2], f[2], g[2] = 1e-160, 1e-160, 2e-160
-        d[3], f[3], g[3] = 0.0, 1e-160, 1e-160
-        d[4], f[4], g[4] = 0.0, 1e-160, 1e-155
-        d[5], f[5], g[5] = 2.0, 4.0, 1.0
-        d[6], f[6], g[6] = 1.0, 1.0, -np.inf
-        d[7] = np.nan
-        with np.errstate(all="ignore"):
-            steps = nearsing._model_steps(f, d, g)
-        scalars = list(zip(f.tolist(), d.tolist(), g.tolist()))
-        want = [nearsing._model_step(*args) for args in scalars]
-        disc = [dj * dj - fj * gj for fj, dj, gj in scalars[:8]]
-        assert all(0.0 < abs(x) < 2.2e-308 for x in disc[2:5])
-        assert disc[5] == 0.0 and disc[6] == np.inf and np.isnan(disc[7])
-        assert want[0] == 0.0 and want[1] is None and want[2] is not None
-        # a stationary pair's step is 0
-        parts = [(0.0, 0.0) if w is None else (complex(w).real, complex(w).imag) for w in want]
-        assert steps.T.tobytes() == np.array(parts).tobytes()
-
-    def test_complex_arithmetic_is_cpythons(self):
-        # the quotient, abs and sqrt of Python complexes, element by element
-        rng = np.random.default_rng(35)
-        a, b = (rng.standard_normal((2, 4000)) * 10.0 ** rng.uniform(-150, 150, (2, 4000))
-                for _ in range(2))
-        b[:, :1000] = np.round(b[:, :1000])  # parts of equal size and zero parts
-        b[:, 1000:1100] = b[::-1, 1000:1100]
-        a[:, :400] = np.round(a[:, :400])  # zero parts of either sign
-        a[:, :200] *= -1.0
-        za, zb = [complex(*x) for x in a.T.tolist()], [complex(*x) for x in b.T.tolist()]
-        keep = [z != 0 for z in zb]
-        with np.errstate(all="ignore"):
-            quot = nearsing._quot(a, b)
-            root, odd = nearsing._sqrt(a)
-        want = np.array([x / y if y else complex(0.0, 0.0) for x, y in zip(za, zb)])
-        assert quot[0][keep].tobytes() == want.real[keep].tobytes()
-        assert quot[1][keep].tobytes() == want.imag[keep].tobytes()
-        assert np.hypot(*a).tobytes() == np.array([abs(z) for z in za]).tobytes()
-        want = np.array([cmath.sqrt(z) for z in za])
-        # cmath.sqrt takes 0 on its own path, as it does parts below DBL_MIN and non-finite ones
-        assert np.array_equal(odd, (a[0] == 0.0) & (a[1] == 0.0)) and 0 < odd.sum() < 200
-        assert root[0][~odd].tobytes() == want.real[~odd].tobytes()
-        assert root[1][~odd].tobytes() == want.imag[~odd].tobytes()
-        m = np.abs(b[0]) + 1.0
-        with np.errstate(all="ignore"):
-            over = nearsing._over_real(a, m)
-        want = np.array([z / x for z, x in zip(za, m.tolist())])
-        assert over[0].tobytes() == want.real.tobytes() and over[1].tobytes() == want.imag.tobytes()
 
     def _fake_curve(self, tangents, second):
         """A curve as _osculating_guesses reads one: node i of every pair has these derivatives."""
         grid = SimpleNamespace(panel_width=0.1875, rule=RULE)
         return SimpleNamespace(grid=grid, tangents=tangents, second_derivs=second)
 
-    def test_guesses(self, monkeypatch):
+    def test_guesses(self):
         rng = np.random.default_rng(36)
         count = 600
         r = rng.standard_normal((count, 3)) * 10.0 ** rng.uniform(-6, 0, (count, 1))
@@ -1146,24 +1091,36 @@ class TestArrayTwins:
         r[1], t[1], k[1] = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 0.0, 0.0)
         r[2], t[2], k[2] = (1e-155, 1e-155, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 0.0)
         r[3], t[3], k[3] = (10.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1e308, 0.0, 0.0)
-        curve = self._fake_curve(t, k)
-        nodes = np.arange(count)
-        disc = []
-        for rj, tj, kj in zip(r[:4].tolist(), t[:4].tolist(), k[:4].tolist()):
-            f, d, g = nearsing._osculating_model(rj, tj, kj, 0.09375)
-            disc.append(d * d - f * g)
+        models = [nearsing._osculating_model(rj, tj, kj, 0.09375)
+                  for rj, tj, kj in zip(r[:4].tolist(), t[:4].tolist(), k[:4].tolist())]
+        disc = [d * d - f * g for f, d, g in models]
         assert disc[1] == 0.0 and 0.0 < abs(disc[2]) < 2.2e-308 and disc[3] == np.inf
-        scalar, arrays = _per_pair_and_arrays(
-            monkeypatch, lambda: nearsing._osculating_guesses(curve, nodes, r))
-        assert arrays.tobytes() == scalar.tobytes() and np.isfinite(scalar).all()
-        assert scalar[1] == complex(RULE.nodes[1], 1e-8)  # stationary: the node
-        # the guesses eval_S starts the field-test grid from
+        # below DBL_MIN the step still reaches the roots (1 -+ i) 1e-155 / 0.09375 of the model
+        step = nearsing._model_step(*models[2])
+        assert abs(step.real) == pytest.approx(1e-155 / 0.09375, rel=1e-15)
+        assert abs(step.imag) == pytest.approx(1e-155 / 0.09375, rel=1e-15)
+        guesses = nearsing._osculating_guesses(self._fake_curve(t, k), np.arange(count), r)
+        assert np.isfinite(guesses).all() and guesses.imag.min() >= 1e-8
+        # at f = 0, a stationary model and an infinite discriminant the guess is the node
+        for i in (0, 1, 3):
+            assert guesses[i] == complex(RULE.nodes[i], 1e-8)
+        # the guesses eval_S starts the field-test grid from: each chunk's guesses are the
+        # one-point calls'
+        def guesses_at(pc, x):
+            guesses = nearsing._near_pairs(pc, x, *nearsing._offsets(pc.positions, x))[2]
+            return np.asarray(guesses, dtype=complex)
+
         points = cli.helix_field_grid(self.HELIX, radial_count=5, angular_count=5, z_count=4)
         for panels in (2, 4, 8, 16):
             pc = discretize(self.HELIX, panels, RULE)
-            scalar, arrays = _per_pair_and_arrays(monkeypatch, lambda: nearsing._near_pairs(
-                pc, points, *nearsing._offsets(pc.positions, points))[2])
-            assert len(scalar) > 0 and arrays.tobytes() == scalar.tobytes()
+            block = guesses_at(pc, points)
+            alone = np.concatenate([guesses_at(pc, points[i : i + 1]) for i in range(len(points))])
+            assert len(block) > 0 and np.isfinite(block).all() and block.imag.min() >= 1e-8
+            assert block.tobytes() == alone.tobytes()
+
+
+class TestArrayTwins:
+    """Each near-field stage on arrays keeps the bytes of its per-pair Python twin."""
 
     def test_moments(self):
         roots = _first_written_roots()

@@ -570,8 +570,10 @@ class TestReferenceSBlock:
 
     @pytest.mark.parametrize(
         "points",
-        [np.ones((4, 2)), np.ones((4, 3, 1)), np.ones(2), np.array([[0.1, 0.2, np.nan]]), np.array([np.inf, 0.0, 0.0])],
-        ids=["P-2", "P-3-1", "2", "nan", "inf"],
+        [np.ones((4, 2)), np.ones((4, 3, 1)), np.ones(2), np.array([[0.1, 0.2, np.nan]]), np.array([np.inf, 0.0, 0.0]),
+         np.ones(3) + 1e-3j, np.ones((2, 3), dtype=complex)],
+        # a complex point's imaginary part was dropped with only a ComplexWarning
+        ids=["P-2", "P-3-1", "2", "nan", "inf", "complex", "P-complex"],
     )
     def test_rejects_bad_points_up_front(self, points, monkeypatch):
         monkeypatch.setattr(oracle, "_closest_parameters", None)  # never reached
