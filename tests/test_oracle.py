@@ -15,6 +15,7 @@ from slenderquad.oracle import (
     AccuracyError,
     adaptive_integrate,
     diagonal_eigenvalues,
+    g_pair,
     reference_K,
     reference_S,
     scaled_legendre,
@@ -171,21 +172,40 @@ class TestBadTol:
 
     @pytest.mark.parametrize("name", list(CALLS))
     def test_message_names_the_callers_tol(self, name):
-        # reference_K integrates two halves to tol / 2 each
+        # the message carries the tol as passed in, not a share of it
         with pytest.raises(ValueError, match=r"got -1e-12$"):
             self.CALLS[name](-1e-12)
 
-    def test_accuracy_error_names_the_callers_tol_and_sums_both_sides(self, monkeypatch):
+    def test_accuracy_error_names_the_callers_tol_and_carries_the_loops_estimate(self, monkeypatch):
         f, fprime = forces.testf(1.5)
         loops, bisect = [], oracle._bisect
-        monkeypatch.setattr(oracle, "_bisect", lambda *a: loops.append(bisect(*a)) or loops[-1])
+        record = lambda *a: loops.append((a[1:], bisect(*a))) or loops[-1][1]
+        monkeypatch.setattr(oracle, "_bisect", record)
         monkeypatch.setattr(oracle, "MAX_DEPTH", 2)
         with pytest.raises(AccuracyError, match=r"^tolerance 1e-09 not met") as info:
             reference_K(make_helix(8.0, 3.0, 1.5), f, fprime, 0.7, 1e-9)
-        [(totals, errs, failed)] = loops  # both sides of s_bar bisect in one loop
-        assert len(totals) == 2 and failed.any()
-        assert np.array_equal(info.value.best_estimate, totals[0] + totals[1])
-        assert info.value.error_estimate == errs[0] + errs[1]
+        # one problem at the caller's tol, split at s_bar by its start edges
+        [(([edges], tol), (totals, errs, failed))] = loops
+        assert edges.tolist() == [0.0, 0.7, 1.5] and tol == 1e-9 and failed.tolist() == [True]
+        assert np.array_equal(info.value.best_estimate, totals[0])
+        assert info.value.error_estimate == errs[0]
+
+
+class TestComplexClosures:
+    @pytest.mark.parametrize("name", ["adaptive_integrate", "reference_S", "reference_K", "g_pair"])
+    def test_raise_rather_than_drop_the_imaginary_part(self, name):
+        helix = make_helix(8.0, 3.0, 1.5)
+        real_f, fp = forces.testf_simple(helix)
+        f = lambda s: real_f(s) * (1 + 1j)
+        calls = {
+            "adaptive_integrate": lambda: adaptive_integrate(lambda s: np.exp(1j * s), 0.0, 1.0),
+            "reference_S": lambda: reference_S(helix, f, np.array([0.1, 0.0, 0.3])),
+            "reference_K": lambda: reference_K(helix, f, fp, 0.7),
+            "g_pair": lambda: g_pair(helix, f, fp, 0.3, 0.7),
+        }
+        # each returned the real part alone, with only a ComplexWarning
+        with pytest.raises(ValueError, match="the oracle integrates real values, got complex128"):
+            calls[name]()
 
 
 class TestStartSums:
@@ -346,11 +366,55 @@ class TestReferenceK:
         )
         assert np.linalg.norm(turned) == pytest.approx(np.linalg.norm(base), abs=1e-9)
 
+    @pytest.mark.parametrize("density", ["testf", "testf-simple"])
+    @pytest.mark.parametrize("panels", [16, 64])
+    def test_certifies_tol_1e12_and_agrees_with_eval_K(self, panels, density):
+        helix = make_helix(8.0, 3.0, 1.5)
+        f, fp = forces.testf(1.5) if density == "testf" else forces.testf_simple(helix)
+        pc = discretize(helix, panels, RULE)
+        dens, n = LineDensity(f(pc.grid.global_nodes)), pc.grid.node_count
+        for t in (0, 1, n // 2, n - 1):  # the end nodes included
+            ref = reference_K(helix, f, fp, pc.grid.global_nodes[t], tol=1e-12)
+            assert np.max(np.abs(eval_K(pc, dens, TABLE, t) - ref)) <= 1e-11
+
+    def test_end_nodes_of_a_tightly_wound_helix(self):
+        # 124 rad of turning: the mean tangent far from s_bar must come from the positions
+        helix = make_helix(80.0, 20.0, 1.5)
+        f, fp = forces.testf(1.5)
+        pc = discretize(helix, 512, RULE)
+        dens = LineDensity(f(pc.grid.global_nodes))
+        for t in (0, pc.grid.node_count - 1):
+            ref = reference_K(helix, f, fp, pc.grid.global_nodes[t], tol=1e-12)
+            assert np.max(np.abs(eval_K(pc, dens, TABLE, t) - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+    def test_never_calls_fprime(self):
+        helix = make_helix(8.0, 3.0, 1.5)
+        f, fp = forces.testf(1.5)
+
+        def no_fprime(s):
+            raise AssertionError("fprime was called")
+
+        got = reference_K(helix, f, no_fprime, 0.8, tol=1e-12)
+        assert np.array_equal(got, reference_K(helix, f, fp, 0.8, tol=1e-12))
+
     @pytest.mark.parametrize("s_bar", [0.0, 1.5, -0.1, 2.0, np.nan])
     def test_rejects_s_bar_outside_the_fiber(self, s_bar):
         f, fp = forces.testf(1.5)
         with pytest.raises(ValueError, match=r"s_bar must lie strictly inside \(0, length\)"):
             reference_K(make_helix(8.0, 3.0, 1.5), f, fp, s_bar, tol=1e-10)
+
+
+class TestGPair:
+    @pytest.mark.parametrize("s_bar", [0.35, 0.8, 1.1])
+    @pytest.mark.parametrize("density", ["testf", "testf-simple"])
+    def test_first_order_toward_the_limit_down_to_1e_8(self, density, s_bar):
+        helix = make_helix(8.0, 3.0, 1.5)
+        f, fp = forces.testf(1.5) if density == "testf" else forces.testf_simple(helix)
+        limit = g_pair(helix, f, fp, s_bar, s_bar)
+        steps = 10.0 ** -np.arange(4, 9)
+        slopes = [np.linalg.norm(g_pair(helix, f, fp, s_bar + h, s_bar) - limit) / h for h in steps]
+        # a factor formed with cancellation has noise eps / h, so err / h leaves first order by 1e-6
+        assert all(0.5 * slopes[0] <= e <= 2.0 * slopes[0] for e in slopes)
 
 
 class TestReferenceS:
