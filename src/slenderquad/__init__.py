@@ -17,28 +17,8 @@ from .geometry import (
     make_helix,
     make_straight,
 )
-from .nearsing import (
-    eval_S,
-    eval_S_regular,
-    find_root,
-    qkp_moments,
-)
-from .oracle import (
-    AccuracyError,
-    adaptive_integrate,
-    diagonal_eigenvalues,
-    g_pair,
-    reference_K,
-    reference_S,
-    scaled_legendre,
-)
-from .quadcore import (
-    PanelGrid,
-    QuadratureRule,
-    gauss_legendre,
-    interpolate_to_uniform,
-    legendre_eval,
-    solve_vandermonde_transpose,
-)
+from .nearsing import eval_S, eval_S_regular
+from .oracle import AccuracyError, reference_K, reference_S
+from .quadcore import PanelGrid, QuadratureRule, gauss_legendre
 
 __version__ = "0.1.0"

@@ -18,6 +18,7 @@ import numpy as np
 
 from .geometry import PanelizedCurve
 from .quadcore import (
+    MAX_ORDER,
     PanelGrid,
     QuadratureRule,
     _derivative_matrix,
@@ -55,8 +56,11 @@ class LineDensity:
 
     samples has shape (N,) for scalar densities or (N, 3) for vector ones; a
     closure f gives LineDensity(f(grid.global_nodes)). K and L read f' only at
-    the collocation node, whose exact weight is zero, so an attached derivative
-    replaces the samples' spectral one there without gaining accuracy.
+    the collocation node, through the weight table's diagonal, whose exact value
+    is zero. An attached derivative replaces the samples' spectral one there.
+    Up to order 32 that gains nothing, but the monomial table's diagonal reaches
+    15 at order 40 and 1.5e5 at order 48, where eigen-test's L errs 1.09e-11 and
+    1.07e-7 on samples alone against 5.6e-13 and 4.66e-9 with the closure f'.
     Complex samples raise ValueError where the density is built, not per K row.
     """
 
@@ -80,8 +84,8 @@ def qk_signkernel(k: int, eta_bar: float) -> float:
 
     Closed form (1 + (-1)^{k+1} - 2*eta_bar^{k+1})/(k+1).
     """
-    if not 0 <= k <= 63:
-        raise ValueError(f"k must be in [0, 63], got {k}")
+    if not 0 <= k < MAX_ORDER:
+        raise ValueError(f"k must be in [0, {MAX_ORDER - 1}], got {k}")
     if not -1.0 <= eta_bar <= 1.0:
         raise ValueError(f"eta_bar must lie in [-1, 1], got {eta_bar}")
     return (1.0 + (-1.0) ** (k + 1) - 2.0 * eta_bar ** (k + 1)) / (k + 1)
