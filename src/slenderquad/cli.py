@@ -16,7 +16,6 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -83,16 +82,6 @@ def _write_sidecar(path: Path, args: argparse.Namespace, extra: dict) -> None:
     sidecar.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _fiber_and_force(args: argparse.Namespace) -> tuple[FiberCurve, Callable]:
-    """The --fiber curve and the --force density, testf or testf-simple."""
-    curve = parse_fiber(args.fiber)
-    if args.force == "testf":
-        return curve, forces.testf(curve.length)[0]
-    if args.force == "testf-simple":
-        return curve, forces.testf_simple(curve)[0]
-    raise ConfigError(f"{args.experiment} supports --force testf or testf-simple")
-
-
 def run_eigen_test(args: argparse.Namespace) -> int:
     """Scalar-operator errors against the Legendre diagonalization, per panel count."""
     kind, _, rest = args.force.partition(":")
@@ -137,7 +126,10 @@ def run_k_convergence(args: argparse.Namespace) -> int:
     interpolated to the uniform arclengths l*L/N_u, l = 0..N_u, the last one
     exactly L; e_M is the largest pointwise 2-norm of the difference.
     """
-    curve, f = _fiber_and_force(args)
+    curve = parse_fiber(args.fiber)
+    if args.force not in ("testf", "testf-simple"):
+        raise ConfigError("k-convergence supports --force testf or testf-simple")
+    f = (forces.testf(curve.length) if args.force == "testf" else forces.testf_simple(curve))[0]
     if any(b <= a for a, b in zip(args.panels, args.panels[1:])):
         raise ConfigError(f"--panels must increase strictly, got {args.panels}")
     if args.reference_panels <= max(args.panels):  # an equal count would compare K with itself
@@ -213,7 +205,8 @@ def helix_field_grid(
 
 def run_field_test(args: argparse.Namespace) -> int:
     """Stokeslet field errors against the adaptive reference, per mode and panel count."""
-    curve, f = _fiber_and_force(args)
+    curve = parse_fiber(args.fiber)
+    f = forces.testf_simple(curve)[0]
     if args.rule_order > MAX_MOMENT_COUNT:
         raise ConfigError(
             f"special mode supports --rule-order up to {MAX_MOMENT_COUNT}, got {args.rule_order}"
@@ -261,10 +254,9 @@ def run_field_test(args: argparse.Namespace) -> int:
 
     if flagged.any():
         return EXIT_ORACLE
-    if args.force == "testf-simple":
-        special_max = np.max([v for k, v in max_by_run.items() if k.startswith("special")])
-        if not special_max <= FIELD_SPECIAL_THRESHOLD:  # NaN fails too
-            return EXIT_THRESHOLD
+    special_max = np.max([v for k, v in max_by_run.items() if k.startswith("special")])
+    if not special_max <= FIELD_SPECIAL_THRESHOLD:  # NaN fails too
+        return EXIT_THRESHOLD
     return EXIT_PASS
 
 
@@ -283,28 +275,25 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="slenderquad", description=__doc__)
     sub = parser.add_subparsers(dest="experiment", required=True)
 
-    def experiment(name: str, help_text: str, panels: str, force: str):
+    def experiment(name: str, help_text: str, panels: str):
         p = sub.add_parser(name, help=help_text)
         p.add_argument(
             "--panels", type=_panel_counts, default=panels, help="comma-separated panel counts"
         )
         p.add_argument("--rule-order", type=int, default=16)
-        p.add_argument("--force", default=force)
         p.add_argument("--out", default="results.csv")
         return p
 
-    p_eigen = experiment(
-        "eigen-test", "scalar operator vs diagonalization", "1,2,4,8", "legendre:5"
-    )
+    p_eigen = experiment("eigen-test", "scalar operator vs diagonalization", "1,2,4,8")
+    p_eigen.add_argument("--force", default="legendre:5")
     p_eigen.add_argument("--seed", type=int, default=42)
 
-    p_conv = experiment(
-        "k-convergence", "uniform-grid self-convergence of K", "4,8,16,32,64", "testf"
-    )
+    p_conv = experiment("k-convergence", "uniform-grid self-convergence of K", "4,8,16,32,64")
+    p_conv.add_argument("--force", default="testf")
     p_conv.add_argument("--reference-panels", type=int, default=128)
     p_conv.add_argument("--uniform-count", type=int, default=400)
 
-    p_field = experiment("field-test", "Stokeslet field errors vs reference", "8", "testf-simple")
+    p_field = experiment("field-test", "Stokeslet field errors vs reference", "8")
     # the scalar operator of eigen-test lives on [0, 1] with no curve
     for p in (p_conv, p_field):
         p.add_argument("--fiber", default="helix:8,3,1.5")

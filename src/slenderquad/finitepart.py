@@ -27,6 +27,8 @@ from .quadcore import (
     solve_vandermonde_transpose,
 )
 
+MAX_TABLE_ORDER = 32  # above it the monomial table's rounding reaches K and L
+
 @dataclass(frozen=True)
 class SlenderParams:
     """Slenderness ratio and viscosity entering the local operator."""
@@ -57,10 +59,8 @@ class LineDensity:
     samples has shape (N,) for scalar densities or (N, 3) for vector ones; a
     closure f gives LineDensity(f(grid.global_nodes)). K and L read f' only at
     the collocation node, through the weight table's diagonal, whose exact value
-    is zero. An attached derivative replaces the samples' spectral one there.
-    Up to order 32 that gains nothing, but the monomial table's diagonal reaches
-    15 at order 40 and 1.5e5 at order 48, where eigen-test's L errs 1.09e-11 and
-    1.07e-7 on samples alone against 5.6e-13 and 4.66e-9 with the closure f'.
+    is zero. An attached derivative replaces the samples' spectral one there,
+    which changes no accepted result's accuracy.
     Complex samples raise ValueError where the density is built, not per K row.
     """
 
@@ -97,8 +97,12 @@ def build_weight_table(rule: QuadratureRule) -> np.ndarray:
     Entry [l, k] weights the sample at node k when the collocation point sits
     at node l; row l is one transposed monomial Vandermonde solve for the
     moments q_k(eta_l). The table serves every panel of every grid of this rule.
+    Orders above MAX_TABLE_ORDER raise ValueError.
     """
     n = rule.order
+    if n > MAX_TABLE_ORDER:
+        raise ValueError(f"weight table supports rule orders up to {MAX_TABLE_ORDER}, got {n}; "
+                         "ROADMAP item 3's exact Legendre table lifts the limit")
     table = np.empty((n, n))
     for ell in range(n):
         q = np.array([qk_signkernel(k, rule.nodes[ell]) for k in range(n)])
@@ -227,11 +231,16 @@ def centerline_velocity(
     background: Callable,
     table: np.ndarray,
 ) -> np.ndarray:
-    """Fiber velocity at every node: u_inf - (Lambda[f] + K[f]) / (8 pi mu)."""
+    """Fiber velocity at every node: u_inf - (Lambda[f] + K[f]) / (8 pi mu).
+
+    background(x) gives u_inf at node position x, a finite (3,) vector checked before K."""
+    u_inf = [np.asarray(background(x), dtype=float) for x in curve.positions]
+    if not all(u.shape == (3,) and np.isfinite(u).all() for u in u_inf):
+        raise ValueError("background must give a finite (3,) vector at every node")
     k = eval_K_all(curve, f, table)
     out = np.empty_like(k)
     scale = 1.0 / (8.0 * np.pi * params.mu)
     for t in range(curve.grid.node_count):
         lam = eval_Lambda(curve, f, params, t)
-        out[t] = np.asarray(background(curve.positions[t]), dtype=float) - scale * (lam + k[t])
+        out[t] = u_inf[t] - scale * (lam + k[t])
     return out

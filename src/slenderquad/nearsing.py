@@ -382,7 +382,8 @@ def _offsets(positions: np.ndarray, x_bar) -> tuple[np.ndarray, np.ndarray]:
     r = np.asarray(x_bar, dtype=float)[..., None, :] - positions
     r2 = np.einsum("...c,...c->...", r, r)
     if np.count_nonzero(r2) < r2.size:  # a third of the cost of (r2 == 0.0).any()
-        raise ZeroDivisionError("field point coincides with a quadrature node")
+        node = np.argwhere(r2 == 0.0)[0, -1]
+        raise ValueError(f"field point coincides with quadrature node {node}, where S diverges")
     return r, r2
 
 

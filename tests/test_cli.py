@@ -16,6 +16,7 @@ from slenderquad.cli import (
     parse_fiber,
     run_field_test,
 )
+from slenderquad.finitepart import MAX_TABLE_ORDER
 from slenderquad.geometry import make_helix
 from slenderquad.oracle import AccuracyError
 from slenderquad.quadcore import interpolate_to_uniform
@@ -184,7 +185,18 @@ class TestKConvergenceCommand:
         assert errors[0] > errors[1] > errors[2]
         # doubling panels in the pre-asymptotic range gains at least 10x
         assert errors[0] / errors[1] >= 10.0
-        assert json.loads(out.with_suffix(".json").read_text())["errors"] == errors
+        sidecar = json.loads(out.with_suffix(".json").read_text())
+        assert sidecar["errors"] == errors
+        assert sidecar["config"] == {
+            "experiment": "k-convergence",
+            "panels": [4, 8, 16],
+            "rule_order": 16,
+            "force": "testf",
+            "fiber": "helix:8,3,1.5",
+            "reference_panels": 32,
+            "uniform_count": 100,
+            "out": str(out),
+        }
 
     def test_threshold_failure_exit(self, tmp_path):
         # a 2-panel study against a barely finer reference cannot reach the plateau
@@ -318,6 +330,17 @@ class TestFieldTestCommand:
         sidecar = json.loads(out.with_suffix(".json").read_text())
         assert sidecar["flagged_points"] == 0
         assert sidecar["global_max"]["special:M=8"] <= 1e-8
+        # field-test always runs testf-simple, so its config has no force
+        assert sidecar["config"] == {
+            "experiment": "field-test",
+            "panels": [8],
+            "rule_order": 16,
+            "fiber": "helix:8,3,1.5",
+            "radial_count": 3,
+            "angular_count": 3,
+            "z_count": 2,
+            "out": str(out),
+        }
         xy = out.with_name("field_xy.csv")
         column_max = {}
         for line in lines[1:]:
@@ -418,7 +441,9 @@ class TestFieldTestCommand:
         assert code == EXIT_CONFIG
 
     @pytest.mark.parametrize(
-        "flag", [["--min-distance", "1e-3"], ["--inner-radius", "0.01"], ["--full-circle"]]
+        "flag",
+        [["--min-distance", "1e-3"], ["--inner-radius", "0.01"], ["--full-circle"],
+         ["--force", "testf-simple"], ["--force", "testf"]],
     )
     def test_fixed_grid_flags_are_usage_errors(self, tmp_path, monkeypatch, flag):
         def oracle_must_not_run(*args, **kwargs):
@@ -438,6 +463,24 @@ class TestFieldTestCommand:
         with pytest.raises(ConfigError, match=r"up to 16, got 20"):
             run_field_test(_build_parser().parse_args(argv))
         assert main(argv) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["eigen-test", "--rule-order", "40"], ["eigen-test", "--rule-order", "48"],
+     ["k-convergence", "--rule-order", "40"]],
+)
+def test_rule_order_above_the_table_limit_exits_before_K_or_L(tmp_path, monkeypatch, capsys,
+                                                               argv):
+    def must_not_run(*args):
+        raise AssertionError("K or L ran at a rule order the weight table refuses")
+
+    monkeypatch.setattr(cli, "eval_L", must_not_run)
+    monkeypatch.setattr(cli, "eval_K_all", must_not_run)
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
+    assert f"rule orders up to {MAX_TABLE_ORDER}, got {argv[2]}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("experiment", ["eigen-test", "k-convergence", "field-test"])

@@ -385,6 +385,22 @@ class TestCenterlineVelocity:
             expected = background(self.pc.positions[t]) - scale * (lam + k)
             np.testing.assert_array_equal(vel[t], expected)
 
+    @pytest.mark.parametrize(
+        "background",
+        [lambda x: 1.0, lambda x: np.zeros(2), lambda x: np.array([0.0, np.nan, 0.0]),
+         lambda x: np.array([np.inf, 0.0, 0.0]) if x[2] > 0.25 else np.zeros(3)],
+        ids=["scalar", "short", "nan", "inf-at-some-nodes"],
+    )
+    def test_rejects_background_that_is_not_a_finite_vector(self, monkeypatch, background):
+        # a scalar would broadcast to u_inf = (1, 1, 1) and NaN would reach every row
+        def k_must_not_run(*args):
+            raise AssertionError("K applied before the background was checked")
+
+        monkeypatch.setattr("slenderquad.finitepart.eval_K_all", k_must_not_run)
+        dens = _constant_density(self.pc.grid, (0.3, -0.2, 0.1))
+        with pytest.raises(ValueError, match=r"background must give a finite \(3,\) vector"):
+            centerline_velocity(self.pc, dens, self.params, background, TABLE)
+
 
 class TestMomentExactness:
     def test_sign_kernel_quadrature_on_monomials(self):
@@ -525,8 +541,7 @@ class TestSameNumbersAsNodeMajorRows:
 class TestSameBitsAsPerColumnDerivatives:
     # f' from one derivative-matrix product and the limit on Python floats move only the
     # diagonal entry of a row, which the weight table scales by at most 3e-11 at order 16
-    # and 2.6e-3 at order 32, so K and L keep every bit. At orders 48 and 64 the diagonal
-    # reaches 1.5e5 and 6.6e12, and the same cases move by up to 1.1e-10 and 1.6e-3 relative.
+    # and 2.6e-3 at order 32, so K and L keep every bit.
     @pytest.mark.parametrize("panels", [1, 4, 64])
     @pytest.mark.parametrize("fiber", sorted(FIBERS))
     @pytest.mark.parametrize("order", [8, 16, 24, 32])

@@ -377,15 +377,7 @@ class TestReferenceK:
             ref = reference_K(helix, f, fp, pc.grid.global_nodes[t], tol=1e-12)
             assert np.max(np.abs(eval_K(pc, dens, TABLE, t) - ref)) <= 1e-11
 
-    # the monomial weight table's nonzero diagonal multiplies f' above order 32: known defects,
-    # 7.1e-12, 8.1e-8 and 3.6 at orders 40, 48 and 64, that ROADMAP item 3 mends
-    ITEM_3 = pytest.mark.xfail(raises=AssertionError, strict=True, reason="ROADMAP item 3")
-
-    @pytest.mark.parametrize(
-        "order",
-        [24, 32, pytest.param(40, marks=ITEM_3), pytest.param(48, marks=ITEM_3),
-         pytest.param(64, marks=ITEM_3)],
-    )  # fmt: skip
+    @pytest.mark.parametrize("order", [24, 32])
     def test_high_orders_agree_with_eval_K(self, order):
         helix = make_helix(8.0, 3.0, 1.5)
         f, fp = forces.testf(1.5)
@@ -396,6 +388,13 @@ class TestReferenceK:
         for t in (0, n // 2, n - 1):
             ref = reference_K(helix, f, fp, pc.grid.global_nodes[t], tol=1e-12)
             assert np.max(np.abs(eval_K(pc, dens, table, t) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    # the monomial table's nonzero diagonal multiplies f' above order 32, where K erred 7.1e-12,
+    # 8.1e-8 and 3.6 relative at orders 40, 48 and 64; ROADMAP item 3's exact table lifts the limit
+    @pytest.mark.parametrize("order", [40, 48, 64])
+    def test_orders_above_the_table_limit_raise(self, order):
+        with pytest.raises(ValueError, match=f"rule orders up to 32, got {order}; ROADMAP item 3"):
+            build_weight_table(gauss_legendre(order))
 
     def test_end_nodes_of_a_tightly_wound_helix(self):
         # 124 rad of turning: the mean tangent far from s_bar must come from the positions

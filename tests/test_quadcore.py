@@ -18,7 +18,7 @@ from slenderquad.quadcore import (
     legendre_transform_matrix,
     solve_vandermonde_transpose,
 )
-from slenderquad.finitepart import build_weight_table, qk_signkernel
+from slenderquad.finitepart import MAX_TABLE_ORDER, build_weight_table, qk_signkernel
 
 
 def _legendre_value_and_derivative(n, x):
@@ -478,7 +478,7 @@ class TestVandermondeTranspose:
                 assert np.array_equal(column, _bjorck_pereyra_loops(nodes, rhs[:, j]))
 
     def test_weight_table_rows_equal_one_column_solves(self):
-        for n in range(1, MAX_ORDER + 1):
+        for n in range(1, MAX_TABLE_ORDER + 1):
             rule = gauss_legendre(n)
             moments = np.array([[qk_signkernel(k, e) for e in rule.nodes] for k in range(n)])
             table = build_weight_table(rule)
@@ -488,6 +488,9 @@ class TestVandermondeTranspose:
             for ell in (0, n // 2, n - 1):
                 reference = _bjorck_pereyra_loops(rule.nodes, moments[:, ell])
                 assert np.array_equal(table[ell], reference)
+        for n in (MAX_TABLE_ORDER + 1, MAX_ORDER):
+            with pytest.raises(ValueError, match=f"up to {MAX_TABLE_ORDER}, got {n}"):
+                build_weight_table(gauss_legendre(n))
 
     @pytest.mark.parametrize("shape", [(3,), (4, 2, 1), (5, 2), (4, 3)])
     def test_rhs_shape_mismatch(self, shape):
