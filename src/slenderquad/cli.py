@@ -318,8 +318,11 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 0 for --help, 2 for usage errors
         return EXIT_PASS if exc.code == 0 else EXIT_CONFIG
     try:
-        if not Path(args.out).parent.is_dir():  # checked before any computation
+        out = Path(args.out)  # checked before any computation
+        if out.is_dir() or not out.parent.is_dir():
             raise ConfigError(f"--out must name a file in an existing directory, got {args.out!r}")
+        if out.suffix == ".json":
+            raise ConfigError(f"--out must not end in .json, the sidecar's suffix, got {args.out!r}")
         return _RUNNERS[args.experiment](args)
     except (ConfigError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -17,15 +17,8 @@ from typing import Callable
 import numpy as np
 
 from .geometry import PanelizedCurve
-from .quadcore import (
-    MAX_ORDER,
-    PanelGrid,
-    QuadratureRule,
-    _derivative_matrix,
-    legendre_eval,
-    legendre_transform_matrix,
-    solve_vandermonde_transpose,
-)
+from .quadcore import (MAX_ORDER, PanelGrid, QuadratureRule, _derivative_matrix, _rowdot, _store,
+                       legendre_eval, legendre_transform_matrix, solve_vandermonde_transpose)
 
 MAX_TABLE_ORDER = 32  # above it the monomial table's rounding reaches K and L
 
@@ -52,16 +45,16 @@ class SlenderParams:
         return 2.0 * np.log(self.epsilon) + 1.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LineDensity:
     """Force-per-length samples at all grid nodes, optionally with a derivative closure.
 
     samples has shape (N,) for scalar densities or (N, 3) for vector ones; a
-    closure f gives LineDensity(f(grid.global_nodes)). K and L read f' only at
-    the collocation node, through the weight table's diagonal, whose exact value
-    is zero. An attached derivative replaces the samples' spectral one there,
-    which changes no accepted result's accuracy.
-    Complex samples raise ValueError where the density is built, not per K row.
+    closure f gives LineDensity(f(grid.global_nodes)). They are checked to be real and
+    stored as a read-only float copy where the density is built, not per K row; densities
+    compare by identity. K and L read f' only at the collocation node, through the
+    weight table's diagonal, whose exact value is zero. An attached derivative
+    replaces the samples' spectral one there, which changes no accepted result's accuracy.
     """
 
     samples: np.ndarray
@@ -70,13 +63,16 @@ class LineDensity:
     def __post_init__(self):
         if np.iscomplexobj(self.samples):
             raise ValueError("density samples must be real, got a complex array")
+        _store(self, samples=np.array(self.samples, dtype=float))
+
+    def __reduce__(self):  # copies and pickles rebuild the density, read-only samples and all
+        return LineDensity, (self.samples, self.derivative)
 
     def checked_samples(self, shape: tuple) -> np.ndarray:
-        """The samples as floats, after checking that they have the given shape."""
-        fv = np.asarray(self.samples, dtype=float)
-        if fv.shape != shape:
-            raise ValueError(f"density samples must have shape {shape}, got {fv.shape}")
-        return fv
+        """The samples, after checking that they have the given shape."""
+        if self.samples.shape != shape:
+            raise ValueError(f"density samples must have shape {shape}, got {self.samples.shape}")
+        return self.samples
 
 
 def qk_signkernel(k: int, eta_bar: float) -> float:
@@ -212,16 +208,20 @@ def eval_K_all(curve: PanelizedCurve, f: LineDensity, table: np.ndarray) -> np.n
     return np.fromiter((eval_K(curve, f, table, t) for t in range(n)), (float, 3), count=n)
 
 
+def _local_operator(tangents: np.ndarray, fv: np.ndarray, c: float) -> np.ndarray:
+    """-c(I + ss) f + 2(I - ss) f row by row over (P, 3) tangents s and samples f."""
+    along = tangents * _rowdot(tangents, fv)[:, None]
+    return -c * (fv + along) + 2.0 * (fv - along)
+
+
 def eval_Lambda(
     curve: PanelizedCurve, f: LineDensity, params: SlenderParams, target_index: int
 ) -> np.ndarray:
     """Local slender-body operator -c(I + ss) f + 2(I - ss) f at one node."""
-    c = params.c
     curve.grid.panel_of_target(target_index)  # rejects indices that are not integers in [0, N)
-    fv = f.checked_samples((curve.grid.node_count, 3))[target_index]
-    xs = curve.tangents[target_index]
-    along = xs * (xs @ fv)
-    return -c * (fv + along) + 2.0 * (fv - along)
+    row = slice(target_index, target_index + 1)
+    fv = f.checked_samples((curve.grid.node_count, 3))[row]
+    return _local_operator(curve.tangents[row], fv, params.c)[0]
 
 
 def centerline_velocity(
@@ -238,9 +238,5 @@ def centerline_velocity(
     if not all(u.shape == (3,) and np.isfinite(u).all() for u in u_inf):
         raise ValueError("background must give a finite (3,) vector at every node")
     k = eval_K_all(curve, f, table)
-    out = np.empty_like(k)
-    scale = 1.0 / (8.0 * np.pi * params.mu)
-    for t in range(curve.grid.node_count):
-        lam = eval_Lambda(curve, f, params, t)
-        out[t] = u_inf[t] - scale * (lam + k[t])
-    return out
+    lam = _local_operator(curve.tangents, f.samples, params.c)  # eval_K_all checked the shape
+    return np.array(u_inf) - 1.0 / (8.0 * np.pi * params.mu) * (lam + k)

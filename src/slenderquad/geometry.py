@@ -8,7 +8,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .quadcore import PanelGrid, QuadratureRule, _store, legendre_transform_matrix
+from .quadcore import PanelGrid, QuadratureRule, _store
 
 Curve3 = Callable[[np.ndarray], np.ndarray]
 
@@ -92,7 +92,7 @@ class PanelizedCurve:
         if not all(np.isfinite(x).all() for x in (positions, tangents, second)):
             raise ValueError("curve positions, tangents and second derivatives must be finite")
         per_panel = positions.reshape(grid.panel_count, grid.rule.order, 3)
-        coeffs = np.einsum("kl,mlc->mck", legendre_transform_matrix(grid.rule), per_panel)
+        coeffs = np.einsum("kl,mlc->mck", grid.rule.transform, per_panel)
         _store(self, positions=positions, tangents=tangents, second_derivs=second)
         _store(self, panel_coeffs=coeffs, coords=np.ascontiguousarray(positions.T))
         starts = coeffs @ (-1.0) ** np.arange(grid.rule.order)

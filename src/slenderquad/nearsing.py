@@ -23,7 +23,7 @@ import numpy as np
 from .finitepart import LineDensity
 from .geometry import PanelizedCurve
 from .quadcore import (QuadratureRule, _derivative_matrix, _legendre_terms, _legendre_terms_split,
-                       gauss_legendre)
+                       _rowdot, gauss_legendre)
 
 _GRADED_ORDER = 32
 _PANEL_RHO = 2.05  # Bernstein radius of the root over the graded rule's finest panel
@@ -35,11 +35,6 @@ REAL_ROOT_FLOOR = 1e-10  # find_root calls a converged root with a smaller Im(z1
 _ON_CENTERLINE = "converged to a real root on the panel; point lies on the centerline"
 _ON_EXTENSION = "converged to a real root; point lies on the curve extension"
 _CHUNK = 128  # field points per pass, the oracle's _BLOCK; bounds the (T, N, 3) offset array
-
-
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of two (P, 3) arrays, each with the bits of `a[i] @ b[i]`."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
 def _model_step(f, d, g):

@@ -24,6 +24,11 @@ def _store(obj, **values) -> None:
         object.__setattr__(obj, name, value)
 
 
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (P, 3) arrays, each with the bits of `a[i] @ b[i]`."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
 @dataclass(frozen=True)
 class QuadratureRule:
     """The Gauss-Legendre rule of an order in [1, MAX_ORDER] on [-1, 1].
@@ -129,10 +134,9 @@ def gauss_legendre(order: int) -> QuadratureRule:
 def legendre_transform_matrix(rule: QuadratureRule) -> np.ndarray:
     """The read-only matrix mapping a rule's node samples to Legendre coefficients.
 
-    It is rule.transform. K's spectral f' calls this once per target node,
-    and the benchmark's trace self-test (bench/test_schema.py) pins exactly
-    N calls per K apply, so the per-target call stays until the benchmark
-    counts K's work at the operator instead of per node.
+    It is rule.transform, which every other reader takes directly. K's spectral f'
+    calls this once per target node, N calls per K apply that the benchmark's trace
+    self-test (bench/test_schema.py) pins until it counts K's work per operator.
     """
     return rule.transform
 
@@ -307,12 +311,11 @@ def interpolate_to_uniform(
     vector = samples.ndim > 1
     samples = samples.reshape(grid.node_count, -1)
 
-    transform = legendre_transform_matrix(grid.rule)
     out = np.empty((targets.size, samples.shape[1]))
     owners = _locate_panels(targets, grid)
     for m in np.unique(owners):
         pick = owners == m
         local = -1.0 + 2.0 * (targets[pick] - m * grid.panel_width) / grid.panel_width
-        coeffs = transform @ samples[grid.panel_slice(m)]  # (n, cols)
+        coeffs = grid.rule.transform @ samples[grid.panel_slice(m)]  # (n, cols)
         out[pick] = legendre_eval(coeffs.T, local)
     return out if vector else out[:, 0]

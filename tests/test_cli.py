@@ -495,3 +495,24 @@ def test_out_in_missing_directory_exits_before_any_computation(tmp_path, monkeyp
     want = f"error: --out must name a file in an existing directory, got {out!r}\n"
     assert capsys.readouterr().err == want
     assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("experiment", ["eigen-test", "k-convergence", "field-test"])
+@pytest.mark.parametrize(
+    "name, want",
+    [("", "--out must name a file in an existing directory"),
+     ("x.json", "--out must not end in .json, the sidecar's suffix")],
+    ids=["existing-directory", "sidecar-suffix"],
+)
+def test_out_that_the_run_cannot_write_exits_before_any_computation(tmp_path, monkeypatch, capsys,
+                                                                    experiment, name, want):
+    # a directory failed with IsADirectoryError after the whole run, and a .json out was
+    # overwritten by its own sidecar
+    def must_not_run(args):
+        raise AssertionError("experiment ran with an --out it cannot write")
+
+    monkeypatch.setitem(cli._RUNNERS, experiment, must_not_run)
+    out = str(tmp_path / name) if name else str(tmp_path)
+    assert main([experiment, "--out", out]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {want}, got {out!r}\n"
+    assert list(tmp_path.iterdir()) == []

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    COPIES,
     density_derivative_per_column,
     g_row_per_column,
     legendre_deriv_coeffs_numpy_scalars,
@@ -26,6 +27,7 @@ from slenderquad.finitepart import (
 from slenderquad import forces
 from slenderquad.forces import legendre_mixture, splitmix64_uniforms
 from slenderquad.geometry import FiberCurve, discretize, make_helix, make_straight
+from slenderquad.nearsing import eval_S
 from slenderquad.oracle import diagonal_eigenvalues, g_pair, scaled_legendre
 from slenderquad.quadcore import PanelGrid, gauss_legendre, legendre_transform_matrix
 
@@ -234,6 +236,48 @@ def test_complex_density_samples_are_rejected(samples):
         LineDensity(samples)
 
 
+class TestLineDensityIsAValue:
+    def setup_method(self):
+        self.pc = discretize(make_helix(8.0, 3.0, 1.5), 2, RULE)
+        s = self.pc.grid.global_nodes
+        self.vector = np.stack([np.cos(3.0 * s), s * s, np.exp(-s)], axis=-1)
+
+    def test_mutating_the_callers_array_changes_nothing(self):
+        # the density held the caller's array, so writing to it after construction changed K
+        scalar = self.vector[:, 1].copy()
+        vec, sca = LineDensity(self.vector), LineDensity(scalar)
+        points = self.pc.positions[[3, 20]] + 0.01
+        grid, n = self.pc.grid, self.pc.grid.node_count
+
+        def results():
+            return (eval_K_all(self.pc, vec, TABLE), eval_S(self.pc, vec, points),
+                    [eval_L(sca, grid, TABLE, t) for t in range(n)])
+
+        before = results()
+        self.vector[:] = 2.0
+        scalar[:] = 2.0
+        for got, want in zip(results(), before):
+            np.testing.assert_array_equal(got, want)
+
+    def test_compares_by_identity_with_read_only_samples(self):
+        # == compared the sample arrays and raised ValueError; hash raised TypeError
+        dens, twin = LineDensity(self.vector), LineDensity(self.vector)
+        assert dens == dens and dens != twin
+        assert hash(dens) == hash(dens) and len({dens, twin}) == 2
+        assert dens.samples is not self.vector
+        with pytest.raises(ValueError, match="read-only"):
+            dens.samples[0, 0] = 1.0
+
+    @pytest.mark.parametrize("duplicate", COPIES.values(), ids=COPIES)
+    def test_copies_rebuild_the_density(self, duplicate):
+        dens = LineDensity(self.vector.tolist())
+        same = duplicate(dens)
+        assert same.derivative is None and same.samples.dtype == float
+        np.testing.assert_array_equal(same.samples, self.vector)
+        with pytest.raises(ValueError, match="read-only"):
+            same.samples[0, 0] = 1.0
+
+
 class TestEvalK:
     def test_straight_constant_vanishes(self):
         fiber = make_straight((1.0, 0.0, 0.0), 1.0)
@@ -318,6 +362,27 @@ class TestEvalLambda:
         for t in (0, 17, 31):
             got = eval_Lambda(pc, _constant_density(pc.grid, v), params, t)
             assert got == pytest.approx(expected, abs=1e-13)
+
+    @pytest.mark.parametrize(
+        "fiber, panels",
+        [(make_helix(8.0, 3.0, 1.5), 4), (make_straight((0.6, 0.0, 0.8), 1.0), 2)],
+        ids=["helix", "straight"],
+    )
+    def test_rows_equal_the_per_node_formula(self, fiber, panels):
+        # eval_Lambda and centerline_velocity take every node's row from one array expression
+        pc = discretize(fiber, panels, RULE)
+        params = SlenderParams(epsilon=1e-2, mu=0.7)
+        dens = LineDensity(forces.testf(fiber.length)[0](pc.grid.global_nodes))
+        background = lambda x: np.array([x[0], -x[2], 0.5])
+        vel = centerline_velocity(pc, dens, params, background, TABLE)
+        k = eval_K_all(pc, dens, TABLE)
+        c, scale = params.c, 1.0 / (8.0 * np.pi * params.mu)
+        for t in range(pc.grid.node_count):
+            xs, f = pc.tangents[t], dens.samples[t]
+            along = xs * (xs @ f)
+            lam = -c * (f + along) + 2.0 * (f - along)
+            np.testing.assert_array_equal(eval_Lambda(pc, dens, params, t), lam)
+            np.testing.assert_array_equal(vel[t], background(pc.positions[t]) - scale * (lam + k[t]))
 
     @pytest.mark.parametrize("index", [-1, 16, 3.0, 3.5])
     def test_rejects_index_outside_grid(self, index):
