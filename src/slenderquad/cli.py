@@ -76,6 +76,11 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
             fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
+def _xy_path(path: Path) -> Path:
+    """field-test's per-(x, y) column maxima, next to its CSV."""
+    return path.with_name(path.stem + "_xy" + path.suffix)
+
+
 def _write_sidecar(path: Path, args: argparse.Namespace, extra: dict) -> None:
     payload = {"config": vars(args), **extra}
     sidecar = path.with_suffix(".json")
@@ -246,7 +251,7 @@ def run_field_test(args: argparse.Namespace) -> int:
 
     path = Path(args.out)
     _write_csv(path, ["mode", "M", "x", "y", "z", "error"], rows)
-    _write_csv(path.with_name(path.stem + "_xy" + path.suffix), ["mode", "M", "x", "y", "max_error"], xy_rows)
+    _write_csv(_xy_path(path), ["mode", "M", "x", "y", "max_error"], xy_rows)
     extra = {"flagged_points": int(flagged.sum()), "point_count": len(points)}
     _write_sidecar(path, args, {"global_max": max_by_run, **extra})
     for run, e in max_by_run.items():
@@ -318,11 +323,17 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 0 for --help, 2 for usage errors
         return EXIT_PASS if exc.code == 0 else EXIT_CONFIG
     try:
-        out = Path(args.out)  # checked before any computation
+        out = Path(args.out)  # every path the run writes is checked before any computation
         if out.is_dir() or not out.parent.is_dir():
             raise ConfigError(f"--out must name a file in an existing directory, got {args.out!r}")
         if out.suffix == ".json":
             raise ConfigError(f"--out must not end in .json, the sidecar's suffix, got {args.out!r}")
+        written = [out.with_suffix(".json")]
+        if args.experiment == "field-test":
+            written.append(_xy_path(out))
+        for path in written:
+            if path.is_dir():
+                raise ConfigError(f"--out {args.out!r} would write {str(path)!r}, a directory")
         return _RUNNERS[args.experiment](args)
     except (ConfigError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

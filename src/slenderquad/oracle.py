@@ -1,6 +1,6 @@
 """Independent reference computations used to validate the production operators.
 
-The adaptive integrator is a self-contained Gauss-Kronrod 7/15 bisection
+The adaptive integrator is a self-contained Gauss-Kronrod 10/21 bisection
 scheme sharing no code with the panel quadrature, so agreement between the
 two routes is meaningful evidence: the module imports nothing from the
 package but the FiberCurve type. Also hosts the diagonalization ground truth
@@ -23,40 +23,59 @@ _CLOSEST_SAMPLES = 2000  # centerline samples bracketing the closest point
 _CLOSEST_SLICE = 16  # points whose (slice, samples) distances are formed at once
 _BLOCK = 128  # field points bisected in one loop; bounds its heaps and node arrays
 
-# Gauss-Kronrod 7/15 abscissae and weights on [-1, 1] (positive half), the
-# 33-digit literals of QUADPACK's qk15 (Piessens et al., 1983).
-_XGK = np.array(
+# The Gauss-Kronrod 10/21 rule on [-1, 1], positive half with the outermost node
+# first: the 33-digit literals of QUADPACK's qk21 (Piessens et al., 1983). Row 0
+# holds the nodes, row 1 the Kronrod weights and row 2 the weights of the
+# embedded Gauss-10 rule, whose nodes are every other Kronrod node from the
+# second on (zero weight on the Kronrod-only nodes).
+_HALF = np.array(
     [
-        0.991455371120812639206854697526329,
-        0.949107912342758524526189684047851,
-        0.864864423359769072789712788640926,
-        0.741531185599394439863864773280788,
-        0.586087235467691130294144845693013,
-        0.405845151377397166906606412076961,
-        0.207784955007898467600689403773245,
-        0.000000000000000000000000000000000,
+        [
+            0.995657163025808080735527280689003,
+            0.973906528517171720077964012084452,
+            0.930157491355708226001207180059508,
+            0.865063366688984510732096688423493,
+            0.780817726586416897063717578345042,
+            0.679409568299024406234327365114874,
+            0.562757134668604683339000099272694,
+            0.433395394129247190799265943165784,
+            0.294392862701460198131126603103866,
+            0.148874338981631210884826001129720,
+            0.000000000000000000000000000000000,
+        ],
+        [
+            0.011694638867371874278064396062192,
+            0.032558162307964727478818972459390,
+            0.054755896574351996031381300244580,
+            0.075039674810919952767043140916190,
+            0.093125454583697605535065465083366,
+            0.109387158802297641899210590325805,
+            0.123491976262065851077958109831074,
+            0.134709217311473325928054001771707,
+            0.142775938577060080797094273138717,
+            0.147739104901338491374841515972068,
+            0.149445554002916905664936468389821,
+        ],
+        [
+            0.0,
+            0.066671344308688137593568809893332,
+            0.0,
+            0.149451349150580593145776339657697,
+            0.0,
+            0.219086362515982043995534934228163,
+            0.0,
+            0.269266719309996355091226921569469,
+            0.0,
+            0.295524224714752870173892994651338,
+            0.0,
+        ],
     ]
 )
-_WGK = np.array(
-    [
-        0.022935322010529224963732008058970,
-        0.063092092629978553290700663189204,
-        0.104790010322250183839876322541518,
-        0.140653259715525918745189590510238,
-        0.169004726639267902826583426598550,
-        0.190350578064785409913256402421014,
-        0.204432940075298892414161999234649,
-        0.209482141084727828012999174891714,
-    ]
-)
-_WG = np.array(
-    [
-        0.129484966168869693270611432679082,
-        0.279705391489276667901467771423780,
-        0.381830050505118944950369775488975,
-        0.417959183673469387755102040816327,
-    ]
-)
+# All 21 nodes in increasing order, mirrored about the middle one. Row 0 of
+# _WEIGHTS holds the Kronrod weights, row 1 the embedded Gauss-10 weights.
+_NODES = np.concatenate([-_HALF[0], _HALF[0, -2::-1]])
+_WEIGHTS = np.concatenate([_HALF[1:], _HALF[1:, -2::-1]], axis=1)
+_N = _NODES.size  # the rule's node count
 
 
 class AccuracyError(RuntimeError):
@@ -72,17 +91,6 @@ class AccuracyError(RuntimeError):
         self.best_estimate, self.error_estimate, self.failed = best_estimate, error_estimate, failed
 
 
-def _mirror(half_values: np.ndarray) -> np.ndarray:
-    """Symmetric 15-entry vector from the 8 positive-half entries, outermost first."""
-    return np.concatenate([half_values, half_values[-2::-1]])
-
-
-# All 15 Kronrod nodes in increasing order. Row 0 of _W15 holds the Kronrod
-# weights, row 1 the embedded Gauss-7 weights (zero on Kronrod-only nodes).
-_X15 = np.concatenate([-_XGK, _XGK[-2::-1]])
-_W15 = np.stack([_mirror(_WGK), _mirror(np.insert(_WG, np.arange(4), 0.0))])
-
-
 def _real(values) -> np.ndarray:
     """Closure values as floats; complex ones raise ValueError, not lose their imaginary part."""
     values = np.asarray(values)
@@ -91,31 +99,31 @@ def _real(values) -> np.ndarray:
     return values.astype(float, copy=False)
 
 
-def _gk15(integrand: Callable, centres: np.ndarray, halves: np.ndarray, owner: np.ndarray):
-    """Kronrod-15 estimates (K, d) on the K intervals centres -+ halves, in one call.
+def _gauss_kronrod(integrand: Callable, centres: np.ndarray, halves: np.ndarray, owner: np.ndarray):
+    """Kronrod estimates (K, d) on the K intervals centres -+ halves, in one call.
 
-    Also returns each gap to the embedded Gauss-7 estimate and the values'
+    Also returns each gap to the embedded Gauss estimate and the values'
     shape past the node axis; the stacked matmul gives every interval the
-    bits of its own `_W15 @ values`. owner[k] is the problem of interval k.
+    bits of its own `_WEIGHTS @ values`. owner[k] is the problem of interval k.
     More intervals than the 2 * _BLOCK halves of one round are split over
     several calls of that many, which only a loop's start call can need.
     """
     cap = 2 * _BLOCK
     if len(centres) > cap:
         parts = [
-            _gk15(integrand, *(v[i : i + cap] for v in (centres, halves, owner)))
+            _gauss_kronrod(integrand, *(v[i : i + cap] for v in (centres, halves, owner)))
             for i in range(0, len(centres), cap)
         ]
         kron, err, shapes = zip(*parts)
         return np.concatenate(kron), np.concatenate(err), shapes[0]
-    x = (centres[:, None] + halves[:, None] * _X15).reshape(-1)
+    x = (centres[:, None] + halves[:, None] * _NODES).reshape(-1)
     values = _real(integrand(x, owner))
     if values.ndim not in (1, 2) or values.shape[0] != x.size:
         raise ValueError(
             f"integrand returned shape {values.shape} for {x.size} abscissae; "
             f"expected ({x.size},) or ({x.size}, d)"
         )
-    both = halves[:, None, None] * (_W15 @ values.reshape(len(halves), 15, -1))
+    both = halves[:, None, None] * (_WEIGHTS @ values.reshape(len(halves), _N, -1))
     return both[:, 0], np.abs(both[:, 0] - both[:, 1]).max(axis=-1), values.shape[1:]
 
 
@@ -138,7 +146,7 @@ def _bisect(integrand: Callable, partitions: Sequence[np.ndarray], tol: float):
     counts = [len(e) - 1 for e in partitions]
     lo, hi = (np.concatenate([e[i:j] for e in partitions]) for i, j in ((0, -1), (1, None)))
     owner = np.repeat(np.arange(len(partitions)), counts)
-    kron, err, shape = _gk15(integrand, 0.5 * (lo + hi), 0.5 * (hi - lo), owner)
+    kron, err, shape = _gauss_kronrod(integrand, 0.5 * (lo + hi), 0.5 * (hi - lo), owner)
     totals, errs = np.zeros((len(partitions), kron.shape[1])), np.zeros(len(partitions))
     # add.at adds row after row in index order: each problem sums in its partition's order
     np.add.at(totals, owner, kron)
@@ -168,7 +176,7 @@ def _bisect(integrand: Callable, partitions: Sequence[np.ndarray], tol: float):
         if not popped:
             return totals.reshape((len(partitions),) + shape), errs, failed
         rows, neg, index = (np.array(v) for v in list(zip(*popped))[:3])
-        kron, err, _ = _gk15(integrand, *np.array([centres, halves]), rows.repeat(2))
+        kron, err, _ = _gauss_kronrod(integrand, *np.array([centres, halves]), rows.repeat(2))
         totals[rows] = totals[rows] - values[index] + kron[0::2] + kron[1::2]
         # neg drops the split interval's error
         errs[rows] = errs[rows] + (err[0::2] + err[1::2] + neg)
@@ -191,8 +199,8 @@ def adaptive_integrate(integrand: Callable, a: float, b: float, tol: float = 1e-
     The integrand receives a 1-D array of n abscissae and returns its values
     with the node axis leading: shape (n,) for a scalar integrand, (n, d) for
     a vector one; any other output shape raises ValueError. The first call
-    evaluates [a, b] on the 15 Kronrod nodes, then each bisection makes one
-    call on the 30 nodes of both halves. An interval that is empty, reversed
+    evaluates [a, b] on the 21 Kronrod nodes, then each bisection makes one
+    call on the 42 nodes of both halves. An interval that is empty, reversed
     or not finite raises ValueError, and so does a tol that is not positive
     and finite.
 
@@ -253,7 +261,7 @@ def g_pair(curve: FiberCurve, f: Callable, fprime: Callable, s, s_bar: float) ->
     s is a scalar, giving shape (3,), or a 1-D array, giving one row per entry.
     With D = s - s_bar, the chord is R = D m, m = x_s + dm the mean tangent
     over [s_bar, s]; dm comes from the positions where |D| >= 1e-3 L and,
-    nearer, as the mean of x_s(u) - x_s by Kronrod-15 on four subpanels. The
+    nearer, as the mean of x_s(u) - x_s by the Kronrod rule on four subpanels. The
     factor is then a sum of terms that each carry an O(D) factor formed
     without cancellation, divided by D, so its rounding noise grows only
     like eps / |D|. Entries equal to s_bar take the analytic limit
@@ -271,9 +279,9 @@ def g_pair(curve: FiberCurve, f: Callable, fprime: Callable, s, s_bar: float) ->
     dm = (np.asarray(curve.position(s_arr), dtype=float) - curve.position(s_bar)) / d - xs
     near = np.abs(ds) < 1e-3 * curve.length
     if near.any():
-        u = s_bar + ds[near, None] * (np.arange(0.5, 4.0)[:, None] + 0.5 * _X15).ravel() / 4.0
+        u = s_bar + ds[near, None] * (np.arange(0.5, 4.0)[:, None] + 0.5 * _NODES).ravel() / 4.0
         tangents = np.asarray(curve.tangent(u.ravel()), dtype=float).reshape(u.shape + (3,))
-        dm[near] = np.tile(_W15[0], 4) @ (tangents - xs) / 8.0
+        dm[near] = np.tile(_WEIGHTS[0], 4) @ (tangents - xs) / 8.0
     m = xs + dm
     fv = np.broadcast_to(_real(f(s_arr)), m.shape)
     df = fv - fbar
@@ -403,7 +411,7 @@ def reference_S(curve: FiberCurve, f: Callable, x_bar, tol: float = 1e-12) -> np
         partitions = [flat[i:j] for i, j in zip((ends - sizes).tolist(), ends.tolist())]
 
         def integrand(s, owner):
-            r = pts[owner].repeat(15, axis=0) - np.asarray(curve.position(s), dtype=float)
+            r = pts[owner].repeat(_N, axis=0) - np.asarray(curve.position(s), dtype=float)
             rnorm = np.sqrt(np.einsum("nc,nc->n", r, r))[:, None]
             fv = np.broadcast_to(_real(f(s)), r.shape)
             return fv / rnorm + r * np.einsum("nc,nc->n", r, fv)[:, None] / rnorm**3

@@ -516,3 +516,25 @@ def test_out_that_the_run_cannot_write_exits_before_any_computation(tmp_path, mo
     assert main([experiment, "--out", out]) == EXIT_CONFIG
     assert capsys.readouterr().err == f"error: {want}, got {out!r}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "experiment, beside",
+    [("eigen-test", "x.json"), ("k-convergence", "x.json"), ("field-test", "x.json"),
+     ("field-test", "x_xy.csv")],
+)
+def test_a_directory_where_the_run_writes_beside_out_exits_before_any_computation(
+    tmp_path, monkeypatch, capsys, experiment, beside
+):
+    # the run did all its work, wrote the CSV and died with IsADirectoryError on the sidecar
+    # or on field-test's <stem>_xy<suffix> file
+    def must_not_run(args):
+        raise AssertionError("experiment ran with a directory where it writes")
+
+    monkeypatch.setitem(cli._RUNNERS, experiment, must_not_run)
+    (tmp_path / beside).mkdir()
+    out = tmp_path / "x.csv"
+    assert main([experiment, "--out", str(out)]) == EXIT_CONFIG
+    want = f"error: --out {str(out)!r} would write {str(tmp_path / beside)!r}, a directory\n"
+    assert capsys.readouterr().err == want
+    assert [p.name for p in tmp_path.iterdir()] == [beside]

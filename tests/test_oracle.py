@@ -76,19 +76,20 @@ class TestAdaptiveIntegrate:
         )
         value = adaptive_integrate(peak, -1.0, 1.0, 1e-11)
         assert value == pytest.approx(2.0 * 100.0 * np.arctan(100.0), rel=1e-11)
-        assert set(sizes) <= {(15,), (30,)}
+        n = oracle._N
+        assert sizes[0] == (n,) and set(sizes[1:]) <= {(2 * n,)}
         bisections = len(pushes) // 2  # each bisection pushes both halves
         assert bisections > 10
         assert len(sizes) == bisections + 1
 
     def test_equal_errors_split_left_end_first(self, monkeypatch):
-        # the same 15 values on every interval: halves of one width get equal estimates
-        pattern = np.cos(np.arange(15.0))
+        # the same n values on every interval: halves of one width get equal estimates
+        pattern = np.cos(np.arange(float(oracle._N)))
         centres = []
 
         def integrand(x):
             centres.append(x.mean())
-            return np.tile(pattern, x.size // 15)
+            return np.tile(pattern, x.size // oracle._N)
 
         monkeypatch.setattr(oracle, "MAX_INTERVALS", 6)
         with pytest.raises(AccuracyError):
@@ -166,7 +167,7 @@ class TestBadTol:
         def no_rule(*args):
             raise AssertionError("the integrand was evaluated")
 
-        monkeypatch.setattr(oracle, "_gk15", no_rule)
+        monkeypatch.setattr(oracle, "_gauss_kronrod", no_rule)
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             self.CALLS[name](tol)
 
@@ -181,7 +182,8 @@ class TestBadTol:
         loops, bisect = [], oracle._bisect
         record = lambda *a: loops.append((a[1:], bisect(*a))) or loops[-1][1]
         monkeypatch.setattr(oracle, "_bisect", record)
-        monkeypatch.setattr(oracle, "MAX_DEPTH", 2)
+        # the 21-point rule certifies 1e-9 at depth 2, so a budget of 1 runs out
+        monkeypatch.setattr(oracle, "MAX_DEPTH", 1)
         with pytest.raises(AccuracyError, match=r"^tolerance 1e-09 not met") as info:
             reference_K(make_helix(8.0, 3.0, 1.5), f, fprime, 0.7, 1e-9)
         # one problem at the caller's tol, split at s_bar by its start edges
@@ -214,12 +216,12 @@ class TestStartSums:
         rng = np.random.default_rng(d)
         partitions = [np.sort(rng.uniform(-3.0, 3.0, rng.integers(2, 40))) for _ in range(150)]
         scales = np.exp(rng.uniform(-20.0, 20.0, (len(partitions), d)))
-        starts, gk15 = [], oracle._gk15
-        record = lambda *a: starts.append((a[3], gk15(*a))) or starts[-1][1]
-        monkeypatch.setattr(oracle, "_gk15", record)
+        starts, rule = [], oracle._gauss_kronrod
+        record = lambda *a: starts.append((a[3], rule(*a))) or starts[-1][1]
+        monkeypatch.setattr(oracle, "_gauss_kronrod", record)
 
         def integrand(x, owner):
-            values = scales[owner.repeat(15)] * np.cos(np.arange(1, d + 1) * x[:, None])
+            values = scales[owner.repeat(oracle._N)] * np.cos(np.arange(1, d + 1) * x[:, None])
             return values[:, 0] if d == 1 else values
 
         # no problem bisects at this tol, so _bisect returns its start sums
@@ -250,8 +252,8 @@ class TestBreakpoints:
 
         value = _bisect_one(counted, [-1.0, *points, 1.0], 1e-11)
         plain = adaptive_integrate(self.peak, -1.0, 1.0, 1e-11)
-        assert sizes[0] == 15 * (len(points) + 1)
-        assert set(sizes[1:]) <= {30}
+        assert sizes[0] == oracle._N * (len(points) + 1)
+        assert set(sizes[1:]) <= {2 * oracle._N}
         assert abs(value - plain) <= 1e-11 * abs(plain)
 
 
@@ -285,17 +287,17 @@ class TestClosestParameter:
 
 class TestGaussKronrodRows:
     def test_monomial_exactness(self):
-        # the 15-node Kronrod row is exact to degree 22, the embedded Gauss-7 row to 13
-        for row, degree in ((0, 22), (1, 13)):
+        # the 21-node Kronrod row is exact to degree 31, the embedded Gauss-10 row to 19
+        for row, degree in ((0, 31), (1, 19)):
             for k in range(degree + 1):
                 exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
-                assert abs(oracle._W15[row] @ oracle._X15**k - exact) <= 5e-16
+                assert abs(oracle._WEIGHTS[row] @ oracle._NODES**k - exact) <= 5e-16
 
-    def test_gauss_row_is_gauss_legendre_7(self):
-        nodes, weights = np.polynomial.legendre.leggauss(7)
-        on = oracle._W15[1] != 0.0
-        assert np.max(np.abs(oracle._X15[on] - nodes)) <= 2.3e-16
-        assert np.max(np.abs(oracle._W15[1][on] - weights)) <= 2.3e-16
+    def test_gauss_row_is_gauss_legendre_10(self):
+        nodes, weights = np.polynomial.legendre.leggauss(10)
+        on = oracle._WEIGHTS[1] != 0.0
+        assert np.max(np.abs(oracle._NODES[on] - nodes)) <= 2.3e-16
+        assert np.max(np.abs(oracle._WEIGHTS[1][on] - weights)) <= 2.3e-16
 
 
 class TestDiagonalization:
@@ -510,11 +512,11 @@ def _ref_integrate(integrand, a, b, tol, points=()):
     Returns the total, the error sum and whether the tolerance was met, for
     bit-for-bit comparison; the oracle must bisect every problem in this order.
     """
-    w15, x15 = oracle._W15, oracle._X15
+    weights, nodes = oracle._WEIGHTS, oracle._NODES
 
     def rule(lo, hi):
         half = 0.5 * (hi - lo)
-        kron, gauss = half * (w15 @ np.asarray(integrand(0.5 * (lo + hi) + half * x15)))
+        kron, gauss = half * (weights @ np.asarray(integrand(0.5 * (lo + hi) + half * nodes)))
         return kron, float(np.max(np.abs(kron - gauss)))
 
     edges = np.concatenate([[a], np.asarray(points, dtype=float), [b]])
@@ -598,6 +600,14 @@ class TestReferenceSBlock:
         for got, pt in zip(block, points):
             want, _, ok = _ref_reference_S(self.HELIX, self.F, pt, 1e-12)
             assert ok and np.array_equal(got, want)
+
+    def test_field_test_block_moves_less_than_tol_at_tol_1e14(self):
+        # test_point_past_the_end's tol check on every point of the benchmark's 5x5x4 field-test
+        points = cli.helix_field_grid(self.HELIX, radial_count=5, angular_count=5, z_count=4)
+        got = reference_S(self.HELIX, self.F, points, tol=1e-12)
+        tight = reference_S(self.HELIX, self.F, points, tol=1e-14)
+        scale = np.maximum(1.0, np.max(np.abs(tight), axis=1))
+        assert np.all(np.max(np.abs(got - tight), axis=1) <= 1e-12 * scale)
 
     def test_points_bisect_in_loops_of_128_under_the_interval_cap(self, monkeypatch):
         loops, calls = [], []
