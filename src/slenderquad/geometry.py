@@ -64,10 +64,7 @@ class PanelizedCurve:
     built, and the rest is derived from them there. panel_coeffs[m, c] holds the Legendre
     coefficients of coordinate c of the position over panel m, in the local
     variable eta in [-1, 1]. coords is a contiguous (3, N) copy of positions,
-    for the component-major K rows. chord_starts (M, 3) and chords (M, 3)
-    hold each panel's expansion at eta = -1 and its change up to eta = 1,
-    and chord_lengths (M,) the chords' lengths, for the near field's
-    half-chord filter. Every array is read-only.
+    for the component-major K rows. Every array is read-only.
     """
 
     grid: PanelGrid
@@ -76,9 +73,6 @@ class PanelizedCurve:
     second_derivs: np.ndarray = field(repr=False)
     panel_coeffs: np.ndarray = field(init=False, repr=False)
     coords: np.ndarray = field(init=False, repr=False)
-    chord_starts: np.ndarray = field(init=False, repr=False)
-    chords: np.ndarray = field(init=False, repr=False)
-    chord_lengths: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         grid = self.grid
@@ -95,10 +89,6 @@ class PanelizedCurve:
         coeffs = np.einsum("kl,mlc->mck", grid.rule.transform, per_panel)
         _store(self, positions=positions, tangents=tangents, second_derivs=second)
         _store(self, panel_coeffs=coeffs, coords=np.ascontiguousarray(positions.T))
-        starts = coeffs @ (-1.0) ** np.arange(grid.rule.order)
-        chords = coeffs.sum(axis=2) - starts
-        lengths = np.sqrt(np.einsum("mc,mc->m", chords, chords))
-        _store(self, chord_starts=starts, chords=chords, chord_lengths=lengths)
 
     def __reduce__(self):  # copies and pickles rebuild the curve from its samples
         return PanelizedCurve, (self.grid, self.positions, self.tangents, self.second_derivs)

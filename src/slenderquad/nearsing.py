@@ -23,14 +23,16 @@ import numpy as np
 from .finitepart import LineDensity
 from .geometry import PanelizedCurve
 from .quadcore import (QuadratureRule, _derivative_matrix, _legendre_terms, _legendre_terms_split,
-                       _rowdot, gauss_legendre)
+                       gauss_legendre)
 
 _GRADED_ORDER = 32
 _PANEL_RHO = 2.05  # Bernstein radius of the root over the graded rule's finest panel
 MAX_MOMENT_COUNT = 16  # highest moment count q_k^p is computed to; caps eval_S's rule order
 _NEWTON_TOL = 1e-13
+_DIRECT_TOL = 1e-14  # error of the direct rule, about rho^(-2n), below which a pair keeps it
+_GUESS_MARGIN = 1.05  # guesses this far past rho_max still start a root find: a guess errs too
 _NEWTON_MAX_ITER = 30
-_ARRAY_PAIRS = 32  # pairs from which the Newton tables and the moments run on float arrays
+_ARRAY_PAIRS = 32  # pairs from which the screen, Newton tables and moments run on float arrays
 REAL_ROOT_FLOOR = 1e-10  # find_root calls a converged root with a smaller Im(z1) real
 _ON_CENTERLINE = "converged to a real root on the panel; point lies on the centerline"
 _ON_EXTENSION = "converged to a real root; point lies on the curve extension"
@@ -78,13 +80,62 @@ def _osculating_guesses(curve: PanelizedCurve, nodes: np.ndarray, r: np.ndarray)
     return np.array(guesses, dtype=complex)
 
 
+def _bernstein_radius(z: complex) -> float:
+    """rho(z) = |z + sqrt(z - 1) sqrt(z + 1)| of a Python complex: z lies on the Bernstein
+    ellipse E_rho with foci -1 and 1, where the n-point direct rule errs about rho^(-2n)."""
+    return abs(z + cmath.sqrt(z - 1.0) * cmath.sqrt(z + 1.0))
+
+
+def _direct_radius(n: int) -> float:
+    """rho_max(n) = _DIRECT_TOL^(-1/(2n)): the n-point direct rule serves roots from here on."""
+    return _DIRECT_TOL ** (-0.5 / n)
+
+
+def _screen(curve: PanelizedCurve, nodes: np.ndarray, r: np.ndarray, limit: float) -> np.ndarray:
+    """False for the pairs whose `_osculating_guesses` surely lie at rho >= limit.
+
+    The same osculating root on float arrays, in real arithmetic, with rho
+    from the focal distances d1 and d2: the ellipse through w has
+    rho + 1/rho = d1 + d2. The 1e-6 relative margin dwarfs the rounding in
+    which these steps differ from the Python-complex ones, so a pair it
+    drops fails the per-pair test too; what fails to be finite is kept.
+    """
+    half = 0.5 * curve.grid.panel_width
+    eta = curve.grid.rule.nodes[nodes % curve.grid.rule.order]
+    (x, y, z), (tx, ty, tz), (kx, ky, kz) = (
+        a.T for a in (r, curve.tangents.take(nodes, 0), curve.second_derivs.take(nodes, 0)))
+    with np.errstate(all="ignore"):  # overflows as the Python floats do, silently
+        f, d = x * x + y * y + z * z, -half * (x * tx + y * ty + z * tz)
+        g = half * half * (tx * tx + ty * ty + tz * tz - (x * kx + y * ky + z * kz))
+        disc = d * d - f * g
+        sq = np.sqrt(np.abs(disc))
+        # _model_step's denominator: d + i sq below a zero discriminant, else d -+ sq, the larger
+        den_re = np.where(disc < 0.0, d, np.where(d >= 0.0, d + sq, d - sq))
+        den_im = np.where(disc < 0.0, sq, 0.0)
+        size = np.hypot(den_re, den_im)
+        over = f / size  # a stationary model, size 0, stays at the node
+        step_re = np.where(size > 0.0, over * (den_re / size), 0.0)
+        step_im = np.where(size > 0.0, -over * (den_im / size), 0.0)
+        cut = np.maximum(np.hypot(step_re, step_im), 1.0)
+        w_re, w_im = eta - step_re / cut, np.maximum(np.abs(step_im / cut), 1e-8)
+        a = 0.5 * (np.hypot(w_re - 1.0, w_im) + np.hypot(w_re + 1.0, w_im))
+        rho = a + np.sqrt(np.maximum(a * a - 1.0, 0.0))
+    return ~(np.isfinite(rho) & (rho > limit * (1.0 + 1e-6)))
+
+
 def _near_pairs(curve: PanelizedCurve, points: np.ndarray, r: np.ndarray, r2: np.ndarray):
     """The rows, panels and `_osculating_guesses` of a chunk's pairs that start a root find.
 
     points (T, 3) come with offsets r (T, N, 3) and squared distances r2
-    (T, N) to every node. A panel is near a point when its closest node, the
-    one the guess starts from, lies within one panel arclength, unless the
-    point lies half a chord or more off the chord's line.
+    (T, N) to every node. A panel is a candidate when its closest node, the
+    one the guess starts from, lies within one panel arclength, and starts a
+    root find when its guess lies inside the direct rule's radius with a
+    margin for the guess's own error, rho < _GUESS_MARGIN * `_direct_radius(n)`:
+    a guess extrapolated from a panel's end node can lie a few per cent
+    farther out than its root. From _ARRAY_PAIRS candidates on, `_screen`
+    first drops the pairs whose guesses surely lie outside, which spares the
+    per-pair guesses of most of a field-test block's candidates; every pair
+    kept is kept in its one-point call too.
     """
     grid, n = curve.grid, curve.grid.rule.order
     per_panel = r2.reshape(len(points), grid.panel_count, n)
@@ -92,15 +143,14 @@ def _near_pairs(curve: PanelizedCurve, points: np.ndarray, r: np.ndarray, r2: np
     tt, mm = (np.sqrt(per_panel.min(axis=2)) <= grid.panel_width).nonzero() if n > 1 else ((), ())
     if not len(tt):  # far points leave here, at the cost of the distance test alone
         return tt, mm, ()
-    start, chord = curve.chord_starts.take(mm, 0), curve.chords.take(mm, 0)
-    h, xb = curve.chord_lengths[mm], points.take(tt, 0)
-    foot = xb - (start + (_rowdot(xb - start, chord) / (h * h))[:, None] * chord)
-    # a cost filter, not an accuracy bound: such a point skips the root find and takes the
-    # regular rule, though on a curved panel its root can still have Im z1 < 1
-    run = 2.0 * np.sqrt(_rowdot(foot, foot)) / h < 1.0
-    tt, mm = tt[run], mm[run]
     nodes = mm * n + per_panel[tt, mm].argmin(axis=1)
-    return tt, mm, _osculating_guesses(curve, nodes, r[tt, nodes])
+    offsets, limit = r[tt, nodes], _GUESS_MARGIN * _direct_radius(n)
+    if len(tt) >= _ARRAY_PAIRS:
+        keep = _screen(curve, nodes, offsets, limit)
+        tt, mm, nodes, offsets = tt[keep], mm[keep], nodes[keep], offsets[keep]
+    guesses = _osculating_guesses(curve, nodes, offsets)
+    inside = np.array([_bernstein_radius(g) < limit for g in guesses.tolist()], dtype=bool)
+    return tt[inside], mm[inside], guesses[inside]
 
 
 @functools.lru_cache(maxsize=None)
@@ -136,7 +186,11 @@ def find_root(
     one stacked product, which with the Gram product gives every pair the
     bits of its one-row block. Step, damping and stopping tests stay per pair
     on Python scalars; a pair leaves the live set when it converges or
-    fails, so a failed pair does not stop the others.
+    fails, so a failed pair does not stop the others. A pair converges at a
+    step of at most _NEWTON_TOL, or once its step times the square of its
+    ratio to the step before is that small: the steps shrink cubically, so
+    the next one would be smaller still, and the round that would confirm
+    it is saved.
     """
     coeffs = np.asarray(panel_coeffs, dtype=float)
     xb = np.asarray(x_bar, dtype=float)
@@ -154,6 +208,7 @@ def find_root(
     roots = [complex(math.nan, math.nan)] * count
     reasons = [""] * count
     live = list(range(count))
+    last = [0.0] * count  # each pair's previous step length, 0.0 before its first
     # row 2c gives x_c - x_bar_c (P_0 = 1 carries the shift) and x_c', row 2c + 1 gives x_c''
     # and an unused third derivative: each pair's product reads as the (3, 4) rows of
     # x - x_bar, x', x'' and x''' by coordinate
@@ -190,7 +245,8 @@ def find_root(
             if size > 1.0:
                 step /= size
             z[i] = z[i] - step
-            if size <= _NEWTON_TOL:
+            # Cauchy's steps shrink cubically: the next would be about size (size/last)^2 or less
+            if size <= _NEWTON_TOL or (last[i] and size * (size / last[i]) ** 2 <= _NEWTON_TOL):
                 root = z[i].conjugate() if z[i].imag < 0 else z[i]
                 if root.imag < REAL_ROOT_FLOOR:
                     on_panel = abs(root.real) - 1.0 <= REAL_ROOT_FLOOR
@@ -201,6 +257,7 @@ def find_root(
             if abs(z[i]) > 20.0:
                 reasons[i] = "Newton iterate escaped the panel neighborhood"
                 continue
+            last[i] = min(size, 1.0)
             still.append(j)
         if len(still) < len(live):
             live = [live[j] for j in still]
@@ -273,7 +330,7 @@ def _graded_level(a: float, b: float) -> int:
     """The graded rule's level for a root a + ib, a >= 0: the panel next to 1 halves until
     the root's Bernstein radius over it reaches _PANEL_RHO."""
     level, w = 0, complex(a, b)  # the root over the finest panel, mapped to [-1, 1]
-    while abs(w + cmath.sqrt(w - 1.0) * cmath.sqrt(w + 1.0)) < _PANEL_RHO:
+    while _bernstein_radius(w) < _PANEL_RHO:
         level += 1
         w = complex((a - 1.0) * 2.0**level + 1.0, b * 2.0**level)
     return level
@@ -488,9 +545,13 @@ def eval_S(curve: PanelizedCurve, f: LineDensity, x_bar) -> np.ndarray:
 
     x_bar is one point (3,) or a block (T, 3); the result has the same shape,
     and every row equals the one-point call bit for bit. The near pairs of
-    each chunk (`_near_pairs`) share one find_root call. Pairs without a
-    root, each warned of, and roots with Im(z1) >= 1 fall back to the regular
-    rule for that pair only. A real root on a panel (find_root's
+    each chunk (`_near_pairs`) share one find_root call. A pair is special
+    while its root's Bernstein radius rho(z1) lies below rho_max(n) =
+    _DIRECT_TOL^(-1/(2n)), beyond which the n-point direct rule errs about
+    rho^(-2n) <= 1e-14: the test runs on the guess before the root find,
+    with _GUESS_MARGIN for the guess's error, and on the root after it.
+    Pairs without a root, each warned of, and roots at rho >= rho_max take
+    the regular rule for that pair only. A real root on a panel (find_root's
     REAL_ROOT_FLOOR) puts the point on the centerline, where S diverges, and
     raises ValueError naming the point's row and the panel before its chunk
     sums or warns; points 1e-9 off the centerline give Im(z1) >= 1e-8 at
@@ -519,7 +580,8 @@ def eval_S(curve: PanelizedCurve, f: LineDensity, x_bar) -> np.ndarray:
         for i in np.flatnonzero(np.isnan(z1)) if any(reasons) else ():
             warnings.warn(f"point {start + tt[i]}, panel {mm[i]}: {reasons[i]}; "
                           "falling back to regular quadrature")
-        near = z1.imag < 1.0  # False for the NaN roots of failed pairs
+        limit = _direct_radius(n)  # the NaN roots of failed pairs compare False
+        near = np.array([_bernstein_radius(z) < limit for z in z1.tolist()], dtype=bool)
         tp, mp = tt[near], mm[near]
         if not len(tp):
             return _regular_sum(curve, fv, r, r2)

@@ -19,7 +19,7 @@ from .geometry import FiberCurve
 
 MAX_DEPTH = 50
 MAX_INTERVALS = 20000
-_CLOSEST_SAMPLES = 2000  # centerline samples bracketing the closest point
+_CLOSEST_SAMPLES = 256  # centerline samples bracketing the closest point
 _CLOSEST_SLICE = 16  # points whose (slice, samples) distances are formed at once
 _BLOCK = 128  # field points bisected in one loop; bounds its heaps and node arrays
 

@@ -127,7 +127,13 @@ class PanelGrid:
 
 
 def gauss_legendre(order: int) -> QuadratureRule:
-    """The Gauss-Legendre rule of the given order: QuadratureRule(order)."""
+    """The Gauss-Legendre rule of the given order: QuadratureRule(order), built once per order
+    and shared, as the rule is an immutable value with read-only arrays."""
+    return _cached_rule(order)
+
+
+@functools.lru_cache(maxsize=None, typed=True)  # typed: 16.0 is refused, not served rule 16
+def _cached_rule(order: int) -> QuadratureRule:
     return QuadratureRule(order)
 
 

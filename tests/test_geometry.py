@@ -287,8 +287,7 @@ class TestPanelizedCurve:
     @pytest.mark.parametrize("duplicate", COPIES.values(), ids=COPIES)
     @pytest.mark.parametrize(
         "name",
-        ["positions", "tangents", "second_derivs", "panel_coeffs", "coords", "chord_starts",
-         "chords", "chord_lengths"],
+        ["positions", "tangents", "second_derivs", "panel_coeffs", "coords"],
     )
     def test_arrays_are_read_only(self, name, duplicate):
         curve = discretize(HELIX, 2, gauss_legendre(4))
@@ -298,18 +297,6 @@ class TestPanelizedCurve:
         assert np.array_equal(array, getattr(curve, name))
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
-
-    def test_chords_join_each_panels_expansion_ends(self):
-        curve = discretize(HELIX, 4, gauss_legendre(16))
-        for m, coeffs in enumerate(curve.panel_coeffs):
-            start, end = legendre_eval(coeffs, -1.0), legendre_eval(coeffs, 1.0)
-            assert np.allclose(curve.chord_starts[m], start, rtol=0, atol=1e-15)
-            assert np.allclose(curve.chords[m], end - start, rtol=0, atol=1e-15)
-            length = np.linalg.norm(curve.chords[m])
-            assert curve.chord_lengths[m] == pytest.approx(length, rel=1e-15)
-            # the expansion ends sit on the panel's ends of the centerline
-            ends = HELIX.position(curve.grid.panel_width * np.array([m, m + 1]))
-            assert np.allclose([start, end], ends, rtol=0, atol=1e-14)
 
     def test_curves_compare_by_identity(self):
         curve = discretize(HELIX, 2, gauss_legendre(4))

@@ -154,8 +154,9 @@ class TestFindRoot:
         assert reason == "no convergence in 1 iterations"
 
 
-def _s_field_near_points(helix, seed, count=128):
-    """Points 2.2e-3 to 2e-2 off interior centerline points, drawn as the s_field benchmark does."""
+def _s_field_near_points(helix, seed, count=128, near=2.2e-3, far=2e-2):
+    """Points near to far (2.2e-3 to 2e-2) off interior centerline points, drawn as the s_field
+    benchmark does."""
     rng = np.random.default_rng(seed)
     batch, batches = 64, count // 64
 
@@ -165,7 +166,7 @@ def _s_field_near_points(helix, seed, count=128):
         return (lo + (hi - lo) * u).ravel()
 
     s = stratified(0.05 * helix.length, 0.95 * helix.length)
-    dist = np.exp(stratified(np.log(2.2e-3), np.log(2e-2)))
+    dist = np.exp(stratified(np.log(near), np.log(far)))
     angle = stratified(0.0, 2.0 * np.pi)
     normal = helix.second_derivative(s)
     normal /= np.linalg.norm(normal, axis=1)[:, None]
@@ -186,6 +187,30 @@ def _one_pair_roots(coeffs, points, guesses):
     return np.concatenate([find_root(c[None], x[None], g[None])[0] for c, x, g in pairs])
 
 
+def _steps_to_tolerance(coeffs, points, guesses):
+    """Each pair's root and step count from find_root's Cauchy steps on Python-complex tables,
+    run until a step of at most 1e-13: the stopping test before the cubic rate's estimate."""
+    roots, steps = [], []
+    for c, x, z in zip(coeffs, points, guesses.tolist()):
+        n = c.shape[1]
+        shifted = c.copy()
+        shifted[:, 0] -= x
+        rows = np.stack([shifted, shifted @ nearsing._second_derivative_matrix(n).T], axis=1)
+        rows = rows.reshape(6, n).astype(complex)
+        for count in range(1, 61):
+            table = np.array(nearsing._legendre_terms(z, n), dtype=complex).reshape(n, 2)
+            vecs = (rows @ table).reshape(3, 4)
+            g = (vecs.T @ vecs).ravel().tolist()
+            step = nearsing._model_step(g[0], g[1], g[5] + g[2])
+            size = abs(step)
+            z = z - step / max(size, 1.0)
+            if size <= 1e-13:
+                break
+        roots.append(z.conjugate() if z.imag < 0 else z)
+        steps.append(count)
+    return np.array(roots), np.array(steps)
+
+
 class TestFindRootBlocks:
     HELIX = make_helix(8.0, 3.0, 1.5)
     LINE = np.array([[0.5, 0.5], [0.0, 0.0], [0.0, 0.0]])  # x(eta) = ((eta + 1)/2, 0, 0) exactly
@@ -203,7 +228,7 @@ class TestFindRootBlocks:
 
     def test_all_s_field_near_pairs_bitwise(self):
         coeffs, points, guesses = self.pairs
-        assert len(guesses) >= 250
+        assert len(guesses) >= 200
         block, reasons = find_root(coeffs, points, guesses)
         assert block.tobytes() == _one_pair_roots(coeffs, points, guesses).tobytes()
         assert np.all(block.imag > 0) and not any(reasons)
@@ -218,11 +243,58 @@ class TestFindRootBlocks:
         return _one_pair_roots(coeffs, points, guesses), len(builds)
 
     def test_table_builds_per_pair(self, monkeypatch):
-        # Newton's halving steps took 8.0 tables per pair on these 257 pairs and Cauchy's steps
-        # from the chord guess 4.10; from the osculating guesses they take 2.83
+        # Newton's halving steps took 8.0 tables per pair on the 257 pairs the half-chord filter
+        # kept and Cauchy's steps from the chord guess 4.10; from the osculating guesses they
+        # took 2.83, and stopping at the cubic rate's estimate 2.18 on the 220 pairs whose
+        # guesses lie inside the direct rule's radius and its 5 % margin
         roots, builds = self._table_builds(monkeypatch, *self.pairs)
-        assert len(roots) == 257 and np.all(roots.imag > 0)
-        assert builds <= 3.0 * len(roots)
+        assert len(roots) == 220 and np.all(roots.imag > 0)
+        assert builds <= 2.2 * len(roots)
+
+    def test_every_root_inside_the_radius_is_found(self):
+        # the guess from a panel's end node extrapolates and can lie a few per cent farther out
+        # than its root; without the 5 % margin 4 of these pairs, roots inside rho_max, took
+        # the direct rule
+        pc, n = self.pc, RULE.order
+        points = np.concatenate([_s_field_near_points(self.HELIX, seed) for seed in (1, 2, 41)])
+        r, r2 = nearsing._offsets(pc.positions, points)
+        per_panel = r2.reshape(len(points), pc.grid.panel_count, n)
+        tt, mm = (np.sqrt(per_panel.min(axis=2)) <= pc.grid.panel_width).nonzero()
+        nodes = mm * n + per_panel[tt, mm].argmin(axis=1)
+        guesses = nearsing._osculating_guesses(pc, nodes, r[tt, nodes])
+        roots, reasons = find_root(pc.panel_coeffs[mm], points[tt], guesses)
+        limit = nearsing._direct_radius(n)
+        inside = {(t, m) for t, m, z in zip(tt.tolist(), mm.tolist(), roots.tolist())
+                  if nearsing._bernstein_radius(z) < limit}
+        kept = nearsing._near_pairs(pc, points, r, r2)
+        assert not any(reasons) and len(inside) > 500
+        assert inside <= set(zip(kept[0].tolist(), kept[1].tolist()))
+
+    @pytest.mark.parametrize("off", [None, 1e-6, 1e-9])
+    @pytest.mark.parametrize("panels", [4, 8, 16])
+    def test_stopping_at_the_cubic_rate_keeps_the_roots(self, panels, off, monkeypatch):
+        # a pair stops once its step, times the square of its ratio to the step before, is
+        # 1e-13 or less: a round earlier than at a step of 1e-13 on many pairs, same roots. Off
+        # the centerline by 1e-6 and 1e-9, Im z1 falls to about 1e-8, and the roots still agree
+        # to their rounding, a few 1e-16, far inside Im z1
+        pc = discretize(self.HELIX, panels, RULE)
+        near = {} if off is None else {"near": off, "far": off}
+        coeffs, points, guesses = _newton_pairs(pc, _s_field_near_points(self.HELIX, 41, **near))
+        roots, reasons = find_root(coeffs, points, guesses)
+        full, steps = _steps_to_tolerance(coeffs, points, guesses)
+        assert len(roots) >= 150 and not any(reasons)
+        assert np.all(np.abs(roots - full) <= 1e-14 * np.abs(full))
+        assert np.all(np.abs((roots - full).imag) <= 1e-6 * full.imag)
+        rounds, terms = [], nearsing._legendre_terms
+        monkeypatch.setattr(nearsing, "_legendre_terms",
+                            lambda z, n: rounds.append(z) or terms(z, n))
+        counts = []
+        for pair in zip(coeffs, points, guesses):
+            rounds.clear()
+            find_root(*(a[None] for a in pair))
+            counts.append(len(rounds))
+        counts = np.array(counts)
+        assert np.all(counts <= steps) and np.mean(counts < steps) >= 0.25
 
     @pytest.mark.parametrize("count", [3, 40])
     def test_coefficient_counts_past_the_largest_rule(self, count):
@@ -746,9 +818,16 @@ class TestEvalSDispatch:
         eval_S(self.pc, self.dens, pt)
         # one find_root call per chunk with candidates, each returning its block of roots
         assert len(roots) == 1
-        # a special pair is a root the Newton run accepts, Im(z1) < 1
-        specials = [z1 for z1 in np.concatenate([z for z, _ in roots]) if z1.imag < 1.0]
-        assert len(specials) > 0
+        limit = nearsing._direct_radius(16)
+
+        def special(z):
+            """The roots the direct rule does not serve, rho(z1) < rho_max."""
+            return [z1 for z1 in z.tolist() if nearsing._bernstein_radius(z1) < limit]
+
+        # of the point's two roots, 1.61 + 0.024i lies at rho = 2.88, outside rho_max = 2.74
+        assert len(roots[0][0]) == 2
+        specials = special(roots[0][0])
+        assert len(specials) == 1
         assert len(moments) == len(specials) and not stacks
         assert len(products) == 1 and len(products[0]) == len(specials)
 
@@ -760,13 +839,33 @@ class TestEvalSDispatch:
         moments.clear(), products.clear(), roots.clear()
         eval_S(self.pc, self.dens, block)
         assert len(roots) == 2
-        first, last = ([z1 for z1 in z if z1.imag < 1.0] for z, _ in roots)
+        first, last = (special(z) for z, _ in roots)
         assert len(first) == chunk * len(specials) and len(last) == len(specials)
         # the first chunk's special pairs take the array route, one (pairs, n, 2) stack of
         # moments; the last chunk's one point takes one qkp_moments call per special pair
         assert len(stacks) == 1 and stacks[0].shape == (len(first), 16, 2)
         assert len(moments) == len(last)
         assert [len(w) for w in products] == [len(first), len(last)]
+
+    def test_root_outside_the_direct_radius_keeps_the_regular_bits(self, monkeypatch):
+        # at M = 2 this point's one root-found pair converges to z1 = 1.80 + 0.077i: Im z1 < 1,
+        # but rho = 3.3 >= rho_max = 2.74, where the 16-point direct rule errs about 1e-14
+        pc = discretize(self.helix, 2, RULE)
+        dens = LineDensity(self.f(pc.grid.global_nodes))
+        pt = np.array([-0.0899394528190346, 0.024683649712133493, 0.6123141292194374])
+        roots, find = [], nearsing.find_root
+
+        def recorded(*args):
+            out = find(*args)
+            roots.append(out[0])
+            return out
+
+        monkeypatch.setattr(nearsing, "find_root", recorded)
+        got = eval_S(pc, dens, pt)
+        assert len(roots) == 1 and len(roots[0]) == 1
+        z1 = complex(roots[0][0])
+        assert z1.imag < 1.0 and nearsing._bernstein_radius(z1) >= nearsing._direct_radius(16)
+        assert got.tobytes() == eval_S_regular(pc, dens, pt).tobytes()
 
     def test_near_point_matches_oracle(self):
         s0 = 0.62
@@ -865,23 +964,29 @@ class TestEvalSCenterline:
 
     def test_points_on_the_extension_fall_back(self):
         # past the end of a straight fiber S is finite; the last panel's real root lies beyond
-        # eta = 1, so that pair warns and takes the regular rule, which the closed form checks
+        # eta = 1, so that pair warns and takes the regular rule, which the closed form checks.
+        # At x = 1.3 the root eta = 2.2 lies at rho = 4.2, outside rho_max = 2.74 at order 16,
+        # so that pair takes the direct rule without a root find or a warning
         pc = discretize(make_straight((1.0, 0.0, 0.0), 1.0), 2, RULE)
         dens = constant_density(pc.grid, (1.0, 0.0, 1.0))
         points = np.array([[1.01, 0.0, 0.0], [1.1, 0.0, 0.0], [1.3, 0.0, 0.0]])
+        assert nearsing._bernstein_radius(2.2 + 0j) == pytest.approx(4.16, abs=0.01)
         with pytest.warns(UserWarning) as caught:
             block = eval_S(pc, dens, points)
         assert [str(w.message) for w in caught] == [
             f"point {row}, panel 1: converged to a real root; point lies on the curve "
             "extension; falling back to regular quadrature"
-            for row in range(3)
+            for row in range(2)
         ]
         assert np.array_equal(block, eval_S_regular(pc, dens, points))
         log = np.log(points[:, 0] / (points[:, 0] - 1.0))  # int_0^1 ds / (x - s)
         assert block == pytest.approx(np.column_stack([2 * log, 0 * log, log]), rel=1e-3)
-        for row, point in enumerate(points):
+        for row, point in enumerate(points[:2]):
             with pytest.warns(UserWarning, match="point 0, panel 1: converged to a real root"):
                 assert np.array_equal(eval_S(pc, dens, point), block[row])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(eval_S(pc, dens, points[2]), block[2])
 
 
 def _block_points(helix, count, seed):
@@ -922,16 +1027,18 @@ class TestEvalSBlocks:
                 block = evaluate(pc, dens, points[:count])
                 assert block.shape == (count, 3)
                 assert block.tobytes() == single[:count].tobytes()
-        # the points mix rows with special panels and rows without any
+        # the points mix rows with special panels and rows without any, but for the grid at
+        # M = 2 and at order 8 (rho_max = 7.5) up to M = 8, where every point has a special panel
         regular = eval_S_regular(pc, dens, points)
         stages, stacked = [], nearsing._stacked_moments
         monkeypatch.setattr(nearsing, "_stacked_moments", lambda *a: stages.append(a) or stacked(*a))
         same = np.all(eval_S(pc, dens, points) == regular, axis=1)
-        assert same.any() and not same.all()
+        every = grid and (panels == 2 or (order == 8 and panels < 16))
+        assert same.any() != every and not same.all()
         if grid:
-            # the grid's moments run on arrays, but for its 23 near pairs at M = 16, below
-            # _ARRAY_PAIRS
-            assert len(stages) == (0 if panels == 16 else 1)
+            # the grid's moments run on arrays, but for its 17 and 11 special pairs at M = 16
+            # and orders 15 and 16, below _ARRAY_PAIRS
+            assert len(stages) == (0 if panels == 16 and order > 8 else 1)
 
     @pytest.mark.parametrize("pairs", [1, 2, 33])
     def test_rows_equal_point_calls_bitwise_at_special_pair_counts(self, pairs, monkeypatch):
@@ -1000,6 +1107,37 @@ class TestEvalSBlocks:
         # the field-test grid is one chunk: one Newton run, on array tables while 32 pairs live
         assert len(blocks) == 1 and blocks[0] > 100
         assert sizes and min(sizes) >= nearsing._ARRAY_PAIRS
+
+    @pytest.mark.parametrize("panels, bound", [(4, 1e-6), (8, 1e-11), (16, 5e-12)])
+    def test_field_grid_within_the_oracle(self, panels, bound):
+        # the half-chord filter left pairs with Im z1 < 1 to the direct rule, 1.67e-4 / 6.39e-11
+        # / 6.60e-12 here; the direct rule's radius reads 3.9e-7 / 2.5e-12 / 8.7e-13
+        if not hasattr(TestEvalSBlocks, "field_reference"):
+            TestEvalSBlocks.field_reference = reference_S(self.HELIX, self.f, self.FIELD, tol=1e-12)
+        pc = discretize(self.HELIX, panels, RULE)
+        dens = LineDensity(self.f(pc.grid.global_nodes))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = eval_S(pc, dens, self.FIELD)
+        assert np.max(np.linalg.norm(got - self.field_reference, axis=1)) <= bound
+
+    @pytest.mark.parametrize("order", [8, 15, 16])
+    @pytest.mark.parametrize("panels", [2, 4, 8, 16])
+    def test_screen_drops_only_pairs_outside_the_radius(self, panels, order):
+        # the array screen keeps every pair whose guess lies inside the root-find limit, and
+        # drops nearly all others before their guesses are taken per pair
+        pc = discretize(self.HELIX, panels, gauss_legendre(order))
+        points = np.concatenate([self.POINTS, self.FIELD])
+        r, r2 = nearsing._offsets(pc.positions, points)
+        per_panel = r2.reshape(len(points), panels, order)
+        tt, mm = (np.sqrt(per_panel.min(axis=2)) <= pc.grid.panel_width).nonzero()
+        nodes = mm * order + per_panel[tt, mm].argmin(axis=1)
+        limit = nearsing._GUESS_MARGIN * nearsing._direct_radius(order)
+        keep = nearsing._screen(pc, nodes, r[tt, nodes], limit)
+        guesses = nearsing._osculating_guesses(pc, nodes, r[tt, nodes]).tolist()
+        inside = np.array([nearsing._bernstein_radius(g) < limit for g in guesses])
+        assert inside.any() and keep[inside].all()
+        assert np.count_nonzero(keep & ~inside) <= 0.01 * len(keep)
 
     @pytest.mark.parametrize("panels", [2, 4])
     def test_default_field_grid_finds_every_root(self, panels):
@@ -1102,6 +1240,11 @@ class TestOsculatingGuesses:
         assert abs(step.imag) == pytest.approx(1e-155 / 0.09375, rel=1e-15)
         guesses = nearsing._osculating_guesses(self._fake_curve(t, k), np.arange(count), r)
         assert np.isfinite(guesses).all() and guesses.imag.min() >= 1e-8
+        # the array screen of the same roots drops no pair that lies inside, edge cases included
+        rho = np.array([nearsing._bernstein_radius(g) for g in guesses.tolist()])
+        for limit in (1.5, 2.74, 7.5):
+            keep = nearsing._screen(self._fake_curve(t, k), np.arange(count), r, limit)
+            assert keep[rho < limit].all() and not keep[rho > 1.01 * limit].any()
         # at f = 0, a stationary model and an infinite discriminant the guess is the node
         for i in (0, 1, 3):
             assert guesses[i] == complex(RULE.nodes[i], 1e-8)

@@ -142,6 +142,17 @@ class TestGaussLegendre:
         assert same.order == 16 and type(same.order) is int
         assert np.array_equal(rule.transform, same.transform)
 
+    def test_one_rule_per_order(self):
+        # gauss_legendre builds a rule once and serves it from then on; a float order is still
+        # refused rather than served the equal integer order's rule
+        rule = gauss_legendre(16)
+        assert gauss_legendre(16) is rule and gauss_legendre(np.int64(16)) == rule
+        for name in ("nodes", "weights", "transform"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(gauss_legendre(16), name)[0] = 0.0
+        with pytest.raises(ValueError, match="order must be an integer"):
+            gauss_legendre(16.0)
+
     def test_replace_cannot_set_derived_arrays(self):
         with pytest.raises(ValueError, match="init=False"):
             dataclasses.replace(gauss_legendre(16), nodes=np.linspace(-0.99, 0.99, 16))
