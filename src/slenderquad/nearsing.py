@@ -50,8 +50,8 @@ def _model_step(f, d, g):
 
 
 def _osculating_model(r, t, k, half):
-    """f, d and g, Python floats, of a pair's osculating quadratic from its offset r, tangent t
-    and second derivative k."""
+    """f, d and g of the osculating quadratic from offset r, tangent t and second derivative k:
+    Python floats for one pair, or rows for many from (3, P) arrays, with the same bits."""
     (x, y, z), (tx, ty, tz), (kx, ky, kz) = r, t, k
     f, d = x * x + y * y + z * z, -half * (x * tx + y * ty + z * tz)
     return f, d, half * half * (tx * tx + ty * ty + tz * tz - (x * kx + y * ky + z * kz))
@@ -94,19 +94,17 @@ def _direct_radius(n: int) -> float:
 def _screen(curve: PanelizedCurve, nodes: np.ndarray, r: np.ndarray, limit: float) -> np.ndarray:
     """False for the pairs whose `_osculating_guesses` surely lie at rho >= limit.
 
-    The same osculating root on float arrays, in real arithmetic, with rho
-    from the focal distances d1 and d2: the ellipse through w has
-    rho + 1/rho = d1 + d2. The 1e-6 relative margin dwarfs the rounding in
-    which these steps differ from the Python-complex ones, so a pair it
-    drops fails the per-pair test too; what fails to be finite is kept.
+    The osculating model on (3, P) rows and its root in real float
+    arithmetic, with rho from the focal distances d1 and d2: the ellipse
+    through w has rho + 1/rho = d1 + d2. A 1e-6 relative margin dwarfs the
+    rounding by which these steps differ from the Python-complex ones, so a
+    pair it drops fails the per-pair test too; a non-finite rho keeps its pair.
     """
     half = 0.5 * curve.grid.panel_width
     eta = curve.grid.rule.nodes[nodes % curve.grid.rule.order]
-    (x, y, z), (tx, ty, tz), (kx, ky, kz) = (
-        a.T for a in (r, curve.tangents.take(nodes, 0), curve.second_derivs.take(nodes, 0)))
+    rows = (a.T for a in (r, curve.tangents.take(nodes, 0), curve.second_derivs.take(nodes, 0)))
     with np.errstate(all="ignore"):  # overflows as the Python floats do, silently
-        f, d = x * x + y * y + z * z, -half * (x * tx + y * ty + z * tz)
-        g = half * half * (tx * tx + ty * ty + tz * tz - (x * kx + y * ky + z * kz))
+        f, d, g = _osculating_model(*rows, half)
         disc = d * d - f * g
         sq = np.sqrt(np.abs(disc))
         # _model_step's denominator: d + i sq below a zero discriminant, else d -+ sq, the larger
@@ -554,8 +552,10 @@ def eval_S(curve: PanelizedCurve, f: LineDensity, x_bar) -> np.ndarray:
     the regular rule for that pair only. A real root on a panel (find_root's
     REAL_ROOT_FLOOR) puts the point on the centerline, where S diverges, and
     raises ValueError naming the point's row and the panel before its chunk
-    sums or warns; points 1e-9 off the centerline give Im(z1) >= 1e-8 at
-    order 16. A real root on a panel's extension fails its pair like any
+    sums or warns. Points 1e-9 off pass (Im(z1) >= 1e-8 at order 16), and
+    nothing flags them yet (ROADMAP item 23): on helix(8, 3, 1.5) at M = 8,
+    S errs about 4e-11 / 4e-9 / 4e-7 relative 1e-4 / 1e-5 / 1e-6 off the
+    centerline. A real root on a panel's extension fails its pair like any
     other failed root. The regular rule is eval_S_regular's one contraction
     over all nodes, with zero weights on a point's special panels, so a
     point with no near panel gets eval_S_regular's value exactly. Rule

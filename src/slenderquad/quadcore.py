@@ -293,12 +293,6 @@ def solve_vandermonde_transpose(nodes: np.ndarray, rhs: np.ndarray) -> np.ndarra
     return b
 
 
-def _locate_panels(targets: np.ndarray, grid: PanelGrid) -> np.ndarray:
-    """Panel index per target; boundary points resolve to the left panel."""
-    m = np.ceil(targets / grid.panel_width).astype(int) - 1
-    return np.clip(m, 0, grid.panel_count - 1)
-
-
 def interpolate_to_uniform(
     panel_samples: np.ndarray, grid: PanelGrid, targets: np.ndarray
 ) -> np.ndarray:
@@ -306,7 +300,8 @@ def interpolate_to_uniform(
 
     panel_samples has one row per global node and may carry extra columns.
     Targets must lie in [0, L]; points exactly on a shared panel edge use the
-    lower-index panel.
+    lower-index panel. One pass serves all targets, with P_k from `_legendre_table`;
+    c_k P_k add up in legendre_eval's order, k = 0, 1, ..., which keeps its bits.
     """
     targets = np.atleast_1d(np.asarray(targets, dtype=float))
     samples = np.asarray(panel_samples, dtype=float)
@@ -315,13 +310,12 @@ def interpolate_to_uniform(
     if not np.all((targets >= 0.0) & (targets <= grid.fiber_length)):
         raise ValueError("interpolation targets must be finite and lie in [0, L]")
     vector = samples.ndim > 1
-    samples = samples.reshape(grid.node_count, -1)
-
-    out = np.empty((targets.size, samples.shape[1]))
-    owners = _locate_panels(targets, grid)
-    for m in np.unique(owners):
-        pick = owners == m
-        local = -1.0 + 2.0 * (targets[pick] - m * grid.panel_width) / grid.panel_width
-        coeffs = grid.rule.transform @ samples[grid.panel_slice(m)]  # (n, cols)
-        out[pick] = legendre_eval(coeffs.T, local)
+    n, width = grid.rule.order, grid.panel_width
+    owners = np.clip(np.ceil(targets / width).astype(int) - 1, 0, grid.panel_count - 1)
+    local = -1.0 + 2.0 * (targets - owners * width) / width
+    coeffs = (grid.rule.transform @ samples.reshape(grid.panel_count, n, -1))[owners]
+    p = _legendre_table(local, n)[:, 0, :, None]  # P_k at target t is p[k, t]
+    out = coeffs[:, 0] * p[0]
+    for k in range(1, n):
+        out = out + coeffs[:, k] * p[k]
     return out if vector else out[:, 0]

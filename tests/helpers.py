@@ -333,3 +333,21 @@ def g_row_per_column(curve, f, target_index):
         xs, curve.second_derivs[t], ft, density_derivative_per_column(grid, f, target_index)
     )
     return rows
+
+
+def interpolate_per_panel(panel_samples, grid, targets):
+    """The per-panel interpolation loop quadcore.interpolate_to_uniform ran before it made one
+    pass over all targets: one legendre_eval call per owner panel; kept as its bit-for-bit
+    reference. Input checks are left out."""
+    targets = np.atleast_1d(np.asarray(targets, dtype=float))
+    samples = np.asarray(panel_samples, dtype=float)
+    vector = samples.ndim > 1
+    samples = samples.reshape(grid.node_count, -1)
+    out = np.empty((targets.size, samples.shape[1]))
+    owners = np.clip(np.ceil(targets / grid.panel_width).astype(int) - 1, 0, grid.panel_count - 1)
+    for m in np.unique(owners):
+        pick = owners == m
+        local = -1.0 + 2.0 * (targets[pick] - m * grid.panel_width) / grid.panel_width
+        coeffs = legendre_transform_matrix(grid.rule) @ samples[grid.panel_slice(m)]  # (n, cols)
+        out[pick] = legendre_eval(coeffs.T, local)
+    return out if vector else out[:, 0]

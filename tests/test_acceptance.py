@@ -214,10 +214,12 @@ def test_criterion_6_moment_oracle():
         for p in (1, 3):
             got = qkp_moments(complex(a, b), 16)[:, p // 2]
             for k in range(16):
-                integrand = lambda e: e**k / ((e - a) ** 2 + b * b) ** (p / 2.0)
-                ref = adaptive_integrate(integrand, -1.0, a, 1e-13) + adaptive_integrate(
-                    integrand, a, 1.0, 1e-13
-                )
+                # scaled to about 1, where the oracle's tol * max(1, |total|) certificate is
+                # relative: an absolute one measures the oracle on a small moment
+                size = abs(got[k])
+                integrand = lambda e: e**k / ((e - a) ** 2 + b * b) ** (p / 2.0) / size
+                ref = size * (adaptive_integrate(integrand, -1.0, a, 1e-13)
+                              + adaptive_integrate(integrand, a, 1.0, 1e-13))
                 worst = max(worst, abs(got[k] - ref) / abs(ref))
     elapsed = time.perf_counter() - start
     _report(6, "moment oracle", worst <= 1e-11, elapsed, 5.0, f"max rel error {worst:.3e}")

@@ -3,7 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import COPIES, legendre_eval_numpy_scalars, legendre_monomials_exact
+from helpers import (COPIES, interpolate_per_panel, legendre_eval_numpy_scalars,
+                     legendre_monomials_exact)
+from slenderquad import quadcore
 from slenderquad.quadcore import (
     MAX_ORDER,
     PanelGrid,
@@ -565,6 +567,30 @@ class TestInterpolateToUniform:
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="finite"):
                 interpolate_to_uniform(np.ones(32), grid, np.array([0.5, bad]))
+
+    @pytest.mark.parametrize("order", [1, 2, 5, 16, 32, 64])
+    @pytest.mark.parametrize("count", [1, 3, 8, 128])
+    def test_matches_the_per_panel_loop_bit_for_bit(self, order, count, monkeypatch):
+        grid = PanelGrid(2.7, count, gauss_legendre(order))
+        rng = np.random.default_rng(order * 1000 + count)
+        edges = grid.panel_width * np.arange(count + 1)
+        targets = np.concatenate([[0.0, grid.fiber_length], edges, rng.uniform(0.0, 2.7, 50)])
+        scalar, vector = rng.standard_normal((2, grid.node_count, 3))
+        calls = []
+
+        def counting(name):
+            original = getattr(quadcore, name)
+            monkeypatch.setattr(quadcore, name, lambda *a: calls.append(name) or original(*a))
+
+        references = [interpolate_per_panel(s, grid, targets) for s in (scalar[:, 0], vector)]
+        counting("legendre_eval")
+        counting("_legendre_series")
+        for samples, reference in zip((scalar[:, 0], vector), references):
+            got = interpolate_to_uniform(samples, grid, targets)
+            assert np.array_equal(got, reference)
+            empty = interpolate_to_uniform(samples, grid, np.array([]))
+            assert empty.shape == (0,) + reference.shape[1:]
+        assert not calls
 
     @pytest.mark.parametrize("shape", [(31,), (33, 3), (16,)])
     def test_sample_count_must_match_the_grid(self, shape):
