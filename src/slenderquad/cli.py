@@ -22,7 +22,7 @@ import numpy as np
 from . import forces
 from .finitepart import LineDensity, build_weight_table, eval_K_all, eval_L
 from .geometry import FiberCurve, discretize, make_helix, make_straight
-from .nearsing import MAX_MOMENT_COUNT, eval_S, eval_S_regular
+from .nearsing import eval_S, eval_S_regular
 from .oracle import AccuracyError, diagonal_eigenvalues, reference_S, scaled_legendre
 from .quadcore import PanelGrid, gauss_legendre, interpolate_to_uniform
 
@@ -212,11 +212,6 @@ def run_field_test(args: argparse.Namespace) -> int:
     """Stokeslet field errors against the adaptive reference, per mode and panel count."""
     curve = parse_fiber(args.fiber)
     f = forces.testf_simple(curve)[0]
-    if args.rule_order > MAX_MOMENT_COUNT:
-        raise ConfigError(
-            f"special mode supports --rule-order up to {MAX_MOMENT_COUNT}, got {args.rule_order}"
-        )
-
     points = helix_field_grid(
         curve,
         radial_count=args.radial_count,
@@ -224,6 +219,12 @@ def run_field_test(args: argparse.Namespace) -> int:
         z_count=args.z_count,
     )
     rule = gauss_legendre(args.rule_order)
+    runs = []  # every run before the oracle, so eval_S rejects what it cannot do first
+    for m in args.panels:
+        pcurve = discretize(curve, m, rule)
+        density = LineDensity(f(pcurve.grid.global_nodes))
+        for mode, evaluate in (("regular", eval_S_regular), ("special", eval_S)):
+            runs.append((mode, m, evaluate(pcurve, density, points)))
 
     try:
         reference = reference_S(curve, f, points, tol=1e-12)
@@ -235,19 +236,16 @@ def run_field_test(args: argparse.Namespace) -> int:
     # the points run z fastest, so each (x, y) column is z_count consecutive points
     columns = points[:: args.z_count, :2]
     max_by_run: dict[str, float] = {}
-    for m in args.panels:
-        pcurve = discretize(curve, m, rule)
-        density = LineDensity(f(pcurve.grid.global_nodes))
-        for mode, evaluate in (("regular", eval_S_regular), ("special", eval_S)):
-            d = evaluate(pcurve, density, points) - reference
-            # row norms with the bits of np.linalg.norm on each row, in one stacked product
-            errs = np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
-            rows.extend([mode, m, *map(float, pt), float(e)] for pt, e in zip(points, errs))
-            max_by_run[f"{mode}:M={m}"] = float(np.max(errs[~flagged])) if (~flagged).any() else np.nan
-            column_max = errs.reshape(len(columns), args.z_count).max(axis=1)
-            xy_rows.extend(
-                [mode, m, float(x), float(y), float(e)] for (x, y), e in zip(columns, column_max)
-            )
+    for mode, m, values in runs:
+        d = values - reference
+        # row norms with the bits of np.linalg.norm on each row, in one stacked product
+        errs = np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
+        rows.extend([mode, m, *map(float, pt), float(e)] for pt, e in zip(points, errs))
+        max_by_run[f"{mode}:M={m}"] = float(np.max(errs[~flagged])) if (~flagged).any() else np.nan
+        column_max = errs.reshape(len(columns), args.z_count).max(axis=1)
+        xy_rows.extend(
+            [mode, m, float(x), float(y), float(e)] for (x, y), e in zip(columns, column_max)
+        )
 
     path = Path(args.out)
     _write_csv(path, ["mode", "M", "x", "y", "z", "error"], rows)

@@ -20,7 +20,9 @@ from .geometry import PanelizedCurve
 from .quadcore import (MAX_ORDER, PanelGrid, QuadratureRule, _derivative_matrix, _rowdot, _store,
                        legendre_eval, legendre_transform_matrix, solve_vandermonde_transpose)
 
-MAX_TABLE_ORDER = 32  # above it the monomial table's rounding reaches K and L
+# The monomial table's highest order. Its rounding reaches K and L above it on any density, and
+# below it on full-degree ones at M = 1 and 2 (eigen-test legendre:n: 3.7e-10 at 16, 1.1e-2 at 32)
+MAX_TABLE_ORDER = 32
 
 @dataclass(frozen=True)
 class SlenderParams:
@@ -97,8 +99,7 @@ def build_weight_table(rule: QuadratureRule) -> np.ndarray:
     """
     n = rule.order
     if n > MAX_TABLE_ORDER:
-        raise ValueError(f"weight table supports rule orders up to {MAX_TABLE_ORDER}, got {n}; "
-                         "ROADMAP item 3's exact Legendre table lifts the limit")
+        raise ValueError(f"weight table supports rule orders up to {MAX_TABLE_ORDER}, got {n}")
     table = np.empty((n, n))
     for ell in range(n):
         q = np.array([qk_signkernel(k, rule.nodes[ell]) for k in range(n)])
@@ -208,20 +209,11 @@ def eval_K_all(curve: PanelizedCurve, f: LineDensity, table: np.ndarray) -> np.n
     return np.fromiter((eval_K(curve, f, table, t) for t in range(n)), (float, 3), count=n)
 
 
-def _local_operator(tangents: np.ndarray, fv: np.ndarray, c: float) -> np.ndarray:
-    """-c(I + ss) f + 2(I - ss) f row by row over (P, 3) tangents s and samples f."""
-    along = tangents * _rowdot(tangents, fv)[:, None]
-    return -c * (fv + along) + 2.0 * (fv - along)
-
-
-def eval_Lambda(
-    curve: PanelizedCurve, f: LineDensity, params: SlenderParams, target_index: int
-) -> np.ndarray:
-    """Local slender-body operator -c(I + ss) f + 2(I - ss) f at one node."""
-    curve.grid.panel_of_target(target_index)  # rejects indices that are not integers in [0, N)
-    row = slice(target_index, target_index + 1)
-    fv = f.checked_samples((curve.grid.node_count, 3))[row]
-    return _local_operator(curve.tangents[row], fv, params.c)[0]
+def eval_Lambda(curve: PanelizedCurve, f: LineDensity, params: SlenderParams) -> np.ndarray:
+    """Local slender-body operator -c(I + ss) f + 2(I - ss) f at every node, shape (N, 3)."""
+    fv = f.checked_samples((curve.grid.node_count, 3))
+    along = curve.tangents * _rowdot(curve.tangents, fv)[:, None]
+    return -params.c * (fv + along) + 2.0 * (fv - along)
 
 
 def centerline_velocity(
@@ -238,5 +230,4 @@ def centerline_velocity(
     if not all(u.shape == (3,) and np.isfinite(u).all() for u in u_inf):
         raise ValueError("background must give a finite (3,) vector at every node")
     k = eval_K_all(curve, f, table)
-    lam = _local_operator(curve.tangents, f.samples, params.c)  # eval_K_all checked the shape
-    return np.array(u_inf) - 1.0 / (8.0 * np.pi * params.mu) * (lam + k)
+    return np.array(u_inf) - 1.0 / (8.0 * np.pi * params.mu) * (eval_Lambda(curve, f, params) + k)

@@ -454,13 +454,16 @@ class TestFieldTestCommand:
         assert main(["field-test", *flag, "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
 
-    def test_special_mode_rejects_rule_order_before_oracle(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("order", ["17", "20"])
+    def test_special_mode_rejects_rule_order_before_oracle(self, tmp_path, monkeypatch, order):
+        # eval_S rejects the order, and field-test evaluates every run before the oracle
         def oracle_must_not_run(*args, **kwargs):
             raise AssertionError("oracle ran before the rule order was checked")
 
         monkeypatch.setattr(cli, "reference_S", oracle_must_not_run)
-        argv = ["field-test", "--rule-order", "20", "--out", str(tmp_path / "x.csv")]
-        with pytest.raises(ConfigError, match=r"up to 16, got 20"):
+        argv = ["field-test", "--radial-count", "3", "--angular-count", "3", "--z-count", "2",
+                "--rule-order", order, "--out", str(tmp_path / "x.csv")]
+        with pytest.raises(ValueError, match=r"up to 16"):
             run_field_test(_build_parser().parse_args(argv))
         assert main(argv) == EXIT_CONFIG
 

@@ -395,7 +395,7 @@ class TestReferenceK:
     # 8.1e-8 and 3.6 relative at orders 40, 48 and 64; ROADMAP item 3's exact table lifts the limit
     @pytest.mark.parametrize("order", [40, 48, 64])
     def test_orders_above_the_table_limit_raise(self, order):
-        with pytest.raises(ValueError, match=f"rule orders up to 32, got {order}; ROADMAP item 3"):
+        with pytest.raises(ValueError, match=f"rule orders up to 32, got {order}$"):
             build_weight_table(gauss_legendre(order))
 
     def test_end_nodes_of_a_tightly_wound_helix(self):
