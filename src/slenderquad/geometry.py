@@ -8,7 +8,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .quadcore import PanelGrid, QuadratureRule, _store
+from .quadcore import PanelGrid, QuadratureRule, _derivative_matrix, _store
 
 Curve3 = Callable[[np.ndarray], np.ndarray]
 
@@ -64,7 +64,9 @@ class PanelizedCurve:
     built, and the rest is derived from them there. panel_coeffs[m, c] holds the Legendre
     coefficients of coordinate c of the position over panel m, in the local
     variable eta in [-1, 1]. coords is a contiguous (3, N) copy of positions,
-    for the component-major K rows. Every array is read-only.
+    for the component-major K rows. cauchy_rows[m, c] holds panel_coeffs[m, c] and
+    its second derivative's coefficients as complex rows, for the near-field root
+    finder. Every array is read-only.
     """
 
     grid: PanelGrid
@@ -73,6 +75,7 @@ class PanelizedCurve:
     second_derivs: np.ndarray = field(repr=False)
     panel_coeffs: np.ndarray = field(init=False, repr=False)
     coords: np.ndarray = field(init=False, repr=False)
+    cauchy_rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         grid = self.grid
@@ -87,8 +90,10 @@ class PanelizedCurve:
             raise ValueError("curve positions, tangents and second derivatives must be finite")
         per_panel = positions.reshape(grid.panel_count, grid.rule.order, 3)
         coeffs = np.einsum("kl,mlc->mck", grid.rule.transform, per_panel)
+        first = _derivative_matrix(grid.rule.order)
+        rows = np.stack([coeffs, coeffs @ (first @ first).T], axis=2).astype(complex)
         _store(self, positions=positions, tangents=tangents, second_derivs=second)
-        _store(self, panel_coeffs=coeffs, coords=np.ascontiguousarray(positions.T))
+        _store(self, panel_coeffs=coeffs, coords=positions.T.copy(), cauchy_rows=rows)
 
     def __reduce__(self):  # copies and pickles rebuild the curve from its samples
         return PanelizedCurve, (self.grid, self.positions, self.tangents, self.second_derivs)

@@ -22,8 +22,7 @@ import numpy as np
 
 from .finitepart import LineDensity
 from .geometry import PanelizedCurve
-from .quadcore import (QuadratureRule, _derivative_matrix, _legendre_terms, _legendre_terms_split,
-                       gauss_legendre)
+from .quadcore import QuadratureRule, _legendre_terms, _legendre_terms_split, gauss_legendre
 
 _GRADED_ORDER = 32
 _PANEL_RHO = 2.05  # Bernstein radius of the root over the graded rule's finest panel
@@ -151,58 +150,52 @@ def _near_pairs(curve: PanelizedCurve, points: np.ndarray, r: np.ndarray, r2: np
     return tt[inside], mm[inside], guesses[inside]
 
 
-@functools.lru_cache(maxsize=None)
-def _second_derivative_matrix(n: int) -> np.ndarray:
-    """The exact integer (n, n) matrix from n Legendre coefficients to the second derivative's."""
-    second = _derivative_matrix(n) @ _derivative_matrix(n)
-    second.flags.writeable = False  # one cached array serves every call
-    return second
-
-
 def find_root(
-    panel_coeffs: np.ndarray, x_bar: np.ndarray, guess: np.ndarray
+    curve: PanelizedCurve, panels, x_bar: np.ndarray, guess: np.ndarray
 ) -> tuple[np.ndarray, list]:
     """Cauchy's method for the upper-half roots z1 of f(eta) = R^2(eta) = |x_bar - x(eta)|^2.
 
-    Takes P pairs, (P, 3, n) panel coefficients, (P, 3) points and (P,)
-    guesses, and returns (roots, reasons): the (P,) complex roots, NaN where
-    the iteration failed, and the P reason strings, "" for a pair that
-    converged; one pair is a one-row block. Shapes that do not match and
-    non-finite input raise ValueError before any step. A converged root with
-    Im(z1) < REAL_ROOT_FLOOR is real and fails its pair: on the centerline
-    when |Re(z1)| <= 1 + REAL_ROOT_FLOOR, on the curve extension otherwise.
+    Takes the curve and P pairs, as (P,) integer panel indices, (P, 3) points
+    and (P,) guesses, and returns (roots, reasons): the (P,) complex roots,
+    NaN where the iteration failed, and the P reason strings, "" for a pair
+    that converged; one pair is a one-row block. Shapes that do not match,
+    panels outside [0, M) and non-finite points or guesses raise ValueError
+    before any step. A converged root with Im(z1) < REAL_ROOT_FLOOR is real
+    and fails its pair: on the centerline when |Re(z1)| <= 1 +
+    REAL_ROOT_FLOOR, on the curve extension otherwise.
 
     Each step moves to the nearer root of the local quadratic model
     f + f' delta + f'' delta^2 / 2 = 0 (Cauchy's method), with
     f' = -2 (x_bar - x) . x' and f'' = 2 (x' . x' - (x_bar - x) . x''), which
     holds both roots of the conjugate pair where Newton's steps only halve.
-    x'' comes from the second-derivative coefficients and x_bar leaves each
-    pair's constant coefficient, once per call, so one product gives
-    x - x_bar, x' and x''. Every iteration builds each live pair's (n, 2)
-    Legendre table on its Python-complex iterate (from _ARRAY_PAIRS live
-    pairs on, on float arrays with the same bits) and contracts them all in
-    one stacked product, which with the Gram product gives every pair the
-    bits of its one-row block. Step, damping and stopping tests stay per pair
-    on Python scalars; a pair leaves the live set when it converges or
-    fails, so a failed pair does not stop the others. A pair converges at a
-    step of at most _NEWTON_TOL, or once its step times the square of its
-    ratio to the step before is that small: the steps shrink cubically, so
-    the next one would be smaller still, and the round that would confirm
-    it is saved.
+    x_bar leaves the constant coefficient of each pair's rows of x and x''
+    (the curve's `cauchy_rows`), so one product gives x - x_bar, x' and x''.
+    Every iteration builds each live pair's (n, 2) Legendre table on its
+    Python-complex iterate (from _ARRAY_PAIRS live pairs on, on float arrays
+    with the same bits) and contracts them all in one stacked product, which
+    with the Gram product gives every pair the bits of its one-row block.
+    Step, damping and stopping tests stay per pair on Python scalars; a pair
+    leaves the live set when it converges or fails, so a failed pair does not
+    stop the others. A pair converges at a step of at most _NEWTON_TOL, or
+    once its step times the square of its ratio to the step before is that
+    small: the steps shrink cubically, so the next one would be smaller
+    still, and the round that would confirm it is saved.
     """
-    coeffs = np.asarray(panel_coeffs, dtype=float)
+    mm = np.asarray(panels)
     xb = np.asarray(x_bar, dtype=float)
     z0 = np.asarray(guess, dtype=complex)
-    if not (coeffs.ndim == 3 and coeffs.shape[1] == 3 and coeffs.shape[2] >= 1
-            and xb.shape == coeffs.shape[:2] and z0.shape == coeffs.shape[:1]):
-        raise ValueError("find_root takes (P, 3, n) coefficients, (P, 3) points and (P,) guesses; "
-                         f"got {coeffs.shape}, {xb.shape} and {z0.shape}")
+    if not (mm.ndim == 1 and mm.dtype.kind in "iu" and xb.shape == mm.shape + (3,)
+            and z0.shape == mm.shape):
+        raise ValueError("find_root takes (P,) integer panels, (P, 3) points and (P,) guesses; "
+                         f"got {mm.shape} {mm.dtype}, {xb.shape} and {z0.shape}")
+    panel_count = curve.grid.panel_count
+    if not all(0 <= m < panel_count for m in mm.tolist()):
+        raise ValueError(f"panel indices must lie in [0, {panel_count}), got {mm.tolist()}")
     z = z0.tolist()
     # math.isfinite and cmath.isfinite on the few points and guesses cost less than numpy's
-    finite = all(map(math.isfinite, xb.ravel().tolist())) and all(map(cmath.isfinite, z))
-    if not (np.isfinite(coeffs).all() and finite):
-        raise ValueError("panel coefficients, points and guesses must be finite")
-    count, n = len(z0), coeffs.shape[2]
+    if not (all(map(math.isfinite, xb.ravel().tolist())) and all(map(cmath.isfinite, z))):
+        raise ValueError("points and guesses must be finite")
+    count, n = len(z), curve.grid.rule.order
     roots = [complex(math.nan, math.nan)] * count
     reasons = [""] * count
     live = list(range(count))
@@ -210,13 +203,8 @@ def find_root(
     # row 2c gives x_c - x_bar_c (P_0 = 1 carries the shift) and x_c', row 2c + 1 gives x_c''
     # and an unused third derivative: each pair's product reads as the (3, 4) rows of
     # x - x_bar, x', x'' and x''' by coordinate
-    shifted = coeffs.copy()
-    shifted[:, :, 0] -= xb
-    c_live = np.empty((count, 3, 2, n), dtype=complex)
-    c_live[:, :, 0] = shifted
-    # the second derivative drops the shifted constant; the real product has the complex one's bits
-    c_live[:, :, 1] = shifted @ _second_derivative_matrix(n).T
-    c_live = c_live.reshape(count, 6, n)
+    c_live = curve.cauchy_rows.take(mm, 0).reshape(count, 6, n)
+    c_live[:, 0::2, 0] -= xb
     for _ in range(_NEWTON_MAX_ITER):
         if not live:
             break
@@ -386,8 +374,8 @@ def qkp_moments(z1: complex, count: int) -> np.ndarray:
     find_root calls real, raise ValueError: q_0^3 ~ 2 / Im(z1)^2 overflows
     from Im z1 ~ 1e-154 on, and the floor bounds the graded rule at level 33.
     So do roots from |z1| ~ 1.3e154 on, whose |eta - z1|^2 overflows and zeros the moments.
-    eval_S's chunks with _ARRAY_PAIRS or more special pairs take the same
-    routes for all their roots at once (`_stacked_moments`), bit for bit.
+    eval_S's roots pass these checks and take the routes unchecked, bit for
+    bit: by `_root_moments`, or from _ARRAY_PAIRS on by `_stacked_moments`.
     """
     if not isinstance(count, (int, np.integer)) or not 1 <= count <= MAX_MOMENT_COUNT:
         raise ValueError(f"count must be an integer in [1, {MAX_MOMENT_COUNT}], got {count!r}")
@@ -396,9 +384,12 @@ def qkp_moments(z1: complex, count: int) -> np.ndarray:
     if not (b >= REAL_ROOT_FLOOR and math.isfinite((abs(a) + 1.0) * (abs(a) + 1.0) + b * b)):
         raise ValueError(f"z1 must be finite with Im(z1) >= REAL_ROOT_FLOOR = {REAL_ROOT_FLOOR} "
                          f"and |eta - z1|^2 finite on [-1, 1], got {z1}")
-    if abs(a) <= 1.0 and b <= 1.0:
-        return _moments_recursion(a, b, count)
-    return _moments_graded(a, b, count)
+    return _root_moments(a, b, count)
+
+
+def _root_moments(a: float, b: float, count: int) -> np.ndarray:
+    """qkp_moments' route, unchecked: the recursion over the interval, else the graded rule."""
+    return (_moments_recursion if abs(a) <= 1.0 and b <= 1.0 else _moments_graded)(a, b, count)
 
 
 def _stacked_moments(z1: np.ndarray, count: int) -> np.ndarray:
@@ -424,16 +415,18 @@ def _stacked_moments(z1: np.ndarray, count: int) -> np.ndarray:
     return q
 
 
-def _offsets(positions: np.ndarray, x_bar) -> tuple[np.ndarray, np.ndarray]:
+def _offsets(positions: np.ndarray, x_bar, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Vectors x_bar - x_j to the given node positions and their squared lengths.
 
     x_bar is one point (3,) or a block (T, 3); the results gain its leading axis.
+    A point on a node raises ValueError naming its row, counted from start.
     """
     r = np.asarray(x_bar, dtype=float)[..., None, :] - positions
     r2 = np.einsum("...c,...c->...", r, r)
     if np.count_nonzero(r2) < r2.size:  # a third of the cost of (r2 == 0.0).any()
-        node = np.argwhere(r2 == 0.0)[0, -1]
-        raise ValueError(f"field point coincides with quadrature node {node}, where S diverges")
+        *row, node = np.argwhere(r2 == 0.0)[0].tolist()
+        raise ValueError(f"field point {start + sum(row)} coincides with quadrature node {node}, "
+                         "where S diverges")
     return r, r2
 
 
@@ -470,8 +463,8 @@ def _blockwise(curve: PanelizedCurve, x_bar, sums) -> np.ndarray:
     else:
         out = np.empty(block.shape)
         for start in range(0, len(block), _CHUNK):
-            points = block[start : start + _CHUNK]
-            out[start : start + _CHUNK] = sums(points, *_offsets(curve.positions, points), start)
+            part = block[start : start + _CHUNK]
+            out[start : start + _CHUNK] = sums(part, *_offsets(curve.positions, part, start), start)
     return out[0] if xb.ndim == 1 else out
 
 
@@ -515,7 +508,7 @@ def _special_sums(curve: PanelizedCurve, fv, panels, z1, r, r2) -> np.ndarray:
     g_p * (omega/R^2)^{p/2} at the nodes, contracted with the
     `_moment_weights` of the kernel moments, integrate their interpolants
     against the kernel. At real nodes omega/R^2 > 0: the principal root.
-    Below _ARRAY_PAIRS pairs each root takes one qkp_moments call; from
+    Below _ARRAY_PAIRS pairs each root takes one `_root_moments` call; from
     there on all take one `_stacked_moments` stack with the same bits.
     """
     grid = curve.grid
@@ -525,7 +518,7 @@ def _special_sums(curve: PanelizedCurve, fv, panels, z1, r, r2) -> np.ndarray:
     if len(roots) >= _ARRAY_PAIRS:
         moments = _stacked_moments(roots, n)
     else:
-        moments = np.array([qkp_moments(z, n) for z in roots.tolist()])
+        moments = np.array([_root_moments(z.real, z.imag, n) for z in roots.tolist()])
     w = _moment_weights(grid.rule, moments)
     roots = roots[:, None]
     ratio = ((eta - roots.real) ** 2 + roots.imag * roots.imag) / r2
@@ -549,7 +542,8 @@ def eval_S(curve: PanelizedCurve, f: LineDensity, x_bar) -> np.ndarray:
     rho^(-2n) <= 1e-14: the test runs on the guess before the root find,
     with _GUESS_MARGIN for the guess's error, and on the root after it.
     Pairs without a root, each warned of, and roots at rho >= rho_max take
-    the regular rule for that pair only. A real root on a panel (find_root's
+    the regular rule for that pair only. A point on a node raises ValueError
+    naming its row and the node. A real root on a panel (find_root's
     REAL_ROOT_FLOOR) puts the point on the centerline, where S diverges, and
     raises ValueError naming the point's row and the panel before its chunk
     sums or warns. Points 1e-9 off pass (Im(z1) >= 1e-8 at order 16), and
@@ -572,7 +566,7 @@ def eval_S(curve: PanelizedCurve, f: LineDensity, x_bar) -> np.ndarray:
         if not len(tt):
             return _regular_sum(curve, fv, r, r2)
         # one run per chunk
-        z1, reasons = find_root(curve.panel_coeffs.take(mm, 0), points.take(tt, 0), guess)
+        z1, reasons = find_root(curve, mm, points.take(tt, 0), guess)
         if _ON_CENTERLINE in reasons:
             i = reasons.index(_ON_CENTERLINE)
             raise ValueError(f"point {start + tt[i]}, panel {mm[i]}: {reasons[i]}, where S diverges")
@@ -581,21 +575,21 @@ def eval_S(curve: PanelizedCurve, f: LineDensity, x_bar) -> np.ndarray:
             warnings.warn(f"point {start + tt[i]}, panel {mm[i]}: {reasons[i]}; "
                           "falling back to regular quadrature")
         limit = _direct_radius(n)  # the NaN roots of failed pairs compare False
-        near = np.array([_bernstein_radius(z) < limit for z in z1.tolist()], dtype=bool)
-        tp, mp = tt[near], mm[near]
-        if not len(tp):
+        near = [i for i, z in enumerate(z1.tolist()) if _bernstein_radius(z) < limit]
+        if not near:
             return _regular_sum(curve, fv, r, r2)
+        tp, mp = tt.take(near), mm.take(near)
         # one sum for the chunk; zero weights leave out each point's special panels, and a
         # point without any keeps the grid's weights and eval_S_regular's bits
         count = len(points)
         flat = tp * grid.panel_count + mp  # each pair's (point, panel) row of n nodes
-        weights = np.tile(grid.global_weights, (count, 1))
+        weights = grid.global_weights[None].repeat(count, 0)
         weights.reshape(-1, n)[flat] = 0.0
         out = _regular_sum(curve, fv, r, r2, weights)
         rp, r2p = r.reshape(-1, n, 3).take(flat, 0), r2.reshape(-1, n).take(flat, 0)
         total = np.zeros((count, 3))
         # in pair order, the bits of adding each point's special rows one by one
-        np.add.at(total, tp, _special_sums(curve, fv, mp, z1[near], rp, r2p))
+        np.add.at(total, tp, _special_sums(curve, fv, mp, z1.take(near), rp, r2p))
         return out + total
 
     return _blockwise(curve, x_bar, chunk_sums)

@@ -6,7 +6,8 @@ import pytest
 
 from helpers import COPIES
 from slenderquad.geometry import FiberCurve, PanelizedCurve, discretize, make_helix, make_straight
-from slenderquad.quadcore import PanelGrid, QuadratureRule, gauss_legendre, legendre_eval
+from slenderquad.quadcore import (PanelGrid, QuadratureRule, _derivative_matrix, gauss_legendre,
+                                  legendre_eval)
 
 HELIX = make_helix(8.0, 3.0, 1.5)
 
@@ -287,7 +288,7 @@ class TestPanelizedCurve:
     @pytest.mark.parametrize("duplicate", COPIES.values(), ids=COPIES)
     @pytest.mark.parametrize(
         "name",
-        ["positions", "tangents", "second_derivs", "panel_coeffs", "coords"],
+        ["positions", "tangents", "second_derivs", "panel_coeffs", "coords", "cauchy_rows"],
     )
     def test_arrays_are_read_only(self, name, duplicate):
         curve = discretize(HELIX, 2, gauss_legendre(4))
@@ -311,3 +312,18 @@ class TestPanelizedCurve:
             QuadratureRule(16, np.linspace(-0.99, 0.99, 16), np.full(16, 0.125))
         after = discretize(HELIX, 8, gauss_legendre(16))
         assert after.panel_coeffs.tobytes() == before.panel_coeffs.tobytes()
+        assert after.cauchy_rows.tobytes() == before.cauchy_rows.tobytes()
+
+    @pytest.mark.parametrize("duplicate", COPIES.values(), ids=COPIES)
+    @pytest.mark.parametrize("order", [1, 2, 8, 16])
+    def test_cauchy_rows_hold_the_coefficients_and_their_second_derivative(self, order, duplicate):
+        # the root finder's complex rows, built once per curve: row 0 has the bytes of the
+        # real coefficients, row 1 those of their real product with the second-derivative matrix
+        curve = discretize(HELIX, 8, gauss_legendre(order))
+        rows, first = curve.cauchy_rows, _derivative_matrix(order)
+        second = curve.panel_coeffs @ (first @ first).T
+        assert rows.shape == (8, 3, 2, order) and rows.dtype == complex
+        assert not rows.imag.any() and not rows.flags.writeable
+        assert rows[:, :, 0].real.tobytes() == curve.panel_coeffs.tobytes()
+        assert rows[:, :, 1].real.tobytes() == second.tobytes()
+        assert duplicate(curve).cauchy_rows.tobytes() == rows.tobytes()
